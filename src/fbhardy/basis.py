@@ -141,73 +141,52 @@ class EigenBasis:
     #
     # With theta = 0.9 the spacing lam_{n+k} >= lam_n + k pi theta holds for
     # every order nu > -1/2 (the table is checked at build time), and
-    #   sup_x |phi_n(x)|                   <= c_margin sqrt(pi) s_nu lam_n^... / x^(nu+1/2)
-    #   sup_x |phi_n(x)| (global)          <= c_n lam_n^nu / (2^nu Gamma(nu+1)).
-    # Both bounds are combined; the local one wins away from the origin.
+    #   sup_x |phi_n(x)| <= c_n lam_n^nu / (2^nu Gamma(nu+1)),
+    # so the tail past index n is bounded by a geometric series whose first
+    # term and ratio q_n are computed for every n of the table at once.  The
+    # truncation index is the first n whose bound falls below tol.
 
     _THETA = 0.9
-
-    def _coeff_bound(self, xy_floor: float | None) -> float:
-        """Bound on sup |phi_n(x) phi_n(y)| / lam_n^p with the power p returned
-        implicitly: for the global bound p = 2 nu + 1, for the local bound
-        p = 0.  We return the local bound when a floor on xy is available,
-        otherwise infinity (callers then use the global variant)."""
-        if xy_floor is None or xy_floor <= 0:
-            return math.inf
-        k = (self.c_margin**2) * math.pi * self.s_nu**2
-        return k * xy_floor ** -(self.nu + 0.5)
 
     def _global_coeff(self) -> float:
         g = 2.0**self.nu * math.gamma(self.nu + 1.0)
         return (self.c_margin**2) * math.pi / g**2
 
-    def poisson_terms_needed(self, t: float, tol: float,
-                             xy_floor: float | None = None) -> int:
+    @staticmethod
+    def _first_below(first, log_q, tol, operation, message) -> int:
+        """First index n with first[n] / (1 - q_n) < tol and q_n < 1, where
+        q_n = exp(log_q[n]); raises NumericsError when no index qualifies."""
+        q = np.exp(log_q)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ok = (q < 1.0) & (first / (1.0 - q) < tol)
+        n = int(ok.argmax())
+        if not ok[n]:
+            raise NumericsError(operation, message)
+        return n
+
+    def poisson_terms_needed(self, t: float, tol: float) -> int:
         """Smallest N so the tail of sum exp(-t lam_n) |phi phi| past N is
         below tol, or a NumericsError if the table cannot certify it."""
         if t <= 0:
             raise ValueError("t must be positive")
         lam = self.table.zeros
         pt = math.pi * self._THETA
-        local = self._coeff_bound(xy_floor)
-        glob = self._global_coeff()
-        for n in range(0, len(lam)):
-            lam_next = lam[n]          # first term of the tail is index n
-            q_loc = math.exp(-t * pt)
-            bound_loc = local * math.exp(-t * lam_next) / max(1.0 - q_loc, 1e-300)
-            lg = math.log(lam_next)
-            q_glob = math.exp(-t * pt + (2 * self.nu + 1) * pt / lam_next)
-            if q_glob < 1.0:
-                bound_glob = (glob * lam_next ** (2 * self.nu + 1)
-                              * math.exp(-t * lam_next) / (1.0 - q_glob))
-            else:
-                bound_glob = math.inf
-            if min(bound_loc, bound_glob) < tol:
-                return n
-        raise NumericsError(
-            "poisson_kernel",
+        p = 2 * self.nu + 1
+        return self._first_below(
+            self._global_coeff() * lam**p * np.exp(-t * lam),
+            -t * pt + p * pt / lam, tol, "poisson_kernel",
             f"tail not certified at t={t:.3e} with table of {len(lam)} zeros; "
             "enlarge the zero table or raise t")
 
-    def heat_terms_needed(self, t: float, tol: float,
-                          xy_floor: float | None = None) -> int:
+    def heat_terms_needed(self, t: float, tol: float) -> int:
         if t <= 0:
             raise ValueError("t must be positive")
         lam = self.table.zeros
         pt = math.pi * self._THETA
-        local = self._coeff_bound(xy_floor)
-        glob = self._global_coeff()
-        for n in range(0, len(lam)):
-            lam_next = lam[n]
-            decay = math.exp(-t * lam_next**2)
-            q = math.exp(-2.0 * t * lam_next * pt + (2 * self.nu + 1) * pt / lam_next)
-            if q >= 1.0:
-                continue
-            bound = min(local, glob * lam_next ** (2 * self.nu + 1)) * decay / (1.0 - q)
-            if bound < tol:
-                return n
-        raise NumericsError(
-            "heat_kernel",
+        p = 2 * self.nu + 1
+        return self._first_below(
+            self._global_coeff() * lam**p * np.exp(-t * lam**2),
+            -2.0 * t * lam * pt + p * pt / lam, tol, "heat_kernel",
             f"tail not certified at t={t:.3e} with table of {len(lam)} zeros")
 
     def delta_terms_needed(self, t: float, tol: float) -> int:
@@ -218,30 +197,23 @@ class EigenBasis:
         lam = self.table.zeros
         pt = math.pi * self._THETA
         coeff = (self.c_margin**2) * math.pi * self.s_nu * self.s_nu1
-        for n in range(0, len(lam)):
-            lam_next = lam[n]
-            q = math.exp(-t * pt + pt / lam_next)
-            if q >= 1.0:
-                continue
-            bound = coeff * lam_next * math.exp(-t * lam_next) / (1.0 - q)
-            if bound < tol:
-                return n
-        raise NumericsError(
+        return self._first_below(
+            coeff * lam * np.exp(-t * lam), -t * pt + pt / lam, tol,
             "gradient_kernel",
             f"tail not certified at t={t:.3e} with table of {len(lam)} zeros")
 
-    def min_poisson_time(self, tol: float, xy_floor: float | None = None) -> float:
-        """Smallest t the full table certifies for the weighted Poisson kernel
-        (used as a floor for t-grids in supremum sweeps)."""
-        lo, hi = 1e-8, 10.0
+    def _min_time(self, terms_needed, tol: float, lo: float) -> float:
+        """Smallest t in [lo, 10] at which terms_needed(t, tol) certifies,
+        located by 60 geometric bisection steps."""
         def ok(t):
             try:
-                self.poisson_terms_needed(t, tol, xy_floor)
+                terms_needed(t, tol)
                 return True
             except NumericsError:
                 return False
         if ok(lo):
             return lo
+        hi = 10.0
         for _ in range(60):
             mid = math.sqrt(lo * hi)
             if ok(mid):
@@ -250,23 +222,13 @@ class EigenBasis:
                 lo = mid
         return hi
 
-    def min_heat_time(self, tol: float, xy_floor: float | None = None) -> float:
-        lo, hi = 1e-10, 10.0
-        def ok(t):
-            try:
-                self.heat_terms_needed(t, tol, xy_floor)
-                return True
-            except NumericsError:
-                return False
-        if ok(lo):
-            return lo
-        for _ in range(60):
-            mid = math.sqrt(lo * hi)
-            if ok(mid):
-                hi = mid
-            else:
-                lo = mid
-        return hi
+    def min_poisson_time(self, tol: float) -> float:
+        """Smallest t the full table certifies for the weighted Poisson kernel
+        (used as a floor for t-grids in supremum sweeps)."""
+        return self._min_time(self.poisson_terms_needed, tol, 1e-8)
+
+    def min_heat_time(self, tol: float) -> float:
+        return self._min_time(self.heat_terms_needed, tol, 1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,8 @@ def cmd_estimates(session: _Session, args) -> int:
         path = session.out(f"estimates_{lemma}.json")
         _write_json(path, report.to_dict())
         tag = "PASS" if report.passed else "FAIL"
+        if not report.passed:
+            status = 1
         print(f"estimates[{lemma}]: {tag} ratio in "
               f"[{report.ratio_min:.4g}, {report.ratio_max:.4g}] -> {path}")
     return status

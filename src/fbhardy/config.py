@@ -64,6 +64,12 @@ class RunConfig:
             raise ConfigError("cascade_depth_cap out of range [2, 26]")
         if self.atom_scale_max < 0:
             raise ConfigError("atom_scale_max must be nonnegative")
+        if self.cancel_tol <= 0:
+            raise ConfigError("cancel_tol must be positive")
+        if self.reconstruct_tol <= 0:
+            raise ConfigError("reconstruct_tol must be positive")
+        if self.max_atoms_materialized < 1:
+            raise ConfigError("max_atoms_materialized must be at least 1")
         return self
 
 

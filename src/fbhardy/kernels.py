@@ -322,31 +322,37 @@ def _subordination_nodes():
 
 
 _SUB_V, _SUB_W = _subordination_nodes()
+_SUB_WEIGHT = _SUB_W * np.exp(-_SUB_V * _SUB_V)
+_SUB_INV_4V2 = 1.0 / (4.0 * _SUB_V * _SUB_V)
+_SUB_BLOCK = 8192   # max elements per bessel_heat call (nodes x points)
 
 
-def bessel_poisson(nu: float, t: float, x, y):
+def bessel_poisson(nu: float, t, x, y):
     """Poisson kernel of the Bessel operator on (0, inf) by subordination.
 
     After the substitution u = v^2 the defining integral becomes
     2 pi^(-1/2) int_0^inf exp(-v^2) T_{t^2/4v^2}(x, y) dv; the integrand is
     smooth on each panel and dies like exp(-v^2), so fixed Gauss-Legendre
-    panels out to v = 12 give near machine accuracy."""
-    if not np.isscalar(t) and np.ndim(t) != 0:
-        raise ValueError("bessel_poisson takes a scalar time")
-    t = float(t)
-    if t <= 0:
+    panels out to v = 12 give near machine accuracy.
+
+    t, x and y broadcast against each other, so every point may carry its
+    own time.  Each bessel_heat call covers a block of nodes times all
+    points, at most _SUB_BLOCK elements (a single node when the points alone
+    exceed that), so no call holds more than max(_SUB_BLOCK, points) heat
+    values at once."""
+    tb, xb, yb = np.broadcast_arrays(np.asarray(t, dtype=float),
+                                     np.asarray(x, dtype=float),
+                                     np.asarray(y, dtype=float))
+    if np.any(tb <= 0):
         raise ValueError("bessel_poisson needs t > 0")
-    xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float),
-                                 np.asarray(y, dtype=float))
-    scalar = xb.shape == ()
-    acc = np.zeros(np.atleast_1d(xb).shape)
-    xf = np.atleast_1d(xb).astype(float)
-    yf = np.atleast_1d(yb).astype(float)
-    for v, w in zip(_SUB_V, _SUB_W):
-        s = t * t / (4.0 * v * v)
-        acc += w * math.exp(-v * v) * bessel_heat(nu, s, xf, yf)
+    t2, xf, yf = (np.ravel(a) for a in (tb * tb, xb, yb))
+    step = max(1, _SUB_BLOCK // max(xf.size, 1))
+    acc = np.zeros(xf.size)
+    for i in range(0, len(_SUB_V), step):
+        s = _SUB_INV_4V2[i:i + step, None] * t2
+        acc += (_SUB_WEIGHT[i:i + step, None] * bessel_heat(nu, s, xf, yf)).sum(axis=0)
     acc *= 2.0 / math.sqrt(math.pi)
-    return float(acc[0]) if scalar else acc.reshape(xb.shape)
+    return float(acc[0]) if xb.shape == () else acc.reshape(xb.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -212,18 +212,7 @@ def uchiyama_kernel(nu: float, r: float, x, y, sigma_total: float | None = None)
     """Half-line Poisson kernel at the reparametrized time t(x, r)."""
     if sigma_total is not None and not (0 < r < sigma_total):
         raise ValueError(f"radius {r} outside (0, {sigma_total})")
-    xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float),
-                                 np.asarray(y, dtype=float))
-    scalar = xb.ndim == 0
-    xf = np.atleast_1d(xb).ravel()
-    yf = np.atleast_1d(yb).ravel()
-    tf = np.atleast_1d(uchiyama_time(nu, float(r), xf))
-    out = np.empty_like(xf)
-    # the time depends on x only, so group the evaluations by time value
-    for tv in np.unique(tf):
-        m = tf == tv
-        out[m] = np.atleast_1d(bessel_poisson(nu, float(tv), xf[m], yf[m]))
-    return float(out[0]) if scalar else out.reshape(xb.shape)
+    return bessel_poisson(nu, uchiyama_time(nu, float(r), x), x, y)
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,9 @@ import os
 import numpy as np
 import pytest
 
+import fbhardy.cli
 from fbhardy.cli import main
-from fbhardy.kernels import LEMMA_IDS
+from fbhardy.kernels import LEMMA_IDS, EstimateReport
 from fbhardy.quadrature import MEASURE_LEBESGUE, MEASURE_MU, make_quadrature
 
 
@@ -101,6 +102,23 @@ def test_estimates_write_one_report_per_lemma(tmp_path, small_cfg):
         assert rep["ratio_min"] is not None and rep["ratio_min"] > 0
         assert rep["ratio_max"] is not None
         assert rep["n_samples"] > 0
+
+
+def test_failed_estimate_exits_one(tmp_path, small_cfg, monkeypatch):
+    def failing(lemma, **kwargs):
+        return EstimateReport(
+            lemma=lemma, kind="upper", nu=0.5, t_range=(0.1, 1.0),
+            n_samples=4, n_masked=0, ratio_min=0.5, ratio_max=2.0,
+            refined_min=0.5, refined_max=3.0, drift_min=0.0, drift_max=0.5,
+            passed=False)
+
+    monkeypatch.setattr(fbhardy.cli, "check_sharp_estimate", failing)
+    out = tmp_path / "out"
+    rc = run(["estimates", "--lemma", "grad-P", "--grid", "4"],
+             cfg=small_cfg, out=out)
+    assert rc == 1
+    with open(out / "estimates_grad-P.json") as fh:
+        assert not json.load(fh)["passed"]
 
 
 def test_maximal_outputs(tmp_path, small_cfg):

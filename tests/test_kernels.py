@@ -165,6 +165,47 @@ def test_subordination_against_adaptive_quadrature():
         assert err < 1e-9
 
 
+def _per_point_poisson(nu, t, x, y):
+    return np.array([bessel_poisson(nu, float(tv), float(xv), float(yv))
+                     for tv, xv, yv in zip(t.ravel(), x.ravel(), y.ravel())])
+
+
+def test_bessel_poisson_array_time_matches_scalar_calls():
+    nu = 1.3
+    x = np.linspace(0.05, 3.0, 9)[:, None]
+    y = np.linspace(0.1, 2.5, 7)[None, :]
+    t = 0.01 + 0.3 * x + 0.2 * y
+    got = bessel_poisson(nu, t, x, y)
+    assert got.shape == (9, 7)
+    tb, xb, yb = np.broadcast_arrays(t, x, y)
+    np.testing.assert_allclose(got.ravel(), _per_point_poisson(nu, tb, xb, yb),
+                               rtol=1e-13, atol=0)
+
+
+def test_bessel_poisson_crosses_node_blocks():
+    """32 x 512 points hold more elements than one subordination block, so
+    every node is its own block; 32 x 20 points pack 12 nodes per block
+    with a partial last block.  Both must agree with scalar calls."""
+    rng = np.random.default_rng(5)
+    nu = 0.5
+    for shape in ((32, 512), (32, 20)):
+        x = rng.uniform(0.05, 4.0, shape)
+        y = rng.uniform(0.05, 4.0, shape)
+        t = rng.uniform(0.02, 3.0, shape)
+        got = bessel_poisson(nu, t, x, y)
+        sample = rng.choice(x.size, 64, replace=False)
+        expect = _per_point_poisson(nu, t.ravel()[sample], x.ravel()[sample],
+                                    y.ravel()[sample])
+        np.testing.assert_allclose(got.ravel()[sample], expect, rtol=1e-13,
+                                   atol=0)
+
+
+def test_bessel_poisson_rejects_nonpositive_time_entry():
+    t = np.array([0.5, 0.2, 0.0, 1.0])
+    with pytest.raises(ValueError):
+        bessel_poisson(0.5, t, np.full(4, 0.5), np.linspace(0.1, 1.0, 4))
+
+
 def test_dy_bessel_heat_finite_difference():
     nu, t = 0.8, 0.35
     h = 1e-5
