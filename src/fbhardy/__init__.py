@@ -12,7 +12,7 @@ from .hardy import (Atom, PiecewiseLinear, atomic_decompose, build_partition,
                     h1_norm_report, haar_atom, random_atoms, special_atom,
                     two_atom_split, validate_atom)
 from .kernels import (UnitIntervalKernels, bessel_heat, bessel_poisson,
-                      check_all_estimates, check_sharp_estimate, mu_ball)
+                      check_sharp_estimate, mu_ball)
 from .maximal import (CutoffRho, SpectralExpansion, TimeGrid,
                       apply_halfline, apply_heat, apply_poisson,
                       compare_semigroups, duhamel_closure, maximal_function,
@@ -32,7 +32,7 @@ __all__ = [
     "TimeGrid", "UnitIntervalKernels", "apply_halfline", "apply_heat",
     "apply_poisson", "atomic_decompose", "bessel_heat", "bessel_poisson",
     "bessel_zeros", "build_partition", "cascade_decompose", "case3_split",
-    "check_all_estimates", "check_sharp_estimate", "chord_product",
+    "check_sharp_estimate", "chord_product",
     "coefficients", "compare_semigroups", "duhamel_closure",
     "grid_on_interval", "h1_norm_report", "haar_atom", "hankel_transform",
     "load_config", "make_quadrature", "maximal_function", "mu_ball",

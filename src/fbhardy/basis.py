@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError
-from .quadrature import (SampledFunction, make_quadrature,
-                         MEASURE_LEBESGUE, MEASURE_MU)
+from .quadrature import SampledFunction, make_quadrature, MEASURE_MU
 from . import specfun
 from .specfun import BesselZeroTable, Order
 
@@ -100,12 +99,6 @@ class EigenBasis:
 
     def __len__(self) -> int:
         return len(self.table.zeros)
-
-    @property
-    def eigenvalues_sqrt(self) -> np.ndarray:
-        """lam_n: the square roots of the eigenvalues of the second-order
-        operator, i.e. the Bessel zeros."""
-        return self.table.zeros
 
     def phi_matrix(self, x, n: int | None = None) -> np.ndarray:
         """Rows phi_1 .. phi_n sampled at x (shape (n, len(x)))."""
@@ -233,22 +226,6 @@ class EigenBasis:
 
 # ---------------------------------------------------------------------------
 # coefficients and synthesis
-
-
-def coeff_mu(f: SampledFunction, basis: EigenBasis, n: int) -> float:
-    """<f, phi_n> against the weighted measure."""
-    if f.measure != MEASURE_MU:
-        raise ValueError("coeff_mu expects a mu-tagged sampled function")
-    row = basis.phi_matrix(f.nodes, n)[n - 1]
-    return float((f.grid.weights * row) @ f.values)
-
-
-def coeff_lebesgue(g: SampledFunction, basis: EigenBasis, n: int) -> float:
-    """<g, psi_n> against Lebesgue measure."""
-    if g.measure != MEASURE_LEBESGUE:
-        raise ValueError("coeff_lebesgue expects a lebesgue-tagged sampled function")
-    row = basis.psi_matrix(g.nodes, n)[n - 1]
-    return float((g.grid.weights * row) @ g.values)
 
 
 def coefficients(f: SampledFunction, basis: EigenBasis,

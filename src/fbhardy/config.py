@@ -18,9 +18,7 @@ class RunConfig:
     nu: float = 0.5
     n_zeros: int = 2400
     zero_tol: float = 1e-12
-    zero_iter_cap: int = 100
     series_tol: float = 1e-10
-    series_term_cap: int = 5000
     # quadrature
     quad_nodes_per_unit: int = 256
     halfline_radius: float = 8.0
@@ -28,11 +26,8 @@ class RunConfig:
     t_min: float = 1e-6
     t_max: float = 10.0
     t_ratio: float = 1.25
-    # sharp-estimate conventions
-    gaussian_decay_c: float = 0.2
     # covers and cutoffs
     zeta: float = 0.02
-    cover_j_max: int = 16
     # atoms and decompositions
     cancel_tol: float = 1e-10
     reconstruct_tol: float = 1e-6

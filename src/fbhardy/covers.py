@@ -122,8 +122,3 @@ class DyadicCover:
     def _lowest(self) -> int:
         return 0 if self.family == FAMILY_ONE_END else 1
 
-    def positions_sorted(self) -> list[int]:
-        """Indices ordered by position on (0, 1)."""
-        if self.family == FAMILY_ONE_END:
-            return self.indices()
-        return list(range(-self.j_max, 0)) + list(range(1, self.j_max + 1))

@@ -28,7 +28,8 @@ finite expansion reproduces the input to rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,9 +59,12 @@ def _quantile(m, measure: str, nu: float):
 
 
 def sigma_interval(a: float, b: float, measure: str, nu: float) -> float:
-    if b <= a:
-        return 0.0
-    return float(_cdf(b, measure, nu) - _cdf(a, measure, nu))
+    return 0.0 if b <= a else float(_cdf(b, measure, nu) - _cdf(a, measure, nu))
+
+
+def _piece_integrals(s, c, lo, hi, p: float):
+    """Integral of s x + c over [lo, hi] against the density x^(p - 1)."""
+    return s * (hi ** (p + 1) - lo ** (p + 1)) / (p + 1) + c * (hi**p - lo**p) / p
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +81,7 @@ class PiecewiseLinear:
 
     def __post_init__(self):
         b = np.asarray(self.breaks, dtype=float)
-        if b.ndim != 1 or len(b) < 2 or np.any(np.diff(b) <= 0):
+        if b.ndim != 1 or len(b) < 2 or (b[1:] - b[:-1] <= 0).any():
             raise ValueError("breaks must be strictly increasing, length >= 2")
         if len(self.slopes) != len(b) - 1 or len(self.intercepts) != len(b) - 1:
             raise ValueError("one slope and intercept per piece")
@@ -119,6 +123,11 @@ class PiecewiseLinear:
     def support(self) -> Interval:
         return Interval(float(self.breaks[0]), float(self.breaks[-1]))
 
+    def _piece_index(self, x):
+        """Index of the piece holding each x; the end pieces extend outward."""
+        return np.clip(np.searchsorted(self.breaks, x, side="right") - 1,
+                       0, len(self.slopes) - 1)
+
     def evaluate(self, x):
         x = np.asarray(x, dtype=float)
         idx = np.searchsorted(self.breaks, x, side="right") - 1
@@ -134,30 +143,17 @@ class PiecewiseLinear:
 
     # -- exact integrals
 
-    def _antideriv(self, pts, measure: str, nu: float):
-        """Integral of each piece's linear form against the measure density,
-        evaluated as the antiderivative at pts (same piece index as pts)."""
-        pts = np.asarray(pts, dtype=float)
-        idx = np.clip(np.searchsorted(self.breaks, pts, side="right") - 1,
-                      0, len(self.slopes) - 1)
-        s, c = self.slopes[idx], self.intercepts[idx]
-        p = _power(measure, nu)
-        return s * pts ** (p + 1.0) / (p + 1.0) + c * pts**p / p
-
     def cumulative(self, pts, measure: str, nu: float):
         """Exact integral from the support's left end to each point."""
         pts = np.clip(np.asarray(pts, dtype=float), self.breaks[0], self.breaks[-1])
         p = _power(measure, nu)
         lo, hi = self.breaks[:-1], self.breaks[1:]
-        piece_full = (self.slopes * (hi ** (p + 1) - lo ** (p + 1)) / (p + 1)
-                      + self.intercepts * (hi**p - lo**p) / p)
+        piece_full = _piece_integrals(self.slopes, self.intercepts, lo, hi, p)
         prefix = np.concatenate([[0.0], np.cumsum(piece_full)])
-        idx = np.clip(np.searchsorted(self.breaks, pts, side="right") - 1,
-                      0, len(self.slopes) - 1)
+        idx = self._piece_index(pts)
         start = self.breaks[idx]
-        s, c = self.slopes[idx], self.intercepts[idx]
-        partial = (s * (pts ** (p + 1) - start ** (p + 1)) / (p + 1)
-                   + c * (pts**p - start**p) / p)
+        partial = _piece_integrals(self.slopes[idx], self.intercepts[idx],
+                                   start, pts, p)
         return prefix[idx] + partial
 
     def integral(self, measure: str, nu: float) -> float:
@@ -193,22 +189,19 @@ class PiecewiseLinear:
                                         self.breaks[(self.breaks > a)
                                                     & (self.breaks < b)]]))
         mids = 0.5 * (pts[:-1] + pts[1:])
-        idx = np.clip(np.searchsorted(self.breaks, mids, side="right") - 1,
-                      0, len(self.slopes) - 1)
+        idx = self._piece_index(mids)
         return PiecewiseLinear(pts, self.slopes[idx], self.intercepts[idx])
 
     def extended(self, a: float, b: float) -> "PiecewiseLinear":
         """Pad with zero pieces so the support becomes [a, b]."""
-        out = self
-        if a < self.breaks[0]:
-            out = PiecewiseLinear(np.concatenate([[a], out.breaks]),
-                                  np.concatenate([[0.0], out.slopes]),
-                                  np.concatenate([[0.0], out.intercepts]))
-        if b > out.breaks[-1]:
-            out = PiecewiseLinear(np.concatenate([out.breaks, [b]]),
-                                  np.concatenate([out.slopes, [0.0]]),
-                                  np.concatenate([out.intercepts, [0.0]]))
-        return out
+        lo = [a] if a < self.breaks[0] else []
+        hi = [b] if b > self.breaks[-1] else []
+        if not (lo or hi):
+            return self
+        zl, zh = [0.0] * len(lo), [0.0] * len(hi)
+        return PiecewiseLinear(np.concatenate([lo, self.breaks, hi]),
+                               np.concatenate([zl, self.slopes, zh]),
+                               np.concatenate([zl, self.intercepts, zh]))
 
     def plus_constant(self, c: float) -> "PiecewiseLinear":
         """Add c on the whole support (the support does not change)."""
@@ -229,8 +222,7 @@ def chord_product(f: PiecewiseLinear, g: PiecewiseLinear,
     mids = 0.5 * (points[:-1] + points[1:])
 
     def _piece(h, x):
-        idx = np.clip(np.searchsorted(h.breaks, x, side="right") - 1,
-                      0, len(h.slopes) - 1)
+        idx = h._piece_index(x)
         outside = (x < h.breaks[0]) | (x > h.breaks[-1])
         s = np.where(outside, 0.0, h.slopes[idx])
         c = np.where(outside, 0.0, h.intercepts[idx])
@@ -287,18 +279,23 @@ def special_atom(cover: DyadicCover, j: int, nu: float, measure: str,
                 label=label or f"special[{j}]")
 
 
+def _haar_levels(a, m, b, measure: str, nu: float) -> tuple:
+    """Levels of the two-bar atoms on [a, m) and [m, b), elementwise:
+    opposite-sign constants balanced so the integral vanishes exactly,
+    scaled so the sup norm is 1/sigma(a, b)."""
+    ca, cm, cb = (_cdf(x, measure, nu) for x in (a, m, b))
+    s, s1, s2 = cb - ca, cm - ca, cb - cm
+    h1, h2 = 1.0 / s, 1.0 / s * s1 / s2
+    scale = 1.0 / np.maximum(1.0, h2 * s)   # an off-median split peaks on the right
+    return scale * h1, -scale * h2
+
+
 def haar_atom(a: float, m: float, b: float, nu: float, measure: str,
               label: str = "") -> Atom:
     """Two-bar cancellative atom: opposite-sign constants balanced so the
     integral vanishes exactly, scaled so the sup norm is 1/sigma(a, b)."""
-    s = sigma_interval(a, b, measure, nu)
-    s1 = sigma_interval(a, m, measure, nu)
-    s2 = sigma_interval(m, b, measure, nu)
-    h1 = 1.0 / s
-    h2 = h1 * s1 / s2
-    scale = 1.0 / max(1.0, h2 * s)   # an off-median split peaks on the right
-    fn = PiecewiseLinear.from_breaks_levels([a, m, b],
-                                            [scale * h1, -scale * h2])
+    fn = PiecewiseLinear.from_breaks_levels(
+        [a, m, b], _haar_levels(a, m, b, measure, nu))
     return Atom(fn=fn, measure=measure, nu=nu, kind=KIND_CANCELLATIVE,
                 label=label or "haar")
 
@@ -331,15 +328,10 @@ def validate_atom(atom: Atom, cover: DyadicCover | None = None,
         value_ok = flat and abs(atom.fn.intercepts[0] * sigma - 1.0) < 1e-12
         report["constant_ok"] = value_ok
         if cover is not None:
-            match = False
-            for j in cover.indices():
-                cell = cover.interval(j)
-                if abs(cell.a - iv.a) < 1e-12 and abs(cell.b - iv.b) < 1e-12:
-                    match = True
-                    break
-            report["cell_match_ok"] = match
-    checks = [v for k, v in report.items() if k.endswith("_ok")]
-    report["valid"] = bool(all(checks))
+            report["cell_match_ok"] = any(
+                abs(cell.a - iv.a) < 1e-12 and abs(cell.b - iv.b) < 1e-12
+                for cell in map(cover.interval, cover.indices()))
+    report["valid"] = all(v for k, v in report.items() if k.endswith("_ok"))
     return report
 
 
@@ -360,10 +352,8 @@ def two_atom_split(cover: DyadicCover, j: int, nu: float, measure: str) -> dict:
     s_cell = sigma_interval(cell.a, cell.b, measure, nu)
     s_big = sigma_interval(big.a, big.b, measure, nu)
     pts = np.unique(np.array([big.a, cell.a, cell.b, big.b]))
-    levels = []
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        inside = cell.a <= lo and hi <= cell.b
-        levels.append((1.0 / s_cell if inside else 0.0) - 1.0 / s_big)
+    levels = [(1.0 / s_cell if cell.a <= lo and hi <= cell.b else 0.0)
+              - 1.0 / s_big for lo, hi in zip(pts[:-1], pts[1:])]
     diff = PiecewiseLinear.from_breaks_levels(pts, levels)
     lam1 = s_big * diff.sup_norm()
     a1 = Atom(fn=diff.scaled(1.0 / lam1), measure=measure, nu=nu,
@@ -416,7 +406,7 @@ def case3_split(atom: Atom, cover: DyadicCover) -> tuple:
     if atom.kind != KIND_CANCELLATIVE:
         raise ValueError("the wide-atom split applies to cancellative atoms")
     iv = atom.interval
-    js = [j for j in cover.positions_sorted()
+    js = [j for j in cover.indices()
           if atom.fn.restricted(cover.interval(j).a, cover.interval(j).b)
           is not None]
     if not js:
@@ -472,7 +462,7 @@ def build_partition(cover: DyadicCover, nu: float, measure: str) -> list:
     closing ramp, and the slope of member j is of order 2^j as required.
     The time cap stored with each member is the doubly-starred measure of
     its cell."""
-    order = cover.positions_sorted()
+    order = cover.indices()
     ramps = []
     for a, b in zip(order[:-1], order[1:]):
         star_a = cover.starred(a, 1)
@@ -489,16 +479,10 @@ def build_partition(cover: DyadicCover, nu: float, measure: str) -> list:
         cell = cover.interval(j)
         left = ramps[pos - 1] if pos > 0 else None
         right = ramps[pos] if pos < len(ramps) else None
-        if left is None:
-            pts, vals = [cell.a], [1.0]
-        else:
-            pts, vals = [left[0], left[1]], [0.0, 1.0]
-        if right is not None:
-            pts += [right[0], right[1]]
-            vals += [1.0, 0.0]
-        else:
-            pts += [cell.b - 0.1 * cell.length, cell.b]
-            vals += [1.0, 0.0]
+        pts, vals = ([cell.a], [1.0]) if left is None else (list(left), [0.0, 1.0])
+        pts += list(right) if right is not None \
+            else [cell.b - 0.1 * cell.length, cell.b]
+        vals += [1.0, 0.0]
         eta = PiecewiseLinear.from_node_values(np.asarray(pts, dtype=float),
                                                np.asarray(vals, dtype=float))
         star2 = cover.starred(j, 2)
@@ -532,11 +516,83 @@ class CascadeLevel:
 @dataclass(frozen=True)
 class ClosingPiece:
     """Exact remainder of one deactivated cell: the input minus its cell
-    average, a zero-mean bump that normalizes to a valid atom."""
+    average, a zero-mean bump that normalizes to a valid atom. Closers are
+    stored as rows of a CloserTable; this is one row read out, and fn views
+    the table's arrays."""
     depth: int
     cell: int
     lam: float                  # sup norm times the cell measure
     fn: PiecewiseLinear
+
+
+@dataclass(frozen=True, eq=False)
+class CloserTable(Sequence):
+    """All closing pieces of one cascade as flat arrays, in closing order
+    (by depth, then cell). Closer i has depth[i], cell[i] and lam[i], the
+    pieces start[i]:start[i+1] of slopes and intercepts, and their breaks
+    from breaks[start[i] + i]. A cell holding a breakpoint of the input or
+    the end of its support has several pieces, zero where the input
+    vanishes. Indexing and iteration yield ClosingPiece rows."""
+    depth: np.ndarray
+    cell: np.ndarray
+    lam: np.ndarray
+    start: np.ndarray
+    breaks: np.ndarray
+    slopes: np.ndarray
+    intercepts: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.lam)
+
+    def __getitem__(self, i) -> ClosingPiece:
+        i = range(len(self))[i]
+        return ClosingPiece(depth=int(self.depth[i]), cell=int(self.cell[i]),
+                            lam=float(self.lam[i]), fn=self._fn(i))
+
+    def _fn(self, i: int) -> PiecewiseLinear:
+        lo, hi = self.start[i], self.start[i + 1]
+        return PiecewiseLinear(self.breaks[lo + i:hi + i + 1],
+                               self.slopes[lo:hi], self.intercepts[lo:hi])
+
+
+def _remainders(fn: PiecewiseLinear, depth: int, cells, a, b,
+                sigma_cell: float, measure: str, nu: float) -> tuple:
+    """CloserTable columns (depth, cell, lam, piece counts, breaks, slopes,
+    intercepts) of the nonzero remainders of fn on the cells [a, b] of one
+    depth, all in one pass.
+
+    A remainder is fn cut to the cell, padded with zero where fn's support
+    ends inside it, minus the cell average: restricted, integral, extended,
+    plus_constant and sup_norm with the same arithmetic per element. Its
+    breaks are the cell's ends and fn's breaks strictly inside the cell."""
+    br = fn.breaks
+    sel = np.flatnonzero(np.minimum(b, br[-1]) > np.maximum(a, br[0]))
+    first = np.searchsorted(br, a[sel], side="right")
+    n_breaks = np.searchsorted(br, b[sel], side="left") - first + 2
+    start, last = np.cumsum(n_breaks) - n_breaks, np.cumsum(n_breaks) - 1
+    owner = np.repeat(np.arange(len(sel)), n_breaks)
+    brk = br[np.clip(np.arange(len(owner)) - start[owner] + first[owner] - 1,
+                     0, len(br) - 1)]
+    brk[start], brk[last] = a[sel], b[sel]
+    left = np.delete(np.arange(len(brk)), last)
+    x0, x1, owner = brk[left], brk[left + 1], owner[left]
+    idx = fn._piece_index(0.5 * (x0 + x1))
+    on = (x1 > br[0]) & (x0 < br[-1])          # off: zero padding
+    s = np.where(on, fn.slopes[idx], 0.0)
+    c = np.where(on, fn.intercepts[idx], 0.0)
+    # each cell's integral summed left to right from 0, as cumulative() does
+    counts = n_breaks - 1
+    rows = np.zeros((len(sel), int(counts.max(initial=0)) + 1))
+    rows[owner, left - start[owner] + 1] = _piece_integrals(
+        s, c, x0, x1, _power(measure, nu))
+    c = c - (np.cumsum(rows, axis=1)[:, -1] / sigma_cell)[owner]
+    ends = np.maximum(np.abs(s * x0 + c), np.abs(s * x1 + c))
+    sup = np.maximum.reduceat(ends, start - np.arange(len(sel))) \
+        if len(sel) else ends
+    keep = ~(sup <= 0.0)
+    return (np.full(np.count_nonzero(keep), depth), cells[sel[keep]],
+            sup[keep] * sigma_cell, counts[keep], brk[np.repeat(keep, n_breaks)],
+            s[np.repeat(keep, counts)], c[np.repeat(keep, counts)])
 
 
 @dataclass
@@ -546,14 +602,15 @@ class LocalCascade:
     The expansion is exact: levels hold the retained Haar details, and each
     cell deactivated by the cut (or stopped by the depth cap) contributes a
     closing piece carrying the remainder there, so evaluate() reproduces the
-    input to rounding."""
+    input to rounding. The closing pieces live in one CloserTable; the
+    closed cells are disjoint, so each point reads at most one of them."""
     space: Interval
     measure: str
     nu: float
     sigma_total: float
     mean_coef: float            # integral of the piece over the space
     levels: list
-    closers: list
+    closers: CloserTable
     depth: int
     closure_l1: float           # coefficient mass of the closing pieces
 
@@ -577,26 +634,35 @@ class LocalCascade:
                             1.0, -1.0)
             sigma_cell = self.sigma_total / 2.0**lev.depth
             out = out + np.where(hit, sign * lev.lam[pos_c] / sigma_cell, 0.0)
-        for cp in self.closers:
-            # gate with the same cell assignment the detail levels use, so a
-            # point landing exactly on a cell edge is counted on one side
-            # only; the gate owns membership, so clamp into the remainder's
-            # break range (the quantile edges can sit one ulp away)
-            cell = np.floor(u * 2.0**cp.depth).astype(np.int64)
-            hit = inside & (cell == cp.cell)
-            xc = np.clip(x, cp.fn.breaks[0], cp.fn.breaks[-1])
-            out = out + np.where(hit, cp.fn.evaluate(xc), 0.0)
-        return out
+        t = self.closers
+        if len(t) == 0:
+            return out
+        # the closed cells are disjoint, so only the last closer starting at
+        # or before u can hold a point; gate it with the detail levels' cell
+        # assignment, so a point on a cell edge counts on one side only, and
+        # clamp into its break range (the quantile edges can sit one ulp away)
+        u0 = np.ldexp(t.cell.astype(float), -t.depth)
+        order = np.argsort(u0)
+        j = order[np.maximum(np.searchsorted(u0[order], u, side="right") - 1, 0)]
+        hit = inside & (np.floor(np.ldexp(u, t.depth[j])) == t.cell[j])
+        first, count = t.start[j], t.start[j + 1] - t.start[j]
+        xc = np.clip(x, t.breaks[first + j], t.breaks[first + j + count])
+        piece = first
+        for q in range(1, int(np.max(count, initial=1))):   # later pieces
+            nxt = t.breaks[np.minimum(first + j + q, len(t.breaks) - 1)]
+            piece = piece + ((q < count) & (nxt <= xc))
+        return out + np.where(hit, t.slopes[piece] * xc + t.intercepts[piece], 0.0)
 
     def coeff_l1(self) -> float:
         details = sum(np.sum(np.abs(lev.lam)) for lev in self.levels)
         return float(details) + self.closure_l1
 
-    def edges(self, depth: int, cells) -> tuple:
-        """(left, median, right) x-coordinates of the given cells."""
+    def edges(self, depth, cells) -> tuple:
+        """(left, median, right) x-coordinates of the given cells; depth is
+        one depth or one per cell."""
         c0 = _cdf(self.space.a, self.measure, self.nu)
         k = np.asarray(cells, dtype=float)
-        scale = self.sigma_total / 2.0**depth
+        scale = np.ldexp(self.sigma_total, -np.asarray(depth))
         left = _quantile(c0 + k * scale, self.measure, self.nu)
         med = _quantile(c0 + (k + 0.5) * scale, self.measure, self.nu)
         right = _quantile(c0 + (k + 1.0) * scale, self.measure, self.nu)
@@ -604,29 +670,33 @@ class LocalCascade:
 
     def materialize(self, max_atoms: int | None = None) -> list:
         """Largest-coefficient pieces as explicit atoms: two-bar atoms for
-        the Haar details, normalized remainders for the closers."""
-        entries = []
-        for lev in self.levels:
-            for k, lam in zip(lev.idx, lev.lam):
-                entries.append((abs(lam), lev.depth, int(k), float(lam), None))
-        for cp in self.closers:
-            entries.append((abs(cp.lam), cp.depth, cp.cell, cp.lam, cp))
-        entries.sort(key=lambda e: (-e[0], e[1], e[2]))
-        if max_atoms is not None:
-            entries = entries[:max_atoms]
-        out = []
-        for _, depth, k, lam, cp in entries:
-            if cp is None:
-                left, med, right = self.edges(depth, np.array([k]))
-                atom = haar_atom(float(left[0]), float(med[0]), float(right[0]),
-                                 self.nu, self.measure,
-                                 label=f"haar[d{depth},k{k}]")
-            else:
-                atom = Atom(fn=cp.fn.scaled(1.0 / cp.lam), measure=self.measure,
-                            nu=self.nu, kind=KIND_CANCELLATIVE,
-                            label=f"closer[d{depth},k{k}]")
-            out.append((lam, atom))
-        return out
+        the Haar details, normalized remainders for the closers. Entries are
+        ordered by (-|lam|, depth, cell) and cut to max_atoms before any
+        atom is built."""
+        t = self.closers
+        depth = np.concatenate([np.full(len(lev.idx), lev.depth)
+                                for lev in self.levels] + [t.depth])
+        cell = np.concatenate([lev.idx for lev in self.levels] + [t.cell])
+        lam = np.concatenate([lev.lam for lev in self.levels] + [t.lam])
+        order = np.lexsort((cell, depth, -np.abs(lam)))[:max_atoms]
+        n_details = len(lam) - len(t)
+        det = order[order < n_details]
+        left, med, right = self.edges(depth[det], cell[det])
+        levels = _haar_levels(left, med, right, self.measure, self.nu)
+        fns = dict(zip(det.tolist(), map(PiecewiseLinear.from_breaks_levels,
+                                         np.column_stack([left, med, right]),
+                                         np.column_stack(levels))))
+        inv = np.repeat(1.0 / t.lam, np.diff(t.start))
+        unit = replace(t, slopes=inv * t.slopes, intercepts=inv * t.intercepts)
+        fns.update((i, unit._fn(i - n_details))
+                   for i in order[order >= n_details].tolist())
+        depth, cell = depth.tolist(), cell.tolist()
+        return [(float(lam[i]),
+                 Atom(fn=fns[i], measure=self.measure,
+                      nu=self.nu, kind=KIND_CANCELLATIVE,
+                      label=f"{'haar' if i < n_details else 'closer'}"
+                            f"[d{depth[i]},k{cell[i]}]"))
+                for i in order.tolist()]
 
 
 def cascade_decompose(fn: PiecewiseLinear, space: Interval, measure: str,
@@ -640,7 +710,8 @@ def cascade_decompose(fn: PiecewiseLinear, space: Interval, measure: str,
     linear piece exceeds the cut. A cell that stops (by the cut or by the
     depth cap) emits its exact remainder as a closing piece, so the cascade
     reproduces fn to rounding whatever the cut; the cut only trades the
-    number of detail levels against the coefficient mass of the closers."""
+    number of detail levels against the coefficient mass of the closers.
+    Each depth is one array pass over its cells."""
     sigma_total = sigma_interval(space.a, space.b, measure, nu)
     if sigma_total <= 0:
         raise ValueError("empty cascade space")
@@ -653,60 +724,47 @@ def cascade_decompose(fn: PiecewiseLinear, space: Interval, measure: str,
 
     inner_breaks = fn.breaks[(fn.breaks > space.a) & (fn.breaks < space.b)]
     levels = []
-    closers = []
-    closure_l1 = 0.0
+    closed = []                 # per depth: the columns of the closer table
     active = np.array([0], dtype=np.int64)
     cascade = LocalCascade(space=space, measure=measure, nu=nu,
                            sigma_total=sigma_total, mean_coef=mean_coef,
-                           levels=levels, closers=closers, depth=0,
+                           levels=levels, closers=None, depth=0,
                            closure_l1=0.0)
-
-    def close(depth: int, k: int, a: float, b: float, sigma_cell: float):
-        r = fn.restricted(a, b)
-        if r is None:
-            return 0.0
-        avg = float(r.integral(measure, nu)) / sigma_cell
-        rem = r.extended(a, b).plus_constant(-avg)
-        s = rem.sup_norm()
-        if s <= 0.0:
-            return 0.0
-        closers.append(ClosingPiece(depth=depth, cell=int(k),
-                                    lam=s * sigma_cell, fn=rem))
-        return s * sigma_cell
-
     for d in range(depth_cap):
         if len(active) == 0:
             break
         left, med, right = cascade.edges(d, active)
-        half1 = fn.integral_between(left, med, measure, nu)
-        half2 = fn.integral_between(med, right, measure, nu)
-        lam = half1 - half2
+        lam = (fn.integral_between(left, med, measure, nu)
+               - fn.integral_between(med, right, measure, nu))
         keep = lam != 0.0
         if np.any(keep):
             levels.append(CascadeLevel(depth=d, idx=active[keep],
                                        lam=lam[keep]))
-        # children either stay active, close, or vanish with the function
-        child_idx = []
+        # children either stay active, close, or vanish with the function;
+        # child 2k is (left, med) and 2k + 1 is (med, right)
+        a = np.column_stack([left, med]).ravel()
+        b = np.column_stack([med, right]).ravel()
+        child = np.column_stack([2 * active, 2 * active + 1]).ravel()
+        live = (b > fn.breaks[0]) & (a < fn.breaks[-1])
+        has_break = (np.searchsorted(inner_breaks, b, side="left")
+                     > np.searchsorted(inner_breaks, a, side="right"))
+        osc = np.abs(fn.slopes[fn._piece_index(0.5 * (a + b))]) * (b - a)
         sigma_child = sigma_total / 2.0 ** (d + 1)
-        for k, el, em, er in zip(active, left, med, right):
-            for child, (a, b) in ((2 * k, (el, em)), (2 * k + 1, (em, er))):
-                if b <= fn.breaks[0] or a >= fn.breaks[-1]:
-                    continue   # the function vanishes on this cell
-                has_break = bool(np.any((inner_breaks > a) & (inner_breaks < b)))
-                mids = 0.5 * (a + b)
-                slope = fn.slopes[min(max(np.searchsorted(fn.breaks, mids,
-                                                          side="right") - 1, 0),
-                                      len(fn.slopes) - 1)]
-                osc = abs(slope) * (b - a)
-                if (has_break or osc * sigma_child > detail_cut) \
-                        and d + 1 < depth_cap:
-                    child_idx.append(child)
-                else:
-                    closure_l1 += close(d + 1, child, a, b, sigma_child)
-        active = np.asarray(sorted(child_idx), dtype=np.int64)
+        split = live & (has_break | (osc * sigma_child > detail_cut)) \
+            & (d + 1 < depth_cap)
+        # the remainder pass drops the cells where fn vanishes
+        closed.append(_remainders(fn, d + 1, child[~split], a[~split],
+                                  b[~split], sigma_child, measure, nu))
+        active = child[split]
         cascade.depth = d + 1
-    cascade.levels = levels
-    cascade.closure_l1 = closure_l1
+    depth, cell, lam, counts, breaks, slopes, intercepts = (
+        [np.concatenate(col) for col in zip(*closed)] or [np.zeros(0)] * 7)
+    cascade.closers = CloserTable(
+        depth.astype(np.int64), cell.astype(np.int64), lam,
+        np.concatenate([[0], np.cumsum(counts)]).astype(np.int64), breaks,
+        slopes, intercepts)
+    # closure mass summed in closing order, as the closers were found
+    cascade.closure_l1 = float(np.cumsum(np.append(0.0, lam))[-1])
     return cascade
 
 
@@ -801,11 +859,8 @@ def atomic_decompose(f, nu: float, measure: str | None = None,
     family = _FAMILY_OF_MEASURE[measure]
     supp = fn.support
     if cover is None:
-        j_need = []
-        for endpoint in (supp.a, supp.b):
-            if 0.0 < endpoint < 1.0:
-                j_need.append(abs(DyadicCover(family, zeta=zeta, j_max=60)
-                                  .index_of(endpoint)))
+        j_need = [abs(DyadicCover(family, zeta=zeta, j_max=60).index_of(e))
+                  for e in (supp.a, supp.b) if 0.0 < e < 1.0]
         j_max = max(8, max(j_need, default=8) + 2)
         cover = DyadicCover(family, zeta=zeta, j_max=j_max)
     members = build_partition(cover, nu, measure)
@@ -906,7 +961,8 @@ def h1_norm_report(f: SampledFunction, basis, time_grid, nu: float,
     res = maximal_function(basis, f, time_grid)
     maximal_l1 = float(f.grid.weights @ res.values)
     coeff = dec.coeff_l1()
+    summary = dec.summary(f)
     return {"coeff_l1": coeff, "maximal_l1": maximal_l1,
             "ratio": maximal_l1 / coeff if coeff > 0 else math.inf,
-            "residual_rel": dec.summary(f).get("residual_rel", None),
-            "n_details": dec.summary()["n_details"]}
+            "residual_rel": summary["residual_rel"],
+            "n_details": summary["n_details"]}

@@ -644,13 +644,3 @@ def check_sharp_estimate(lemma: str, kernels: UnitIntervalKernels | None = None,
         refined_min=fine.rmin, refined_max=fine.rmax,
         drift_min=drift_min, drift_max=drift_max, passed=bool(ok),
         witness_min=base.wmin, witness_max=base.wmax)
-
-
-def check_all_estimates(kernels: UnitIntervalKernels,
-                        drift_tol: float = 0.10) -> dict:
-    """Run every estimate id at the basis order; returns {id: EstimateReport}."""
-    out = {}
-    for lemma in LEMMA_IDS:
-        out[lemma] = check_sharp_estimate(lemma, kernels=kernels, nu=kernels.nu,
-                                          drift_tol=drift_tol)
-    return out

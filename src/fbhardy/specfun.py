@@ -188,16 +188,6 @@ def bessel_j(order: Order, x) -> np.ndarray | float:
     return float(out[0]) if arr.ndim == 0 else out
 
 
-def bessel_j_ratio_derivative(order: Order, x) -> np.ndarray | float:
-    """d/dx [ x^-nu J_nu(x) ], which equals -x^-nu J_{nu+1}(x)."""
-    arr = _as_f64(x)
-    _check_domain(arr, "bessel_j_ratio_derivative", positive=True)
-    up = Order(order.nu + 1.0)
-    return -np.asarray(besselj_over_xnu(up, arr)) * arr if arr.ndim else float(
-        -besselj_over_xnu(up, float(arr)) * float(arr)
-    )
-
-
 def bessel_j_derivative(order: Order, x) -> np.ndarray | float:
     """J_nu'(x) via the recurrence (nu/x) J_nu - J_{nu+1}."""
     arr = _as_f64(x)
@@ -276,9 +266,6 @@ class BesselZeroTable:
     def __len__(self) -> int:
         return len(self.zeros)
 
-    def min_gap(self) -> float:
-        return float(np.min(np.diff(self.zeros))) if len(self.zeros) > 1 else math.inf
-
 
 def bessel_zeros(order: Order, count: int, zero_tol: float = 1e-12,
                  iter_cap: int = 100) -> BesselZeroTable:
@@ -297,9 +284,8 @@ def bessel_zeros(order: Order, count: int, zero_tol: float = 1e-12,
     x_hi = (count + 0.5 * nu + 1.0) * pi + 2 * pi
     brackets_lo: list[float] = []
     brackets_hi: list[float] = []
-    x_lo = min(0.3, 0.3 + 0.0 * nu)
     while len(brackets_lo) < count:
-        grid = np.arange(x_lo, x_hi, step)
+        grid = np.arange(0.3, x_hi, step)
         vals = np.asarray(bessel_j(order, grid))
         sgn = np.sign(vals)
         flips = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]

@@ -1,0 +1,292 @@
+"""The array-native Haar cascade against a scalar reference implementation.
+
+The reference functions below are the original one-cell-at-a-time routines:
+`cascade_decompose` with its per-cell `close()`, the per-closer loop of
+`LocalCascade.evaluate` and the per-entry `materialize` with its scalar
+`haar_atom`. They are kept verbatim apart from three edits: the methods
+take the cascade as an argument, the reference cascade keeps its closers
+in a plain list, and comments inside the loops are dropped. The array
+routines must find the same cells, coefficients and remainders, evaluate
+to the same values and materialize the same atoms in the same order.
+"""
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from fbhardy.covers import Interval
+from fbhardy.hardy import (KIND_CANCELLATIVE, Atom, CascadeLevel,
+                           ClosingPiece, LocalCascade, PiecewiseLinear,
+                           cascade_decompose, sigma_interval)
+from fbhardy.quadrature import MEASURE_LEBESGUE, MEASURE_MU
+
+
+def ref_haar_atom(a, m, b, nu, measure, label=""):
+    s = sigma_interval(a, b, measure, nu)
+    s1 = sigma_interval(a, m, measure, nu)
+    s2 = sigma_interval(m, b, measure, nu)
+    h1 = 1.0 / s
+    h2 = h1 * s1 / s2
+    scale = 1.0 / max(1.0, h2 * s)   # an off-median split peaks on the right
+    fn = PiecewiseLinear.from_breaks_levels([a, m, b],
+                                            [scale * h1, -scale * h2])
+    return Atom(fn=fn, measure=measure, nu=nu, kind=KIND_CANCELLATIVE,
+                label=label or "haar")
+
+
+def ref_cascade_decompose(fn, space, measure, nu, depth_cap=26,
+                          detail_cut=None):
+    sigma_total = sigma_interval(space.a, space.b, measure, nu)
+    if sigma_total <= 0:
+        raise ValueError("empty cascade space")
+    mean_coef = float(fn.integral(measure, nu))
+    if detail_cut is None:
+        detail_cut = 1e-8 * max(abs(mean_coef), fn.sup_norm() * sigma_total, 1e-300)
+
+    inner_breaks = fn.breaks[(fn.breaks > space.a) & (fn.breaks < space.b)]
+    levels = []
+    closers = []
+    closure_l1 = 0.0
+    active = np.array([0], dtype=np.int64)
+    cascade = LocalCascade(space=space, measure=measure, nu=nu,
+                           sigma_total=sigma_total, mean_coef=mean_coef,
+                           levels=levels, closers=closers, depth=0,
+                           closure_l1=0.0)
+
+    def close(depth, k, a, b, sigma_cell):
+        r = fn.restricted(a, b)
+        if r is None:
+            return 0.0
+        avg = float(r.integral(measure, nu)) / sigma_cell
+        rem = r.extended(a, b).plus_constant(-avg)
+        s = rem.sup_norm()
+        if s <= 0.0:
+            return 0.0
+        closers.append(ClosingPiece(depth=depth, cell=int(k),
+                                    lam=s * sigma_cell, fn=rem))
+        return s * sigma_cell
+
+    for d in range(depth_cap):
+        if len(active) == 0:
+            break
+        left, med, right = cascade.edges(d, active)
+        half1 = fn.integral_between(left, med, measure, nu)
+        half2 = fn.integral_between(med, right, measure, nu)
+        lam = half1 - half2
+        keep = lam != 0.0
+        if np.any(keep):
+            levels.append(CascadeLevel(depth=d, idx=active[keep],
+                                       lam=lam[keep]))
+        child_idx = []
+        sigma_child = sigma_total / 2.0 ** (d + 1)
+        for k, el, em, er in zip(active, left, med, right):
+            for child, (a, b) in ((2 * k, (el, em)), (2 * k + 1, (em, er))):
+                if b <= fn.breaks[0] or a >= fn.breaks[-1]:
+                    continue   # the function vanishes on this cell
+                has_break = bool(np.any((inner_breaks > a) & (inner_breaks < b)))
+                mids = 0.5 * (a + b)
+                slope = fn.slopes[min(max(np.searchsorted(fn.breaks, mids,
+                                                          side="right") - 1, 0),
+                                      len(fn.slopes) - 1)]
+                osc = abs(slope) * (b - a)
+                if (has_break or osc * sigma_child > detail_cut) \
+                        and d + 1 < depth_cap:
+                    child_idx.append(child)
+                else:
+                    closure_l1 += close(d + 1, child, a, b, sigma_child)
+        active = np.asarray(sorted(child_idx), dtype=np.int64)
+        cascade.depth = d + 1
+    cascade.levels = levels
+    cascade.closure_l1 = closure_l1
+    return cascade
+
+
+def ref_evaluate(self, x):
+    x = np.asarray(x, dtype=float)
+    inside = (x > self.space.a) & (x <= self.space.b)
+    out = np.where(inside, self.mean_coef / self.sigma_total, 0.0)
+    u = self._u(x)
+    for lev in self.levels:
+        cell = np.floor(u * 2.0**lev.depth).astype(np.int64)
+        pos = np.searchsorted(lev.idx, cell)
+        pos_c = np.clip(pos, 0, len(lev.idx) - 1)
+        hit = inside & (lev.idx[pos_c] == cell)
+        sign = np.where(np.floor(u * 2.0 ** (lev.depth + 1)) % 2 == 0,
+                        1.0, -1.0)
+        sigma_cell = self.sigma_total / 2.0**lev.depth
+        out = out + np.where(hit, sign * lev.lam[pos_c] / sigma_cell, 0.0)
+    for cp in self.closers:
+        cell = np.floor(u * 2.0**cp.depth).astype(np.int64)
+        hit = inside & (cell == cp.cell)
+        xc = np.clip(x, cp.fn.breaks[0], cp.fn.breaks[-1])
+        out = out + np.where(hit, cp.fn.evaluate(xc), 0.0)
+    return out
+
+
+def ref_materialize(self, max_atoms=None):
+    entries = []
+    for lev in self.levels:
+        for k, lam in zip(lev.idx, lev.lam):
+            entries.append((abs(lam), lev.depth, int(k), float(lam), None))
+    for cp in self.closers:
+        entries.append((abs(cp.lam), cp.depth, cp.cell, cp.lam, cp))
+    entries.sort(key=lambda e: (-e[0], e[1], e[2]))
+    if max_atoms is not None:
+        entries = entries[:max_atoms]
+    out = []
+    for _, depth, k, lam, cp in entries:
+        if cp is None:
+            left, med, right = self.edges(depth, np.array([k]))
+            atom = ref_haar_atom(float(left[0]), float(med[0]), float(right[0]),
+                                 self.nu, self.measure,
+                                 label=f"haar[d{depth},k{k}]")
+        else:
+            atom = Atom(fn=cp.fn.scaled(1.0 / cp.lam), measure=self.measure,
+                        nu=self.nu, kind=KIND_CANCELLATIVE,
+                        label=f"closer[d{depth},k{k}]")
+        out.append((lam, atom))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# inputs
+
+
+@st.composite
+def cascade_inputs(draw):
+    """A space inside (0, 1) and a random piecewise-linear input whose
+    breaks fall inside the space, straddle it, or sit on its ends."""
+    a = draw(st.floats(0.02, 0.6))
+    b = a + draw(st.floats(0.05, 0.95 - a))
+    n = draw(st.integers(2, 7))
+    where = draw(st.sampled_from(["inside", "straddle", "ends"]))
+    lo, hi = {"inside": (a, b), "straddle": (max(a - 0.1, 1e-3), b + 0.04),
+              "ends": (a, b)}[where]
+    pts = draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n))
+    if where == "ends":
+        pts += [a, b]
+    breaks = np.unique(np.asarray(pts, dtype=float))
+    if len(breaks) < 2 or np.min(np.diff(breaks)) < 1e-6:
+        breaks = np.linspace(lo, hi, n)
+    # values on a 1e-3 grid: flat pieces occur, denormal ones do not
+    vals = draw(st.lists(st.integers(-2000, 2000), min_size=2 * len(breaks),
+                         max_size=2 * len(breaks)))
+    slopes = np.asarray(vals[:len(breaks) - 1]) * 4e-3
+    levels = np.asarray(vals[len(breaks):2 * len(breaks) - 1]) * 1e-3
+    fn = PiecewiseLinear(breaks, slopes, levels - slopes * breaks[:-1])
+    nu = draw(st.sampled_from([-0.3, 0.5, 1.0, 2.5]))
+    measure = draw(st.sampled_from([MEASURE_MU, MEASURE_LEBESGUE]))
+    cut = 10.0 ** -draw(st.floats(3.0, 9.0))
+    depth_cap = draw(st.sampled_from([2, 5, 26]))
+    return fn, Interval(a, b), measure, nu, cut, depth_cap
+
+
+def _build(fn, space, measure, nu, cut, depth_cap):
+    # the cut is relative to the input's scale on the space, as the default
+    sigma = sigma_interval(space.a, space.b, measure, nu)
+    detail_cut = cut * max(fn.sup_norm() * sigma, 1e-300)
+    new = cascade_decompose(fn, space, measure, nu, depth_cap=depth_cap,
+                            detail_cut=detail_cut)
+    ref = ref_cascade_decompose(fn, space, measure, nu, depth_cap=depth_cap,
+                                detail_cut=detail_cut)
+    return new, ref
+
+
+def _same(x, y, exact, rel=1e-12):
+    """x equals y bit for bit where exact is set, and to rel elsewhere."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    assert x.shape == y.shape
+    exact = np.broadcast_to(exact, y.shape)
+    np.testing.assert_array_equal(x[exact], y[exact])
+    np.testing.assert_allclose(x[~exact], y[~exact], rtol=rel,
+                               atol=rel * float(np.max(np.abs(y), initial=0)))
+
+
+def _same_pieces(got, want, exact):
+    """Two lists of (coefficient, PiecewiseLinear) agree, entry by entry."""
+    exact = np.asarray(exact, dtype=bool)
+    assert [len(f.slopes) for _, f in got] == [len(f.slopes) for _, f in want]
+    _same([c for c, _ in got], [c for c, _ in want], exact)
+    sizes = np.array([len(f.slopes) for _, f in want], dtype=int)
+    for key, extra in (("breaks", 1), ("slopes", 0), ("intercepts", 0)):
+        flat = [np.concatenate([getattr(f, key) for _, f in pairs] or
+                               [np.zeros(0)]) for pairs in (got, want)]
+        _same(*flat, np.repeat(exact, sizes + extra))
+
+
+def _check(new, ref, rng):
+    assert new.depth == ref.depth
+    assert len(new.levels) == len(ref.levels)
+    for ln, lr in zip(new.levels, ref.levels):
+        assert ln.depth == lr.depth
+        np.testing.assert_array_equal(ln.idx, lr.idx)
+        np.testing.assert_array_equal(ln.lam, lr.lam)
+    rows = list(new.closers)
+    assert [(c.depth, c.cell) for c in rows] \
+        == [(c.depth, c.cell) for c in ref.closers]
+    exact = [len(c.fn.slopes) == 1 for c in ref.closers]
+    one_piece = all(exact)
+    _same_pieces([(c.lam, c.fn) for c in rows],
+                 [(c.lam, c.fn) for c in ref.closers], exact)
+    _same(new.closure_l1, ref.closure_l1, one_piece)
+
+    # random points, and the quantile edges of up to 400 closed cells
+    x = rng.uniform(max(new.space.a - 0.05, 0.0), new.space.b + 0.05, 2001)
+    pick = rng.permutation(len(ref.closers))[:400]
+    for i in pick:
+        cp = ref.closers[i]
+        x = np.concatenate([x, *new.edges(cp.depth, [cp.cell])])
+    x = np.concatenate([x, [new.space.a, new.space.b]])
+    _same(new.evaluate(x), ref_evaluate(ref, x), one_piece)
+    assert np.ndim(new.evaluate(float(x[0]))) == 0
+
+    for max_atoms in (None, 1, 10):
+        got, want = new.materialize(max_atoms), ref_materialize(ref, max_atoms)
+        assert [(a.label, a.kind) for _, a in got] \
+            == [(a.label, a.kind) for _, a in want]
+        _same_pieces([(c, a.fn) for c, a in got], [(c, a.fn) for c, a in want],
+                     [one_piece or a.label.startswith("haar") for _, a in want])
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cascade_inputs(), st.integers(0, 2**32 - 1))
+def test_array_cascade_matches_scalar_reference(inputs, seed):
+    new, ref = _build(*inputs)
+    _check(new, ref, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("measure", [MEASURE_MU, MEASURE_LEBESGUE])
+@pytest.mark.parametrize("cut", [1e-3, 1e-5, 1e-7])
+def test_tent_sweep_matches_scalar_reference(measure, cut):
+    """The decomposition_profile tent, whose closers are all one piece."""
+    fn = PiecewiseLinear.tent(0.25, 0.45, 1.3)
+    space = Interval(0.2, 0.5)
+    new = cascade_decompose(fn, space, measure, 0.5, detail_cut=cut)
+    ref = ref_cascade_decompose(fn, space, measure, 0.5, detail_cut=cut)
+    _check(new, ref, np.random.default_rng(7))
+
+
+def test_depth_cap_keeps_breakpoint_cells_as_multi_piece_closers():
+    fn = PiecewiseLinear.from_node_values([0.1, 0.13, 0.2, 0.21, 0.35],
+                                          [0.0, 1.0, -0.5, 0.4, 0.0])
+    new, ref = _build(fn, Interval(0.05, 0.4), MEASURE_MU, 0.5, 1e-6, 5)
+    assert max(np.diff(new.closers.start)) > 1
+    _check(new, ref, np.random.default_rng(3))
+
+
+def test_closer_table_reads_back_as_closing_pieces():
+    fn = PiecewiseLinear.tent(0.25, 0.45, 1.3)
+    cascade = cascade_decompose(fn, Interval(0.2, 0.5), MEASURE_LEBESGUE,
+                                0.5, detail_cut=1e-6)
+    rows = list(cascade.closers)
+    assert len(rows) == len(cascade.closers) > 0
+    assert all(isinstance(cp, ClosingPiece) for cp in rows)
+    assert cascade.closers[-1].lam == rows[-1].lam
+    with pytest.raises(IndexError):
+        cascade.closers[len(rows)]
+    empty = cascade_decompose(fn, Interval(0.2, 0.5), MEASURE_LEBESGUE, 0.5,
+                              depth_cap=0)
+    assert len(empty.closers) == 0 and empty.closure_l1 == 0.0
+    assert np.all(empty.evaluate(np.linspace(0.21, 0.5, 7))
+                  == empty.mean_coef / empty.sigma_total)

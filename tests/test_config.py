@@ -22,3 +22,12 @@ def test_default_config_file_loads():
 def test_nonpositive_knob_rejected(key, value):
     with pytest.raises(ConfigError, match=key):
         load_config(overrides={key: value})
+
+
+@pytest.mark.parametrize("key", ["zero_iter_cap", "series_term_cap",
+                                 "gaussian_decay_c", "cover_j_max"])
+def test_removed_knob_in_file_is_unknown_key(tmp_path, key):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(f"nu = 0.5\n{key} = 16\n")
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        load_config(cfg)
