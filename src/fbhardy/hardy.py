@@ -616,8 +616,8 @@ class LocalCascade:
 
     def _u(self, x):
         c0 = _cdf(self.space.a, self.measure, self.nu)
-        return np.clip((_cdf(x, self.measure, self.nu) - c0) / self.sigma_total,
-                       0.0, 1.0 - 1e-15)
+        return np.clip((_cdf(np.maximum(x, 0.0), self.measure, self.nu) - c0)
+                       / self.sigma_total, 0.0, 1.0 - 1e-15)
 
     def evaluate(self, x):
         """Mean part, all retained details, and the closing remainders."""
@@ -686,10 +686,16 @@ class LocalCascade:
         fns = dict(zip(det.tolist(), map(PiecewiseLinear.from_breaks_levels,
                                          np.column_stack([left, med, right]),
                                          np.column_stack(levels))))
-        inv = np.repeat(1.0 / t.lam, np.diff(t.start))
+        sel = order[order >= n_details] - n_details
+        inv = np.zeros(len(t))
+        with np.errstate(divide="ignore", over="ignore"):
+            inv[sel] = 1.0 / t.lam[sel]
+        for j in sel[~np.isfinite(inv[sel])][:1]:   # the largest such closer
+            raise NumericsError("materialize", f"closer [d{t.depth[j]},k{t.cell[j]}]: "
+                                f"coefficient {t.lam[j]:.3e} cannot be normalized")
+        inv = np.repeat(inv, np.diff(t.start))
         unit = replace(t, slopes=inv * t.slopes, intercepts=inv * t.intercepts)
-        fns.update((i, unit._fn(i - n_details))
-                   for i in order[order >= n_details].tolist())
+        fns.update((i + n_details, unit._fn(i)) for i in sel.tolist())
         depth, cell = depth.tolist(), cell.tolist()
         return [(float(lam[i]),
                  Atom(fn=fns[i], measure=self.measure,

@@ -45,6 +45,10 @@ from .specfun import Order
 GAUSS_DECAY_C = 0.2   # exponent constant used by every Gaussian comparand
 
 
+def _broadcast(*arrays):
+    return np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in arrays))
+
+
 # ---------------------------------------------------------------------------
 # series kernels on (0, 1)
 
@@ -71,19 +75,8 @@ class UnitIntervalKernels:
 
     # -- truncation ----------------------------------------------------------
 
-    def _n_poisson(self, t: float, tol: float | None = None) -> int:
-        tol = self.series_tol if tol is None else tol
-        n = self.basis.poisson_terms_needed(t, tol)
-        return min(len(self.basis), max(n, 1) + 8)
-
-    def _n_heat(self, t: float, tol: float | None = None) -> int:
-        tol = self.series_tol if tol is None else tol
-        n = self.basis.heat_terms_needed(t, tol)
-        return min(len(self.basis), max(n, 1) + 8)
-
-    def _n_delta(self, t: float, tol: float | None = None) -> int:
-        tol = self.series_tol if tol is None else tol
-        n = self.basis.delta_terms_needed(t, tol)
+    def _n(self, terms_needed, t: float, tol: float | None = None) -> int:
+        n = terms_needed(t, self.series_tol if tol is None else tol)
         return min(len(self.basis), max(n, 1) + 8)
 
     def poisson_floor(self, tol: float | None = None) -> float:
@@ -103,24 +96,12 @@ class UnitIntervalKernels:
         tol_dx = tol * min(1.0, (x_min * y_min) ** (self.nu + 0.5))
         tol_dy = tol * min(1.0, y_min / (self.nu + 0.5))
 
-        def certified(t: float) -> bool:
-            try:
-                self.basis.delta_terms_needed(t, tol_dx)
-                self.basis.poisson_terms_needed(t, tol_dy)
-                return True
-            except NumericsError:
-                return False
+        def both(t: float, _tol):
+            self.basis.delta_terms_needed(t, tol_dx)
+            return self.basis.poisson_terms_needed(t, tol_dy)
 
-        lo, hi = 1e-8, 10.0
-        if certified(lo):
-            return lo
-        for _ in range(60):
-            mid = math.sqrt(lo * hi)
-            if certified(mid):
-                hi = mid
-            else:
-                lo = mid
-        return 1.02 * hi
+        t = self.basis._min_time(both, tol, 1e-8)
+        return t if t == 1e-8 else 1.02 * t
 
     # -- evaluation cores ----------------------------------------------------
 
@@ -143,8 +124,7 @@ class UnitIntervalKernels:
             x = np.atleast_1d(np.asarray(x, dtype=float))
             y = np.atleast_1d(np.asarray(y, dtype=float))
             return (rows_fn_x(x, n) * w[:, None]).T @ rows_fn_y(y, n)
-        xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float),
-                                     np.asarray(y, dtype=float))
+        xb, yb = _broadcast(x, y)
         shape = xb.shape
         out = self._pointwise(w, rows_fn_x(xb.ravel(), n), rows_fn_y(yb.ravel(), n))
         return float(out[0]) if shape == () else out.reshape(shape)
@@ -152,36 +132,34 @@ class UnitIntervalKernels:
     # -- public kernels ------------------------------------------------------
 
     def poisson_mu(self, t: float, x, y, matrix: bool = False, tol=None):
-        n = self._n_poisson(t, tol)
+        n = self._n(self.basis.poisson_terms_needed, t, tol)
         return self._eval(lambda lam: np.exp(-t * lam),
                           self.basis.phi_matrix, self.basis.phi_matrix,
                           n, x, y, matrix)
 
     def poisson_lebesgue(self, t: float, x, y, matrix: bool = False, tol=None):
-        n = self._n_poisson(t, tol)
+        n = self._n(self.basis.poisson_terms_needed, t, tol)
         return self._eval(lambda lam: np.exp(-t * lam),
                           self.basis.psi_matrix, self.basis.psi_matrix,
                           n, x, y, matrix)
 
     def heat_mu(self, t: float, x, y, matrix: bool = False, tol=None):
-        n = self._n_heat(t, tol)
+        n = self._n(self.basis.heat_terms_needed, t, tol)
         return self._eval(lambda lam: np.exp(-t * lam**2),
                           self.basis.phi_matrix, self.basis.phi_matrix,
                           n, x, y, matrix)
 
     def heat_lebesgue(self, t: float, x, y, matrix: bool = False, tol=None):
-        n = self._n_heat(t, tol)
+        n = self._n(self.basis.heat_terms_needed, t, tol)
         return self._eval(lambda lam: np.exp(-t * lam**2),
                           self.basis.psi_matrix, self.basis.psi_matrix,
                           n, x, y, matrix)
 
     def heat_lebesgue_ext(self, t: float, x, y, tol=None):
         """Flat heat kernel extended by zero outside the open unit square."""
-        xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float),
-                                     np.asarray(y, dtype=float))
+        xb, yb = _broadcast(x, y)
         scalar = xb.shape == ()
-        xb = np.atleast_1d(xb).astype(float)
-        yb = np.atleast_1d(yb).astype(float)
+        xb, yb = np.atleast_1d(xb), np.atleast_1d(yb)
         inside = (xb > 0) & (xb < 1) & (yb > 0) & (yb < 1)
         out = np.zeros(xb.shape)
         if np.any(inside):
@@ -191,7 +169,7 @@ class UnitIntervalKernels:
     def delta_poisson(self, t: float, x, y, matrix: bool = False, tol=None):
         """First-order factor applied in x to the flat Poisson kernel:
         sum_n exp(-t lam_n) c_n^2 lam_n sqrt(xy) J_{nu+1}(lam_n x) J_nu(lam_n y)."""
-        n = self._n_delta(t, tol)
+        n = self._n(self.basis.delta_terms_needed, t, tol)
         return self._eval(lambda lam: np.exp(-t * lam),
                           self._chi_matrix, self.basis.psi_matrix,
                           n, x, y, matrix)
@@ -207,8 +185,7 @@ class UnitIntervalKernels:
         if matrix:
             pw = np.outer(xa ** (self.nu + 0.5), ya ** (self.nu + 0.5))
             return -d / pw
-        xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float),
-                                     np.asarray(y, dtype=float))
+        xb, yb = _broadcast(x, y)
         return -d / (xb * yb) ** (self.nu + 0.5)
 
     def dy_poisson_lebesgue(self, t: float, x, y, matrix: bool = False, tol=None):
@@ -217,7 +194,8 @@ class UnitIntervalKernels:
         tol = self.series_tol if tol is None else tol
         ya = np.atleast_1d(np.asarray(y, dtype=float))
         scale = min(1.0, float(np.min(ya)) / (self.nu + 0.5))
-        n = max(self._n_delta(t, tol), self._n_poisson(t, tol * scale))
+        n = max(self._n(self.basis.delta_terms_needed, t, tol),
+                self._n(self.basis.poisson_terms_needed, t, tol * scale))
         w = np.exp(-t * self.basis.table.zeros[:n])
         if matrix:
             xa = np.atleast_1d(np.asarray(x, dtype=float))
@@ -225,8 +203,7 @@ class UnitIntervalKernels:
             p = (psi_x * w[:, None]).T @ self.basis.psi_matrix(ya, n)
             d = (psi_x * w[:, None]).T @ self._chi_matrix(ya, n)
             return (self.nu + 0.5) * p / ya[None, :] - d
-        xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float),
-                                     np.asarray(y, dtype=float))
+        xb, yb = _broadcast(x, y)
         shape = xb.shape
         psi_x = self.basis.psi_matrix(xb.ravel(), n)
         p = self._pointwise(w, psi_x, self.basis.psi_matrix(yb.ravel(), n))
@@ -241,71 +218,53 @@ class UnitIntervalKernels:
 _IVE_SWITCH = 100.0   # h_nu route below, exponentially-scaled route above
 
 
+def _halfline_heat(op: str, nu: float, t, x, y, dy: bool):
+    """Shared body of bessel_heat and dy_bessel_heat: validation, u = xy/2t
+    and the two routes.  Each route forms its Gaussian factor first and
+    evaluates the Bessel functions only where that factor is nonzero; the
+    kernel is exactly 0 everywhere else."""
+    orders = Order(nu), Order(nu + 1.0)
+    tb, xb, yb = _broadcast(t, x, y)
+    t, x, y = (np.ravel(a) for a in (tb, xb, yb))
+    if np.any(t <= 0) or np.any(x < 0) or np.any(y < 0):
+        raise ValueError(f"{op} needs t > 0 and x, y >= 0")
+    u = x * y / (2.0 * t)
+    out = np.zeros(t.shape)
+    small = u <= _IVE_SWITCH
+    for h_route in (True, False):
+        idx = np.flatnonzero(small == h_route)
+        ts, xs, ys = t[idx], x[idx], y[idx]
+        pre, arg = ((2.0 * ts) ** (-1.0 - nu), -(xs**2 + ys**2) / (4.0 * ts)) if h_route \
+            else ((xs * ys) ** (-nu) / (2.0 * ts), -((xs - ys) ** 2) / (4.0 * ts))
+        # exp underflows to 0 below -746, which zeroes every finite prefactor
+        live = np.flatnonzero((arg > -746.0) | ~np.isfinite(pre))
+        g = pre[live] * np.exp(arg[live])
+        live, g = live[g != 0], g[g != 0]
+        if not live.size:
+            continue
+        idx, ts, xs, ys, us = idx[live], ts[live], xs[live], ys[live], u[idx[live]]
+        bessel = specfun.besseli_over_xnu if h_route else specfun.bessel_i_scaled
+        val = np.asarray(bessel(orders[0], us))
+        if dy:   # on the h_nu route I_{nu+1} enters as u h_{nu+1}(u)
+            val = (xs / (2.0 * ts)) * (us if h_route else 1.0) * \
+                np.asarray(bessel(orders[1], us)) - (ys / (2.0 * ts)) * val
+        out[idx] = g * val
+    return float(out[0]) if tb.shape == () else out.reshape(tb.shape)
+
+
 def bessel_heat(nu: float, t, x, y):
     """Heat kernel of the Bessel operator on (0, inf) against x^(2nu+1) dx.
 
     Two algebraically identical routes are used: the h_nu form for moderate
     xy/2t, and an exponentially scaled form that stays finite when xy/2t is
-    large and the unscaled I_nu would overflow."""
-    order = Order(nu)
-    t, x, y = np.broadcast_arrays(np.asarray(t, dtype=float),
-                                  np.asarray(x, dtype=float),
-                                  np.asarray(y, dtype=float))
-    scalar = t.shape == ()
-    t = np.atleast_1d(t).astype(float)
-    x = np.atleast_1d(x).astype(float)
-    y = np.atleast_1d(y).astype(float)
-    if np.any(t <= 0) or np.any(x < 0) or np.any(y < 0):
-        raise ValueError("bessel_heat needs t > 0 and x, y >= 0")
-    u = x * y / (2.0 * t)
-    out = np.empty(t.shape)
-    small = u <= _IVE_SWITCH
-    if np.any(small):
-        ts, xs, ys = t[small], x[small], y[small]
-        h = np.asarray(specfun.besseli_over_xnu(order, u[small]))
-        out[small] = (2.0 * ts) ** (-1.0 - nu) * \
-            np.exp(-(xs**2 + ys**2) / (4.0 * ts)) * h
-    big = ~small
-    if np.any(big):
-        tb, xb, yb = t[big], x[big], y[big]
-        ive = np.asarray(specfun.bessel_i_scaled(order, u[big]))
-        out[big] = (xb * yb) ** (-nu) / (2.0 * tb) * \
-            np.exp(-((xb - yb) ** 2) / (4.0 * tb)) * ive
-    return float(out[0]) if scalar else out
+    large and the unscaled I_nu would overflow.  I_nu is evaluated only
+    where the Gaussian factor is nonzero."""
+    return _halfline_heat("bessel_heat", nu, t, x, y, dy=False)
 
 
 def dy_bessel_heat(nu: float, t, x, y):
     """Derivative of the half-line heat kernel in its second argument."""
-    order = Order(nu)
-    up = Order(nu + 1.0)
-    t, x, y = np.broadcast_arrays(np.asarray(t, dtype=float),
-                                  np.asarray(x, dtype=float),
-                                  np.asarray(y, dtype=float))
-    scalar = t.shape == ()
-    t = np.atleast_1d(t).astype(float)
-    x = np.atleast_1d(x).astype(float)
-    y = np.atleast_1d(y).astype(float)
-    if np.any(t <= 0) or np.any(x < 0) or np.any(y < 0):
-        raise ValueError("dy_bessel_heat needs t > 0 and x, y >= 0")
-    u = x * y / (2.0 * t)
-    out = np.empty(t.shape)
-    small = u <= _IVE_SWITCH
-    if np.any(small):
-        ts, xs, ys, us = t[small], x[small], y[small], u[small]
-        h0 = np.asarray(specfun.besseli_over_xnu(order, us))
-        h1 = np.asarray(specfun.besseli_over_xnu(up, us))
-        out[small] = (2.0 * ts) ** (-1.0 - nu) * \
-            np.exp(-(xs**2 + ys**2) / (4.0 * ts)) * \
-            ((xs / (2.0 * ts)) * us * h1 - (ys / (2.0 * ts)) * h0)
-    big = ~small
-    if np.any(big):
-        tb, xb, yb, ub = t[big], x[big], y[big], u[big]
-        i0 = np.asarray(specfun.bessel_i_scaled(order, ub))
-        i1 = np.asarray(specfun.bessel_i_scaled(up, ub))
-        out[big] = (xb * yb) ** (-nu) / (2.0 * tb) * \
-            np.exp(-((xb - yb) ** 2) / (4.0 * tb)) * \
-            ((xb / (2.0 * tb)) * i1 - (yb / (2.0 * tb)) * i0)
-    return float(out[0]) if scalar else out
+    return _halfline_heat("dy_bessel_heat", nu, t, x, y, dy=True)
 
 
 _SUBORD_PANELS = ((0.0, 0.5, 64), (0.5, 1.0, 64), (1.0, 2.0, 64),
@@ -340,9 +299,7 @@ def bessel_poisson(nu: float, t, x, y):
     points, at most _SUB_BLOCK elements (a single node when the points alone
     exceed that), so no call holds more than max(_SUB_BLOCK, points) heat
     values at once."""
-    tb, xb, yb = np.broadcast_arrays(np.asarray(t, dtype=float),
-                                     np.asarray(x, dtype=float),
-                                     np.asarray(y, dtype=float))
+    tb, xb, yb = _broadcast(t, x, y)
     if np.any(tb <= 0):
         raise ValueError("bessel_poisson needs t > 0")
     t2, xf, yf = (np.ravel(a) for a in (tb * tb, xb, yb))
@@ -371,9 +328,7 @@ def mu_ball(nu: float, x, r, right_edge: float | None = None):
 
 
 def comparand_poisson_mu(nu: float, lam1: float, t, x, y):
-    t, x, y = np.broadcast_arrays(np.asarray(t, dtype=float),
-                                  np.asarray(x, dtype=float),
-                                  np.asarray(y, dtype=float))
+    t, x, y = _broadcast(t, x, y)
     small = (t**2 + x**2 + y**2) ** (-nu - 0.5) * \
         ((1 - x) * (1 - y) / (t**2 + (1 - x) ** 2 + (1 - y) ** 2)) * \
         t / (t**2 + (x - y) ** 2)
@@ -382,9 +337,7 @@ def comparand_poisson_mu(nu: float, lam1: float, t, x, y):
 
 
 def comparand_poisson_lebesgue(nu: float, lam1: float, t, x, y):
-    t, x, y = np.broadcast_arrays(np.asarray(t, dtype=float),
-                                  np.asarray(x, dtype=float),
-                                  np.asarray(y, dtype=float))
+    t, x, y = _broadcast(t, x, y)
     small = (x * y / (t**2 + x**2 + y**2)) ** (nu + 0.5) * \
         ((1 - x) * (1 - y) / (t**2 + (1 - x) ** 2 + (1 - y) ** 2)) * \
         t / (t**2 + (x - y) ** 2)
@@ -393,34 +346,26 @@ def comparand_poisson_lebesgue(nu: float, lam1: float, t, x, y):
 
 
 def comparand_gradient(t, x, y):
-    t, x, y = np.broadcast_arrays(np.asarray(t, dtype=float),
-                                  np.asarray(x, dtype=float),
-                                  np.asarray(y, dtype=float))
+    t, x, y = _broadcast(t, x, y)
     return 1.0 / (t**2 + (x - y) ** 2)
 
 
 def comparand_heat_gauss(nu: float, t, x, y, c: float = GAUSS_DECAY_C):
     """Gaussian upper comparand exp(-c(x-y)^2/t) / (sqrt(t) (t v xy)^(nu+1/2))
     for the weighted heat kernel on (0, 1), times in (0, 1)."""
-    t, x, y = np.broadcast_arrays(np.asarray(t, dtype=float),
-                                  np.asarray(x, dtype=float),
-                                  np.asarray(y, dtype=float))
+    t, x, y = _broadcast(t, x, y)
     return np.exp(-c * (x - y) ** 2 / t) / \
         (np.sqrt(t) * np.maximum(t, x * y) ** (nu + 0.5))
 
 
 def comparand_heat_large(lam1: float, t, x, y):
-    t, x, y = np.broadcast_arrays(np.asarray(t, dtype=float),
-                                  np.asarray(x, dtype=float),
-                                  np.asarray(y, dtype=float))
+    t, x, y = _broadcast(t, x, y)
     return (1 - x) * (1 - y) * np.exp(-t * lam1**2)
 
 
 def comparand_bessel_heat_gauss(nu: float, t, x, y, c: float = GAUSS_DECAY_C):
     """exp(-c(x-y)^2/t) / mu(B(x, sqrt(t))) on the half-line."""
-    t, x, y = np.broadcast_arrays(np.asarray(t, dtype=float),
-                                  np.asarray(x, dtype=float),
-                                  np.asarray(y, dtype=float))
+    t, x, y = _broadcast(t, x, y)
     return np.exp(-c * (x - y) ** 2 / t) / mu_ball(nu, x, np.sqrt(t))
 
 
@@ -524,20 +469,16 @@ class _RatioScan:
             raise NumericsError(
                 "sharp_estimate",
                 f"non-finite ratio at t={t}, x={xg[bad[0]]}, y={yg[bad[1]]}")
+        def witness(i, j):
+            return {"t": float(t), "x": float(xg[i]), "y": float(yg[j]),
+                    "kernel": float(kernel[i, j]),
+                    "comparand": float(comparand[i, j]), "ratio": float(ratio[i, j])}
         i, j = np.unravel_index(np.nanargmin(ratio), ratio.shape)
         if ratio[i, j] < self.rmin:
-            self.rmin = float(ratio[i, j])
-            self.wmin = {"t": float(t), "x": float(xg[i]), "y": float(yg[j]),
-                         "kernel": float(kernel[i, j]),
-                         "comparand": float(comparand[i, j]),
-                         "ratio": float(ratio[i, j])}
+            self.rmin, self.wmin = float(ratio[i, j]), witness(i, j)
         i, j = np.unravel_index(np.nanargmax(ratio), ratio.shape)
         if ratio[i, j] > self.rmax:
-            self.rmax = float(ratio[i, j])
-            self.wmax = {"t": float(t), "x": float(xg[i]), "y": float(yg[j]),
-                         "kernel": float(kernel[i, j]),
-                         "comparand": float(comparand[i, j]),
-                         "ratio": float(ratio[i, j])}
+            self.rmax, self.wmax = float(ratio[i, j]), witness(i, j)
 
 
 def _scan_lemma(lemma: str, kernels: UnitIntervalKernels | None, nu: float,

@@ -9,10 +9,22 @@ max(30, 2|nu|), which keeps the smoothed asymptotic remainder (~exp(-2x)
 relative) below double precision.  At nu = 1/2 both expansions terminate and
 reproduce the closed forms sqrt(2/(pi x)) sin x and (e^x - e^-x)/sqrt(2 pi x)
 exactly.
+
+The I sums stop per element (at the smallest term, or at the first term
+below 1e-18 of the element's own sum), so a value does not depend on the
+rest of the call.  The J sums keep one stopping index for the whole array
+(the first term at which every element is past its smallest term or below
+1e-18) and add a_k / x**k in order of k, skipping only terms too small to
+change a rounded sum, so J and the zero tables keep their established bits:
+at nu = 1 the small-time weighted heat ratios are J rounding noise times
+norm constants of ~1e6 (ROADMAP item 2), and recorded results reproduce
+only with the same bits.  Elements are sorted by their last term in blocks
+of _CHUNK, so term k of a sum touches one contiguous prefix.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import lgamma, pi
 import math
 
@@ -22,6 +34,7 @@ from .errors import NumericsError
 
 _SERIES_CAP = 220      # ample for x <= 36: terms decay factorially past k ~ x/2
 _ASYMP_CAP = 40
+_CHUNK = 1 << 14       # elements per sorted block of the truncated sums
 
 
 @dataclass(frozen=True)
@@ -43,11 +56,6 @@ class Order:
         return max(30.0, 2.0 * abs(self.nu))
 
 
-def _as_f64(x):
-    arr = np.asarray(x, dtype=np.float64)
-    return arr
-
-
 # ---------------------------------------------------------------------------
 # ascending series
 
@@ -66,15 +74,29 @@ def _jover_series(nu: float, x: np.ndarray) -> np.ndarray:
 
 
 def _iover_series(nu: float, x: np.ndarray) -> np.ndarray:
-    """I_nu(x) / x^nu by the ascending series (all terms positive)."""
+    """I_nu(x) / x^nu by the ascending series (all terms positive).  The
+    terms needed grow with x, so in each block sorted by x the live
+    elements are a prefix, cut (every fourth term) after the last one not
+    yet converged."""
     q = 0.25 * x * x
-    term = np.full_like(q, math.exp(-nu * math.log(2.0) - lgamma(nu + 1.0)))
-    out = term.copy()
-    for k in range(1, _SERIES_CAP + 1):
-        term = term * q / (k * (nu + k))
-        out += term
-        if np.max(term) < 1e-18 * max(np.max(out), 1e-300):
-            break
+    out = np.empty_like(q)
+    for lo in range(0, q.size, _CHUNK):
+        order = lo + np.argsort(-q[lo:lo + _CHUNK])
+        qs = q[order]
+        term = np.full_like(qs, math.exp(-nu * math.log(2.0) - lgamma(nu + 1.0)))
+        acc, n = term.copy(), qs.size
+        for k in range(1, _SERIES_CAP + 1):
+            t, s = term[:n], acc[:n]
+            np.multiply(t, qs[:n], out=t)
+            t /= k * (nu + k)
+            s += t
+            if k % 4:   # terms past a stop are below 1e-18 of the sum: they round away
+                continue
+            live = np.flatnonzero(t >= 1e-18 * s)
+            if not live.size:
+                break
+            n = int(live[-1]) + 1
+        out[order] = acc
     return out
 
 
@@ -82,32 +104,92 @@ def _iover_series(nu: float, x: np.ndarray) -> np.ndarray:
 # large-argument expansions
 
 
-def _hankel_pq(nu: float, x: np.ndarray):
-    """Even/odd asymptotic sums P, Q with per-element stopping at the
-    smallest term (the usual optimal truncation of a divergent series)."""
-    mu4 = 4.0 * nu * nu
-    P = np.ones_like(x)
-    Q = np.zeros_like(x)
-    a = 1.0
-    prev = np.full_like(x, np.inf)
-    active = np.ones_like(x, dtype=bool)
+@lru_cache(maxsize=64)
+def _asymptotic_table(nu: float):
+    """Coefficients a_1..a_K of the Hankel-type sums (K stops at _ASYMP_CAP
+    or before the first vanishing a_k), the J and I term lists for
+    _power_sums, stops(x) and the absorb thresholds; t_k = a_k / x^k.
+    stops gives per element the last term before |t_k| stops decreasing
+    (x <= |a_k/a_{k-1}|) and the first below 1e-18 (x > (1e18 |a_k|)^(1/k);
+    K + 1 if none), from running extremes of the thresholds, and within 1e-12
+    of one from the loop's own comparisons.  absorb: past floor, |t_2| <= 1/160
+    and 80 |t_3| <= |t_1| keep |P| > 3/4, |Q| > 3/4 |t_1|; once x > absorb[k-1]
+    the J terms after k are below 2^-56 min(1, |t_1|), and a float S plus
+    less than 2^-54 |S| rounds to S."""
+    mu4, c, a = 4.0 * nu * nu, 1.0, []
     for k in range(1, _ASYMP_CAP + 1):
-        a *= (mu4 - (2 * k - 1) ** 2) / (8.0 * k)
-        if a == 0.0:
+        c *= (mu4 - (2 * k - 1) ** 2) / (8.0 * k)
+        if c == 0.0:
             break
-        t = a / x**k
-        mag = np.abs(t)
-        active &= mag < prev
-        sign = -1.0 if (k // 2) % 2 else 1.0
-        contrib = np.where(active, sign * t, 0.0)
-        if k % 2:
-            Q += contrib
+        a.append(c)
+    K, k = len(a), np.arange(1, len(a) + 1)
+    A = np.abs(np.array(a + [0.0] * 3))
+    ak, b = A[:K], 2.0**56 * A[1:K]
+    r, s = ak[1:] / ak[:-1], (1e18 * ak) ** (1.0 / k)
+    rise, tiny = np.maximum.accumulate(r), np.minimum.accumulate(s)
+    ties = np.sort(np.concatenate([[-np.inf, np.inf], r, s]))
+
+    def stops(x):
+        stop = np.minimum(1 + np.searchsorted(rise, x, side="left"), K)
+        small = 1 + np.searchsorted(-tiny, -x, side="right")
+        i = np.searchsorted(ties, x)
+        near = np.flatnonzero(np.minimum(x - ties[i - 1], ties[i] - x) <= 1e-12 * x)
+        live, prev = np.ones(near.size, dtype=bool), np.inf
+        small[near] = K + 1
+        for j, cj in enumerate(a if near.size else (), start=1):
+            mag = np.abs(cj / x[near] ** j)
+            live &= mag < prev
+            stop[near[live]], prev = j, mag
+            small[near[live & (mag < 1e-18) & (small[near] > K)]] = j
+        return stop, small
+    absorb = np.maximum(b ** (1.0 / k[1:]), (b / A[0]) ** (1.0 / k[:-1]))
+    add, sub = np.add, np.subtract   # J: P takes even k, Q odd, sign (-1)^(k // 2)
+    return (K, tuple((c, ((j % 2, (add, add, sub, sub)[j % 4]),)) for j, c in enumerate(a, 1)),
+            tuple((c, ((0, sub if j % 2 else add), (1, add))) for j, c in enumerate(a, 1)),
+            stops, np.minimum.accumulate(absorb),
+            math.sqrt(max(160.0 * A[1], 80.0 * A[2] / A[0])) if K else math.inf)
+
+
+def _power_sums(x: np.ndarray, lasts, init, terms) -> np.ndarray:
+    """Row i: init[i] plus, per element, the terms k = 1..last in order of k,
+    lasts holding each _CHUNK block's last terms; terms[k-1] = (c, rows)
+    applies op(row i, c / x**k), op = np.add or np.subtract, for each (i, op)
+    in rows.  A block is sorted only if its last terms differ."""
+    out = np.repeat(np.asarray(init, dtype=float)[:, None], x.size, axis=1)
+    for lo, blk in zip(range(0, x.size, _CHUNK), lasts):
+        top = int(blk.max())
+        if blk.min() == top:
+            idx, live = slice(lo, lo + blk.size), [blk.size] * top
         else:
-            P += contrib
-        prev = np.where(active, mag, prev)
-        if not active.any() or np.max(np.where(active, mag, 0.0)) < 1e-18:
-            break
-    return P, Q
+            order = np.argsort(-blk.astype(np.int16), kind="stable")
+            idx = lo + order
+            live = np.searchsorted(-blk[order], -np.arange(1, top + 1), side="right").tolist()
+        xs, acc = x[idx], out[:, idx]
+        for k, n in enumerate(live, start=1):
+            c, rows = terms[k - 1]
+            t = xs[:n] ** k
+            np.divide(c, t, out=t)
+            for i, op in rows:
+                op(acc[i, :n], t, out=acc[i, :n])
+        out[:, idx] = acc
+    return out
+
+
+def _hankel_pq(nu: float, x: np.ndarray):
+    """Even/odd asymptotic sums P, Q, each element up to its smallest term
+    (the usual optimal truncation of a divergent series) and the whole
+    array up to the first term where every element is past that or below
+    1e-18.  Terms that rounding would absorb into P and Q are skipped."""
+    K, terms, _, stops, absorb, floor = _asymptotic_table(nu)
+    if not K:   # nu = 1/2: a_1 = 0, the sums are exactly 1 and 0
+        return np.ones_like(x), np.zeros_like(x)
+    blocks = np.split(x, np.arange(_CHUNK, x.size, _CHUNK))
+    ends = [(stop.astype(np.int8), np.max(np.minimum(stop + 1, small), initial=1))
+            for stop, small in map(stops, blocks)]
+    whole = min(K, max(int(w) for _, w in ends))
+    return _power_sums(x, (np.minimum(np.minimum(stop, whole), np.where(
+        xs >= floor, 1 + np.searchsorted(-absorb, -xs, side="right"), K))
+        for (stop, _), xs in zip(ends, blocks)), (1.0, 0.0), terms)
 
 
 def _j_asymptotic(nu: float, x: np.ndarray) -> np.ndarray:
@@ -119,25 +201,13 @@ def _j_asymptotic(nu: float, x: np.ndarray) -> np.ndarray:
 def _ive_asymptotic(nu: float, x: np.ndarray) -> np.ndarray:
     """exp(-x) I_nu(x) for large x, with the smoothed subdominant exp(-2x)
     term (coefficient -sin(nu pi); exact at half-integer orders, vanishing at
-    integer orders)."""
-    mu4 = 4.0 * nu * nu
-    E = np.ones_like(x)
-    F = np.ones_like(x)
-    a = 1.0
-    prev = np.full_like(x, np.inf)
-    active = np.ones_like(x, dtype=bool)
-    for k in range(1, _ASYMP_CAP + 1):
-        a *= (mu4 - (2 * k - 1) ** 2) / (8.0 * k)
-        if a == 0.0:
-            break
-        t = a / x**k
-        mag = np.abs(t)
-        active &= mag < prev
-        E += np.where(active, (-1.0) ** k * t, 0.0)
-        F += np.where(active, t, 0.0)
-        prev = np.where(active, mag, prev)
-        if not active.any() or np.max(np.where(active, mag, 0.0)) < 1e-18:
-            break
+    integer orders).  Each element stops at its smallest term or at its
+    first term below 1e-18."""
+    K, _, terms, stops, _, _ = _asymptotic_table(nu)
+    E = F = 1.0
+    if K:
+        E, F = _power_sums(x, (np.minimum(*stops(xs)) for xs in
+                               np.split(x, np.arange(_CHUNK, x.size, _CHUNK))), (1.0, 1.0), terms)
     return (E - math.sin(nu * pi) * np.exp(-2.0 * x) * F) / np.sqrt(2.0 * pi * x)
 
 
@@ -155,90 +225,69 @@ def _check_domain(x: np.ndarray, op: str, positive: bool = False):
         raise ValueError(f"{op}: argument must be nonnegative")
 
 
-def besselj_over_xnu(order: Order, x) -> np.ndarray | float:
-    """J_nu(x) / x^nu, finite down to x = 0 for every admissible order."""
-    arr = _as_f64(x)
-    _check_domain(arr, "besselj_over_xnu")
+def _evaluate(op: str, order: Order, x, switch: float, series, asymptotic):
+    """The range switch shared by the public evaluators: validate x, use the
+    series on [0, switch] and the asymptotic form beyond it, keep x's shape."""
+    arr = np.asarray(x, dtype=np.float64)
+    _check_domain(arr, op)
     flat = np.atleast_1d(arr).ravel()
     out = np.empty_like(flat)
-    small = flat <= order.j_switch
-    if small.any():
-        out[small] = _jover_series(order.nu, flat[small])
-    if (~small).any():
-        xs = flat[~small]
-        out[~small] = _j_asymptotic(order.nu, xs) / xs**order.nu
+    small = flat <= switch
+    with np.errstate(divide="ignore"):   # x**nu at x = 0 for nu < 0
+        if small.any():
+            out[small] = series(order.nu, flat[small])
+        if (~small).any():
+            out[~small] = asymptotic(order.nu, flat[~small])
     out = out.reshape(np.atleast_1d(arr).shape)
     return float(out[0]) if arr.ndim == 0 else out
+
+
+def besselj_over_xnu(order: Order, x) -> np.ndarray | float:
+    """J_nu(x) / x^nu, finite down to x = 0 for every admissible order."""
+    return _evaluate("besselj_over_xnu", order, x, order.j_switch, _jover_series,
+                     lambda nu, xs: _j_asymptotic(nu, xs) / xs**nu)
 
 
 def bessel_j(order: Order, x) -> np.ndarray | float:
     """Bessel J of the first kind, vectorized over x >= 0."""
-    arr = _as_f64(x)
-    _check_domain(arr, "bessel_j")
-    flat = np.atleast_1d(arr).ravel()
-    out = np.empty_like(flat)
-    small = flat <= order.j_switch
-    if small.any():
-        xs = flat[small]
-        with np.errstate(divide="ignore"):
-            out[small] = _jover_series(order.nu, xs) * xs**order.nu
-    if (~small).any():
-        out[~small] = _j_asymptotic(order.nu, flat[~small])
-    out = out.reshape(np.atleast_1d(arr).shape)
-    return float(out[0]) if arr.ndim == 0 else out
+    return _evaluate("bessel_j", order, x, order.j_switch,
+                     lambda nu, xs: _jover_series(nu, xs) * xs**nu, _j_asymptotic)
 
 
 def bessel_j_derivative(order: Order, x) -> np.ndarray | float:
     """J_nu'(x) via the recurrence (nu/x) J_nu - J_{nu+1}."""
-    arr = _as_f64(x)
+    arr = np.asarray(x, dtype=np.float64)
     _check_domain(arr, "bessel_j_derivative", positive=True)
     return (order.nu / arr) * bessel_j(order, arr) - bessel_j(Order(order.nu + 1.0), arr)
 
 
 def bessel_i_scaled(order: Order, x) -> np.ndarray | float:
     """exp(-x) I_nu(x); never overflows and is what the heat kernels use."""
-    arr = _as_f64(x)
-    _check_domain(arr, "bessel_i_scaled")
-    flat = np.atleast_1d(arr).ravel()
-    out = np.empty_like(flat)
-    small = flat <= order.i_switch
-    if small.any():
-        xs = flat[small]
-        with np.errstate(divide="ignore"):
-            out[small] = np.exp(-xs) * _iover_series(order.nu, xs) * xs**order.nu
-    if (~small).any():
-        out[~small] = _ive_asymptotic(order.nu, flat[~small])
-    out = out.reshape(np.atleast_1d(arr).shape)
-    return float(out[0]) if arr.ndim == 0 else out
+    return _evaluate("bessel_i_scaled", order, x, order.i_switch,
+                     lambda nu, xs: np.exp(-xs) * _iover_series(nu, xs) * xs**nu,
+                     _ive_asymptotic)
+
+
+def _iover_asymptotic(nu: float, x: np.ndarray) -> np.ndarray:
+    if np.any(x > 700.0):
+        raise NumericsError("besseli_over_xnu",
+                            "argument beyond exp overflow range; use bessel_i_scaled")
+    return _ive_asymptotic(nu, x) * np.exp(x) / x**nu
 
 
 def besseli_over_xnu(order: Order, x) -> np.ndarray | float:
     """I_nu(x) / x^nu; entire, positive.  Overflows (by design) past x ~ 700."""
-    arr = _as_f64(x)
-    _check_domain(arr, "besseli_over_xnu")
-    flat = np.atleast_1d(arr).ravel()
-    out = np.empty_like(flat)
-    small = flat <= order.i_switch
-    if small.any():
-        out[small] = _iover_series(order.nu, flat[small])
-    if (~small).any():
-        xs = flat[~small]
-        if np.any(xs > 700.0):
-            raise NumericsError("besseli_over_xnu",
-                                "argument beyond exp overflow range; use bessel_i_scaled")
-        out[~small] = _ive_asymptotic(order.nu, xs) * np.exp(xs) / xs**order.nu
-    out = out.reshape(np.atleast_1d(arr).shape)
-    return float(out[0]) if arr.ndim == 0 else out
+    return _evaluate("besseli_over_xnu", order, x, order.i_switch, _iover_series,
+                     _iover_asymptotic)
 
 
 def bessel_i(order: Order, x) -> np.ndarray | float:
     """Modified Bessel I; raises past the representable exp range."""
-    arr = _as_f64(x)
+    arr = np.asarray(x, dtype=np.float64)
     _check_domain(arr, "bessel_i")
     if np.any(arr > 700.0):
         raise NumericsError("bessel_i", "overflow: use bessel_i_scaled for x > 700")
-    scaled = np.asarray(bessel_i_scaled(order, arr))
-    out = scaled * np.exp(_as_f64(arr))
+    out = np.asarray(bessel_i_scaled(order, arr)) * np.exp(arr)
     return float(out) if arr.ndim == 0 else out
 
 

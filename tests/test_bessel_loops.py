@@ -1,0 +1,467 @@
+"""Truncated Bessel sums and half-line kernels against the masked loops.
+
+The reference functions below are the original whole-array loops: the
+masked `_jover_series`, `_iover_series`, `_hankel_pq` and `_ive_asymptotic`,
+the four public evaluators built on them, `bessel_heat`, `dy_bessel_heat`
+and `compare_semigroups`. They are kept verbatim apart from renaming,
+`_as_f64` written out and the argument-domain checks dropped (the library
+still makes them). The J functions and the zero tables must come out
+bit for bit the same; the I functions may move by a few ulps (their sums now
+stop per element), the half-line heat kernels must give exactly 0 where the
+reference does and agree to rel 4e-15 elsewhere, and the semigroup
+comparison must agree to rel 1e-13.
+"""
+import math
+from math import lgamma, pi
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from fbhardy import kernels, specfun
+from fbhardy.covers import DyadicCover, FAMILY_ONE_END
+from fbhardy.basis import EigenBasis
+from fbhardy.errors import NumericsError
+from fbhardy.kernels import _IVE_SWITCH, bessel_heat, bessel_poisson, dy_bessel_heat
+from fbhardy.maximal import SpectralExpansion, compare_semigroups
+from fbhardy.quadrature import (MEASURE_MU, SampledFunction, grid_on_interval,
+                                make_quadrature)
+from fbhardy.specfun import _ASYMP_CAP, _CHUNK, _SERIES_CAP, Order
+
+# ---------------------------------------------------------------------------
+# reference: the masked whole-array loops
+
+
+def ref_jover_series(nu, x):
+    q = 0.25 * x * x
+    term = np.full_like(q, math.exp(-nu * math.log(2.0) - lgamma(nu + 1.0)))
+    out = term.copy()
+    for k in range(1, _SERIES_CAP + 1):
+        term = term * (-q) / (k * (nu + k))
+        out += term
+        if np.max(np.abs(term)) < 1e-18 * max(np.max(np.abs(out)), 1e-300):
+            break
+    return out
+
+
+def ref_iover_series(nu, x):
+    q = 0.25 * x * x
+    term = np.full_like(q, math.exp(-nu * math.log(2.0) - lgamma(nu + 1.0)))
+    out = term.copy()
+    for k in range(1, _SERIES_CAP + 1):
+        term = term * q / (k * (nu + k))
+        out += term
+        if np.max(term) < 1e-18 * max(np.max(out), 1e-300):
+            break
+    return out
+
+
+def ref_hankel_pq(nu, x):
+    mu4 = 4.0 * nu * nu
+    P = np.ones_like(x)
+    Q = np.zeros_like(x)
+    a = 1.0
+    prev = np.full_like(x, np.inf)
+    active = np.ones_like(x, dtype=bool)
+    for k in range(1, _ASYMP_CAP + 1):
+        a *= (mu4 - (2 * k - 1) ** 2) / (8.0 * k)
+        if a == 0.0:
+            break
+        t = a / x**k
+        mag = np.abs(t)
+        active &= mag < prev
+        sign = -1.0 if (k // 2) % 2 else 1.0
+        contrib = np.where(active, sign * t, 0.0)
+        if k % 2:
+            Q += contrib
+        else:
+            P += contrib
+        prev = np.where(active, mag, prev)
+        if not active.any() or np.max(np.where(active, mag, 0.0)) < 1e-18:
+            break
+    return P, Q
+
+
+def ref_j_asymptotic(nu, x):
+    P, Q = ref_hankel_pq(nu, x)
+    chi = x - (0.5 * nu + 0.25) * pi
+    return np.sqrt(2.0 / (pi * x)) * (np.cos(chi) * P - np.sin(chi) * Q)
+
+
+def ref_ive_asymptotic(nu, x):
+    mu4 = 4.0 * nu * nu
+    E = np.ones_like(x)
+    F = np.ones_like(x)
+    a = 1.0
+    prev = np.full_like(x, np.inf)
+    active = np.ones_like(x, dtype=bool)
+    for k in range(1, _ASYMP_CAP + 1):
+        a *= (mu4 - (2 * k - 1) ** 2) / (8.0 * k)
+        if a == 0.0:
+            break
+        t = a / x**k
+        mag = np.abs(t)
+        active &= mag < prev
+        E += np.where(active, (-1.0) ** k * t, 0.0)
+        F += np.where(active, t, 0.0)
+        prev = np.where(active, mag, prev)
+        if not active.any() or np.max(np.where(active, mag, 0.0)) < 1e-18:
+            break
+    return (E - math.sin(nu * pi) * np.exp(-2.0 * x) * F) / np.sqrt(2.0 * pi * x)
+
+
+def ref_besselj_over_xnu(order, x):
+    arr = np.asarray(x, dtype=np.float64)
+    flat = np.atleast_1d(arr).ravel()
+    out = np.empty_like(flat)
+    small = flat <= order.j_switch
+    if small.any():
+        out[small] = ref_jover_series(order.nu, flat[small])
+    if (~small).any():
+        xs = flat[~small]
+        out[~small] = ref_j_asymptotic(order.nu, xs) / xs**order.nu
+    out = out.reshape(np.atleast_1d(arr).shape)
+    return float(out[0]) if arr.ndim == 0 else out
+
+
+def ref_bessel_j(order, x):
+    arr = np.asarray(x, dtype=np.float64)
+    flat = np.atleast_1d(arr).ravel()
+    out = np.empty_like(flat)
+    small = flat <= order.j_switch
+    if small.any():
+        xs = flat[small]
+        with np.errstate(divide="ignore"):
+            out[small] = ref_jover_series(order.nu, xs) * xs**order.nu
+    if (~small).any():
+        out[~small] = ref_j_asymptotic(order.nu, flat[~small])
+    out = out.reshape(np.atleast_1d(arr).shape)
+    return float(out[0]) if arr.ndim == 0 else out
+
+
+def ref_bessel_i_scaled(order, x):
+    arr = np.asarray(x, dtype=np.float64)
+    flat = np.atleast_1d(arr).ravel()
+    out = np.empty_like(flat)
+    small = flat <= order.i_switch
+    if small.any():
+        xs = flat[small]
+        with np.errstate(divide="ignore"):
+            out[small] = np.exp(-xs) * ref_iover_series(order.nu, xs) * xs**order.nu
+    if (~small).any():
+        out[~small] = ref_ive_asymptotic(order.nu, flat[~small])
+    out = out.reshape(np.atleast_1d(arr).shape)
+    return float(out[0]) if arr.ndim == 0 else out
+
+
+def ref_besseli_over_xnu(order, x):
+    arr = np.asarray(x, dtype=np.float64)
+    flat = np.atleast_1d(arr).ravel()
+    out = np.empty_like(flat)
+    small = flat <= order.i_switch
+    if small.any():
+        out[small] = ref_iover_series(order.nu, flat[small])
+    if (~small).any():
+        xs = flat[~small]
+        if np.any(xs > 700.0):
+            raise NumericsError("besseli_over_xnu",
+                                "argument beyond exp overflow range; use bessel_i_scaled")
+        out[~small] = ref_ive_asymptotic(order.nu, xs) * np.exp(xs) / xs**order.nu
+    out = out.reshape(np.atleast_1d(arr).shape)
+    return float(out[0]) if arr.ndim == 0 else out
+
+
+def ref_bessel_heat(nu, t, x, y):
+    order = Order(nu)
+    t, x, y = np.broadcast_arrays(np.asarray(t, dtype=float),
+                                  np.asarray(x, dtype=float),
+                                  np.asarray(y, dtype=float))
+    scalar = t.shape == ()
+    t = np.atleast_1d(t).astype(float)
+    x = np.atleast_1d(x).astype(float)
+    y = np.atleast_1d(y).astype(float)
+    if np.any(t <= 0) or np.any(x < 0) or np.any(y < 0):
+        raise ValueError("bessel_heat needs t > 0 and x, y >= 0")
+    u = x * y / (2.0 * t)
+    out = np.empty(t.shape)
+    small = u <= _IVE_SWITCH
+    if np.any(small):
+        ts, xs, ys = t[small], x[small], y[small]
+        h = np.asarray(ref_besseli_over_xnu(order, u[small]))
+        out[small] = (2.0 * ts) ** (-1.0 - nu) * \
+            np.exp(-(xs**2 + ys**2) / (4.0 * ts)) * h
+    big = ~small
+    if np.any(big):
+        tb, xb, yb = t[big], x[big], y[big]
+        ive = np.asarray(ref_bessel_i_scaled(order, u[big]))
+        out[big] = (xb * yb) ** (-nu) / (2.0 * tb) * \
+            np.exp(-((xb - yb) ** 2) / (4.0 * tb)) * ive
+    return float(out[0]) if scalar else out
+
+
+def ref_dy_bessel_heat(nu, t, x, y):
+    order = Order(nu)
+    up = Order(nu + 1.0)
+    t, x, y = np.broadcast_arrays(np.asarray(t, dtype=float),
+                                  np.asarray(x, dtype=float),
+                                  np.asarray(y, dtype=float))
+    scalar = t.shape == ()
+    t = np.atleast_1d(t).astype(float)
+    x = np.atleast_1d(x).astype(float)
+    y = np.atleast_1d(y).astype(float)
+    if np.any(t <= 0) or np.any(x < 0) or np.any(y < 0):
+        raise ValueError("dy_bessel_heat needs t > 0 and x, y >= 0")
+    u = x * y / (2.0 * t)
+    out = np.empty(t.shape)
+    small = u <= _IVE_SWITCH
+    if np.any(small):
+        ts, xs, ys, us = t[small], x[small], y[small], u[small]
+        h0 = np.asarray(ref_besseli_over_xnu(order, us))
+        h1 = np.asarray(ref_besseli_over_xnu(up, us))
+        out[small] = (2.0 * ts) ** (-1.0 - nu) * \
+            np.exp(-(xs**2 + ys**2) / (4.0 * ts)) * \
+            ((xs / (2.0 * ts)) * us * h1 - (ys / (2.0 * ts)) * h0)
+    big = ~small
+    if np.any(big):
+        tb, xb, yb, ub = t[big], x[big], y[big], u[big]
+        i0 = np.asarray(ref_bessel_i_scaled(order, ub))
+        i1 = np.asarray(ref_bessel_i_scaled(up, ub))
+        out[big] = (xb * yb) ** (-nu) / (2.0 * tb) * \
+            np.exp(-((xb - yb) ** 2) / (4.0 * tb)) * \
+            ((xb / (2.0 * tb)) * i1 - (yb / (2.0 * tb)) * i0)
+    return float(out[0]) if scalar else out
+
+
+def ref_compare_semigroups(basis, fs, t_grid=None, n_x=48, zeta=0.02):
+    if isinstance(fs, SampledFunction):
+        fs = [fs]
+    cover = DyadicCover(FAMILY_ONE_END, zeta=zeta)
+    edge = cover.starred(0, 2).b
+    if t_grid is None:
+        t_grid = np.geomspace(1e-3, 0.999, 20)
+    xg = grid_on_interval(1e-9, edge, n_x, MEASURE_MU, basis.nu)
+    xw, xn = xg.weights, xg.nodes
+
+    grid0 = fs[0].grid
+    exps = []
+    for f in fs:
+        if f.measure != MEASURE_MU:
+            raise ValueError("comparison inputs must be mu-tagged")
+        if f.grid is not grid0:
+            raise ValueError("batch inputs must share one grid")
+        if np.any((f.nodes >= edge) & (np.abs(f.values) > 0)):
+            raise ValueError("inputs must be supported in the origin piece")
+        exps.append(SpectralExpansion(f, basis))
+
+    sup = np.zeros((len(fs), len(xn)))
+    for t in t_grid:
+        kmat = bessel_poisson(basis.nu, float(t), xn[:, None], grid0.nodes[None, :])
+        for i, (f, exp) in enumerate(zip(fs, exps)):
+            half = kmat @ (grid0.weights * f.values)
+            unit = exp.at_time(float(t), xn, "poisson")
+            sup[i] = np.maximum(sup[i], np.abs(half - unit))
+
+    out = []
+    for i, f in enumerate(fs):
+        fnorm = float(f.grid.weights @ np.abs(f.values))
+        out.append({"sup_norm_l1": float(xw @ sup[i]), "f_norm_l1": fnorm,
+                    "ratio": float(xw @ sup[i]) / fnorm if fnorm > 0 else 0.0})
+    return out
+
+
+# ---------------------------------------------------------------------------
+# samples
+
+
+ORDERS = st.floats(min_value=-0.5, max_value=12.0, exclude_min=True,
+                   allow_nan=False)
+SIZES = st.sampled_from([0, 1, 2, 7, 300, _CHUNK - 1, _CHUNK, _CHUNK + 1,
+                         2 * _CHUNK + 5])
+SLOW = settings(max_examples=40, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+def _points(rng, size, switches, hi):
+    """Points in [0, hi]: half log-spread, half within a few percent (and a
+    few ulps) of one of the switch points, on both sides."""
+    spread = 10.0 ** rng.uniform(-3.0, np.log10(hi), size - size // 2)
+    sw = rng.choice(np.asarray(switches, dtype=float), size // 2)
+    near = sw * (1.0 + rng.choice([1e-15, 1e-9, 1e-3, 5e-2], size // 2)
+                 * rng.uniform(-1.0, 1.0, size // 2))
+    x = np.concatenate([spread, np.minimum(near, hi)])
+    x[: min(size, 3)] = np.asarray(switches, dtype=float)[:min(size, 3)]
+    rng.shuffle(x)
+    return x
+
+
+def _assert_rel(got, ref, rtol):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape
+    zero = ref == 0
+    assert np.all(got[zero] == 0)
+    rel = np.abs(got[~zero] - ref[~zero]) / np.abs(ref[~zero])
+    assert np.all(rel <= rtol), float(np.max(rel))
+
+
+# ---------------------------------------------------------------------------
+# properties
+
+
+@SLOW
+@given(nu=ORDERS, size=SIZES, seed=st.integers(0, 2**32 - 1))
+def test_j_is_bit_identical(nu, size, seed):
+    order = Order(nu)
+    x = _points(np.random.default_rng(seed), size,
+                [order.j_switch, 2.0 * order.j_switch, 3.0 * order.j_switch],
+                1e4)
+    assert np.array_equal(specfun.bessel_j(order, x), ref_bessel_j(order, x))
+    assert np.array_equal(specfun.besselj_over_xnu(order, x),
+                          ref_besselj_over_xnu(order, x))
+
+
+@SLOW
+@given(nu=ORDERS, size=SIZES, lo=st.floats(0.0, 2.5), width=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_j_is_bit_identical_on_bands(nu, size, lo, width, seed):
+    """Bands of x past the switch: the whole-array stopping index then sits
+    below the cap, and elements differ in where their terms stop mattering."""
+    order = Order(nu)
+    start = order.j_switch * 10.0 ** lo
+    x = start * (1.0 + width * np.random.default_rng(seed).random(size))
+    assert np.array_equal(specfun.bessel_j(order, x), ref_bessel_j(order, x))
+
+
+@pytest.mark.parametrize("nu", [-0.45, -0.4, 0.45, 0.55])
+def test_j_is_bit_identical_near_half_order(nu):
+    """Near nu = 1/2 the odd sum Q is small (a_1 = (4 nu^2 - 1)/8), so terms
+    below 1e-18 past the whole-array index would still move its last bit."""
+    order, rng = Order(nu), np.random.default_rng(11)
+    for lo in (12.0, 15.0, 20.0, 25.0, 30.0, 40.0, 60.0):
+        for _ in range(20):
+            x = lo * (1.0 + 0.5 * rng.random(500))
+            assert np.array_equal(specfun.bessel_j(order, x), ref_bessel_j(order, x))
+
+
+@SLOW
+@given(nu=ORDERS, size=SIZES, seed=st.integers(0, 2**32 - 1))
+def test_i_within_a_few_ulps(nu, size, seed):
+    order = Order(nu)
+    x = _points(np.random.default_rng(seed), size,
+                [order.i_switch, _IVE_SWITCH, 2.0 * _IVE_SWITCH], 650.0)
+    _assert_rel(specfun.bessel_i_scaled(order, x), ref_bessel_i_scaled(order, x),
+                4e-15)
+    _assert_rel(specfun.besseli_over_xnu(order, x),
+                ref_besseli_over_xnu(order, x), 4e-15)
+
+
+def test_scalar_and_empty_inputs_keep_their_shape():
+    order = Order(1.0)
+    for fn, ref in ((specfun.bessel_j, ref_bessel_j),
+                    (specfun.bessel_i_scaled, ref_bessel_i_scaled)):
+        for x in (0.0, 11.0, 12.0, 35.0, 1e4):
+            got = fn(order, x)
+            assert isinstance(got, float) and got == ref(order, x)
+        assert fn(order, np.zeros((0, 3))).shape == (0, 3)
+        got = fn(order, np.array([[13.0, 40.0], [0.5, 900.0]]))
+        assert np.array_equal(got, ref(order, np.array([[13.0, 40.0],
+                                                         [0.5, 900.0]])))
+
+
+@settings(max_examples=15, deadline=None)
+@given(nu=ORDERS)
+def test_zero_tables_are_bit_identical(nu):
+    def zeros():
+        try:
+            table = specfun.bessel_zeros(Order(nu), 200)
+        except NumericsError as exc:   # past the evaluators' order range
+            return str(exc), None
+        return table.zeros, table.residuals
+
+    got = zeros()
+    with mock.patch.object(specfun, "bessel_j", ref_bessel_j):
+        ref = zeros()
+    if ref[1] is None:
+        assert got == ref
+    else:
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
+
+@SLOW
+@given(nu=ORDERS, size=SIZES, seed=st.integers(0, 2**32 - 1))
+def test_halfline_heat_kernels(nu, size, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 3.0, size)
+    y = rng.uniform(0.0, 3.0, size)
+    x[::7] = 0.0
+    t = 10.0 ** rng.uniform(-6.0, 1.0, size)
+    # every third point sits next to the route switch u = xy/2t = 100
+    near = slice(1, None, 3)
+    t[near] = np.maximum(x[near] * y[near], 1e-12) / (
+        2.0 * _IVE_SWITCH * (1.0 + rng.uniform(-1e-3, 1e-3, t[near].size)))
+    for fn, ref in ((bessel_heat, ref_bessel_heat),
+                    (dy_bessel_heat, ref_dy_bessel_heat)):
+        _assert_rel(fn(nu, t, x, y), ref(nu, t, x, y), 4e-15)
+
+
+def test_halfline_heat_broadcasts_and_skips_zero_factors():
+    x = np.linspace(0.0, 3.0, 41)
+    y = np.linspace(0.0, 3.0, 23)[:, None]
+    for t in (1e-4, 0.01, 0.7):
+        for fn, ref in ((bessel_heat, ref_bessel_heat),
+                        (dy_bessel_heat, ref_dy_bessel_heat)):
+            got, want = fn(1.0, t, x, y), ref(1.0, t, x, y)
+            assert got.shape == (23, 41)
+            _assert_rel(got, want, 4e-15)
+        assert isinstance(bessel_heat(1.0, t, 0.4, 0.5), float)
+    # at t = 1e-4 most Gaussian factors underflow to 0
+    assert np.mean(ref_bessel_heat(1.0, 1e-4, x, y) == 0) > 0.5
+
+
+def _gate7_bumps(grid, seed=4101, count=20):
+    rng = np.random.default_rng(seed)
+    fs = []
+    for _ in range(count):
+        a = 0.02 + 0.30 * rng.random()
+        b = a + 0.04 + (0.47 - a - 0.04) * rng.random()
+        amp = 0.5 + rng.random()
+        vals = amp * np.sin(np.pi * np.clip((grid.nodes - a) / (b - a),
+                                            0.0, 1.0)) ** 2
+        vals[grid.nodes <= a] = 0.0
+        vals[grid.nodes >= 0.51] = 0.0
+        fs.append(SampledFunction(grid=grid, values=vals))
+    return fs
+
+
+def _compare_against_reference(basis, fs, t_grid, n_x):
+    got = compare_semigroups(basis, fs, t_grid=t_grid, n_x=n_x)
+    with mock.patch.object(kernels, "bessel_heat", ref_bessel_heat):
+        ref = ref_compare_semigroups(basis, fs, t_grid=t_grid, n_x=n_x)
+    for g, r in zip(got, ref):
+        assert g["f_norm_l1"] == r["f_norm_l1"]
+        assert abs(g["ratio"] - r["ratio"]) <= 1e-13 * abs(r["ratio"])
+    assert len(got) == len(ref)
+
+
+def test_compare_semigroups_gate7_bumps(basis_half, grid_mu):
+    _compare_against_reference(basis_half, _gate7_bumps(grid_mu),
+                               np.geomspace(1e-2, 0.9, 8), 32)
+
+
+def test_compare_semigroups_integer_order():
+    basis = EigenBasis.build(Order(1.0), 400)
+    grid = make_quadrature("unit_interval", 128, measure=MEASURE_MU, nu=1.0)
+    _compare_against_reference(basis, _gate7_bumps(grid, seed=7, count=4),
+                               np.geomspace(5e-2, 0.9, 4), 16)
+
+
+def test_compare_semigroups_all_zero_inputs(basis_half, grid_mu):
+    zero = SampledFunction(grid=grid_mu, values=np.zeros(len(grid_mu.nodes)))
+    out = compare_semigroups(basis_half, [zero, zero], t_grid=[0.1, 0.5], n_x=8)
+    assert [r["ratio"] for r in out] == [0.0, 0.0]
+
+
+def test_besseli_over_xnu_still_refuses_overflow():
+    with pytest.raises(NumericsError):
+        specfun.besseli_over_xnu(Order(1.0), np.array([5.0, 800.0]))

@@ -5,11 +5,13 @@ forms: integrals of monomial weights against linear pieces, sup norms at
 breakpoints, and exact telescoping of the splitting identities.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fbhardy.errors import NumericsError
 from fbhardy.covers import DyadicCover, FAMILY_ONE_END, FAMILY_TWO_END, Interval
 from fbhardy.hardy import (Atom, Decomposition, KIND_CANCELLATIVE,
                            KIND_SPECIAL, PiecewiseLinear, atomic_decompose,
@@ -349,6 +351,35 @@ def test_cascade_materialize_orders_and_validates():
     for c, atom in pairs:
         assert validate_atom(atom)["valid"]
     assert cascade.coeff_l1() >= sum(mags) - 1e-15
+
+
+def test_cascade_evaluate_left_of_origin_is_warning_free():
+    """At nu = -0.3 the mu cdf takes a non-integer power of x; points left
+    of the origin are clamped to 0 first, so they read 0 without warnings."""
+    fn = PiecewiseLinear.tent(0.1, 0.4, 1.0)
+    cascade = cascade_decompose(fn, Interval(0.0, 0.5), MEASURE_MU, -0.3,
+                                detail_cut=1e-6)
+    x = np.linspace(-0.3, 0.6, 901)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = cascade.evaluate(x)
+    inside = (x > 0.0) & (x <= 0.5)
+    assert np.all(got[~inside] == 0.0)
+    # the mu-measure tent apex reconstructs to a few 1e-9, as at nu = 1/2
+    assert np.max(np.abs(got[inside] - fn.evaluate(x[inside]))) < 1e-8
+
+
+@pytest.mark.parametrize("measure", [MEASURE_MU, MEASURE_LEBESGUE])
+def test_materialize_refuses_closer_it_cannot_normalize(measure):
+    """A tent of height 1e-307 leaves closer coefficients below the normal
+    range, whose inverse overflows: materialize names the closer and raises
+    instead of returning atoms with infinite slopes."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cascade = cascade_decompose(PiecewiseLinear.tent(0.25, 0.45, 1e-307),
+                                    Interval(0.2, 0.5), measure, 0.5)
+        with pytest.raises(NumericsError, match=r"closer \[d\d+,k\d+\]"):
+            cascade.materialize()
 
 
 def test_cascade_rejects_empty_space():

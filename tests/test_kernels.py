@@ -151,6 +151,16 @@ def test_bessel_poisson_half_order_closed_form():
         np.testing.assert_allclose(got, expect, rtol=1e-11, atol=1e-300)
 
 
+@pytest.mark.xfail(strict=True, reason="the fixed subordination nodes miss "
+                   "the integrand's peak at v ~ t/|x-y| for small t off the "
+                   "diagonal (ROADMAP item 2)")
+def test_bessel_poisson_small_time_off_diagonal():
+    t, x, y = 1e-5, 0.2, 1.2
+    expect = (t / math.pi) / (x * y) * (
+        1.0 / (t**2 + (x - y) ** 2) - 1.0 / (t**2 + (x + y) ** 2))
+    assert bessel_poisson(0.5, t, x, y) == pytest.approx(expect, rel=1e-10)
+
+
 def test_subordination_against_adaptive_quadrature():
     """The fixed-panel integral agrees with scipy adaptive quadrature."""
     nu = 1.3
