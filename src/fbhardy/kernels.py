@@ -115,10 +115,16 @@ class UnitIntervalKernels:
         return (self.basis.norm_constants[:n] * lam)[:, None] * np.sqrt(x)[None, :] * j1
 
     @staticmethod
-    def _pointwise(weights, rows_x, rows_y):
-        return np.einsum("np,np->p", rows_x * weights[:, None], rows_y)
+    def _rows_at(rows_fn, x, n, weights=1.0):
+        """Rows times weights at the points of x (raveled), built once per
+        distinct point (J depends only on the set of its arguments) and
+        gathered by `take` in C order, so einsum sums as on fresh rows."""
+        pts, inv = np.unique(x, return_inverse=True)
+        rows = rows_fn(pts, n) * np.atleast_1d(weights)[:, None]
+        return rows.take(inv.ravel(), axis=1)
 
     def _eval(self, weight_fn, rows_fn_x, rows_fn_y, n, x, y, matrix):
+        """Outer table, or x against y broadcast (rows once per distinct point)."""
         w = weight_fn(self.basis.table.zeros[:n])
         if matrix:
             x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -126,7 +132,8 @@ class UnitIntervalKernels:
             return (rows_fn_x(x, n) * w[:, None]).T @ rows_fn_y(y, n)
         xb, yb = _broadcast(x, y)
         shape = xb.shape
-        out = self._pointwise(w, rows_fn_x(xb.ravel(), n), rows_fn_y(yb.ravel(), n))
+        out = np.einsum("np,np->p", self._rows_at(rows_fn_x, xb, n, w),
+                        self._rows_at(rows_fn_y, yb, n))
         return float(out[0]) if shape == () else out.reshape(shape)
 
     # -- public kernels ------------------------------------------------------
@@ -205,9 +212,9 @@ class UnitIntervalKernels:
             return (self.nu + 0.5) * p / ya[None, :] - d
         xb, yb = _broadcast(x, y)
         shape = xb.shape
-        psi_x = self.basis.psi_matrix(xb.ravel(), n)
-        p = self._pointwise(w, psi_x, self.basis.psi_matrix(yb.ravel(), n))
-        d = self._pointwise(w, psi_x, self._chi_matrix(yb.ravel(), n))
+        psi_x = self._rows_at(self.basis.psi_matrix, xb, n, w)
+        p = np.einsum("np,np->p", psi_x, self._rows_at(self.basis.psi_matrix, yb, n))
+        d = np.einsum("np,np->p", psi_x, self._rows_at(self._chi_matrix, yb, n))
         out = (self.nu + 0.5) * p / yb.ravel() - d
         return float(out[0]) if shape == () else out.reshape(shape)
 

@@ -328,12 +328,14 @@ def check_uchiyama_conditions(kernel_fn, space: HomogeneousSpace,
     min_kernel = math.inf
     n_samples = 0
     xg, yg = np.meshgrid(pts, pts, indexing="ij")
+    kmats = []
     for r in r_values:
         diag = np.asarray(kernel_fn(float(r), pts, pts))
         if np.any(diag <= 0):
             raise NumericsError("uchiyama", f"non-positive diagonal at r={r}")
         a_lower = max(a_lower, float(np.max(1.0 / (r * diag))))
         kmat = np.asarray(kernel_fn(float(r), xg, yg))
+        kmats.append(kmat)
         n_samples += kmat.size
         min_kernel = min(min_kernel, float(np.min(kmat)))
         d = space.distance(xg, yg)
@@ -341,10 +343,9 @@ def check_uchiyama_conditions(kernel_fn, space: HomogeneousSpace,
 
     a0 = max(a_ball, a_lower, a_size)
     a_lip = 0.0
-    for r in r_values:
+    for r, base in zip(r_values, kmats):
         d = space.distance(xg, yg)
         adm = (r + d) / (4.0 * a0)
-        base = np.asarray(kernel_fn(float(r), xg, yg))
         for frac in (0.35, 0.9):
             for sign in (+1, -1):
                 z = space.shift(yg, frac * adm, sign)

@@ -8,7 +8,8 @@ For I the series has no cancellation, so the switch sits higher, at
 max(30, 2|nu|), which keeps the smoothed asymptotic remainder (~exp(-2x)
 relative) below double precision.  At nu = 1/2 both expansions terminate and
 reproduce the closed forms sqrt(2/(pi x)) sin x and (e^x - e^-x)/sqrt(2 pi x)
-exactly.
+exactly; J there skips the P and Q sums (P = 1, Q = 0) and takes the cosine
+term alone.
 
 The I sums stop per element (at the smallest term, or at the first term
 below 1e-18 of the element's own sum), so a value does not depend on the
@@ -181,8 +182,6 @@ def _hankel_pq(nu: float, x: np.ndarray):
     array up to the first term where every element is past that or below
     1e-18.  Terms that rounding would absorb into P and Q are skipped."""
     K, terms, _, stops, absorb, floor = _asymptotic_table(nu)
-    if not K:   # nu = 1/2: a_1 = 0, the sums are exactly 1 and 0
-        return np.ones_like(x), np.zeros_like(x)
     blocks = np.split(x, np.arange(_CHUNK, x.size, _CHUNK))
     ends = [(stop.astype(np.int8), np.max(np.minimum(stop + 1, small), initial=1))
             for stop, small in map(stops, blocks)]
@@ -193,8 +192,10 @@ def _hankel_pq(nu: float, x: np.ndarray):
 
 
 def _j_asymptotic(nu: float, x: np.ndarray) -> np.ndarray:
-    P, Q = _hankel_pq(nu, x)
     chi = x - (0.5 * nu + 0.25) * pi
+    if not _asymptotic_table(nu)[0]:   # nu = 1/2: a_1 = 0, P = 1 and Q = 0
+        return np.sqrt(2.0 / (pi * x)) * np.cos(chi)
+    P, Q = _hankel_pq(nu, x)
     return np.sqrt(2.0 / (pi * x)) * (np.cos(chi) * P - np.sin(chi) * Q)
 
 
