@@ -79,16 +79,14 @@ def _py(obj):
     """Recursively convert numpy scalars/arrays into plain python types."""
     if isinstance(obj, dict):
         return {k: _py(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple, np.ndarray)):
         return [_py(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_py(v) for v in obj.tolist()]
+    if isinstance(obj, (np.bool_, bool)):      # bool is an int subclass
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
     return obj
 
 
@@ -137,16 +135,13 @@ def _bump_profile(measure: str, a: float = 0.08, b: float = 0.42) -> PiecewiseLi
     """Smooth-looking piecewise-linear bump used as the default input."""
     nodes = np.linspace(a, b, 33)
     u = (nodes - a) / (b - a)
-    values = np.sin(np.pi * u) ** 2
-    return PiecewiseLinear.from_node_values(nodes, values)
+    return PiecewiseLinear.from_node_values(nodes, np.sin(np.pi * u) ** 2)
 
 
 def _twobar_profile(measure: str) -> PiecewiseLinear:
     if measure == MEASURE_MU:
-        return PiecewiseLinear.from_breaks_levels([0.12, 0.27, 0.42],
-                                                  [1.1, -0.7])
-    return PiecewiseLinear.from_breaks_levels([0.22, 0.47, 0.68],
-                                              [0.9, -0.5])
+        return PiecewiseLinear.from_breaks_levels([0.12, 0.27, 0.42], [1.1, -0.7])
+    return PiecewiseLinear.from_breaks_levels([0.22, 0.47, 0.68], [0.9, -0.5])
 
 
 def _sampled(session: _Session, fn: PiecewiseLinear,
@@ -183,18 +178,12 @@ def cmd_kernel(session: _Session, args) -> int:
         x = np.linspace(0.5 / (n + 1), 1.0 - 0.5 / (n + 1), n)
     rows = []
     for t in args.t:
-        if which == "poisson-mu":
-            mat = session.kernels.poisson_mu(t, x, x, matrix=True)
-        elif which == "poisson-lebesgue":
-            mat = session.kernels.poisson_lebesgue(t, x, x, matrix=True)
-        elif which == "heat-mu":
-            mat = session.kernels.heat_mu(t, x, x, matrix=True)
-        elif which == "heat-lebesgue":
-            mat = session.kernels.heat_lebesgue(t, x, x, matrix=True)
-        elif which == "bessel-heat":
-            mat = bessel_heat(cfg.nu, t, x[:, None], x[None, :])
-        else:
-            mat = bessel_poisson(cfg.nu, t, x[:, None], x[None, :])
+        if which.startswith("bessel"):    # the half-line kernels
+            halfline = bessel_heat if which == "bessel-heat" else bessel_poisson
+            mat = halfline(cfg.nu, t, x[:, None], x[None, :])
+        else:                             # e.g. poisson-mu -> poisson_mu
+            method = getattr(session.kernels, which.replace("-", "_"))
+            mat = method(t, x, x, matrix=True)
         for i, xi in enumerate(x):
             for k, yk in enumerate(x):
                 rows.append((t, xi, yk, mat[i, k]))
@@ -223,9 +212,7 @@ def cmd_estimates(session: _Session, args) -> int:
 
 
 def cmd_maximal(session: _Session, args) -> int:
-    cfg = session.cfg
-    fn = _bump_profile(MEASURE_MU)
-    f = _sampled(session, fn, MEASURE_MU)
+    f = _sampled(session, _bump_profile(MEASURE_MU), MEASURE_MU)
     res = maximal_function(session.basis, f, session.time_grid())
     _write_atomic(session.out("maximal.csv"), _csv_xv(res.x, res.values))
     summary = {
@@ -251,14 +238,13 @@ def cmd_duhamel(session: _Session, args) -> int:
     x = np.linspace(0.03, 0.49, 24)
     closure = duhamel_closure(session.basis, rho, f, args.t, x)
     xg = np.linspace(0.05, 0.45, 7)
-    r1, r2, r3 = duhamel_residual_kernels(session.basis, session.kernels,
-                                          rho, args.t, xg, xg)
+    residuals = duhamel_residual_kernels(session.basis, session.kernels,
+                                         rho, args.t, xg, xg)
     summary = {
         "t": args.t,
         "closure_max_error": closure["max_error"],
-        "residual_sup": {"r1": float(np.max(np.abs(r1))),
-                         "r2": float(np.max(np.abs(r2))),
-                         "r3": float(np.max(np.abs(r3)))},
+        "residual_sup": {f"r{i}": float(np.max(np.abs(r)))
+                         for i, r in enumerate(residuals, start=1)},
     }
     _write_json(session.out("duhamel.json"), summary)
     _write_atomic(session.out("duhamel.csv"),
@@ -315,7 +301,6 @@ def cmd_atoms(session: _Session, args) -> int:
         dec = atomic_decompose(fn, nu=cfg.nu, measure=measure,
                                depth_cap=cfg.cascade_depth_cap,
                                reconstruct_tol=cfg.reconstruct_tol,
-                               max_atoms=cfg.max_atoms_materialized,
                                zeta=cfg.zeta)
         summary = dec.summary(f)
         path = session.out(f"atoms_decompose_{tag}.json")
@@ -354,8 +339,7 @@ def cmd_h1_report(session: _Session, args) -> int:
     cfg = session.cfg
     out = {}
     for measure, tag in ((MEASURE_MU, "mu"), (MEASURE_LEBESGUE, "lebesgue")):
-        fn = _twobar_profile(measure)
-        f = _sampled(session, fn, measure)
+        f = _sampled(session, _twobar_profile(measure), measure)
         out[tag] = h1_norm_report(f, session.basis, session.time_grid(),
                                   cfg.nu, depth_cap=cfg.cascade_depth_cap)
     path = session.out("h1_report.json")
@@ -369,8 +353,7 @@ def cmd_dirichlet(session: _Session, args) -> int:
     """Evolution traces of the boundary-value problem whose solution operator
     is the weighted Poisson semigroup: u(x, t) at a ladder of times."""
     cfg = session.cfg
-    fn = _bump_profile(MEASURE_MU)
-    f = _sampled(session, fn, MEASURE_MU)
+    f = _sampled(session, _bump_profile(MEASURE_MU), MEASURE_MU)
     expansion = SpectralExpansion(f, session.basis)
     x = np.linspace(0.02, 0.98, args.grid)
     times = np.geomspace(args.t_min, args.t_max, args.n_t)
@@ -439,17 +422,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-_DISPATCH = {
-    "zeros": cmd_zeros,
-    "kernel": cmd_kernel,
-    "estimates": cmd_estimates,
-    "maximal": cmd_maximal,
-    "duhamel": cmd_duhamel,
-    "uchiyama": cmd_uchiyama,
-    "atoms": cmd_atoms,
-    "h1-report": cmd_h1_report,
-    "dirichlet": cmd_dirichlet,
-}
+_DISPATCH = {"zeros": cmd_zeros, "kernel": cmd_kernel,
+             "estimates": cmd_estimates, "maximal": cmd_maximal,
+             "duhamel": cmd_duhamel, "uchiyama": cmd_uchiyama,
+             "atoms": cmd_atoms, "h1-report": cmd_h1_report,
+             "dirichlet": cmd_dirichlet}
 
 
 def main(argv=None) -> int:

@@ -32,7 +32,6 @@ class RunConfig:
     cancel_tol: float = 1e-10
     reconstruct_tol: float = 1e-6
     cascade_depth_cap: int = 26
-    max_atoms_materialized: int = 256
     atom_scale_max: int = 8
     # reproducibility / io
     seed: int = 20240
@@ -59,12 +58,9 @@ class RunConfig:
             raise ConfigError("cascade_depth_cap out of range [2, 26]")
         if self.atom_scale_max < 0:
             raise ConfigError("atom_scale_max must be nonnegative")
-        if self.cancel_tol <= 0:
-            raise ConfigError("cancel_tol must be positive")
-        if self.reconstruct_tol <= 0:
-            raise ConfigError("reconstruct_tol must be positive")
-        if self.max_atoms_materialized < 1:
-            raise ConfigError("max_atoms_materialized must be at least 1")
+        for key in ("cancel_tol", "reconstruct_tol"):
+            if getattr(self, key) <= 0:
+                raise ConfigError(f"{key} must be positive")
         return self
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,24 +71,34 @@ def _piece_integrals(s, c, lo, hi, p: float):
 # exact piecewise-linear functions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PiecewiseLinear:
-    """slope * x + intercept on [breaks[i], breaks[i+1]), zero outside."""
+    """slope * x + intercept on [breaks[i], breaks[i+1]), zero outside,
+    held as read-only float64 arrays (a float64 input is not copied). The
+    rows of a closer table or of materialized atoms are views of one table
+    that _check_table checked once, as the constructor checks one row."""
 
     breaks: np.ndarray
     slopes: np.ndarray
     intercepts: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray(self.breaks, dtype=float)
-        if b.ndim != 1 or len(b) < 2 or (b[1:] - b[:-1] <= 0).any():
-            raise ValueError("breaks must be strictly increasing, length >= 2")
-        if len(self.slopes) != len(b) - 1 or len(self.intercepts) != len(b) - 1:
-            raise ValueError("one slope and intercept per piece")
-        for arr in (self.breaks, self.slopes, self.intercepts):
-            np.asarray(arr).setflags(write=False)
+        arrays = [np.asarray(v, dtype=float)
+                  for v in (self.breaks, self.slopes, self.intercepts)]
+        _check_table(np.array([0, arrays[0].size - 1]), *arrays)
+        for name, arr in zip(self.__slots__, arrays):
+            object.__setattr__(self, name, arr)
 
     # -- constructors
+
+    @classmethod
+    def _row(cls, breaks, slopes, intercepts) -> "PiecewiseLinear":
+        """A row of a table that _check_table passed: no check, no copy."""
+        fn = object.__new__(cls)
+        object.__setattr__(fn, "breaks", breaks)
+        object.__setattr__(fn, "slopes", slopes)
+        object.__setattr__(fn, "intercepts", intercepts)
+        return fn
 
     @classmethod
     def constant(cls, a: float, b: float, value: float) -> "PiecewiseLinear":
@@ -96,8 +106,6 @@ class PiecewiseLinear:
 
     @classmethod
     def from_breaks_levels(cls, breaks, levels) -> "PiecewiseLinear":
-        breaks = np.asarray(breaks, dtype=float)
-        levels = np.asarray(levels, dtype=float)
         return cls(breaks, np.zeros(len(levels)), levels)
 
     @classmethod
@@ -114,8 +122,7 @@ class PiecewiseLinear:
         c = 0.5 * (a + b)
         s1 = height / (c - a)
         s2 = -height / (b - c)
-        return cls(np.array([a, c, b]), np.array([s1, s2]),
-                   np.array([-s1 * a, -s2 * b]))
+        return cls([a, c, b], [s1, s2], [-s1 * a, -s2 * b])
 
     # -- basic queries
 
@@ -130,9 +137,8 @@ class PiecewiseLinear:
 
     def evaluate(self, x):
         x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self.breaks, x, side="right") - 1
-        inside = (idx >= 0) & (x <= self.breaks[-1])
-        idx = np.clip(idx, 0, len(self.slopes) - 1)
+        inside = (x >= self.breaks[0]) & (x <= self.breaks[-1])
+        idx = self._piece_index(x)
         out = np.where(inside, self.slopes[idx] * x + self.intercepts[idx], 0.0)
         return float(out) if out.ndim == 0 else out
 
@@ -164,13 +170,11 @@ class PiecewiseLinear:
 
     def l1_norm(self, measure: str, nu: float) -> float:
         """Exact integral of |f|: linear pieces are split at sign changes."""
-        cuts = [self.breaks]
         s, c = self.slopes, self.intercepts
         with np.errstate(divide="ignore", invalid="ignore"):
             roots = -c / s
         inside = (s != 0) & (roots > self.breaks[:-1]) & (roots < self.breaks[1:])
-        cuts.append(roots[inside])
-        pts = np.unique(np.concatenate(cuts))
+        pts = np.unique(np.concatenate([self.breaks, roots[inside]]))
         vals = self.integral_between(pts[:-1], pts[1:], measure, nu)
         return float(np.sum(np.abs(vals)))
 
@@ -209,6 +213,22 @@ class PiecewiseLinear:
                                self.intercepts + c)
 
 
+def _check_table(start, breaks, slopes, intercepts) -> None:
+    """PiecewiseLinear's checks on every row of a ragged table at once; the
+    table is then read-only, so its rows can be handed out as views. Row i
+    has the pieces start[i]:start[i+1] and the breaks from start[i] + i."""
+    n = len(start) - 1
+    if breaks.ndim != 1 or len(breaks) != start[-1] + n \
+            or (start[1:] - start[:-1] < 1).any() \
+            or (np.delete(breaks[1:] - breaks[:-1],      # gaps inside rows
+                          start[1:-1] + np.arange(n - 1)) <= 0).any():
+        raise ValueError("breaks must be strictly increasing, length >= 2")
+    if len(slopes) != start[-1] or len(intercepts) != start[-1]:
+        raise ValueError("one slope and intercept per piece")
+    for arr in (start, breaks, slopes, intercepts):
+        arr.setflags(write=False)
+
+
 def chord_product(f: PiecewiseLinear, g: PiecewiseLinear,
                   points: np.ndarray) -> PiecewiseLinear:
     """Piecewise-linear chord of the product f * g on the given breakpoints.
@@ -241,7 +261,7 @@ def chord_product(f: PiecewiseLinear, g: PiecewiseLinear,
 # atoms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
     fn: PiecewiseLinear
     measure: str
@@ -483,8 +503,7 @@ def build_partition(cover: DyadicCover, nu: float, measure: str) -> list:
         pts += list(right) if right is not None \
             else [cell.b - 0.1 * cell.length, cell.b]
         vals += [1.0, 0.0]
-        eta = PiecewiseLinear.from_node_values(np.asarray(pts, dtype=float),
-                                               np.asarray(vals, dtype=float))
+        eta = PiecewiseLinear.from_node_values(pts, vals)
         star2 = cover.starred(j, 2)
         t_cap = sigma_interval(star2.a, star2.b, measure, nu)
         members.append(PartitionMember(j=j, cell=cell, star=cover.starred(j, 1),
@@ -532,7 +551,8 @@ class CloserTable(Sequence):
     pieces start[i]:start[i+1] of slopes and intercepts, and their breaks
     from breaks[start[i] + i]. A cell holding a breakpoint of the input or
     the end of its support has several pieces, zero where the input
-    vanishes. Indexing and iteration yield ClosingPiece rows."""
+    vanishes. The table is checked once, when built; indexing and iteration
+    yield ClosingPiece rows whose functions are read-only views of it."""
     depth: np.ndarray
     cell: np.ndarray
     lam: np.ndarray
@@ -540,6 +560,9 @@ class CloserTable(Sequence):
     breaks: np.ndarray
     slopes: np.ndarray
     intercepts: np.ndarray
+
+    def __post_init__(self):
+        _check_table(self.start, self.breaks, self.slopes, self.intercepts)
 
     def __len__(self) -> int:
         return len(self.lam)
@@ -551,8 +574,8 @@ class CloserTable(Sequence):
 
     def _fn(self, i: int) -> PiecewiseLinear:
         lo, hi = self.start[i], self.start[i + 1]
-        return PiecewiseLinear(self.breaks[lo + i:hi + i + 1],
-                               self.slopes[lo:hi], self.intercepts[lo:hi])
+        return PiecewiseLinear._row(self.breaks[lo + i:hi + i + 1],
+                                    self.slopes[lo:hi], self.intercepts[lo:hi])
 
 
 def _remainders(fn: PiecewiseLinear, depth: int, cells, a, b,
@@ -663,16 +686,14 @@ class LocalCascade:
         c0 = _cdf(self.space.a, self.measure, self.nu)
         k = np.asarray(cells, dtype=float)
         scale = np.ldexp(self.sigma_total, -np.asarray(depth))
-        left = _quantile(c0 + k * scale, self.measure, self.nu)
-        med = _quantile(c0 + (k + 0.5) * scale, self.measure, self.nu)
-        right = _quantile(c0 + (k + 1.0) * scale, self.measure, self.nu)
-        return left, med, right
+        return tuple(_quantile(c0 + (k + o) * scale, self.measure, self.nu)
+                     for o in (0.0, 0.5, 1.0))
 
     def materialize(self, max_atoms: int | None = None) -> list:
         """Largest-coefficient pieces as explicit atoms: two-bar atoms for
         the Haar details, normalized remainders for the closers. Entries are
-        ordered by (-|lam|, depth, cell) and cut to max_atoms before any
-        atom is built."""
+        ordered by (-|lam|, depth, cell) and cut to max_atoms; they form one
+        table, checked once, and each atom's function is a view of a row."""
         t = self.closers
         depth = np.concatenate([np.full(len(lev.idx), lev.depth)
                                 for lev in self.levels] + [t.depth])
@@ -680,29 +701,40 @@ class LocalCascade:
         lam = np.concatenate([lev.lam for lev in self.levels] + [t.lam])
         order = np.lexsort((cell, depth, -np.abs(lam)))[:max_atoms]
         n_details = len(lam) - len(t)
-        det = order[order < n_details]
-        left, med, right = self.edges(depth[det], cell[det])
-        levels = _haar_levels(left, med, right, self.measure, self.nu)
-        fns = dict(zip(det.tolist(), map(PiecewiseLinear.from_breaks_levels,
-                                         np.column_stack([left, med, right]),
-                                         np.column_stack(levels))))
-        sel = order[order >= n_details] - n_details
-        inv = np.zeros(len(t))
+        closer = order >= n_details
         with np.errstate(divide="ignore", over="ignore"):
-            inv[sel] = 1.0 / t.lam[sel]
-        for j in sel[~np.isfinite(inv[sel])][:1]:   # the largest such closer
+            scale = 1.0 / np.where(closer, lam[order], 1.0)
+        for j in order[~np.isfinite(scale)][:1] - n_details:   # the largest one
             raise NumericsError("materialize", f"closer [d{t.depth[j]},k{t.cell[j]}]: "
                                 f"coefficient {t.lam[j]:.3e} cannot be normalized")
-        inv = np.repeat(inv, np.diff(t.start))
-        unit = replace(t, slopes=inv * t.slopes, intercepts=inv * t.intercepts)
-        fns.update((i + n_details, unit._fn(i)) for i in sel.tolist())
-        depth, cell = depth.tolist(), cell.tolist()
-        return [(float(lam[i]),
-                 Atom(fn=fns[i], measure=self.measure,
-                      nu=self.nu, kind=KIND_CANCELLATIVE,
-                      label=f"{'haar' if i < n_details else 'closer'}"
-                            f"[d{depth[i]},k{cell[i]}]"))
-                for i in order.tolist()]
+        # source rows: the selected details (3 breaks, 2 flat pieces), then
+        # the closers; `rows` takes them in order, closers scaled by 1/lam
+        det = order[~closer]
+        left, med, right = self.edges(depth[det], cell[det])
+        levels = _haar_levels(left, med, right, self.measure, self.nu)
+        nd, n = len(det), len(order)
+        src = np.concatenate([2 * np.arange(nd), 2 * nd + t.start])
+        rows = np.where(closer, nd + order - n_details, np.cumsum(~closer) - 1)
+        counts = src[rows + 1] - src[rows]
+        start = np.concatenate([[0], np.cumsum(counts)])
+        piece = np.repeat(src[rows] - start[:-1], counts) + np.arange(start[-1])
+        brk = np.repeat(src[rows] + rows - start[:-1] - np.arange(n),
+                        counts + 1) + np.arange(start[-1] + n)
+        scale = np.repeat(scale, counts)
+        breaks = np.append(np.column_stack([left, med, right]), t.breaks)[brk]
+        slopes = np.append(np.zeros(2 * nd), t.slopes)[piece] * scale
+        intercepts = np.append(np.column_stack(levels), t.intercepts)[piece] * scale
+        _check_table(start, breaks, slopes, intercepts)
+        # free the index arrays first: the atoms below set the peak memory
+        del piece, brk, scale, src, rows, counts, left, med, right, levels, det
+        row, pos = PiecewiseLinear._row, start.tolist()
+        return [(coef, Atom(fn=row(breaks[p + e:q + e + 1], slopes[p:q],
+                                   intercepts[p:q]), measure=self.measure,
+                            nu=self.nu, kind=KIND_CANCELLATIVE,
+                            label=f"{'closer' if c else 'haar'}[d{d},k{k}]"))
+                for e, (coef, p, q, c, d, k) in enumerate(zip(
+                    lam[order].tolist(), pos, pos[1:], closer.tolist(),
+                    depth[order].tolist(), cell[order].tolist()))]
 
 
 def cascade_decompose(fn: PiecewiseLinear, space: Interval, measure: str,
@@ -785,7 +817,6 @@ class Decomposition:
     cover: DyadicCover
     members: list
     pieces: list          # (member, cascade, special_pairs)
-    max_atoms: int | None
 
     def reconstruct(self, x):
         x = np.asarray(x, dtype=float)
@@ -797,11 +828,8 @@ class Decomposition:
     def atoms(self) -> list:
         """Materialized (coefficient, atom) pairs: cascade details plus the
         globalized special parts."""
-        out = []
-        for _, cascade, special_pairs in self.pieces:
-            out.extend(cascade.materialize(self.max_atoms))
-            out.extend(special_pairs)
-        return out
+        return [pair for _, cascade, special_pairs in self.pieces
+                for pair in (*cascade.materialize(), *special_pairs)]
 
     def coeff_l1(self) -> float:
         total = 0.0
@@ -844,7 +872,6 @@ def _as_piecewise_linear(f) -> PiecewiseLinear:
 def atomic_decompose(f, nu: float, measure: str | None = None,
                      cover: DyadicCover | None = None,
                      depth_cap: int = 26, reconstruct_tol: float = 1e-6,
-                     max_atoms: int | None = None,
                      zeta: float = 0.02) -> Decomposition:
     """Full atomic decomposition of a function on (0, 1).
 
@@ -900,7 +927,7 @@ def atomic_decompose(f, nu: float, measure: str | None = None,
                                               cascade.mean_coef)
         pieces.append((m, cascade, special_pairs))
     return Decomposition(measure=measure, nu=nu, cover=cover, members=members,
-                         pieces=pieces, max_atoms=max_atoms)
+                         pieces=pieces)
 
 
 # ---------------------------------------------------------------------------

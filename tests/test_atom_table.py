@@ -1,0 +1,157 @@
+"""The checked tables behind closers and materialized atoms.
+
+`LocalCascade.materialize` gathers the selected details and closers into one
+ragged table, checks it once with PiecewiseLinear's conditions and hands out
+every atom's function as a read-only view of one row; `CloserTable` does the
+same for the closers of a cascade. These tests pin the table check to the
+constructor's messages, the views to read-only memory, and the atoms to what
+the public constructor builds from the same numbers.
+"""
+import dataclasses
+
+import numpy as np
+import pytest
+
+from fbhardy.covers import Interval
+from fbhardy.hardy import (Atom, CascadeLevel, CloserTable, PiecewiseLinear,
+                           atomic_decompose, cascade_decompose, haar_atom)
+from fbhardy.quadrature import MEASURE_LEBESGUE, MEASURE_MU
+
+
+def _table(rows, n_slopes=None):
+    """A CloserTable holding the given rows of breaks, with zero pieces
+    (n_slopes of them, if given, instead of one per piece)."""
+    counts = [len(r) - 1 for r in rows]
+    n_pieces = sum(counts)
+    return CloserTable(
+        np.ones(len(rows), dtype=np.int64), np.arange(len(rows)),
+        np.ones(len(rows)), np.concatenate([[0], np.cumsum(counts)]).astype(np.int64),
+        np.concatenate([np.asarray(r, dtype=float) for r in rows]),
+        np.zeros(n_pieces if n_slopes is None else n_slopes), np.zeros(n_pieces))
+
+
+def _message(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("bad", [[0.3, 0.3, 0.4], [0.4, 0.35], [0.3]])
+def test_table_rejects_a_row_as_the_constructor_does(bad):
+    """One non-increasing (or one-break) row among good ones fails the
+    whole table with the constructor's message for that row."""
+    rows = [[0.1, 0.2], bad, [0.5, 0.6, 0.9]]
+    want = _message(lambda: PiecewiseLinear(
+        bad, np.zeros(max(len(bad) - 1, 0)), np.zeros(max(len(bad) - 1, 0))))
+    assert want == "breaks must be strictly increasing, length >= 2"
+    assert _message(lambda: _table(rows)) == want
+
+
+def test_table_rejects_a_missing_slope_as_the_constructor_does():
+    want = _message(lambda: PiecewiseLinear([0.1, 0.2, 0.3], [0.0], [0.0, 0.0]))
+    assert want == "one slope and intercept per piece"
+    assert _message(lambda: _table([[0.1, 0.2], [0.1, 0.2, 0.3]], n_slopes=2)) == want
+
+
+def test_table_rows_may_decrease_across_rows():
+    """Only the breaks inside a row must increase: rows come in any order."""
+    t = _table([[0.5, 0.6], [0.1, 0.2, 0.3], [0.05, 0.4]])
+    assert [list(c.fn.breaks) for c in t] == [[0.5, 0.6], [0.1, 0.2, 0.3],
+                                             [0.05, 0.4]]
+
+
+def test_materialize_rejects_a_degenerate_detail_as_haar_atom_does():
+    """A detail cell too deep to split in floating point has its median on
+    an edge; the atom table refuses it with the constructor's message."""
+    fn = PiecewiseLinear.tent(0.25, 0.45, 1.0)
+    cascade = cascade_decompose(fn, Interval(0.2, 0.5), MEASURE_LEBESGUE, 0.5)
+    deep = CascadeLevel(depth=80, idx=np.array([3]), lam=np.array([1e3]))
+    broken = dataclasses.replace(cascade, levels=cascade.levels + [deep])
+    left, med, right = (float(e[0]) for e in broken.edges(80, [3]))
+    assert not left < med < right
+    with np.errstate(divide="ignore", invalid="ignore"):    # its levels
+        want = _message(lambda: haar_atom(left, med, right, 0.5,
+                                          MEASURE_LEBESGUE))
+        assert _message(broken.materialize) == want
+
+
+def _cascade():
+    fn = PiecewiseLinear.from_node_values([0.22, 0.3, 0.41, 0.46],
+                                          [0.0, 1.0, -0.4, 0.0])
+    return cascade_decompose(fn, Interval(0.2, 0.5), MEASURE_MU, 0.5,
+                             detail_cut=1e-7)
+
+
+@pytest.mark.parametrize("max_atoms", [None, 7])
+def test_materialized_arrays_are_read_only_views(max_atoms):
+    pairs = _cascade().materialize(max_atoms)
+    assert len(pairs) == max_atoms or {a.label[:4] for _, a in pairs} \
+        == {"haar", "clos"}
+    arrays = [arr for _, a in pairs
+              for arr in (a.fn.breaks, a.fn.slopes, a.fn.intercepts)]
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr.setflags(write=True)
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    # every function is a view of the same three table arrays
+    assert len({id(arr.base) for arr in arrays}) == 3
+
+
+def test_closer_rows_are_read_only_views():
+    t = _cascade().closers
+    for arr in (t.start, t.breaks, t.slopes, t.intercepts):
+        assert not arr.flags.writeable
+    for cp in t:
+        for arr in (cp.fn.breaks, cp.fn.slopes, cp.fn.intercepts):
+            assert arr.base is not None and not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.setflags(write=True)
+
+
+def test_atoms_and_functions_have_no_instance_dict():
+    _, atom = _cascade().materialize(1)[0]
+    assert not hasattr(atom, "__dict__") and not hasattr(atom.fn, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        atom.fn.breaks = np.zeros(2)
+
+
+def _gate10_cases():
+    nodes = np.linspace(0.08, 0.40, 33)
+    u = (nodes - 0.08) / 0.32
+    bump = PiecewiseLinear.from_node_values(nodes, np.sin(np.pi * u) ** 2)
+    return [
+        (MEASURE_MU, bump),
+        (MEASURE_MU, PiecewiseLinear.from_breaks_levels([0.12, 0.27, 0.42],
+                                                        [1.1, -0.7])),
+        (MEASURE_LEBESGUE, PiecewiseLinear.tent(0.3, 0.62, 1.0)),
+        (MEASURE_LEBESGUE, PiecewiseLinear.from_breaks_levels(
+            [0.22, 0.47, 0.68], [0.9, -0.5])),
+    ]
+
+
+def _fields(atom):
+    return (atom.measure, atom.nu, atom.kind, atom.label)
+
+
+def test_gate10_atoms_equal_their_public_rebuild():
+    """Each atom of the four gate-10 decompositions, rebuilt by the public
+    constructor from copies of its arrays, passes the constructor's check
+    and equals it: the same fields, and float64 arrays equal bit for bit."""
+    for measure, fn in _gate10_cases():
+        pairs = atomic_decompose(fn, nu=0.5, measure=measure).atoms()
+        rebuilt = [Atom(fn=PiecewiseLinear(a.fn.breaks.copy(),
+                                           a.fn.slopes.copy(),
+                                           a.fn.intercepts.copy()),
+                        measure=a.measure, nu=a.nu, kind=a.kind, label=a.label)
+                   for _, a in pairs]
+        atoms = [a for _, a in pairs]
+        assert [_fields(a) for a in atoms] == [_fields(b) for b in rebuilt]
+        for name in ("breaks", "slopes", "intercepts"):
+            got = [getattr(a.fn, name) for a in atoms]
+            want = [getattr(b.fn, name) for b in rebuilt]
+            assert [len(g) for g in got] == [len(w) for w in want]
+            assert {g.dtype for g in got} == {w.dtype for w in want} \
+                == {np.dtype(np.float64)}
+            assert np.concatenate(got).tobytes() == np.concatenate(want).tobytes()

@@ -121,6 +121,26 @@ def test_failed_estimate_exits_one(tmp_path, small_cfg, monkeypatch):
         assert not json.load(fh)["passed"]
 
 
+def test_estimate_json_writes_booleans(tmp_path, small_cfg):
+    out = tmp_path / "out"
+    assert run(["estimates", "--lemma", "grad-P", "--grid", "4"],
+               cfg=small_cfg, out=out) == 0
+    text = (out / "estimates_grad-P.json").read_text()
+    assert '"passed": true' in text
+    assert json.loads(text)["passed"] is True
+
+
+def test_json_conversion_keeps_booleans_apart_from_integers():
+    got = fbhardy.cli._py({"a": True, "b": np.bool_(False), "c": 1,
+                           "d": np.int64(2), "e": np.array([True, False]),
+                           "f": (np.float64(0.5), False)})
+    assert got == {"a": True, "b": False, "c": 1, "d": 2, "e": [True, False],
+                   "f": [0.5, False]}
+    assert [type(v) for v in (got["a"], got["b"], got["c"], got["d"])] \
+        == [bool, bool, int, int]
+    assert [type(v) for v in got["e"] + got["f"]] == [bool, bool, float, bool]
+
+
 def test_maximal_outputs(tmp_path, small_cfg):
     out = tmp_path / "out"
     assert run(["maximal"], cfg=small_cfg, out=out) == 0

@@ -100,6 +100,43 @@ def test_piecewise_linear_validation():
         PiecewiseLinear(np.array([0.1, 0.2]), np.zeros(2), np.zeros(1))
 
 
+def test_piecewise_linear_from_lists_is_float():
+    """List input is stored as float64 arrays, so every query works on it."""
+    fn = PiecewiseLinear([0, .5, 1], [0, 0], [1, 2])
+    want = PiecewiseLinear(np.array([0.0, 0.5, 1.0]), np.zeros(2),
+                           np.array([1.0, 2.0]))
+    for arr in (fn.breaks, fn.slopes, fn.intercepts):
+        assert isinstance(arr, np.ndarray) and arr.dtype == np.float64
+        assert not arr.flags.writeable
+    x = np.array([-0.1, 0.0, 0.25, 0.5, 0.9, 1.0, 1.1])
+    np.testing.assert_array_equal(fn.evaluate(x), want.evaluate(x))
+    assert fn.evaluate(0.75) == 2.0
+    assert fn.sup_norm() == 2.0
+    assert fn.integral(MEASURE_LEBESGUE, 0.5) == 1.5
+    assert fn.integral(MEASURE_MU, 0.5) == want.integral(MEASURE_MU, 0.5)
+    assert fn.l1_norm(MEASURE_MU, 0.5) == want.l1_norm(MEASURE_MU, 0.5)
+
+
+def test_piecewise_linear_from_int_arrays_is_float():
+    ints = [np.array([0, 1, 3]), np.array([2, -1]), np.array([1, 4])]
+    fn = PiecewiseLinear(*ints)
+    want = PiecewiseLinear(*(a.astype(float) for a in ints))
+    for got, ref in zip((fn.breaks, fn.slopes, fn.intercepts),
+                        (want.breaks, want.slopes, want.intercepts)):
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, ref)
+    x = np.linspace(-0.5, 3.5, 17)
+    np.testing.assert_array_equal(fn.evaluate(x), want.evaluate(x))
+    assert fn.sup_norm() == want.sup_norm() == 3.0
+    assert fn.scaled(0.5).slopes.dtype == np.float64
+
+
+def test_piecewise_linear_keeps_float64_input():
+    b, s, c = np.array([0.1, 0.3, 0.6]), np.array([1.0, -2.0]), np.zeros(2)
+    fn = PiecewiseLinear(b, s, c)
+    assert fn.breaks is b and fn.slopes is s and fn.intercepts is c
+
+
 @given(st.floats(0.01, 0.9), st.floats(0.02, 0.09), st.floats(-2, 2),
        st.floats(-2, 2), st.sampled_from([MEASURE_MU, MEASURE_LEBESGUE]))
 @settings(max_examples=60, deadline=None)
