@@ -17,6 +17,9 @@ def test_default_config_file_loads():
 @pytest.mark.parametrize("key, value", [
     ("cancel_tol", 0.0), ("cancel_tol", -1e-10),
     ("reconstruct_tol", 0.0), ("reconstruct_tol", -1e-6),
+    # max_atoms_materialized is no longer a knob: an override naming it is
+    # rejected as an unknown key, still naming the key.
+    ("max_atoms_materialized", 0), ("max_atoms_materialized", -3),
 ])
 def test_nonpositive_knob_rejected(key, value):
     with pytest.raises(ConfigError, match=key):
