@@ -12,14 +12,13 @@ from .hardy import (Atom, PiecewiseLinear, atomic_decompose, build_partition,
                     h1_norm_report, haar_atom, random_atoms, special_atom,
                     two_atom_split, validate_atom)
 from .kernels import (UnitIntervalKernels, bessel_heat, bessel_poisson,
-                      check_sharp_estimate, mu_ball)
+                      check_sharp_estimate)
 from .maximal import (CutoffRho, SpectralExpansion, TimeGrid,
                       apply_halfline, apply_heat, apply_poisson,
                       compare_semigroups, duhamel_closure, maximal_function,
                       split_maximal, uchiyama_families, uchiyama_kernel)
-from .quadrature import (Grid, SampledFunction, grid_on_interval,
-                         make_quadrature, mu_distance, MEASURE_LEBESGUE,
-                         MEASURE_MU)
+from .quadrature import (Grid, Measure, SampledFunction, grid_on_interval,
+                         make_quadrature, MEASURE_LEBESGUE, MEASURE_MU)
 from .specfun import Order, bessel_zeros
 
 __version__ = "0.1.0"
@@ -27,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Atom", "ConfigError", "CutoffRho", "DyadicCover", "EigenBasis",
     "FAMILY_ONE_END", "FAMILY_TWO_END", "Grid", "Interval",
-    "MEASURE_LEBESGUE", "MEASURE_MU", "NumericsError", "Order",
+    "MEASURE_LEBESGUE", "MEASURE_MU", "Measure", "NumericsError", "Order",
     "PiecewiseLinear", "RunConfig", "SampledFunction", "SpectralExpansion",
     "TimeGrid", "UnitIntervalKernels", "apply_halfline", "apply_heat",
     "apply_poisson", "atomic_decompose", "bessel_heat", "bessel_poisson",
@@ -35,8 +34,8 @@ __all__ = [
     "check_sharp_estimate", "chord_product",
     "coefficients", "compare_semigroups", "duhamel_closure",
     "grid_on_interval", "h1_norm_report", "haar_atom", "hankel_transform",
-    "load_config", "make_quadrature", "maximal_function", "mu_ball",
-    "mu_distance", "random_atoms", "special_atom", "split_maximal",
+    "load_config", "make_quadrature", "maximal_function", "random_atoms",
+    "special_atom", "split_maximal",
     "synthesize", "two_atom_split", "uchiyama_families", "uchiyama_kernel",
     "validate_atom",
 ]

@@ -131,7 +131,7 @@ class _Session:
         return os.path.join(self.cfg.out_dir, name)
 
 
-def _bump_profile(measure: str, a: float = 0.08, b: float = 0.42) -> PiecewiseLinear:
+def _bump_profile(a: float = 0.08, b: float = 0.42) -> PiecewiseLinear:
     """Smooth-looking piecewise-linear bump used as the default input."""
     nodes = np.linspace(a, b, 33)
     u = (nodes - a) / (b - a)
@@ -212,7 +212,7 @@ def cmd_estimates(session: _Session, args) -> int:
 
 
 def cmd_maximal(session: _Session, args) -> int:
-    f = _sampled(session, _bump_profile(MEASURE_MU), MEASURE_MU)
+    f = _sampled(session, _bump_profile(), MEASURE_MU)
     res = maximal_function(session.basis, f, session.time_grid())
     _write_atomic(session.out("maximal.csv"), _csv_xv(res.x, res.values))
     summary = {
@@ -233,7 +233,7 @@ def cmd_maximal(session: _Session, args) -> int:
 def cmd_duhamel(session: _Session, args) -> int:
     cfg = session.cfg
     rho = CutoffRho.build(cfg.zeta)
-    fn = _bump_profile(MEASURE_MU, a=0.08, b=0.40)
+    fn = _bump_profile(a=0.08, b=0.40)
     f = _sampled(session, fn, MEASURE_MU)
     x = np.linspace(0.03, 0.49, 24)
     closure = duhamel_closure(session.basis, rho, f, args.t, x)
@@ -353,7 +353,7 @@ def cmd_dirichlet(session: _Session, args) -> int:
     """Evolution traces of the boundary-value problem whose solution operator
     is the weighted Poisson semigroup: u(x, t) at a ladder of times."""
     cfg = session.cfg
-    f = _sampled(session, _bump_profile(MEASURE_MU), MEASURE_MU)
+    f = _sampled(session, _bump_profile(), MEASURE_MU)
     expansion = SpectralExpansion(f, session.basis)
     x = np.linspace(0.02, 0.98, args.grid)
     times = np.geomspace(args.t_min, args.t_max, args.n_t)

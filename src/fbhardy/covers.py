@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import MeasureMu
-
 FAMILY_ONE_END = "one_end"
 FAMILY_TWO_END = "two_end"
 DEFAULT_ZETA = 0.02
@@ -60,9 +58,6 @@ class Interval:
         for _ in range(k):
             out = out.enlarged(zeta)
         return out
-
-    def mu_measure(self, nu: float) -> float:
-        return MeasureMu(nu).interval(self.a, self.b)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .covers import DyadicCover, Interval, FAMILY_ONE_END, FAMILY_TWO_END
 from .errors import NumericsError
-from .quadrature import SampledFunction, MEASURE_LEBESGUE, MEASURE_MU
+from .quadrature import Measure, SampledFunction, MEASURE_LEBESGUE, MEASURE_MU
 
 KIND_CANCELLATIVE = "cancellative"
 KIND_SPECIAL = "special"
@@ -44,39 +44,21 @@ _FAMILY_OF_MEASURE = {MEASURE_MU: FAMILY_ONE_END,
                       MEASURE_LEBESGUE: FAMILY_TWO_END}
 
 
-def _power(measure: str, nu: float) -> float:
-    return 2.0 * nu + 2.0 if measure == MEASURE_MU else 1.0
-
-
-def _cdf(x, measure: str, nu: float):
-    p = _power(measure, nu)
-    return np.asarray(x, dtype=float) ** p / p
-
-
-def _quantile(m, measure: str, nu: float):
-    p = _power(measure, nu)
-    return np.maximum(p * np.asarray(m, dtype=float), 0.0) ** (1.0 / p)
-
-
 def sigma_interval(a: float, b: float, measure: str, nu: float) -> float:
-    return 0.0 if b <= a else float(_cdf(b, measure, nu) - _cdf(a, measure, nu))
-
-
-def _piece_integrals(s, c, lo, hi, p: float):
-    """Integral of s x + c over [lo, hi] against the density x^(p - 1)."""
-    return s * (hi ** (p + 1) - lo ** (p + 1)) / (p + 1) + c * (hi**p - lo**p) / p
+    return float(Measure.of(measure, nu).interval(a, b))
 
 
 # ---------------------------------------------------------------------------
 # exact piecewise-linear functions
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class PiecewiseLinear:
     """slope * x + intercept on [breaks[i], breaks[i+1]), zero outside,
     held as read-only float64 arrays (a float64 input is not copied). The
     rows of a closer table or of materialized atoms are views of one table
-    that _check_table checked once, as the constructor checks one row."""
+    that _check_table checked once, as the constructor checks one row.
+    Equality and hashing are by identity."""
 
     breaks: np.ndarray
     slopes: np.ndarray
@@ -152,14 +134,13 @@ class PiecewiseLinear:
     def cumulative(self, pts, measure: str, nu: float):
         """Exact integral from the support's left end to each point."""
         pts = np.clip(np.asarray(pts, dtype=float), self.breaks[0], self.breaks[-1])
-        p = _power(measure, nu)
-        lo, hi = self.breaks[:-1], self.breaks[1:]
-        piece_full = _piece_integrals(self.slopes, self.intercepts, lo, hi, p)
+        integrals = Measure.of(measure, nu).linear_integrals
+        piece_full = integrals(self.slopes, self.intercepts, self.breaks[:-1],
+                               self.breaks[1:])
         prefix = np.concatenate([[0.0], np.cumsum(piece_full)])
         idx = self._piece_index(pts)
-        start = self.breaks[idx]
-        partial = _piece_integrals(self.slopes[idx], self.intercepts[idx],
-                                   start, pts, p)
+        partial = integrals(self.slopes[idx], self.intercepts[idx],
+                            self.breaks[idx], pts)
         return prefix[idx] + partial
 
     def integral(self, measure: str, nu: float) -> float:
@@ -261,8 +242,10 @@ def chord_product(f: PiecewiseLinear, g: PiecewiseLinear,
 # atoms
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Atom:
+    """An atom; its function holds arrays, so equality is by identity."""
+
     fn: PiecewiseLinear
     measure: str
     nu: float
@@ -303,7 +286,8 @@ def _haar_levels(a, m, b, measure: str, nu: float) -> tuple:
     """Levels of the two-bar atoms on [a, m) and [m, b), elementwise:
     opposite-sign constants balanced so the integral vanishes exactly,
     scaled so the sup norm is 1/sigma(a, b)."""
-    ca, cm, cb = (_cdf(x, measure, nu) for x in (a, m, b))
+    cdf = Measure.of(measure, nu).cdf
+    ca, cm, cb = cdf(a), cdf(m), cdf(b)
     s, s1, s2 = cb - ca, cm - ca, cb - cm
     h1, h2 = 1.0 / s, 1.0 / s * s1 / s2
     scale = 1.0 / np.maximum(1.0, h2 * s)   # an off-median split peaks on the right
@@ -465,13 +449,6 @@ class PartitionMember:
     eta: PiecewiseLinear
     t_cap: float
 
-    def eta_values(self, x):
-        return self.eta.evaluate(x)
-
-    @property
-    def derivative_bound(self) -> float:
-        return float(np.max(np.abs(self.eta.slopes)))
-
 
 def build_partition(cover: DyadicCover, nu: float, measure: str) -> list:
     """Partition of unity subordinate to the starred cover.
@@ -606,8 +583,8 @@ def _remainders(fn: PiecewiseLinear, depth: int, cells, a, b,
     # each cell's integral summed left to right from 0, as cumulative() does
     counts = n_breaks - 1
     rows = np.zeros((len(sel), int(counts.max(initial=0)) + 1))
-    rows[owner, left - start[owner] + 1] = _piece_integrals(
-        s, c, x0, x1, _power(measure, nu))
+    rows[owner, left - start[owner] + 1] = Measure.of(
+        measure, nu).linear_integrals(s, c, x0, x1)
     c = c - (np.cumsum(rows, axis=1)[:, -1] / sigma_cell)[owner]
     ends = np.maximum(np.abs(s * x0 + c), np.abs(s * x1 + c))
     sup = np.maximum.reduceat(ends, start - np.arange(len(sel))) \
@@ -638,8 +615,8 @@ class LocalCascade:
     closure_l1: float           # coefficient mass of the closing pieces
 
     def _u(self, x):
-        c0 = _cdf(self.space.a, self.measure, self.nu)
-        return np.clip((_cdf(np.maximum(x, 0.0), self.measure, self.nu) - c0)
+        cdf = Measure.of(self.measure, self.nu).cdf
+        return np.clip((cdf(np.maximum(x, 0.0)) - cdf(self.space.a))
                        / self.sigma_total, 0.0, 1.0 - 1e-15)
 
     def evaluate(self, x):
@@ -683,11 +660,11 @@ class LocalCascade:
     def edges(self, depth, cells) -> tuple:
         """(left, median, right) x-coordinates of the given cells; depth is
         one depth or one per cell."""
-        c0 = _cdf(self.space.a, self.measure, self.nu)
+        meas = Measure.of(self.measure, self.nu)
+        c0 = meas.cdf(self.space.a)
         k = np.asarray(cells, dtype=float)
         scale = np.ldexp(self.sigma_total, -np.asarray(depth))
-        return tuple(_quantile(c0 + (k + o) * scale, self.measure, self.nu)
-                     for o in (0.0, 0.5, 1.0))
+        return tuple(meas.quantile(c0 + (k + o) * scale) for o in (0.0, 0.5, 1.0))
 
     def materialize(self, max_atoms: int | None = None) -> list:
         """Largest-coefficient pieces as explicit atoms: two-bar atoms for
@@ -942,6 +919,7 @@ def random_atoms(rng, measure: str, nu: float, count: int,
     """Seeded atoms of the three cancellative profiles plus occasional
     special atoms, at dyadic cover scales up to scale_max."""
     family = _FAMILY_OF_MEASURE[measure]
+    meas = Measure.of(measure, nu)
     cover = DyadicCover(family, zeta=zeta, j_max=max(scale_max, 8))
     out = []
     for i in range(count):
@@ -962,14 +940,11 @@ def random_atoms(rng, measure: str, nu: float, count: int,
         profile = _PROFILES[int(rng.integers(0, len(_PROFILES)))]
         label = f"{profile}-j{j}-{i}"
         if profile == "haar":
-            med = _quantile(0.5 * (_cdf(a, measure, nu) + _cdf(b, measure, nu)),
-                            measure, nu)
+            med = meas.quantile(0.5 * (meas.cdf(a) + meas.cdf(b)))
             out.append(haar_atom(a, float(med), b, nu, measure, label=label))
         elif profile == "twobar":
             q = 0.3 + 0.4 * float(rng.random())
-            m = _quantile(_cdf(a, measure, nu)
-                          + q * (_cdf(b, measure, nu) - _cdf(a, measure, nu)),
-                          measure, nu)
+            m = meas.quantile(meas.cdf(a) + q * (meas.cdf(b) - meas.cdf(a)))
             out.append(haar_atom(a, float(m), b, nu, measure, label=label))
         else:
             tent = PiecewiseLinear.tent(a, b, 1.0)

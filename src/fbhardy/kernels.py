@@ -6,7 +6,7 @@ phi_n / psi_n the weighted and flat orthonormal systems from `basis`:
     weighted Poisson   sum_n exp(-t lam_n)   phi_n(x) phi_n(y)
     flat Poisson       sum_n exp(-t lam_n)   psi_n(x) psi_n(y)
     weighted heat      sum_n exp(-t lam_n^2) phi_n(x) phi_n(y)
-    flat heat, ext.    the flat heat kernel extended by zero outside (0,1)^2
+    flat heat          sum_n exp(-t lam_n^2) psi_n(x) psi_n(y)
 
 On (0, inf) the heat kernel of the Bessel operator has the closed form
 
@@ -38,7 +38,7 @@ import numpy as np
 
 from .basis import EigenBasis
 from .errors import NumericsError
-from .quadrature import MeasureMu
+from .quadrature import Measure, MEASURE_MU
 from . import specfun
 from .specfun import Order
 
@@ -162,17 +162,6 @@ class UnitIntervalKernels:
                           self.basis.psi_matrix, self.basis.psi_matrix,
                           n, x, y, matrix)
 
-    def heat_lebesgue_ext(self, t: float, x, y, tol=None):
-        """Flat heat kernel extended by zero outside the open unit square."""
-        xb, yb = _broadcast(x, y)
-        scalar = xb.shape == ()
-        xb, yb = np.atleast_1d(xb), np.atleast_1d(yb)
-        inside = (xb > 0) & (xb < 1) & (yb > 0) & (yb < 1)
-        out = np.zeros(xb.shape)
-        if np.any(inside):
-            out[inside] = self.heat_lebesgue(t, xb[inside], yb[inside], tol=tol)
-        return float(out[0]) if scalar else out
-
     def delta_poisson(self, t: float, x, y, matrix: bool = False, tol=None):
         """First-order factor applied in x to the flat Poisson kernel:
         sum_n exp(-t lam_n) c_n^2 lam_n sqrt(xy) J_{nu+1}(lam_n x) J_nu(lam_n y)."""
@@ -180,20 +169,6 @@ class UnitIntervalKernels:
         return self._eval(lambda lam: np.exp(-t * lam),
                           self._chi_matrix, self.basis.psi_matrix,
                           n, x, y, matrix)
-
-    def dx_poisson_mu(self, t: float, x, y, matrix: bool = False, tol=None):
-        """x-derivative of the weighted Poisson kernel, equal to
-        -(xy)^(-nu-1/2) times the delta_poisson series."""
-        xa = np.atleast_1d(np.asarray(x, dtype=float))
-        ya = np.atleast_1d(np.asarray(y, dtype=float))
-        floor = float(np.min(xa) * np.min(ya)) ** (self.nu + 0.5)
-        tol_eff = (self.series_tol if tol is None else tol) * min(floor, 1.0)
-        d = self.delta_poisson(t, x, y, matrix=matrix, tol=tol_eff)
-        if matrix:
-            pw = np.outer(xa ** (self.nu + 0.5), ya ** (self.nu + 0.5))
-            return -d / pw
-        xb, yb = _broadcast(x, y)
-        return -d / (xb * yb) ** (self.nu + 0.5)
 
     def dy_poisson_lebesgue(self, t: float, x, y, matrix: bool = False, tol=None):
         """y-derivative of the flat Poisson kernel,
@@ -323,17 +298,6 @@ def bessel_poisson(nu: float, t, x, y):
 # comparands for the sharp estimates
 
 
-def mu_ball(nu: float, x, r, right_edge: float | None = None):
-    """Measure of the interval ball B(x, r) intersected with (0, right_edge)."""
-    m = MeasureMu(nu)
-    x = np.asarray(x, dtype=float)
-    r = np.asarray(r, dtype=float)
-    lo = np.maximum(x - r, 0.0)
-    hi = x + r if right_edge is None else np.minimum(x + r, right_edge)
-    p = m.power
-    return (hi**p - lo**p) / p
-
-
 def comparand_poisson_mu(nu: float, lam1: float, t, x, y):
     t, x, y = _broadcast(t, x, y)
     small = (t**2 + x**2 + y**2) ** (-nu - 0.5) * \
@@ -373,7 +337,9 @@ def comparand_heat_large(lam1: float, t, x, y):
 def comparand_bessel_heat_gauss(nu: float, t, x, y, c: float = GAUSS_DECAY_C):
     """exp(-c(x-y)^2/t) / mu(B(x, sqrt(t))) on the half-line."""
     t, x, y = _broadcast(t, x, y)
-    return np.exp(-c * (x - y) ** 2 / t) / mu_ball(nu, x, np.sqrt(t))
+    r = np.sqrt(t)
+    ball = Measure.of(MEASURE_MU, nu).interval(np.maximum(x - r, 0.0), x + r)
+    return np.exp(-c * (x - y) ** 2 / t) / ball
 
 
 def comparand_dy_bessel_heat(nu: float, t, x, y, c: float = GAUSS_DECAY_C):

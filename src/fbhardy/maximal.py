@@ -17,8 +17,7 @@ The module also contains:
   * Duhamel residuals comparing the unit-interval heat semigroup with the
     half-line one through a smooth cutoff, at operator and at kernel level,
   * the sup-t comparison of the two Poisson semigroups on functions living
-    near the origin, and the commutator kernels built from a partition of
-    unity.
+    near the origin.
 """
 from __future__ import annotations
 
@@ -31,7 +30,7 @@ from .basis import EigenBasis, coefficients
 from .covers import DyadicCover, Interval, FAMILY_ONE_END, FAMILY_TWO_END
 from .errors import NumericsError
 from .kernels import UnitIntervalKernels, bessel_heat, bessel_poisson, dy_bessel_heat
-from .quadrature import (SampledFunction, grid_on_interval,
+from .quadrature import (Measure, SampledFunction, grid_on_interval,
                          MEASURE_LEBESGUE, MEASURE_MU)
 
 
@@ -204,8 +203,8 @@ def uchiyama_time(nu: float, r, x):
     the (2nu+2)-th root of r beyond; continuous at the branch point."""
     r = np.asarray(r, dtype=float)
     x = np.asarray(x, dtype=float)
-    p = 2.0 * nu + 2.0
-    return np.where(r <= x**p, r * x ** (-(2.0 * nu + 1.0)), r ** (1.0 / p))
+    p = Measure.of(MEASURE_MU, nu).p
+    return np.where(r <= x**p, r * x ** (1.0 - p), r ** (1.0 / p))
 
 
 def uchiyama_kernel(nu: float, r: float, x, y, sigma_total: float | None = None):
@@ -215,64 +214,51 @@ def uchiyama_kernel(nu: float, r: float, x, y, sigma_total: float | None = None)
     return bessel_poisson(nu, uchiyama_time(nu, float(r), x), x, y)
 
 
+# each metric is the cdf distance of one measure
+_METRIC_MEASURE = {"euclidean": MEASURE_LEBESGUE, "mu_cdf": MEASURE_MU}
+
+
 @dataclass(frozen=True)
 class HomogeneousSpace:
-    """Interval space (X, d, sigma) with Euclidean or measure-cdf distance."""
+    """Interval space (X, d, sigma): sigma is the measure the tag names, and
+    d is the Euclidean distance or the mu-measure of the interval between
+    two points ("mu_cdf")."""
     interval: Interval
     metric: str            # "euclidean" or "mu_cdf"
     measure: str           # MEASURE_MU or MEASURE_LEBESGUE
     nu: float
 
-    def _cdf(self, x):
-        p = 2.0 * self.nu + 2.0
-        return np.asarray(x, dtype=float) ** p / p
+    def __post_init__(self):
+        if self.metric not in _METRIC_MEASURE:
+            raise ValueError(f"unknown metric {self.metric!r}")
+        Measure.of(self.measure, self.nu)     # rejects an unknown tag
 
-    def _quantile(self, m):
-        p = 2.0 * self.nu + 2.0
-        return np.maximum(np.asarray(m, dtype=float) * p, 0.0) ** (1.0 / p)
+    @property
+    def _metric_measure(self) -> Measure:
+        return Measure.of(_METRIC_MEASURE[self.metric], self.nu)
 
     def distance(self, u, v):
-        if self.metric == "euclidean":
-            return np.abs(np.asarray(u, dtype=float) - np.asarray(v, dtype=float))
-        return np.abs(self._cdf(u) - self._cdf(v))
+        return self._metric_measure.distance(u, v)
 
     def sigma_total(self) -> float:
-        if self.measure == MEASURE_MU:
-            return self.interval.mu_measure(self.nu)
-        return self.interval.length
+        return self.sigma_interval(self.interval.a, self.interval.b)
 
     def sigma_interval(self, a: float, b: float) -> float:
-        a = max(a, self.interval.a)
-        b = min(b, self.interval.b)
-        if b <= a:
-            return 0.0
-        if self.measure == MEASURE_MU:
-            return Interval(a, b).mu_measure(self.nu)
-        return b - a
+        return float(Measure.of(self.measure, self.nu).interval(
+            max(a, self.interval.a), min(b, self.interval.b)))
 
     def ball_sigma(self, x, r):
         """sigma(B_d(x, r) intersected with the interval)."""
-        x = np.asarray(x, dtype=float)
-        r = np.asarray(r, dtype=float)
-        if self.metric == "euclidean":
-            lo, hi = x - r, x + r
-        else:
-            m = self._cdf(x)
-            lo, hi = self._quantile(m - r), self._quantile(m + r)
-        lo = np.maximum(lo, self.interval.a)
-        hi = np.minimum(hi, self.interval.b)
-        width = np.maximum(hi - lo, 0.0)
-        if self.measure == MEASURE_LEBESGUE:
-            return width
-        p = 2.0 * self.nu + 2.0
-        return np.where(width > 0, (hi**p - np.minimum(lo, hi) ** p) / p, 0.0)
+        d = self._metric_measure
+        m = d.cdf(x)
+        lo = np.maximum(d.quantile(m - r), self.interval.a)
+        hi = np.minimum(d.quantile(m + r), self.interval.b)
+        return Measure.of(self.measure, self.nu).interval(lo, hi)
 
     def shift(self, y, delta, sign: int):
         """A point at metric distance delta from y (before clipping into X)."""
-        if self.metric == "euclidean":
-            z = y + sign * delta
-        else:
-            z = self._quantile(self._cdf(y) + sign * delta)
+        d = self._metric_measure
+        z = d.quantile(d.cdf(y) + sign * delta)
         return np.clip(z, self.interval.a + 1e-12, self.interval.b - 1e-12)
 
     def inner_points(self, n: int, margin: float = 0.02) -> np.ndarray:
@@ -632,37 +618,3 @@ def compare_semigroups(basis: EigenBasis, fs, t_grid=None,
         out.append({"sup_norm_l1": float(xw @ sup[i]), "f_norm_l1": fnorm,
                     "ratio": float(xw @ sup[i]) / fnorm if fnorm > 0 else 0.0})
     return out
-
-
-# ---------------------------------------------------------------------------
-# commutator kernels
-
-
-def commutator_matrix(kernels: UnitIntervalKernels, members, x, y,
-                      n_t: int = 10) -> np.ndarray:
-    """Sum over partition members of sup_{t < t_cap} |(eta(x)-eta(y)) K_t(x,y)|.
-
-    `members` is an iterable of (eta callable, t_cap, family) with family
-    "mu" or "lebesgue"; the time sup runs over a geometric grid from the
-    certified series floor (the reported value is grid-limited below that)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    floor = kernels.poisson_floor()
-    total = np.zeros((len(x), len(y)))
-    for eta, t_cap, family in members:
-        diff = np.abs(eta(x)[:, None] - eta(y)[None, :])
-        if not np.any(diff > 0):
-            continue
-        lo = min(max(floor * 1.02, t_cap / 256.0), 0.9 * t_cap)
-        if lo <= floor:
-            raise NumericsError(
-                "commutator", f"series floor {floor:.2e} too high for cap {t_cap:.2e}")
-        best = np.zeros_like(total)
-        for t in np.geomspace(lo, t_cap, n_t):
-            if family == "mu":
-                k = kernels.poisson_mu(float(t), x, y, matrix=True)
-            else:
-                k = kernels.poisson_lebesgue(float(t), x, y, matrix=True)
-            best = np.maximum(best, np.abs(k))
-        total += diff * best
-    return total

@@ -1,5 +1,6 @@
-"""Composite Gauss-Legendre quadrature, the weighted measure x^(2nu+1) dx on
-the half-line, and grid-sampled functions with their integration weights.
+"""Composite Gauss-Legendre quadrature, the power-law measures x^(p-1) dx on
+the half-line (the weighted x^(2nu+1) dx and Lebesgue), and grid-sampled
+functions with their integration weights.
 
 Grids are composite GL rules.  For the weighted measure the panels are graded
 geometrically toward 0 (the density is smooth but non-polynomial there), and
@@ -8,70 +9,56 @@ integrated panel-by-panel without crossing their breakpoints.
 """
 from __future__ import annotations
 
-import csv
-import io
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import NumericsError
 
 MEASURE_MU = "mu"
 MEASURE_LEBESGUE = "lebesgue"
 
 
 @dataclass(frozen=True)
-class MeasureMu:
-    """The measure x^(2 nu + 1) dx on (0, infinity)."""
+class Measure:
+    """The power law x^(p - 1) dx on (0, infinity): p = 2 nu + 2 for the
+    weighted measure x^(2 nu + 1) dx, p = 1 for Lebesgue measure. All
+    methods work elementwise."""
 
-    nu: float
+    p: float
 
-    @property
-    def power(self) -> float:
-        return 2.0 * self.nu + 2.0
-
-    def interval(self, a: float, b: float) -> float:
-        """Measure of (a, b); negative orientation is an error."""
-        if b < a:
-            raise ValueError("interval endpoints out of order")
-        a = max(a, 0.0)
-        p = self.power
-        return (b**p - a**p) / p
-
-    def ball(self, x: float, r: float) -> float:
-        """Measure of the half-line ball (x - r, x + r) clipped at 0."""
-        if r <= 0:
-            raise ValueError("ball radius must be positive")
-        return self.interval(max(x - r, 0.0), x + r)
+    @classmethod
+    def of(cls, tag: str, nu: float) -> "Measure":
+        if tag == MEASURE_MU:
+            return cls(2.0 * nu + 2.0)
+        if tag == MEASURE_LEBESGUE:
+            return cls(1.0)
+        raise ValueError(f"unknown measure tag {tag!r}")
 
     def density(self, x):
-        return np.asarray(x, dtype=float) ** (self.power - 1.0)
+        return np.asarray(x, dtype=float) ** (self.p - 1.0)
 
-    def cdf(self, a: float, x):
-        """Measure of (a, x), vectorized in x."""
-        p = self.power
-        return (np.asarray(x, dtype=float) ** p - max(a, 0.0) ** p) / p
+    def cdf(self, x):
+        """Measure of (0, x)."""
+        return np.asarray(x, dtype=float) ** self.p / self.p
 
-    def quantile(self, a: float, m):
-        """Inverse of cdf(a, .): the point x with measure(a, x) = m."""
-        p = self.power
-        return (max(a, 0.0) ** p + p * np.asarray(m, dtype=float)) ** (1.0 / p)
+    def quantile(self, m):
+        """The point x with cdf(x) = m; negative m maps to 0."""
+        return np.maximum(self.p * np.asarray(m, dtype=float), 0.0) ** (1.0 / self.p)
 
+    def interval(self, a, b):
+        """Measure of (a, b), cdf(b) - cdf(a), and 0 where b <= a."""
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        return np.where(b > a, self.cdf(b) - self.cdf(a), 0.0)
 
-def mu_distance(nu: float, x, y):
-    """Metric induced by the weighted measure: the measure of the interval
-    between x and y.  Symmetric, vanishes only on the diagonal, and satisfies
-    the triangle inequality because the measure is additive."""
-    mu = MeasureMu(nu)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    lo = np.minimum(x, y)
-    hi = np.maximum(x, y)
-    p = mu.power
-    out = (hi**p - lo**p) / p
-    return float(out) if out.ndim == 0 else out
+    def distance(self, x, y):
+        """The measure of the interval between x and y: symmetric, zero only
+        on the diagonal, and a metric because the measure is additive."""
+        return np.abs(self.cdf(x) - self.cdf(y))
+
+    def linear_integrals(self, s, c, lo, hi):
+        """Integral of s x + c over [lo, hi] against the density."""
+        p = self.p
+        return s * (hi ** (p + 1) - lo ** (p + 1)) / (p + 1) + c * (hi**p - lo**p) / p
 
 
 # ---------------------------------------------------------------------------
@@ -122,19 +109,30 @@ def _gl_on_panels(edges: np.ndarray, counts: np.ndarray):
     return np.concatenate(nodes_list), np.concatenate(weights_list)
 
 
+def _grid(edges: np.ndarray, n_nodes: int, measure: str, nu: float,
+          domain: tuple[float, float]) -> Grid:
+    """GL nodes on the panels, at least 12 per panel, with the measure's
+    density folded into the weights."""
+    density = Measure.of(measure, nu).density
+    lengths = np.diff(edges)
+    counts = np.maximum(12, np.ceil(lengths / lengths.sum() * n_nodes).astype(int))
+    nodes, w = _gl_on_panels(edges, counts)
+    return Grid(nodes=nodes, weights=w * density(nodes), measure=measure, nu=nu,
+                domain=domain, panel_edges=edges)
+
+
 def _panel_edges(domain: tuple[float, float], measure: str, nu: float,
                  split_points=()) -> np.ndarray:
     a, b = domain
     edges = {a, b}
     edges.update(s for s in split_points if a < s < b)
     if measure == MEASURE_MU and a == 0.0:
+        p = Measure.of(measure, nu).p
         # geometric grading toward the origin where the density is not
-        # smooth; a panel (0, h) contributes error like h^(2 nu + 2), and
-        # integer exponents are integrated exactly, so only fractional
-        # powers need the deep grading
-        p = 2.0 * nu + 2.0
-        depth = 11 if float(2.0 * nu + 1.0).is_integer() \
-            else max(11, math.ceil(46.0 / p))
+        # smooth; a panel (0, h) contributes error like h^p, and integer
+        # exponents are integrated exactly, so only fractional powers need
+        # the deep grading
+        depth = 11 if p.is_integer() else max(11, math.ceil(46.0 / p))
         e = min(2.0**-2, b / 2)
         while e > 2.0**-depth:
             edges.add(e)
@@ -161,8 +159,6 @@ def make_quadrature(domain: str, n_nodes: int, measure: str = MEASURE_MU,
     """
     if n_nodes < 8:
         raise ValueError("n_nodes must be at least 8")
-    if measure not in (MEASURE_MU, MEASURE_LEBESGUE):
-        raise ValueError(f"unknown measure tag {measure!r}")
     if domain == "unit_interval":
         dom = (0.0, 1.0)
     elif domain == "halfline_truncated":
@@ -171,14 +167,8 @@ def make_quadrature(domain: str, n_nodes: int, measure: str = MEASURE_MU,
         dom = (0.0, float(radius))
     else:
         raise ValueError(f"unknown domain {domain!r}")
-    edges = _panel_edges(dom, measure, nu, split_points)
-    lengths = np.diff(edges)
-    counts = np.maximum(12, np.ceil(lengths / lengths.sum() * n_nodes).astype(int))
-    nodes, w = _gl_on_panels(edges, counts)
-    if measure == MEASURE_MU:
-        w = w * MeasureMu(nu).density(nodes)
-    return Grid(nodes=nodes, weights=w, measure=measure, nu=nu, domain=dom,
-                panel_edges=edges)
+    return _grid(_panel_edges(dom, measure, nu, split_points), n_nodes,
+                 measure, nu, dom)
 
 
 def grid_on_interval(a: float, b: float, n_nodes: int, measure: str,
@@ -189,14 +179,7 @@ def grid_on_interval(a: float, b: float, n_nodes: int, measure: str,
         raise ValueError("need 0 <= a < b")
     edges = {a, b}
     edges.update(s for s in split_points if a < s < b)
-    edges = np.array(sorted(edges))
-    lengths = np.diff(edges)
-    counts = np.maximum(12, np.ceil(lengths / lengths.sum() * n_nodes).astype(int))
-    nodes, w = _gl_on_panels(edges, counts)
-    if measure == MEASURE_MU:
-        w = w * MeasureMu(nu).density(nodes)
-    return Grid(nodes=nodes, weights=w, measure=measure, nu=nu, domain=(a, b),
-                panel_edges=edges)
+    return _grid(np.array(sorted(edges)), n_nodes, measure, nu, (a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -239,14 +222,3 @@ class SampledFunction:
 
     def scaled(self, c: float) -> "SampledFunction":
         return SampledFunction(grid=self.grid, values=c * self.values)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["x", "value"])
-        for x, v in zip(self.grid.nodes, self.values):
-            writer.writerow([f"{x:.17g}", f"{v:.17g}"])
-        return buf.getvalue()
-
-    def write_csv(self, path: str | Path):
-        Path(path).write_text(self.to_csv())

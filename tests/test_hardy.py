@@ -217,6 +217,25 @@ def test_validate_atom_flags_defects():
     assert not validate_atom(lopsided)["cancellation_ok"]
 
 
+def test_unknown_measure_tag_is_rejected():
+    # "weighted" used to build Lebesgue levels +-5 without complaint
+    with pytest.raises(ValueError, match="unknown measure tag"):
+        haar_atom(0.1, 0.2, 0.3, 0.5, "weighted")
+    with pytest.raises(ValueError, match="unknown measure tag"):
+        PiecewiseLinear.constant(0.2, 0.6, 1.0).integral("Lebesgue", 0.5)
+
+
+def test_functions_and_atoms_compare_by_identity():
+    f = PiecewiseLinear.tent(0.2, 0.6)
+    g = PiecewiseLinear.tent(0.2, 0.6)
+    a = haar_atom(0.2, 0.4, 0.6, 0.5, MEASURE_LEBESGUE)
+    b = Atom(fn=a.fn, measure=a.measure, nu=a.nu, kind=a.kind, label=a.label)
+    assert f == f and not f == g and f != g
+    assert a == a and a != b
+    assert len({f, g, f}) == 2 and len({a, b, a}) == 2
+    assert hash(a) == hash(a)
+
+
 @given(st.floats(0.02, 0.5), st.floats(0.1, 0.45), st.floats(0.05, 0.95),
        st.sampled_from([MEASURE_MU, MEASURE_LEBESGUE]))
 @settings(max_examples=60, deadline=None)
@@ -306,10 +325,10 @@ def test_partition_sums_to_one(measure, family):
     members = build_partition(cover, 0.5, measure)
     cov = partition_coverage(members)
     x = np.linspace(cov.a + 1e-9, cov.b - 1e-12, 1500)
-    total = sum(m.eta_values(x) for m in members)
+    total = sum(m.eta.evaluate(x) for m in members)
     assert np.allclose(total, 1.0, atol=1e-12)
     for m in members:
-        vals = m.eta_values(x)
+        vals = m.eta.evaluate(x)
         assert np.all((vals >= 0) & (vals <= 1 + 1e-15))
         assert m.t_cap == pytest.approx(
             sigma_interval(m.star2.a, m.star2.b, measure, 0.5))
@@ -318,7 +337,7 @@ def test_partition_sums_to_one(measure, family):
 def test_partition_slopes_track_cell_scale():
     cover = DyadicCover(FAMILY_ONE_END, zeta=0.02, j_max=12)
     members = build_partition(cover, 0.5, MEASURE_MU)
-    by_j = {m.j: m.derivative_bound for m in members}
+    by_j = {m.j: float(np.max(np.abs(m.eta.slopes))) for m in members}
     # ramp widths shrink geometrically toward the accumulation end
     for j in range(2, 11):
         assert by_j[j + 1] > by_j[j]

@@ -14,8 +14,8 @@ import scipy.special as sps
 
 from fbhardy.errors import NumericsError
 from fbhardy.kernels import (UnitIntervalKernels, bessel_heat, bessel_poisson,
-                             check_sharp_estimate, dy_bessel_heat, mu_ball,
-                             LEMMA_IDS)
+                             check_sharp_estimate, dy_bessel_heat, LEMMA_IDS)
+from fbhardy.quadrature import Measure, MEASURE_MU
 
 P1_HALF_CLOSED = 2.0 * math.exp(-math.pi) / (1.0 - math.exp(-2.0 * math.pi))
 
@@ -57,14 +57,6 @@ def test_flat_heat_matches_images(kernels_half):
             got = kernels_half.heat_lebesgue(t, np.array([x]),
                                              np.array([y]))[0]
             assert abs(got - _gaussian_images_heat(t, x, y)) < 1e-11
-
-
-def test_heat_ext_vanishes_outside(kernels_half):
-    x = np.array([0.5, 1.3, 0.4])
-    y = np.array([0.5, 0.5, 1.01])
-    vals = kernels_half.heat_lebesgue_ext(0.05, x, y)
-    assert vals[0] > 0
-    assert vals[1] == 0.0 and vals[2] == 0.0
 
 
 def test_kernel_symmetry(kernels_half):
@@ -226,16 +218,6 @@ def test_dy_bessel_heat_finite_difference():
         assert abs(got - fd) < 1e-7 * max(1.0, abs(fd))
 
 
-def test_dx_poisson_mu_finite_difference(kernels_half):
-    t, h = 0.4, 1e-5
-    y = np.array([0.6])
-    for x in (0.3, 0.55, 0.8):
-        got = kernels_half.dx_poisson_mu(t, np.array([x]), y)[0]
-        fd = (kernels_half.poisson_mu(t, np.array([x + h]), y)[0]
-              - kernels_half.poisson_mu(t, np.array([x - h]), y)[0]) / (2 * h)
-        assert abs(got - fd) < 1e-6 * max(1.0, abs(fd))
-
-
 def test_dy_poisson_lebesgue_finite_difference(kernels_half):
     t, h = 0.4, 1e-5
     x = np.array([0.35])
@@ -247,25 +229,15 @@ def test_dy_poisson_lebesgue_finite_difference(kernels_half):
         assert abs(got - fd) < 1e-6 * max(1.0, abs(fd))
 
 
-def test_delta_series_matches_dx_identity(kernels_half):
-    t = 0.5
-    x = np.array([0.4, 0.7])
-    y = np.array([0.5, 0.3])
-    nu = kernels_half.nu
-    d = kernels_half.delta_poisson(t, x, y)
-    dx = kernels_half.dx_poisson_mu(t, x, y)
-    np.testing.assert_allclose(dx, -d / (x * y) ** (nu + 0.5),
-                               rtol=1e-12, atol=1e-15)
-
-
 def test_mu_ball_closed_form():
     nu = 0.5
     p = 2 * nu + 2
+    mu = Measure.of(MEASURE_MU, nu)
     for x, r in [(0.5, 0.2), (0.1, 0.3), (0.9, 0.05)]:
         lo, hi = max(x - r, 0.0), x + r
         expect = (hi**p - lo**p) / p
-        assert abs(mu_ball(nu, x, r) - expect) < 1e-15
-    capped = mu_ball(nu, 0.9, 0.3, right_edge=1.0)
+        assert abs(mu.interval(lo, hi) - expect) < 1e-15
+    capped = mu.interval(0.6, min(0.9 + 0.3, 1.0))
     assert abs(capped - (1.0 - 0.6**p) / p) < 1e-15
 
 

@@ -18,12 +18,12 @@ from fbhardy.kernels import bessel_poisson
 from fbhardy.maximal import (CutoffRho, HomogeneousSpace, MaximalResult,
                              SpectralExpansion, TimeGrid, apply_halfline,
                              apply_heat, apply_poisson,
-                             check_uchiyama_conditions, commutator_matrix,
+                             check_uchiyama_conditions,
                              compare_semigroups, duhamel_closure,
                              duhamel_residual_kernels, maximal_function,
                              split_maximal, uchiyama_kernel, uchiyama_time)
-from fbhardy.quadrature import (MEASURE_LEBESGUE, MEASURE_MU, SampledFunction,
-                                mu_distance)
+from fbhardy.quadrature import (MEASURE_LEBESGUE, MEASURE_MU, Measure,
+                                SampledFunction)
 
 SQRT_2PI = 2.5066282746310002
 # max over s >= 0 of exp(-s^2/2) (1+s)^2 / sqrt(2 pi), attained at s = 1
@@ -232,11 +232,19 @@ def test_homogeneous_space_lebesgue_balls():
     assert np.all((pts > 0.2) & (pts < 0.8))
 
 
+def test_homogeneous_space_rejects_unknown_metric_and_measure():
+    # a misspelt metric used to fall through to the mu-cdf distance
+    with pytest.raises(ValueError, match="unknown metric"):
+        HomogeneousSpace(Interval(0.2, 0.8), "euclidian", MEASURE_LEBESGUE, 0.5)
+    with pytest.raises(ValueError, match="unknown measure tag"):
+        HomogeneousSpace(Interval(0.2, 0.8), "euclidean", "Lebesgue", 0.5)
+
+
 def test_homogeneous_space_mu_cdf_metric():
     nu = 0.5
     sp = HomogeneousSpace(Interval(0.0, 2.0), "mu_cdf", MEASURE_MU, nu)
     u, v = 0.7, 1.3
-    assert sp.distance(u, v) == pytest.approx(mu_distance(nu, u, v))
+    assert sp.distance(u, v) == pytest.approx(Measure.of(MEASURE_MU, nu).distance(u, v))
     # metric balls have measure 2r away from the ends, by construction
     assert sp.ball_sigma(1.0, 0.05) == pytest.approx(0.1)
     z = sp.shift(1.0, 0.07, +1)
@@ -366,27 +374,3 @@ def test_compare_semigroups_input_guards(basis_half, grid_mu, grid_leb):
     other = SampledFunction.from_callable(grid_leb, lambda x: 0 * x)
     with pytest.raises(ValueError):
         compare_semigroups(basis_half, [f, other])
-
-
-def test_commutator_matrix_vanishes_with_constant_eta(kernels_half):
-    x = np.linspace(0.1, 0.9, 6)
-    members = [(lambda u: np.ones_like(u), 0.5, "mu")]
-    m = commutator_matrix(kernels_half, members, x, x)
-    assert np.all(m == 0.0)
-
-
-def test_commutator_matrix_symmetric_zero_diagonal(kernels_half):
-    x = np.linspace(0.1, 0.9, 6)
-    eta = lambda u: np.clip((u - 0.2) / 0.4, 0.0, 1.0)
-    members = [(eta, 0.5, "mu"), (eta, 0.5, "lebesgue")]
-    m = commutator_matrix(kernels_half, members, x, x, n_t=6)
-    assert np.allclose(np.diag(m), 0.0)
-    assert np.allclose(m, m.T, rtol=1e-12)
-    assert np.all(np.isfinite(m))
-
-
-def test_commutator_matrix_rejects_tiny_cap(kernels_half):
-    x = np.linspace(0.1, 0.9, 4)
-    eta = lambda u: np.clip((u - 0.2) / 0.4, 0.0, 1.0)
-    with pytest.raises(NumericsError):
-        commutator_matrix(kernels_half, [(eta, 1e-4, "mu")], x, x)

@@ -158,9 +158,7 @@ def _kernel_calls(t, t_heat):
         "poisson_lebesgue": lambda k, x, y: k.poisson_lebesgue(t, x, y),
         "heat_mu": lambda k, x, y: k.heat_mu(t_heat, x, y),
         "heat_lebesgue": lambda k, x, y: k.heat_lebesgue(t_heat, x, y),
-        "heat_lebesgue_ext": lambda k, x, y: k.heat_lebesgue_ext(t_heat, x, y),
         "delta_poisson": lambda k, x, y: k.delta_poisson(t, x, y),
-        "dx_poisson_mu": lambda k, x, y: k.dx_poisson_mu(t, x, y),
         "dy_poisson_lebesgue": lambda k, x, y: k.dy_poisson_lebesgue(t, x, y),
     }
 

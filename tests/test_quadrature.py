@@ -6,8 +6,8 @@ import scipy.special as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fbhardy.quadrature import (Grid, SampledFunction, grid_on_interval,
-                                make_quadrature, mu_distance,
+from fbhardy.quadrature import (Grid, Measure, SampledFunction,
+                                grid_on_interval, make_quadrature,
                                 MEASURE_LEBESGUE, MEASURE_MU)
 
 
@@ -42,7 +42,7 @@ def test_mu_distance_closed_form():
     p = 2 * nu + 2
     for x, y in [(0.1, 0.7), (0.5, 0.5), (2.0, 0.3)]:
         expect = abs(y**p - x**p) / p
-        assert abs(mu_distance(nu, x, y) - expect) < 1e-14
+        assert abs(Measure.of(MEASURE_MU, nu).distance(x, y) - expect) < 1e-14
 
 
 def test_grid_on_interval_restricts():
@@ -76,16 +76,6 @@ def test_sampled_function_norms():
     assert abs(f.l2_norm() - math.sqrt(1.0 / 12.0)) < 1e-14
 
 
-def test_sampled_function_to_csv(tmp_path):
-    g = make_quadrature("unit_interval", 16, measure=MEASURE_MU, nu=0.5)
-    f = SampledFunction.from_callable(g, np.sin)
-    path = tmp_path / "f.csv"
-    f.write_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x,value"
-    assert len(lines) == 1 + len(g.nodes)
-
-
 def test_make_quadrature_rejects_unknown_domain():
     with pytest.raises(ValueError):
         make_quadrature("circle", 32, measure=MEASURE_MU, nu=0.5)
@@ -99,3 +89,73 @@ def test_moment_property(nu, k):
     g = make_quadrature("unit_interval", 128, measure=MEASURE_MU, nu=nu)
     got = g.integrate(g.nodes**k)
     assert abs(got - 1.0 / (k + 2 * nu + 2)) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# the power-law measure
+
+_TAG = st.sampled_from([MEASURE_MU, MEASURE_LEBESGUE])
+_NU = st.floats(-0.5, 8.0, exclude_min=True)
+_X = st.floats(1e-3, 2.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tag=_TAG, nu=_NU, xs=st.lists(_X, min_size=3, max_size=3))
+def test_measure_cdf_interval_distance(tag, nu, xs):
+    m = Measure.of(tag, nu)
+    a, b, c = sorted(xs)
+    for x in xs:
+        assert m.quantile(m.cdf(x)) == pytest.approx(x, rel=1e-12)
+    # one formula for an interval, additive, and 0 on an empty one
+    assert m.interval(a, c) == m.cdf(c) - m.cdf(a)
+    assert m.interval(a, b) + m.interval(b, c) == pytest.approx(
+        m.interval(a, c), rel=1e-13, abs=1e-300)
+    assert m.interval(c, a) == 0.0 and m.interval(b, b) == 0.0
+    if tag == MEASURE_LEBESGUE:
+        assert m.p == 1.0 and m.interval(a, c) == c - a
+    # the cdf distance is a metric
+    assert m.distance(a, c) == m.distance(c, a)
+    assert m.distance(a, a) == 0.0
+    for x, y, z in ((a, c, b), (a, b, c), (b, a, c)):
+        assert m.distance(x, y) <= (m.distance(x, z) + m.distance(z, y)) \
+            * (1.0 + 1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tag=_TAG, nu=_NU, lo=_X, width=st.floats(1e-3, 1.0),
+       s=st.floats(-3.0, 3.0), c=st.floats(-3.0, 3.0))
+def test_measure_linear_integrals_match_quadrature(tag, nu, lo, width, s, c):
+    mpmath = pytest.importorskip("mpmath")
+    m = Measure.of(tag, nu)
+    p, hi = m.p, lo + width
+    with mpmath.workdps(30):
+        # the two moments, each with its integrand scaled to peak at 1 (the
+        # quadrature's error target is absolute)
+        m1, m0 = (mpmath.quad(lambda x: (x / hi) ** (mpmath.mpf(p) - 1 + k),
+                              [lo, hi]) * mpmath.mpf(hi) ** (p - 1 + k)
+                  for k in (1, 0))
+        want = s * m1 + c * m0
+    got = m.linear_integrals(s, c, lo, hi)
+    # the closed form differences antiderivative values, so its rounding
+    # error scales with their size, not with the integral's
+    size = abs(s) * hi ** (p + 1) / (p + 1) + abs(c) * hi**p / p
+    assert abs(got - float(want)) <= 1e-14 * size
+
+
+def test_measure_vectorized_interval():
+    m = Measure.of(MEASURE_MU, 0.5)
+    a = np.array([0.1, 0.5, 0.7])
+    b = np.array([0.3, 0.5, 0.2])
+    got = m.interval(a, b)
+    assert got[0] == m.cdf(0.3) - m.cdf(0.1)
+    assert got[1] == 0.0 and got[2] == 0.0
+
+
+def test_unknown_measure_tag_is_rejected():
+    with pytest.raises(ValueError, match="unknown measure tag"):
+        Measure.of("weighted", 0.5)
+    # a mistyped tag used to drop the density silently
+    with pytest.raises(ValueError, match="unknown measure tag"):
+        grid_on_interval(0.1, 0.5, 24, "Mu", 0.5)
+    with pytest.raises(ValueError, match="unknown measure tag"):
+        make_quadrature("unit_interval", 32, measure="Mu", nu=0.5)
