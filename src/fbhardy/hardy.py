@@ -583,8 +583,8 @@ def _remainders(fn: PiecewiseLinear, depth: int, cells, a, b,
     # each cell's integral summed left to right from 0, as cumulative() does
     counts = n_breaks - 1
     rows = np.zeros((len(sel), int(counts.max(initial=0)) + 1))
-    rows[owner, left - start[owner] + 1] = Measure.of(
-        measure, nu).linear_integrals(s, c, x0, x1)
+    integrals = Measure.of(measure, nu).linear_integrals
+    rows[owner, left - start[owner] + 1] = integrals(s, c, x0, x1)
     c = c - (np.cumsum(rows, axis=1)[:, -1] / sigma_cell)[owner]
     ends = np.maximum(np.abs(s * x0 + c), np.abs(s * x1 + c))
     sup = np.maximum.reduceat(ends, start - np.arange(len(sel))) \

@@ -218,6 +218,20 @@ def test_dy_bessel_heat_finite_difference():
         assert abs(got - fd) < 1e-7 * max(1.0, abs(fd))
 
 
+def test_delta_poisson_finite_difference(kernels_half):
+    # the delta series is -(xy)^(nu + 1/2) times the x-derivative of the
+    # weighted Poisson kernel
+    t, h = 0.4, 1e-5
+    y = np.array([0.6])
+    nu = kernels_half.nu
+    for x in (0.3, 0.55, 0.8):
+        d = kernels_half.delta_poisson(t, np.array([x]), y)[0]
+        got = -d / (x * y[0]) ** (nu + 0.5)
+        fd = (kernels_half.poisson_mu(t, np.array([x + h]), y)[0]
+              - kernels_half.poisson_mu(t, np.array([x - h]), y)[0]) / (2 * h)
+        assert abs(got - fd) < 1e-6 * max(1.0, abs(fd))
+
+
 def test_dy_poisson_lebesgue_finite_difference(kernels_half):
     t, h = 0.4, 1e-5
     x = np.array([0.35])
