@@ -16,7 +16,7 @@ from .kernels import (UnitIntervalKernels, bessel_heat, bessel_poisson,
 from .maximal import (CutoffRho, SpectralExpansion, TimeGrid,
                       apply_halfline, apply_heat, apply_poisson,
                       compare_semigroups, duhamel_closure, maximal_function,
-                      split_maximal, uchiyama_families, uchiyama_kernel)
+                      uchiyama_families, uchiyama_kernel)
 from .quadrature import (Grid, Measure, SampledFunction, grid_on_interval,
                          make_quadrature, MEASURE_LEBESGUE, MEASURE_MU)
 from .specfun import Order, bessel_zeros
@@ -35,7 +35,7 @@ __all__ = [
     "coefficients", "compare_semigroups", "duhamel_closure",
     "grid_on_interval", "h1_norm_report", "haar_atom", "hankel_transform",
     "load_config", "make_quadrature", "maximal_function", "random_atoms",
-    "special_atom", "split_maximal",
+    "special_atom",
     "synthesize", "two_atom_split", "uchiyama_families", "uchiyama_kernel",
     "validate_atom",
 ]

@@ -24,8 +24,8 @@ from .covers import DyadicCover, FAMILY_ONE_END, FAMILY_TWO_END
 from .errors import ConfigError, NumericsError
 from .hardy import (PiecewiseLinear, atomic_decompose, h1_norm_report,
                     random_atoms, validate_atom)
-from .kernels import (LEMMA_IDS, UnitIntervalKernels, bessel_heat,
-                      bessel_poisson, check_sharp_estimate)
+from .kernels import (HALFLINE_KERNELS, LEMMA_IDS, SERIES_KERNELS,
+                      UnitIntervalKernels, check_sharp_estimate)
 from .maximal import (CutoffRho, SpectralExpansion, TimeGrid, duhamel_closure,
                       duhamel_residual_kernels, maximal_function,
                       uchiyama_families)
@@ -164,26 +164,30 @@ def cmd_zeros(session: _Session, args) -> int:
     return 0
 
 
-_KERNEL_CHOICES = ("poisson-mu", "poisson-lebesgue", "heat-mu",
-                   "heat-lebesgue", "bessel-heat", "bessel-poisson")
+# --which choice -> kernel: the series kernels of one system (poisson-mu ->
+# poisson_mu; delta_poisson mixes two) and the half-line ones (bessel-heat)
+_SERIES_CHOICES = {name.replace("_", "-"): name
+                   for name, (_, _, x_rows, y_rows) in SERIES_KERNELS.items()
+                   if x_rows == y_rows}
+_HALFLINE_CHOICES = {f"bessel-{kind}": kind for kind in HALFLINE_KERNELS}
+_KERNEL_CHOICES = tuple(_SERIES_CHOICES) + tuple(_HALFLINE_CHOICES)
 
 
 def cmd_kernel(session: _Session, args) -> int:
     which = args.which
     n = args.grid
     cfg = session.cfg
-    if which.startswith("bessel"):
+    if which in _HALFLINE_CHOICES:
         x = np.geomspace(0.05, 0.75 * cfg.halfline_radius, n)
+        halfline = HALFLINE_KERNELS[_HALFLINE_CHOICES[which]]
+        kernel = lambda t: halfline(cfg.nu, t, x[:, None], x[None, :])
     else:
         x = np.linspace(0.5 / (n + 1), 1.0 - 0.5 / (n + 1), n)
+        method = getattr(session.kernels, _SERIES_CHOICES[which])
+        kernel = lambda t: method(t, x, x, matrix=True)
     rows = []
     for t in args.t:
-        if which.startswith("bessel"):    # the half-line kernels
-            halfline = bessel_heat if which == "bessel-heat" else bessel_poisson
-            mat = halfline(cfg.nu, t, x[:, None], x[None, :])
-        else:                             # e.g. poisson-mu -> poisson_mu
-            method = getattr(session.kernels, which.replace("-", "_"))
-            mat = method(t, x, x, matrix=True)
+        mat = kernel(t)
         for i, xi in enumerate(x):
             for k, yk in enumerate(x):
                 rows.append((t, xi, yk, mat[i, k]))
@@ -194,7 +198,7 @@ def cmd_kernel(session: _Session, args) -> int:
 
 
 def cmd_estimates(session: _Session, args) -> int:
-    lemmas = LEMMA_IDS if args.lemma == "all" else (args.lemma,)
+    lemmas = (args.lemma,) if args.lemma in LEMMA_IDS else LEMMA_IDS   # or "all"
     kernels = session.kernels
     status = 0
     for lemma in lemmas:
@@ -257,14 +261,10 @@ def cmd_duhamel(session: _Session, args) -> int:
 def cmd_uchiyama(session: _Session, args) -> int:
     reports = uchiyama_families(session.kernels, zeta=session.cfg.zeta,
                                 n_r=args.n_r, n_space=args.grid)
-    payload = [r.to_dict() for r in reports]
-    unit_mu = [r.a_total for r in reports if r.label.startswith("unit-mu")]
-    unit_flat = [r.a_total for r in reports if r.label.startswith("unit-flat")]
-    summary = {
-        "reports": payload,
-        "spread_unit_mu": max(unit_mu) / min(unit_mu) if unit_mu else None,
-        "spread_unit_flat": max(unit_flat) / min(unit_flat) if unit_flat else None,
-    }
+    summary = {"reports": [r.to_dict() for r in reports]}
+    for family in ("unit-mu", "unit-flat"):
+        a = [r.a_total for r in reports if r.label.startswith(family)]
+        summary[f"spread_{family.replace('-', '_')}"] = max(a) / min(a) if a else None
     _write_json(session.out("uchiyama.json"), summary)
     for r in reports:
         print(f"uchiyama[{r.label}]: A={r.a_total:.4g} "

@@ -1,12 +1,14 @@
 """Poisson and heat kernels for the Bessel operator, with sharp-bound checks.
 
-Six kernels are covered.  On (0, 1), with lam_n the positive zeros of J_nu and
-phi_n / psi_n the weighted and flat orthonormal systems from `basis`:
+On (0, 1), with lam_n the positive zeros of J_nu, phi_n / psi_n the weighted
+and flat orthonormal systems from `basis`, and chi_n the image of psi_n under
+-d/dx + (nu + 1/2)/x, SERIES_KERNELS holds the series kernels:
 
-    weighted Poisson   sum_n exp(-t lam_n)   phi_n(x) phi_n(y)
-    flat Poisson       sum_n exp(-t lam_n)   psi_n(x) psi_n(y)
-    weighted heat      sum_n exp(-t lam_n^2) phi_n(x) phi_n(y)
-    flat heat          sum_n exp(-t lam_n^2) psi_n(x) psi_n(y)
+    poisson_mu         sum_n exp(-t lam_n)   phi_n(x) phi_n(y)
+    poisson_lebesgue   sum_n exp(-t lam_n)   psi_n(x) psi_n(y)
+    heat_mu            sum_n exp(-t lam_n^2) phi_n(x) phi_n(y)
+    heat_lebesgue      sum_n exp(-t lam_n^2) psi_n(x) psi_n(y)
+    delta_poisson      sum_n exp(-t lam_n)   chi_n(x) psi_n(y)
 
 On (0, inf) the heat kernel of the Bessel operator has the closed form
 
@@ -27,12 +29,13 @@ against the closed-form comparand of each estimate on a deterministic
 (t, x, y) box and reports min/max ratios together with their drift under a
 twofold grid refinement.  The refined grid is a superset of the base grid, so
 the extremes can only widen; an estimate passes when the ratios are finite and
-widen by less than ten percent.
+widen by less than ten percent.  Each estimate is one row of `_LEMMAS`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -53,12 +56,34 @@ def _broadcast(*arrays):
 # series kernels on (0, 1)
 
 
-class UnitIntervalKernels:
-    """Certified evaluators for the four series kernels on (0, 1).
+# semigroup -> multiplier of the n-th term, (lam_n, t) -> weight
+SEMIGROUPS = {
+    "poisson": lambda lam, t: np.exp(-t * lam),
+    "heat": lambda lam, t: np.exp(-t * lam**2),
+}
 
-    Pointwise methods broadcast x against y elementwise; matrix methods return
-    the full outer table (len(x), len(y)).  `series_tol` is an absolute
-    accuracy target per value.
+# kernel name -> (semigroup, basis tail count, x rows, y rows); each entry is
+# a UnitIntervalKernels method
+SERIES_KERNELS = {
+    "poisson_mu": ("poisson", "poisson_terms_needed", "phi", "phi"),
+    "poisson_lebesgue": ("poisson", "poisson_terms_needed", "psi", "psi"),
+    "heat_mu": ("heat", "heat_terms_needed", "phi", "phi"),
+    "heat_lebesgue": ("heat", "heat_terms_needed", "psi", "psi"),
+    "delta_poisson": ("poisson", "delta_terms_needed", "chi", "psi"),
+}
+
+# row builders, looked up at call time so that wrapped basis methods are seen
+_ROWS = {"phi": lambda k: k.basis.phi_matrix,
+         "psi": lambda k: k.basis.psi_matrix,
+         "chi": lambda k: k._chi_matrix}
+
+
+class UnitIntervalKernels:
+    """Certified evaluators for the series kernels on (0, 1).
+
+    Each entry of SERIES_KERNELS is a method; pointwise calls broadcast x
+    against y elementwise, matrix calls return the full outer table
+    (len(x), len(y)).  `series_tol` is an absolute accuracy target per value.
     """
 
     def __init__(self, basis: EigenBasis, series_tol: float = 1e-10):
@@ -136,39 +161,7 @@ class UnitIntervalKernels:
                         self._rows_at(rows_fn_y, yb, n))
         return float(out[0]) if shape == () else out.reshape(shape)
 
-    # -- public kernels ------------------------------------------------------
-
-    def poisson_mu(self, t: float, x, y, matrix: bool = False, tol=None):
-        n = self._n(self.basis.poisson_terms_needed, t, tol)
-        return self._eval(lambda lam: np.exp(-t * lam),
-                          self.basis.phi_matrix, self.basis.phi_matrix,
-                          n, x, y, matrix)
-
-    def poisson_lebesgue(self, t: float, x, y, matrix: bool = False, tol=None):
-        n = self._n(self.basis.poisson_terms_needed, t, tol)
-        return self._eval(lambda lam: np.exp(-t * lam),
-                          self.basis.psi_matrix, self.basis.psi_matrix,
-                          n, x, y, matrix)
-
-    def heat_mu(self, t: float, x, y, matrix: bool = False, tol=None):
-        n = self._n(self.basis.heat_terms_needed, t, tol)
-        return self._eval(lambda lam: np.exp(-t * lam**2),
-                          self.basis.phi_matrix, self.basis.phi_matrix,
-                          n, x, y, matrix)
-
-    def heat_lebesgue(self, t: float, x, y, matrix: bool = False, tol=None):
-        n = self._n(self.basis.heat_terms_needed, t, tol)
-        return self._eval(lambda lam: np.exp(-t * lam**2),
-                          self.basis.psi_matrix, self.basis.psi_matrix,
-                          n, x, y, matrix)
-
-    def delta_poisson(self, t: float, x, y, matrix: bool = False, tol=None):
-        """First-order factor applied in x to the flat Poisson kernel:
-        sum_n exp(-t lam_n) c_n^2 lam_n sqrt(xy) J_{nu+1}(lam_n x) J_nu(lam_n y)."""
-        n = self._n(self.basis.delta_terms_needed, t, tol)
-        return self._eval(lambda lam: np.exp(-t * lam),
-                          self._chi_matrix, self.basis.psi_matrix,
-                          n, x, y, matrix)
+    # -- public kernels (the SERIES_KERNELS methods are set below) -----------
 
     def dy_poisson_lebesgue(self, t: float, x, y, matrix: bool = False, tol=None):
         """y-derivative of the flat Poisson kernel,
@@ -178,7 +171,7 @@ class UnitIntervalKernels:
         scale = min(1.0, float(np.min(ya)) / (self.nu + 0.5))
         n = max(self._n(self.basis.delta_terms_needed, t, tol),
                 self._n(self.basis.poisson_terms_needed, t, tol * scale))
-        w = np.exp(-t * self.basis.table.zeros[:n])
+        w = SEMIGROUPS["poisson"](self.basis.table.zeros[:n], t)
         if matrix:
             xa = np.atleast_1d(np.asarray(x, dtype=float))
             psi_x = self.basis.psi_matrix(xa, n)
@@ -192,6 +185,22 @@ class UnitIntervalKernels:
         d = np.einsum("np,np->p", psi_x, self._rows_at(self._chi_matrix, yb, n))
         out = (self.nu + 0.5) * p / yb.ravel() - d
         return float(out[0]) if shape == () else out.reshape(shape)
+
+
+def _series_method(name: str):
+    semigroup, terms, x_rows, y_rows = SERIES_KERNELS[name]
+
+    def kernel(self, t: float, x, y, matrix: bool = False, tol=None):
+        n = self._n(getattr(self.basis, terms), t, tol)
+        return self._eval(lambda lam: SEMIGROUPS[semigroup](lam, t),
+                          _ROWS[x_rows](self), _ROWS[y_rows](self), n, x, y, matrix)
+    kernel.__name__ = name
+    kernel.__qualname__ = f"UnitIntervalKernels.{name}"
+    return kernel
+
+
+for _name in SERIES_KERNELS:
+    setattr(UnitIntervalKernels, _name, _series_method(_name))
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +303,14 @@ def bessel_poisson(nu: float, t, x, y):
     return float(acc[0]) if xb.shape == () else acc.reshape(xb.shape)
 
 
+# semigroup -> half-line kernel (nu, t, x, y); the lambdas look the module
+# functions up at call time, so a wrapped bessel_heat is the one called
+HALFLINE_KERNELS = {
+    "heat": lambda nu, t, x, y: bessel_heat(nu, t, x, y),
+    "poisson": lambda nu, t, x, y: bessel_poisson(nu, t, x, y),
+}
+
+
 # ---------------------------------------------------------------------------
 # comparands for the sharp estimates
 
@@ -350,14 +367,6 @@ def comparand_dy_bessel_heat(nu: float, t, x, y, c: float = GAUSS_DECAY_C):
 # estimate checking
 
 
-LEMMA_IDS = ("sharp-P", "sharp-Pmu", "grad-P", "dy-P",
-             "heat-gauss", "heat-large-t", "bessel-heat-gauss", "dy-bessel-heat")
-
-_TWO_SIDED = {"sharp-P": True, "sharp-Pmu": True, "grad-P": False,
-              "dy-P": False, "heat-gauss": False, "heat-large-t": True,
-              "bessel-heat-gauss": False, "dy-bessel-heat": False}
-
-
 def _json_float(v: float):
     return float(v) if math.isfinite(v) else None
 
@@ -406,15 +415,6 @@ def _refine_geometric(a: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate([a, mid]))
 
 
-def _unit_space_grid(n: int = 18) -> np.ndarray:
-    inner = np.linspace(0.03, 0.97, n)
-    return np.sort(np.concatenate([[0.008], inner, [0.992]]))
-
-
-def _halfline_space_grid(n: int = 16) -> np.ndarray:
-    return np.geomspace(0.03, 7.5, n)
-
-
 class _RatioScan:
     """Tracks extreme kernel/comparand ratios with their witnesses.
 
@@ -454,50 +454,84 @@ class _RatioScan:
             self.rmax, self.wmax = float(ratio[i, j]), witness(i, j)
 
 
-def _scan_lemma(lemma: str, kernels: UnitIntervalKernels | None, nu: float,
+def _poisson_tol(kernels, t: float):
+    """Beyond t = 1 the kernel decays like exp(-t lam_1): scale tol with it."""
+    return None if t <= 1.0 else kernels.series_tol * math.exp(-t * kernels.lam1)
+
+
+def _poisson_times(kernels, x_grid, n_t: int) -> np.ndarray:
+    small = np.geomspace(max(kernels.poisson_floor(), 1e-4), 1.0, n_t)
+    return np.concatenate([small, np.geomspace(1.25, 3.0, max(n_t // 2, 4))])
+
+
+def _derivative_times(kernels, x_grid, n_t: int) -> np.ndarray:
+    floor = kernels.derivative_floor(x_grid[0], x_grid[0])
+    return np.geomspace(max(floor, 1e-4), 1.0, n_t)
+
+
+class _Lemma(NamedTuple):
+    two_sided: bool        # else an upper bound
+    halfline: bool         # domain (0, inf), else (0, 1)
+    times: Callable        # (kernels, x_grid, n_t) -> base time grid
+    kernel: Callable       # (kernels, nu, t, x, y, tol) -> kernel table
+    comparand: Callable    # (kernels, nu, t, x[:, None], y[None, :])
+    tol: Callable = lambda kernels, t: None   # series tol at t; None: the default
+
+
+# estimate id -> row; the callables name module functions and kernel methods,
+# so those are looked up at call time
+_LEMMAS = {
+    "sharp-P": _Lemma(
+        True, False, _poisson_times,
+        lambda k, nu, t, x, y, tol: k.poisson_lebesgue(t, x, y, matrix=True, tol=tol),
+        lambda k, nu, t, x, y: comparand_poisson_lebesgue(nu, k.lam1, t, x, y),
+        _poisson_tol),
+    "sharp-Pmu": _Lemma(
+        True, False, _poisson_times,
+        lambda k, nu, t, x, y, tol: k.poisson_mu(t, x, y, matrix=True, tol=tol),
+        lambda k, nu, t, x, y: comparand_poisson_mu(nu, k.lam1, t, x, y),
+        _poisson_tol),
+    "grad-P": _Lemma(
+        False, False, _derivative_times,
+        lambda k, nu, t, x, y, tol: np.abs(k.delta_poisson(t, x, y, matrix=True)),
+        lambda k, nu, t, x, y: comparand_gradient(t, x, y)),
+    "dy-P": _Lemma(
+        False, False, _derivative_times,
+        lambda k, nu, t, x, y, tol: np.abs(k.dy_poisson_lebesgue(t, x, y, matrix=True)),
+        lambda k, nu, t, x, y: comparand_gradient(t, x, y)),
+    "heat-gauss": _Lemma(
+        False, False, lambda k, x, n_t: np.geomspace(max(k.heat_floor(), 1e-6), 1.0, n_t),
+        lambda k, nu, t, x, y, tol: k.heat_mu(t, x, y, matrix=True),
+        lambda k, nu, t, x, y: comparand_heat_gauss(nu, t, x, y)),
+    "heat-large-t": _Lemma(
+        True, False, lambda k, x, n_t: np.geomspace(1.0, 6.0, n_t),
+        lambda k, nu, t, x, y, tol: k.heat_mu(t, x, y, matrix=True, tol=tol),
+        lambda k, nu, t, x, y: comparand_heat_large(k.lam1, t, x, y),
+        lambda k, t: k.series_tol * math.exp(-t * k.lam1**2)),
+    "bessel-heat-gauss": _Lemma(
+        False, True, lambda k, x, n_t: np.geomspace(1e-4, 10.0, n_t),
+        lambda k, nu, t, x, y, tol: bessel_heat(nu, t, x[:, None], y[None, :]),
+        lambda k, nu, t, x, y: comparand_bessel_heat_gauss(nu, t, x, y)),
+    "dy-bessel-heat": _Lemma(
+        False, True, lambda k, x, n_t: np.geomspace(1e-4, 10.0, n_t),
+        lambda k, nu, t, x, y, tol: np.abs(dy_bessel_heat(nu, t, x[:, None], y[None, :])),
+        lambda k, nu, t, x, y: comparand_dy_bessel_heat(nu, t, x, y)),
+}
+
+LEMMA_IDS = tuple(_LEMMAS)
+
+
+def _scan_lemma(row: _Lemma, kernels: UnitIntervalKernels | None, nu: float,
                 t_grid: np.ndarray, x_grid: np.ndarray, y_grid: np.ndarray) -> _RatioScan:
     scan = _RatioScan()
     for t in t_grid:
         t = float(t)
-        floor = 1e-280   # closed-form kernels only need a guard against underflow
-        if lemma == "sharp-P":
-            tol = None if t <= 1.0 else kernels.series_tol * math.exp(-t * kernels.lam1)
-            k = kernels.poisson_lebesgue(t, x_grid, y_grid, matrix=True, tol=tol)
-            comp = comparand_poisson_lebesgue(nu, kernels.lam1, t,
-                                              x_grid[:, None], y_grid[None, :])
-            floor = 1e3 * (kernels.series_tol if tol is None else tol)
-        elif lemma == "sharp-Pmu":
-            tol = None if t <= 1.0 else kernels.series_tol * math.exp(-t * kernels.lam1)
-            k = kernels.poisson_mu(t, x_grid, y_grid, matrix=True, tol=tol)
-            comp = comparand_poisson_mu(nu, kernels.lam1, t,
-                                        x_grid[:, None], y_grid[None, :])
-            floor = 1e3 * (kernels.series_tol if tol is None else tol)
-        elif lemma == "grad-P":
-            k = np.abs(kernels.delta_poisson(t, x_grid, y_grid, matrix=True))
-            comp = comparand_gradient(t, x_grid[:, None], y_grid[None, :])
-            floor = 1e3 * kernels.series_tol
-        elif lemma == "dy-P":
-            k = np.abs(kernels.dy_poisson_lebesgue(t, x_grid, y_grid, matrix=True))
-            comp = comparand_gradient(t, x_grid[:, None], y_grid[None, :])
-            floor = 1e3 * kernels.series_tol
-        elif lemma == "heat-gauss":
-            k = kernels.heat_mu(t, x_grid, y_grid, matrix=True)
-            comp = comparand_heat_gauss(nu, t, x_grid[:, None], y_grid[None, :])
-            floor = 1e3 * kernels.series_tol
-        elif lemma == "heat-large-t":
-            tol = kernels.series_tol * math.exp(-t * kernels.lam1**2)
-            k = kernels.heat_mu(t, x_grid, y_grid, matrix=True, tol=tol)
-            comp = comparand_heat_large(kernels.lam1, t,
-                                        x_grid[:, None], y_grid[None, :])
-            floor = 1e3 * tol
-        elif lemma == "bessel-heat-gauss":
-            k = bessel_heat(nu, t, x_grid[:, None], y_grid[None, :])
-            comp = comparand_bessel_heat_gauss(nu, t, x_grid[:, None], y_grid[None, :])
-        elif lemma == "dy-bessel-heat":
-            k = np.abs(dy_bessel_heat(nu, t, x_grid[:, None], y_grid[None, :]))
-            comp = comparand_dy_bessel_heat(nu, t, x_grid[:, None], y_grid[None, :])
-        else:
-            raise ValueError(f"unknown estimate id {lemma!r}")
+        tol = row.tol(kernels, t)
+        k = row.kernel(kernels, nu, t, x_grid, y_grid, tol)
+        comp = row.comparand(kernels, nu, t, x_grid[:, None], y_grid[None, :])
+        # closed-form kernels only need a guard against underflow
+        floor = 1e-280 if row.halfline else \
+            1e3 * (kernels.series_tol if tol is None else tol)
         scan.update(t, x_grid, y_grid, np.asarray(k, dtype=float), comp, floor)
     return scan
 
@@ -512,46 +546,34 @@ def check_sharp_estimate(lemma: str, kernels: UnitIntervalKernels | None = None,
     refinement; one-sided (upper) estimates only constrain the maximum, but
     the minimum is still reported for the record.
     """
-    if lemma not in LEMMA_IDS:
+    if lemma not in _LEMMAS:
         raise ValueError(f"unknown estimate id {lemma!r}; choose from {LEMMA_IDS}")
-    halfline = lemma in ("bessel-heat-gauss", "dy-bessel-heat")
-    if halfline:
+    row = _LEMMAS[lemma]
+    if row.halfline:
         if nu is None:
             raise ValueError("half-line estimates need nu")
-        x_grid = _halfline_space_grid(n_space)
-        t_grid = np.geomspace(1e-4, 10.0, n_t)
+        x_grid = np.geomspace(0.03, 7.5, n_space)
     else:
         if kernels is None:
             raise ValueError(f"estimate {lemma!r} needs a UnitIntervalKernels instance")
         nu = kernels.nu
-        x_grid = _unit_space_grid(n_space)
-        if lemma in ("sharp-P", "sharp-Pmu"):
-            floor = kernels.poisson_floor()
-            t_grid = np.concatenate([np.geomspace(max(floor, 1e-4), 1.0, n_t),
-                                     np.geomspace(1.25, 3.0, max(n_t // 2, 4))])
-        elif lemma in ("grad-P", "dy-P"):
-            floor = kernels.derivative_floor(x_grid[0], x_grid[0])
-            t_grid = np.geomspace(max(floor, 1e-4), 1.0, n_t)
-        elif lemma == "heat-gauss":
-            floor = kernels.heat_floor()
-            t_grid = np.geomspace(max(floor, 1e-6), 1.0, n_t)
-        else:  # heat-large-t
-            t_grid = np.geomspace(1.0, 6.0, n_t)
+        inner = np.linspace(0.03, 0.97, n_space)
+        x_grid = np.sort(np.concatenate([[0.008], inner, [0.992]]))
+    t_grid = row.times(kernels, x_grid, n_t)
     y_grid = x_grid.copy()
 
-    base = _scan_lemma(lemma, kernels, nu, t_grid, x_grid, y_grid)
-    fine = _scan_lemma(lemma, kernels, nu, _refine_geometric(t_grid),
+    base = _scan_lemma(row, kernels, nu, t_grid, x_grid, y_grid)
+    fine = _scan_lemma(row, kernels, nu, _refine_geometric(t_grid),
                        _refine_linear(x_grid), _refine_linear(y_grid))
 
     # the refined grid is a superset, so extremes only widen
     drift_max = fine.rmax / base.rmax - 1.0 if base.rmax > 0 else math.inf
     drift_min = base.rmin / fine.rmin - 1.0 if fine.rmin > 0 else math.inf
-    two_sided = _TWO_SIDED[lemma]
     ok = math.isfinite(fine.rmax) and abs(drift_max) <= drift_tol
-    if two_sided:
+    if row.two_sided:
         ok = ok and fine.rmin > 0 and abs(drift_min) <= drift_tol
     return EstimateReport(
-        lemma=lemma, kind="two_sided" if two_sided else "upper", nu=nu,
+        lemma=lemma, kind="two_sided" if row.two_sided else "upper", nu=nu,
         t_range=(float(t_grid[0]), float(t_grid[-1])),
         n_samples=base.count + fine.count, n_masked=base.masked + fine.masked,
         ratio_min=base.rmin, ratio_max=base.rmax,

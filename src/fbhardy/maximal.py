@@ -2,14 +2,17 @@
 
 The semigroup action on a sampled function goes through its expansion in the
 eigenbasis: the coefficients are computed once by quadrature (truncated at the
-grid's resolvable frequency), and each time slice is a weighted synthesis.
-This route stays accurate for every t > 0, unlike pointwise kernel series
-which need small-time certification.
+grid's resolvable frequency), and each time slice is a synthesis weighted by
+the semigroup's multiplier from `kernels.SEMIGROUPS`. This route stays
+accurate for every t > 0, unlike pointwise kernel series which need
+small-time certification. On the half line the semigroups act by quadrature
+against `kernels.HALFLINE_KERNELS`.
 
 The module also contains:
 
-  * the discretized maximal operator (sup over a geometric TimeGrid, with the
-    split at t = 1 separating the local and global regimes),
+  * the discretized maximal operator (sup over a geometric TimeGrid; the
+    result also holds the sups on either side of the split at t = 1, the
+    local and global regimes),
   * the Uchiyama condition checker: on-diagonal lower bound, size bound with
     exponent -2, and a Lipschitz bound on admissible triples, for kernel
     families on intervals of (0, 1) and for the time-reparametrized half-line
@@ -29,7 +32,8 @@ import numpy as np
 from .basis import EigenBasis, coefficients
 from .covers import DyadicCover, Interval, FAMILY_ONE_END, FAMILY_TWO_END
 from .errors import NumericsError
-from .kernels import UnitIntervalKernels, bessel_heat, bessel_poisson, dy_bessel_heat
+from .kernels import (HALFLINE_KERNELS, SEMIGROUPS, UnitIntervalKernels, bessel_heat,
+                      bessel_poisson, dy_bessel_heat)
 from .quadrature import (Measure, SampledFunction, grid_on_interval,
                          MEASURE_LEBESGUE, MEASURE_MU)
 
@@ -84,12 +88,6 @@ class TimeGrid:
 # spectral application of the semigroups
 
 
-_SEMIGROUP_WEIGHTS = {
-    "poisson": lambda lam, t: np.exp(-t * lam),
-    "heat": lambda lam, t: np.exp(-t * lam**2),
-}
-
-
 class SpectralExpansion:
     """Eigen-coefficients of a sampled function, reusable across times.
 
@@ -106,16 +104,14 @@ class SpectralExpansion:
         self.coeffs = c[:self.n_active]
 
     def _matrix(self, x) -> np.ndarray:
-        if self.system == "phi":
-            return self.basis.phi_matrix(x, self.n_active)
-        return self.basis.psi_matrix(x, self.n_active)
+        return getattr(self.basis, f"{self.system}_matrix")(x, self.n_active)
 
     def at_time(self, t: float, x, kind: str = "poisson") -> np.ndarray:
         return self.sweep([t], x, kind)[0]
 
     def sweep(self, t_values, x, kind: str = "poisson") -> np.ndarray:
         """Rows: the semigroup at each t evaluated on x (shape (nt, nx))."""
-        wfun = _SEMIGROUP_WEIGHTS[kind]
+        wfun = SEMIGROUPS[kind]
         lam = self.basis.table.zeros[:self.n_active]
         mat = self._matrix(np.atleast_1d(np.asarray(x, dtype=float)))
         out = np.empty((len(t_values), mat.shape[1]))
@@ -144,13 +140,10 @@ def apply_halfline(nu: float, f: SampledFunction, t: float, x,
     """Half-line semigroups applied by kernel quadrature against f's grid."""
     if f.measure != MEASURE_MU:
         raise ValueError("half-line semigroups act on mu-tagged functions")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if kind == "poisson":
-        kmat = bessel_poisson(nu, t, x[:, None], f.nodes[None, :])
-    elif kind == "heat":
-        kmat = bessel_heat(nu, t, x[:, None], f.nodes[None, :])
-    else:
+    if kind not in HALFLINE_KERNELS:
         raise ValueError(f"unknown half-line semigroup {kind!r}")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    kmat = HALFLINE_KERNELS[kind](nu, t, x[:, None], f.nodes[None, :])
     return kmat @ (f.grid.weights * f.values)
 
 
@@ -185,13 +178,6 @@ def maximal_function(basis: EigenBasis, f: SampledFunction,
         argmax_t=grid.values[idx],
         small=sweep[lo].max(axis=0) if lo.any() else zeros,
         large=sweep[hi].max(axis=0) if hi.any() else zeros, grid=grid)
-
-
-def split_maximal(basis: EigenBasis, f: SampledFunction,
-                  grid: TimeGrid, x=None):
-    """(sup_{t<=1}, sup_{t>=1}) pair; their max is the full maximal function."""
-    res = maximal_function(basis, f, grid, x)
-    return res.small, res.large
 
 
 # ---------------------------------------------------------------------------
@@ -241,11 +227,8 @@ class HomogeneousSpace:
         return self._metric_measure.distance(u, v)
 
     def sigma_total(self) -> float:
-        return self.sigma_interval(self.interval.a, self.interval.b)
-
-    def sigma_interval(self, a: float, b: float) -> float:
         return float(Measure.of(self.measure, self.nu).interval(
-            max(a, self.interval.a), min(b, self.interval.b)))
+            self.interval.a, self.interval.b))
 
     def ball_sigma(self, x, r):
         """sigma(B_d(x, r) intersected with the interval)."""
@@ -362,36 +345,23 @@ def uchiyama_families(kernels: UnitIntervalKernels, zeta: float = 0.02,
     nu = kernels.nu
     reports = []
     one_end = DyadicCover(FAMILY_ONE_END, zeta=zeta)
-    two_end = DyadicCover(FAMILY_TWO_END, zeta=zeta)
     floor_p = kernels.poisson_floor()
-
-    for j in unit_js:
-        iv = one_end.starred(j, 2)
-        space = HomogeneousSpace(iv, "euclidean", MEASURE_MU, nu)
-        cap = 0.9 * space.sigma_total()
-        lo = max(1.02 * floor_p, cap / 64.0)
-        if lo >= cap:
-            raise NumericsError(
-                "uchiyama", f"series floor {floor_p:.2e} too high for piece {j}; "
-                "build the basis with a larger zero table")
-        r_vals = np.geomspace(lo, cap, n_r)
-        fn = lambda r, x, y: kernels.poisson_mu(r, x, y)
-        reports.append(check_uchiyama_conditions(
-            fn, space, r_vals, label=f"unit-mu-{j}", n_space=n_space))
-
-    for j in flat_js:
-        iv = two_end.starred(j, 2)
-        space = HomogeneousSpace(iv, "euclidean", MEASURE_LEBESGUE, nu)
-        cap = 0.9 * space.sigma_total()
-        lo = max(1.02 * floor_p, cap / 64.0)
-        if lo >= cap:
-            raise NumericsError(
-                "uchiyama", f"series floor {floor_p:.2e} too high for piece {j}; "
-                "build the basis with a larger zero table")
-        r_vals = np.geomspace(lo, cap, n_r)
-        fn = lambda r, x, y: kernels.poisson_lebesgue(r, x, y)
-        reports.append(check_uchiyama_conditions(
-            fn, space, r_vals, label=f"unit-flat-{j}", n_space=n_space))
+    # (cover, pieces, measure, series kernel, label prefix)
+    unit_families = ((one_end, unit_js, MEASURE_MU, "poisson_mu", "unit-mu"),
+                     (DyadicCover(FAMILY_TWO_END, zeta=zeta), flat_js,
+                      MEASURE_LEBESGUE, "poisson_lebesgue", "unit-flat"))
+    for cover, js, measure, method, prefix in unit_families:
+        for j in js:
+            space = HomogeneousSpace(cover.starred(j, 2), "euclidean", measure, nu)
+            cap = 0.9 * space.sigma_total()
+            lo = max(1.02 * floor_p, cap / 64.0)
+            if lo >= cap:
+                raise NumericsError(
+                    "uchiyama", f"series floor {floor_p:.2e} too high for piece {j}; "
+                    "build the basis with a larger zero table")
+            reports.append(check_uchiyama_conditions(
+                getattr(kernels, method), space, np.geomspace(lo, cap, n_r),
+                label=f"{prefix}-{j}", n_space=n_space))
 
     iv0 = one_end.starred(0, 2)
     space0 = HomogeneousSpace(iv0, "mu_cdf", MEASURE_MU, nu)
@@ -472,6 +442,14 @@ def _s_panel_nodes(t: float, n_mid: int = 24, n_end: int = 24):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
+def _ramp(rho: CutoffRho, nu: float, n_z: int) -> tuple:
+    """On the ramp of rho: mu-nodes and weights, rho', rho'', (2nu+1)/z rho'."""
+    zg = grid_on_interval(rho.inner, rho.outer, n_z, MEASURE_MU, nu)
+    rp = rho.derivative(zg.nodes)
+    return (zg.nodes, zg.weights, rp, rho.second_derivative(zg.nodes),
+            (2.0 * nu + 1.0) / zg.nodes * rp)
+
+
 def duhamel_residuals(basis: EigenBasis, rho: CutoffRho, f: SampledFunction,
                       t: float, x, n_z: int = 48,
                       n_mid: int = 24) -> tuple:
@@ -492,12 +470,7 @@ def duhamel_residuals(basis: EigenBasis, rho: CutoffRho, f: SampledFunction,
     nu = basis.nu
     x = np.atleast_1d(np.asarray(x, dtype=float))
     exp = SpectralExpansion(f, basis)
-
-    zg = grid_on_interval(rho.inner, rho.outer, n_z, MEASURE_MU, nu)
-    znodes, zw = zg.nodes, zg.weights
-    rp = rho.derivative(znodes)
-    rpp = rho.second_derivative(znodes)
-    drift = (2.0 * nu + 1.0) / znodes * rp
+    znodes, zw, rp, rpp, drift = _ramp(rho, nu, n_z)
     heat_rows = exp._matrix(znodes)   # (n_active, n_z), reused across s
     lam = basis.table.zeros[:exp.n_active]
 
@@ -546,11 +519,7 @@ def duhamel_residual_kernels(basis: EigenBasis,
     nu = basis.nu
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    zg = grid_on_interval(rho.inner, rho.outer, n_z, MEASURE_MU, nu)
-    znodes, zw = zg.nodes, zg.weights
-    rp = rho.derivative(znodes)
-    rpp = rho.second_derivative(znodes)
-    drift = (2.0 * nu + 1.0) / znodes * rp
+    znodes, zw, rp, rpp, drift = _ramp(rho, nu, n_z)
     floor = kernels.heat_floor()
 
     s_nodes, s_weights = _s_panel_nodes(t, n_mid=n_mid)

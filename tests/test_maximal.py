@@ -21,7 +21,7 @@ from fbhardy.maximal import (CutoffRho, HomogeneousSpace, MaximalResult,
                              check_uchiyama_conditions,
                              compare_semigroups, duhamel_closure,
                              duhamel_residual_kernels, maximal_function,
-                             split_maximal, uchiyama_kernel, uchiyama_time)
+                             uchiyama_kernel, uchiyama_time)
 from fbhardy.quadrature import (MEASURE_LEBESGUE, MEASURE_MU, Measure,
                                 SampledFunction)
 
@@ -174,7 +174,9 @@ def test_maximal_split_pieces_recombine(basis_half, grid_mu):
     f = _bump(grid_mu)
     grid = TimeGrid.build(1e-3, 4.0, ratio=1.25)
     res = maximal_function(basis_half, f, grid)
-    small, large = split_maximal(basis_half, f, grid)
+    lo, hi = grid.values[0], grid.values[-1]
+    small = maximal_function(basis_half, f, grid.restricted(lo, grid.split)).values
+    large = maximal_function(basis_half, f, grid.restricted(grid.split, hi)).values
     assert np.array_equal(small, res.small)
     assert np.array_equal(large, res.large)
     assert np.allclose(np.maximum(res.small, res.large), res.values)
