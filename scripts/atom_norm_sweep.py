@@ -26,13 +26,10 @@ def sweep(basis, measure, count, scale_max, seed, n_nodes):
     tg = TimeGrid.build(1e-6, 10.0, ratio=1.25)
     rng = np.random.default_rng(seed)
     atoms = random_atoms(rng, measure, basis.nu, count, scale_max=scale_max)
-    rows = []
-    for atom in atoms:
-        f = SampledFunction(grid=grid, values=atom.evaluate(grid.nodes))
-        res = maximal_function(basis, f, tg)
-        j = abs(int(re.search(r"-j(-?\d+)-", atom.label).group(1)))
-        rows.append((j, atom.label, float(grid.weights @ res.values)))
-    return rows
+    batch = SampledFunction(grid=grid, values=[a.evaluate(grid.nodes) for a in atoms])
+    norms = maximal_function(basis, batch, tg).l1_norm(grid.weights)
+    js = [abs(int(re.search(r"-j(-?\d+)-", a.label).group(1))) for a in atoms]
+    return [(j, a.label, float(norm)) for j, a, norm in zip(js, atoms, norms)]
 
 
 def main():

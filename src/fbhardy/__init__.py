@@ -3,7 +3,7 @@ atomic Hardy-space decompositions on the unit interval and the half line,
 with desk-scale numerical verification of the kernel estimates and norm
 equivalences that connect them."""
 
-from .basis import EigenBasis, coefficients, hankel_transform, synthesize
+from .basis import EigenBasis, coefficients, hankel_transform
 from .config import RunConfig, load_config
 from .covers import DyadicCover, Interval, FAMILY_ONE_END, FAMILY_TWO_END
 from .errors import ConfigError, NumericsError
@@ -13,8 +13,7 @@ from .hardy import (Atom, PiecewiseLinear, atomic_decompose, build_partition,
                     two_atom_split, validate_atom)
 from .kernels import (UnitIntervalKernels, bessel_heat, bessel_poisson,
                       check_sharp_estimate)
-from .maximal import (CutoffRho, SpectralExpansion, TimeGrid,
-                      apply_halfline, apply_heat, apply_poisson,
+from .maximal import (CutoffRho, SpectralExpansion, TimeGrid, apply_halfline,
                       compare_semigroups, duhamel_closure, maximal_function,
                       uchiyama_families, uchiyama_kernel)
 from .quadrature import (Grid, Measure, SampledFunction, grid_on_interval,
@@ -28,14 +27,13 @@ __all__ = [
     "FAMILY_ONE_END", "FAMILY_TWO_END", "Grid", "Interval",
     "MEASURE_LEBESGUE", "MEASURE_MU", "Measure", "NumericsError", "Order",
     "PiecewiseLinear", "RunConfig", "SampledFunction", "SpectralExpansion",
-    "TimeGrid", "UnitIntervalKernels", "apply_halfline", "apply_heat",
-    "apply_poisson", "atomic_decompose", "bessel_heat", "bessel_poisson",
+    "TimeGrid", "UnitIntervalKernels", "apply_halfline", "atomic_decompose",
+    "bessel_heat", "bessel_poisson",
     "bessel_zeros", "build_partition", "cascade_decompose", "case3_split",
     "check_sharp_estimate", "chord_product",
     "coefficients", "compare_semigroups", "duhamel_closure",
     "grid_on_interval", "h1_norm_report", "haar_atom", "hankel_transform",
     "load_config", "make_quadrature", "maximal_function", "random_atoms",
-    "special_atom",
-    "synthesize", "two_atom_split", "uchiyama_families", "uchiyama_kernel",
+    "special_atom", "two_atom_split", "uchiyama_families", "uchiyama_kernel",
     "validate_atom",
 ]

@@ -316,15 +316,12 @@ def cmd_atoms(session: _Session, args) -> int:
     atoms = random_atoms(rng, measure, cfg.nu, args.count,
                          scale_max=cfg.atom_scale_max, zeta=cfg.zeta)
     grid = session.unit_grid(measure)
-    tgrid = session.time_grid()
-    rows = []
-    for i, atom in enumerate(atoms):
-        f = SampledFunction(grid=grid, values=atom.evaluate(grid.nodes))
-        res = maximal_function(session.basis, f, tgrid)
-        rows.append({"index": i, "label": atom.label, "kind": atom.kind,
-                     "maximal_l1": float(grid.weights @ res.values),
-                     "valid": validate_atom(atom,
-                                            cancel_tol=cfg.cancel_tol)["valid"]})
+    batch = SampledFunction(grid=grid, values=[a.evaluate(grid.nodes) for a in atoms])
+    res = maximal_function(session.basis, batch, session.time_grid())
+    rows = [{"index": i, "label": atom.label, "kind": atom.kind,
+             "maximal_l1": float(grid.weights @ values),
+             "valid": validate_atom(atom, cancel_tol=cfg.cancel_tol)["valid"]}
+            for i, (atom, values) in enumerate(zip(atoms, res.values))]
     norms = [r["maximal_l1"] for r in rows]
     payload = {"count": len(rows), "max_norm": max(norms),
                "min_norm": min(norms), "rows": rows}
@@ -354,12 +351,11 @@ def cmd_dirichlet(session: _Session, args) -> int:
     is the weighted Poisson semigroup: u(x, t) at a ladder of times."""
     cfg = session.cfg
     f = _sampled(session, _bump_profile(), MEASURE_MU)
-    expansion = SpectralExpansion(f, session.basis)
     x = np.linspace(0.02, 0.98, args.grid)
     times = np.geomspace(args.t_min, args.t_max, args.n_t)
+    traces = SpectralExpansion(f, session.basis).sweep(times, x, "poisson")
     manifest = []
-    for k, t in enumerate(times):
-        values = expansion.at_time(float(t), x, "poisson")
+    for k, (t, values) in enumerate(zip(times, traces)):
         name = f"dirichlet_{k:02d}.csv"
         _write_atomic(session.out(name), _csv_xv(x, values))
         manifest.append({"t": float(t), "file": name})

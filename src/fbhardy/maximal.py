@@ -91,48 +91,38 @@ class TimeGrid:
 class SpectralExpansion:
     """Eigen-coefficients of a sampled function, reusable across times.
 
-    The measure tag picks the system: mu-tagged functions expand in phi
-    (weighted Poisson/heat), Lebesgue-tagged ones in psi."""
+    f may be a batch, values of shape (..., len(grid)): its inputs share the
+    rows and each time's product, and every slice keeps the batch axes. The
+    measure tag picks the rows: mu-tagged functions expand in phi (weighted
+    Poisson/heat), Lebesgue-tagged ones in psi."""
 
     def __init__(self, f: SampledFunction, basis: EigenBasis):
         self.basis = basis
-        self.measure = f.measure
-        self.system = "phi" if f.measure == MEASURE_MU else "psi"
+        self.rows = basis.phi_matrix if f.measure == MEASURE_MU else basis.psi_matrix
         c = coefficients(f, basis)
-        nz = np.nonzero(c)[0]
+        nz = np.flatnonzero(c.reshape(-1, c.shape[-1]).any(axis=0))
         self.n_active = int(nz[-1]) + 1 if len(nz) else 1
-        self.coeffs = c[:self.n_active]
+        self.coeffs = c[..., :self.n_active]
 
-    def _matrix(self, x) -> np.ndarray:
-        return getattr(self.basis, f"{self.system}_matrix")(x, self.n_active)
+    def _slices(self, t_values, x, kind: str):
+        """The semigroup at each t on x, one slice (..., len(x)) at a time;
+        a slice does not depend on the other times."""
+        if kind not in SEMIGROUPS:
+            raise ValueError(f"unknown semigroup {kind!r}")
+        if not np.all(np.asarray(t_values, dtype=float) > 0):
+            raise ValueError("time must be positive")
+        wfun = SEMIGROUPS[kind]
+        lam = self.basis.table.zeros[:self.n_active]
+        mat = self.rows(np.atleast_1d(np.asarray(x, dtype=float)), self.n_active)
+        for t in t_values:
+            yield (self.coeffs * wfun(lam, float(t))) @ mat
 
     def at_time(self, t: float, x, kind: str = "poisson") -> np.ndarray:
         return self.sweep([t], x, kind)[0]
 
     def sweep(self, t_values, x, kind: str = "poisson") -> np.ndarray:
-        """Rows: the semigroup at each t evaluated on x (shape (nt, nx))."""
-        wfun = SEMIGROUPS[kind]
-        lam = self.basis.table.zeros[:self.n_active]
-        mat = self._matrix(np.atleast_1d(np.asarray(x, dtype=float)))
-        out = np.empty((len(t_values), mat.shape[1]))
-        for i, t in enumerate(t_values):
-            out[i] = (self.coeffs * wfun(lam, float(t))) @ mat
-        return out
-
-
-def apply_poisson(basis: EigenBasis, f: SampledFunction, t: float) -> SampledFunction:
-    """One Poisson time slice of f, sampled back on f's own grid."""
-    if t <= 0:
-        raise ValueError("time must be positive")
-    vals = SpectralExpansion(f, basis).at_time(t, f.nodes, "poisson")
-    return SampledFunction(grid=f.grid, values=vals)
-
-
-def apply_heat(basis: EigenBasis, f: SampledFunction, t: float) -> SampledFunction:
-    if t <= 0:
-        raise ValueError("time must be positive")
-    vals = SpectralExpansion(f, basis).at_time(t, f.nodes, "heat")
-    return SampledFunction(grid=f.grid, values=vals)
+        """The slices stacked: shape (len(t_values), ..., len(x))."""
+        return np.array(list(self._slices(t_values, x, kind)))
 
 
 def apply_halfline(nu: float, f: SampledFunction, t: float, x,
@@ -160,24 +150,32 @@ class MaximalResult:
     large: np.ndarray         # sup over t >= split
     grid: TimeGrid
 
-    def l1_norm(self, weights: np.ndarray) -> float:
-        return float(weights @ self.values)
+    def l1_norm(self, weights: np.ndarray):
+        """Quadrature L1 norm of the maximal function, one per batch input."""
+        return self.values @ weights
 
 
 def maximal_function(basis: EigenBasis, f: SampledFunction,
                      grid: TimeGrid, x=None) -> MaximalResult:
-    """Discretized sup over t of |Poisson of f| with per-node argmax times."""
+    """Discretized sup over t of |Poisson of f| with per-node argmax times
+    (the first on ties). For a batch f every array of the result carries
+    its leading axes. The sups are taken slice by slice as the sweep makes
+    them, so the (times, inputs, points) array is never held."""
     x = f.nodes if x is None else np.atleast_1d(np.asarray(x, dtype=float))
-    sweep = np.abs(SpectralExpansion(f, basis).sweep(grid.values, x, "poisson"))
-    idx = np.argmax(sweep, axis=0)
-    lo = grid.values <= grid.split
-    hi = grid.values >= grid.split
-    zeros = np.zeros(sweep.shape[1])
-    return MaximalResult(
-        x=x, values=sweep[idx, np.arange(sweep.shape[1])],
-        argmax_t=grid.values[idx],
-        small=sweep[lo].max(axis=0) if lo.any() else zeros,
-        large=sweep[hi].max(axis=0) if hi.any() else zeros, grid=grid)
+    shape = f.values.shape[:-1] + x.shape
+    values, argmax_t = np.full(shape, -np.inf), np.zeros(shape)
+    small, large = np.zeros(shape), np.zeros(shape)
+    slices = SpectralExpansion(f, basis)._slices(grid.values, x, "poisson")
+    for t, s in zip(grid.values, slices):
+        s = np.abs(s)
+        np.copyto(argmax_t, t, where=s > values)
+        np.maximum(values, s, out=values)
+        if t <= grid.split:
+            np.maximum(small, s, out=small)
+        if t >= grid.split:
+            np.maximum(large, s, out=large)
+    return MaximalResult(x=x, values=values, argmax_t=argmax_t, small=small,
+                         large=large, grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -469,17 +467,13 @@ def duhamel_residuals(basis: EigenBasis, rho: CutoffRho, f: SampledFunction,
         raise ValueError("f must be supported where the cutoff equals 1")
     nu = basis.nu
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    exp = SpectralExpansion(f, basis)
     znodes, zw, rp, rpp, drift = _ramp(rho, nu, n_z)
-    heat_rows = exp._matrix(znodes)   # (n_active, n_z), reused across s
-    lam = basis.table.zeros[:exp.n_active]
-
     s_nodes, s_weights = _s_panel_nodes(t, n_mid=n_mid)
+    heat = SpectralExpansion(f, basis).sweep(s_nodes, znodes, "heat")
     r1 = np.zeros(len(x))
     r2 = np.zeros(len(x))
     r3 = np.zeros(len(x))
-    for s, w in zip(s_nodes, s_weights):
-        g = (exp.coeffs * np.exp(-s * lam**2)) @ heat_rows   # heat of f at s
+    for s, w, g in zip(s_nodes, s_weights, heat):   # g: heat of f at s
         big = bessel_heat(nu, t - s, x[:, None], znodes[None, :])
         dbig = dy_bessel_heat(nu, t - s, x[:, None], znodes[None, :])
         r1 += w * (big @ (zw * rpp * g))
@@ -550,8 +544,8 @@ def compare_semigroups(basis: EigenBasis, fs, t_grid=None,
 
     The half-line kernel matrix is built once per time, on the grid columns
     where some input of the batch is nonzero (every other column meets a
-    zero weight), and applied to the whole batch; each input's unit-interval
-    side is one spectral sweep over all times."""
+    zero weight), and applied to the whole batch; the unit-interval side is
+    one spectral sweep of the whole batch over all times."""
     if isinstance(fs, SampledFunction):
         fs = [fs]
     cover = DyadicCover(FAMILY_ONE_END, zeta=zeta)
@@ -562,24 +556,22 @@ def compare_semigroups(basis: EigenBasis, fs, t_grid=None,
     xw, xn = xg.weights, xg.nodes
 
     grid0 = fs[0].grid
-    exps = []
-    for f in fs:
-        if f.measure != MEASURE_MU:
-            raise ValueError("comparison inputs must be mu-tagged")
-        if f.grid is not grid0:
-            raise ValueError("batch inputs must share one grid")
-        if np.any((f.nodes >= edge) & (np.abs(f.values) > 0)):
-            raise ValueError("inputs must be supported in the origin piece")
-        exps.append(SpectralExpansion(f, basis))
+    if any(f.grid is not grid0 for f in fs):
+        raise ValueError("batch inputs must share one grid")
+    if grid0.measure != MEASURE_MU:
+        raise ValueError("comparison inputs must be mu-tagged")
+    values = np.array([f.values for f in fs])
+    if np.any((grid0.nodes >= edge) & (np.abs(values) > 0)):
+        raise ValueError("inputs must be supported in the origin piece")
 
-    cols = np.flatnonzero(np.any([f.values != 0 for f in fs], axis=0))
-    mass = np.array([grid0.weights[cols] * f.values[cols] for f in fs])
-    units = [exp.sweep(t_grid, xn, "poisson") for exp in exps]
+    cols = np.flatnonzero(np.any(values != 0, axis=0))
+    mass = grid0.weights[cols] * values[:, cols]
+    units = SpectralExpansion(SampledFunction(grid=grid0, values=values),
+                              basis).sweep(t_grid, xn, "poisson")
     sup = np.zeros((len(fs), len(xn)))
-    for j, t in enumerate(t_grid):
+    for t, unit in zip(t_grid, units):
         kmat = bessel_poisson(basis.nu, float(t), xn[:, None], grid0.nodes[None, cols])
-        for i, unit in enumerate(units):
-            sup[i] = np.maximum(sup[i], np.abs(kmat @ mass[i] - unit[j]))
+        sup = np.maximum(sup, np.abs(mass @ kmat.T - unit))
 
     out = []
     for i, f in enumerate(fs):

@@ -189,14 +189,15 @@ def grid_on_interval(a: float, b: float, n_nodes: int, measure: str,
 @dataclass
 class SampledFunction:
     """Function values on a quadrature grid, tagged with the measure the
-    weights integrate against."""
+    weights integrate against. values may carry leading batch axes, shape
+    (..., len(grid)); the integrals and norms are for a single input."""
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != self.grid.nodes.shape:
+        if self.values.shape[-1:] != self.grid.nodes.shape:
             raise ValueError("values shape does not match grid")
 
     @property

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fbhardy.basis import (EigenBasis, coefficients, hankel_transform,
-                           synthesize)
+from fbhardy import basis as basis_module, specfun
+from fbhardy.basis import EigenBasis, coefficients, hankel_transform
 from fbhardy.errors import NumericsError
 from fbhardy.quadrature import (SampledFunction, make_quadrature, MEASURE_MU,
                                 MEASURE_LEBESGUE)
@@ -64,7 +64,7 @@ def test_round_trip_finite_expansion(basis_half_small):
     expect = np.zeros(10)
     expect[2], expect[6] = 1.0, 0.5
     np.testing.assert_allclose(c, expect, rtol=0, atol=1e-12)
-    back = synthesize(basis_half_small, c, g.nodes)
+    back = c @ basis_half_small.phi_matrix(g.nodes, len(c))
     np.testing.assert_allclose(back, target, rtol=0, atol=1e-10)
 
 
@@ -75,7 +75,7 @@ def test_smooth_function_converges(basis_half_small):
     errs = []
     for n in (8, 16, 32, 64):
         c = coefficients(f, basis_half_small, n)
-        back = synthesize(basis_half_small, c, g.nodes)
+        back = c @ basis_half_small.phi_matrix(g.nodes, len(c))
         errs.append(g.integrate((back - f.values) ** 2) ** 0.5)
     assert errs[-1] < 1e-4
     assert all(a > b for a, b in zip(errs, errs[1:]))
@@ -90,6 +90,26 @@ def test_plancherel(basis_half_small):
 
 def test_norm_check_errors_small(basis_half):
     assert np.max(basis_half.norm_check_errors) < 1e-8
+
+
+@pytest.mark.parametrize("nu", [-0.3, 0.0, 0.5, 1.0, 2.5])
+def test_norm_check_rows_match_their_own_formula(nu):
+    # the check once wrote the phi formula out itself; it now reads
+    # phi_matrix, and must give the same bits
+    basis = EigenBasis.build(Order(nu), 80)
+    lam = basis.table.zeros[:64]
+    g = make_quadrature("unit_interval", max(1024, int(10 * lam[-1] / math.pi) + 64),
+                        MEASURE_MU, nu)
+    jov = specfun.besselj_over_xnu(basis.order, np.outer(lam, g.nodes))
+    phi = (basis.norm_constants[:64] * lam**nu)[:, None] * jov
+    want = np.abs((phi * phi) @ g.weights - 1.0)
+    assert np.array_equal(basis.norm_check_errors, want)
+
+
+def test_build_refuses_a_failed_norm_check(monkeypatch):
+    monkeypatch.setattr(basis_module, "_NORM_TOL", 0.0)
+    with pytest.raises(NumericsError, match="unit-norm quadrature check failed"):
+        EigenBasis.build(Order(0.5), 16)
 
 
 def test_series_counters_monotone(basis_half):

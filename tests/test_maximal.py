@@ -14,16 +14,16 @@ import pytest
 from fbhardy.basis import coefficients
 from fbhardy.covers import DyadicCover, Interval, FAMILY_ONE_END
 from fbhardy.errors import NumericsError
+from fbhardy.hardy import random_atoms
 from fbhardy.kernels import bessel_poisson
 from fbhardy.maximal import (CutoffRho, HomogeneousSpace, MaximalResult,
                              SpectralExpansion, TimeGrid, apply_halfline,
-                             apply_heat, apply_poisson,
                              check_uchiyama_conditions,
                              compare_semigroups, duhamel_closure,
                              duhamel_residual_kernels, maximal_function,
                              uchiyama_kernel, uchiyama_time)
 from fbhardy.quadrature import (MEASURE_LEBESGUE, MEASURE_MU, Measure,
-                                SampledFunction)
+                                SampledFunction, make_quadrature)
 
 SQRT_2PI = 2.5066282746310002
 # max over s >= 0 of exp(-s^2/2) (1+s)^2 / sqrt(2 pi), attained at s = 1
@@ -85,17 +85,23 @@ def test_time_grid_restricted():
 # spectral application
 
 
+def _at_time(basis, f, t, kind="poisson"):
+    """One time slice of f, sampled back on f's own grid."""
+    vals = SpectralExpansion(f, basis).at_time(t, f.nodes, kind)
+    return SampledFunction(grid=f.grid, values=vals)
+
+
 def test_apply_poisson_scales_eigenfunction(basis_half, grid_mu):
     lam = basis_half.table.zeros[2]
     f = SampledFunction(grid=grid_mu, values=basis_half.phi(3, grid_mu.nodes))
-    out = apply_poisson(basis_half, f, 0.4)
+    out = _at_time(basis_half, f, 0.4, "poisson")
     assert np.allclose(out.values, math.exp(-0.4 * lam) * f.values, atol=1e-8)
 
 
 def test_apply_heat_scales_eigenfunction(basis_half, grid_mu):
     lam = basis_half.table.zeros[2]
     f = SampledFunction(grid=grid_mu, values=basis_half.phi(3, grid_mu.nodes))
-    out = apply_heat(basis_half, f, 0.05)
+    out = _at_time(basis_half, f, 0.05, "heat")
     assert np.allclose(out.values, math.exp(-0.05 * lam**2) * f.values,
                        atol=1e-8)
 
@@ -104,7 +110,6 @@ def test_psi_system_used_for_lebesgue_inputs(basis_half, grid_leb):
     lam = basis_half.table.zeros[1]
     f = SampledFunction(grid=grid_leb, values=basis_half.psi(2, grid_leb.nodes))
     exp = SpectralExpansion(f, basis_half)
-    assert exp.system == "psi"
     out = exp.at_time(0.1, grid_leb.nodes, "heat")
     assert np.allclose(out, math.exp(-0.1 * lam**2) * f.values, atol=1e-8)
 
@@ -121,17 +126,23 @@ def test_expansion_resolves_single_mode(basis_half, grid_mu):
 
 def test_semigroup_property_through_sampled_functions(basis_half, grid_mu):
     f = _bump(grid_mu)
-    two_step = apply_poisson(basis_half, apply_poisson(basis_half, f, 0.15), 0.25)
-    one_step = apply_poisson(basis_half, f, 0.40)
+    two_step = _at_time(basis_half, _at_time(basis_half, f, 0.15), 0.25)
+    one_step = _at_time(basis_half, f, 0.40)
     assert np.allclose(two_step.values, one_step.values, atol=1e-9)
 
 
 def test_apply_rejects_nonpositive_time(basis_half, grid_mu):
     f = _bump(grid_mu)
     with pytest.raises(ValueError):
-        apply_poisson(basis_half, f, 0.0)
+        _at_time(basis_half, f, 0.0, "poisson")
     with pytest.raises(ValueError):
-        apply_heat(basis_half, f, -0.1)
+        _at_time(basis_half, f, -0.1, "heat")
+
+
+def test_expansion_rejects_unknown_semigroup(basis_half, grid_mu):
+    exp = SpectralExpansion(_bump(grid_mu), basis_half)
+    with pytest.raises(ValueError, match="unknown semigroup 'wave'"):
+        exp.at_time(0.1, [0.3], "wave")
 
 
 def test_apply_halfline_matches_closed_form_kernel(grid_mu):
@@ -182,6 +193,66 @@ def test_maximal_split_pieces_recombine(basis_half, grid_mu):
     assert np.allclose(np.maximum(res.small, res.large), res.values)
     assert res.l1_norm(grid_mu.weights) == pytest.approx(
         float(grid_mu.weights @ res.values))
+
+
+def _atom_batch(grid, count, seed=20240, scale_max=8):
+    atoms = random_atoms(np.random.default_rng(seed), grid.measure, grid.nu,
+                         count, scale_max=scale_max)
+    return atoms, SampledFunction(grid=grid, values=[a.evaluate(grid.nodes)
+                                                     for a in atoms])
+
+
+@pytest.mark.parametrize("measure", [MEASURE_MU, MEASURE_LEBESGUE])
+def test_maximal_batch_equals_its_rows(basis_half, grid_mu, grid_leb, measure):
+    grid = grid_mu if measure == MEASURE_MU else grid_leb
+    _, batch = _atom_batch(grid, 12, scale_max=5)
+    tg = TimeGrid.build(1e-4, 5.0, ratio=1.25)
+    res = maximal_function(basis_half, batch, tg)
+    assert res.values.shape == res.small.shape == res.argmax_t.shape == \
+        batch.values.shape
+    assert res.l1_norm(grid.weights).shape == (12,)
+    for i, row in enumerate(batch.values):
+        one = maximal_function(basis_half, SampledFunction(grid=grid, values=row), tg)
+        scale = np.max(one.values)
+        for name in ("values", "small", "large"):
+            got, want = getattr(res, name)[i], getattr(one, name)
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale, (i, name)
+    # leading axes beyond one are kept as they are
+    square = SampledFunction(grid=grid, values=batch.values.reshape(3, 4, -1))
+    res34 = maximal_function(basis_half, square, tg)
+    assert res34.values.shape == (3, 4, len(grid))
+    assert np.allclose(res34.values.reshape(res.values.shape), res.values,
+                       rtol=1e-13, atol=1e-13 * np.max(res.values))
+
+
+@pytest.mark.parametrize("measure", [MEASURE_MU, MEASURE_LEBESGUE])
+def test_one_element_batch_is_bit_identical(basis_half, grid_mu, grid_leb,
+                                            measure):
+    grid = grid_mu if measure == MEASURE_MU else grid_leb
+    f = _bump(grid, 0.1, 0.6)
+    one = SampledFunction(grid=grid, values=f.values[None, :])
+    tg = TimeGrid.build(1e-4, 5.0, ratio=1.25)
+    res, res1 = maximal_function(basis_half, f, tg), maximal_function(basis_half, one, tg)
+    for name in ("values", "argmax_t", "small", "large"):
+        assert np.array_equal(getattr(res1, name), getattr(res, name)[None, :])
+    x = np.linspace(0.05, 0.95, 7)
+    sweep = SpectralExpansion(f, basis_half).sweep([0.01, 0.3], x, "heat")
+    sweep1 = SpectralExpansion(one, basis_half).sweep([0.01, 0.3], x, "heat")
+    assert sweep1.shape == (2, 1, 7)
+    assert np.array_equal(sweep1[:, 0], sweep)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the expansion is cut at the grid's resolvable frequency, so the finest "
+    "atoms lose mass that M a >= |a| requires (ROADMAP item 6)"))
+def test_maximal_mass_of_every_atom_reaches_its_l1_norm(basis_half):
+    tg = TimeGrid.build(1e-6, 10.0, ratio=1.25)
+    for measure in (MEASURE_MU, MEASURE_LEBESGUE):
+        grid = make_quadrature("unit_interval", 1024, measure=measure, nu=0.5)
+        atoms, batch = _atom_batch(grid, 104)
+        mass = maximal_function(basis_half, batch, tg).l1_norm(grid.weights)
+        l1 = np.array([a.l1_norm() for a in atoms])
+        assert np.all(mass >= 0.9 * l1), measure
 
 
 def test_maximal_monotone_under_time_refinement(basis_half, grid_mu):
