@@ -418,6 +418,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# command -> (flag, test, requirement): a value failing its test is a config
+# error naming the flag; every value of a repeated flag (kernel --t) is tested
+_AT_LEAST_ONE = (lambda v, args: v >= 1, "at least 1")
+_POSITIVE = (lambda v, args: v > 0, "positive")
+_FLAG_RULES = {
+    "kernel": (("--grid", *_AT_LEAST_ONE), ("--t", *_POSITIVE)),
+    "estimates": (("--grid", *_AT_LEAST_ONE),),
+    "duhamel": (("--t", *_POSITIVE),),
+    "uchiyama": (("--grid", *_AT_LEAST_ONE), ("--n-r", *_AT_LEAST_ONE)),
+    "atoms": (("--count", *_AT_LEAST_ONE),),
+    "dirichlet": (("--grid", *_AT_LEAST_ONE), ("--n-t", *_AT_LEAST_ONE),
+                  ("--t-min", *_POSITIVE),
+                  ("--t-max", lambda v, args: v >= args.t_min,
+                   "at least --t-min")),
+}
+
+
+def _check_flags(args) -> None:
+    for flag, ok, need in _FLAG_RULES.get(args.command, ()):
+        value = getattr(args, flag[2:].replace("-", "_"))
+        for v in value if isinstance(value, list) else [value]:
+            if not ok(v, args):
+                raise ConfigError(f"{flag} must be {need}, got {v!r}")
+
+
 _DISPATCH = {"zeros": cmd_zeros, "kernel": cmd_kernel,
              "estimates": cmd_estimates, "maximal": cmd_maximal,
              "duhamel": cmd_duhamel, "uchiyama": cmd_uchiyama,
@@ -432,6 +457,7 @@ def main(argv=None) -> int:
             "nu": args.nu, "seed": args.seed, "out_dir": args.out})
         if args.command == "kernel" and args.t is None:
             args.t = [0.1, 1.0]
+        _check_flags(args)
         session = _Session(cfg)
         return _DISPATCH[args.command](session, args)
     except ConfigError as exc:

@@ -27,9 +27,11 @@ finite expansion reproduces the input to rounding.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,12 +76,15 @@ class PiecewiseLinear:
     # -- constructors
 
     @classmethod
-    def _row(cls, breaks, slopes, intercepts) -> "PiecewiseLinear":
-        """A row of a table that _check_table passed: no check, no copy."""
+    def _row(cls, table, i: int) -> "PiecewiseLinear":
+        """Row i of a ragged table that _check_table passed, as views: the
+        pieces start[i]:start[i+1] of its slopes and intercepts and their
+        breaks from breaks[start[i] + i]. No check, no copy."""
+        lo, hi = table.start.item(i), table.start.item(i + 1)
         fn = object.__new__(cls)
-        object.__setattr__(fn, "breaks", breaks)
-        object.__setattr__(fn, "slopes", slopes)
-        object.__setattr__(fn, "intercepts", intercepts)
+        object.__setattr__(fn, "breaks", table.breaks[lo + i:hi + i + 1])
+        object.__setattr__(fn, "slopes", table.slopes[lo:hi])
+        object.__setattr__(fn, "intercepts", table.intercepts[lo:hi])
         return fn
 
     @classmethod
@@ -196,8 +201,8 @@ class PiecewiseLinear:
 
 def _check_table(start, breaks, slopes, intercepts) -> None:
     """PiecewiseLinear's checks on every row of a ragged table at once; the
-    table is then read-only, so its rows can be handed out as views. Row i
-    has the pieces start[i]:start[i+1] and the breaks from start[i] + i."""
+    table is then read-only, so PiecewiseLinear._row can hand out its rows
+    as views."""
     n = len(start) - 1
     if breaks.ndim != 1 or len(breaks) != start[-1] + n \
             or (start[1:] - start[:-1] < 1).any() \
@@ -242,15 +247,51 @@ def chord_product(f: PiecewiseLinear, g: PiecewiseLinear,
 # atoms
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Atom:
-    """An atom; its function holds arrays, so equality is by identity."""
-
-    fn: PiecewiseLinear
+class _Tags(NamedTuple):
+    """Measure, order and kind of an atom built by the constructor."""
     measure: str
     nu: float
     kind: str
-    label: str = ""
+
+
+class Atom:
+    """An atom: a piecewise-linear function with its measure, order nu and
+    kind. One built by the constructor holds its function and label; a row
+    of an AtomTable holds only the table and its row index, and builds its
+    function and label the first time they are read. The fields are
+    read-only, and equality is by identity."""
+
+    __slots__ = ("_table", "_row", "_fn", "_label")
+
+    def __init__(self, fn: PiecewiseLinear, measure: str, nu: float,
+                 kind: str, label: str = ""):
+        self._table, self._row = _Tags(measure, nu, kind), None
+        self._fn, self._label = fn, label
+
+    @classmethod
+    def _of_row(cls, table: "AtomTable", i: int) -> "Atom":
+        atom = object.__new__(cls)
+        atom._table, atom._row, atom._fn, atom._label = table, i, None, None
+        return atom
+
+    measure = property(lambda self: self._table.measure)
+    nu = property(lambda self: self._table.nu)
+    kind = property(lambda self: self._table.kind)
+
+    @property
+    def fn(self) -> PiecewiseLinear:
+        if self._fn is None:
+            self._fn = PiecewiseLinear._row(self._table, self._row)
+        return self._fn
+
+    @property
+    def label(self) -> str:
+        if self._label is None:
+            self._label = self._table._label(self._row)
+        return self._label
+
+    def __repr__(self) -> str:
+        return f"Atom({self.label!r}, {self.kind}, {self.measure}, nu={self.nu})"
 
     @property
     def interval(self) -> Interval:
@@ -521,8 +562,24 @@ class ClosingPiece:
     fn: PiecewiseLinear
 
 
+class _RaggedTable(Sequence):
+    """Rows of a ragged table (start, breaks, slopes, intercepts) that is
+    checked once, when built; a subclass reads row i out with _item(i)."""
+
+    def __post_init__(self):
+        _check_table(self.start, self.breaks, self.slopes, self.intercepts)
+
+    def __len__(self) -> int:
+        return len(self.start) - 1
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        return self._item(range(len(self))[i])
+
+
 @dataclass(frozen=True, eq=False)
-class CloserTable(Sequence):
+class CloserTable(_RaggedTable):
     """All closing pieces of one cascade as flat arrays, in closing order
     (by depth, then cell). Closer i has depth[i], cell[i] and lam[i], the
     pieces start[i]:start[i+1] of slopes and intercepts, and their breaks
@@ -538,21 +595,43 @@ class CloserTable(Sequence):
     slopes: np.ndarray
     intercepts: np.ndarray
 
-    def __post_init__(self):
-        _check_table(self.start, self.breaks, self.slopes, self.intercepts)
-
-    def __len__(self) -> int:
-        return len(self.lam)
-
-    def __getitem__(self, i) -> ClosingPiece:
-        i = range(len(self))[i]
+    def _item(self, i: int) -> ClosingPiece:
         return ClosingPiece(depth=int(self.depth[i]), cell=int(self.cell[i]),
-                            lam=float(self.lam[i]), fn=self._fn(i))
+                            lam=float(self.lam[i]),
+                            fn=PiecewiseLinear._row(self, i))
 
-    def _fn(self, i: int) -> PiecewiseLinear:
-        lo, hi = self.start[i], self.start[i + 1]
-        return PiecewiseLinear._row(self.breaks[lo + i:hi + i + 1],
-                                    self.slopes[lo:hi], self.intercepts[lo:hi])
+
+@dataclass(frozen=True, eq=False)
+class AtomTable(_RaggedTable):
+    """The materialized atoms of one cascade as flat arrays, a sibling of
+    CloserTable. Row i is the pair (coef[i], atom): the two-bar atom of a
+    Haar detail, or a closer normalized by 1/coef[i] (closer[i] set), of
+    cell[i] at depth[i], with the pieces start[i]:start[i+1] of slopes and
+    intercepts. The table is checked once, when built; indexing and
+    iteration yield atoms that hold only the table and their row, and build
+    their read-only views and labels when first read."""
+    measure: str
+    nu: float
+    coef: np.ndarray
+    closer: np.ndarray
+    depth: np.ndarray
+    cell: np.ndarray
+    start: np.ndarray
+    breaks: np.ndarray
+    slopes: np.ndarray
+    intercepts: np.ndarray
+    kind = KIND_CANCELLATIVE
+
+    def _item(self, i: int) -> tuple:
+        return self.coef.item(i), Atom._of_row(self, i)
+
+    def __iter__(self):
+        return zip(self.coef.tolist(),
+                   map(functools.partial(Atom._of_row, self), range(len(self))))
+
+    def _label(self, i: int) -> str:
+        return (f"{'closer' if self.closer.item(i) else 'haar'}"
+                f"[d{self.depth.item(i)},k{self.cell.item(i)}]")
 
 
 def _remainders(fn: PiecewiseLinear, depth: int, cells, a, b,
@@ -666,11 +745,12 @@ class LocalCascade:
         scale = np.ldexp(self.sigma_total, -np.asarray(depth))
         return tuple(meas.quantile(c0 + (k + o) * scale) for o in (0.0, 0.5, 1.0))
 
-    def materialize(self, max_atoms: int | None = None) -> list:
+    def materialize(self, max_atoms: int | None = None) -> AtomTable:
         """Largest-coefficient pieces as explicit atoms: two-bar atoms for
         the Haar details, normalized remainders for the closers. Entries are
-        ordered by (-|lam|, depth, cell) and cut to max_atoms; they form one
-        table, checked once, and each atom's function is a view of a row."""
+        ordered by (-|lam|, depth, cell) and cut to max_atoms. They form one
+        AtomTable, checked here; its (coef, atom) rows build each atom's
+        function, a view of the table, and label when first read."""
         t = self.closers
         depth = np.concatenate([np.full(len(lev.idx), lev.depth)
                                 for lev in self.levels] + [t.depth])
@@ -701,17 +781,9 @@ class LocalCascade:
         breaks = np.append(np.column_stack([left, med, right]), t.breaks)[brk]
         slopes = np.append(np.zeros(2 * nd), t.slopes)[piece] * scale
         intercepts = np.append(np.column_stack(levels), t.intercepts)[piece] * scale
-        _check_table(start, breaks, slopes, intercepts)
-        # free the index arrays first: the atoms below set the peak memory
-        del piece, brk, scale, src, rows, counts, left, med, right, levels, det
-        row, pos = PiecewiseLinear._row, start.tolist()
-        return [(coef, Atom(fn=row(breaks[p + e:q + e + 1], slopes[p:q],
-                                   intercepts[p:q]), measure=self.measure,
-                            nu=self.nu, kind=KIND_CANCELLATIVE,
-                            label=f"{'closer' if c else 'haar'}[d{d},k{k}]"))
-                for e, (coef, p, q, c, d, k) in enumerate(zip(
-                    lam[order].tolist(), pos, pos[1:], closer.tolist(),
-                    depth[order].tolist(), cell[order].tolist()))]
+        return AtomTable(self.measure, self.nu, lam[order], closer,
+                         depth[order], cell[order], start, breaks, slopes,
+                         intercepts)
 
 
 def cascade_decompose(fn: PiecewiseLinear, space: Interval, measure: str,
@@ -803,8 +875,10 @@ class Decomposition:
         return out
 
     def atoms(self) -> list:
-        """Materialized (coefficient, atom) pairs: cascade details plus the
-        globalized special parts."""
+        """Materialized (coefficient, atom) pairs, piece by piece: the rows
+        of the cascade's AtomTable, then the globalized special parts. The
+        cascade atoms are lazy rows: nothing reads their arrays until their
+        function or label is read."""
         return [pair for _, cascade, special_pairs in self.pieces
                 for pair in (*cascade.materialize(), *special_pairs)]
 

@@ -1,11 +1,14 @@
 """The checked tables behind closers and materialized atoms.
 
 `LocalCascade.materialize` gathers the selected details and closers into one
-ragged table, checks it once with PiecewiseLinear's conditions and hands out
-every atom's function as a read-only view of one row; `CloserTable` does the
-same for the closers of a cascade. These tests pin the table check to the
-constructor's messages, the views to read-only memory, and the atoms to what
-the public constructor builds from the same numbers.
+ragged table, an `AtomTable`, checks it once with PiecewiseLinear's
+conditions and returns it as a sequence of (coefficient, atom) rows. A row
+atom holds only the table and its row index; its function, a read-only view
+of the row, and its label are built when first read and then kept.
+`CloserTable` hands out the closers of a cascade the same way. These tests
+pin the table check to the constructor's messages, the views to read-only
+memory, the rows to building nothing until read, and the atoms to what the
+public constructor builds from the same numbers.
 """
 import dataclasses
 
@@ -13,9 +16,12 @@ import numpy as np
 import pytest
 
 from fbhardy.covers import Interval
-from fbhardy.hardy import (Atom, CascadeLevel, CloserTable, PiecewiseLinear,
-                           atomic_decompose, cascade_decompose, haar_atom)
+from fbhardy.hardy import (Atom, AtomTable, CascadeLevel, CloserTable,
+                           PiecewiseLinear, atomic_decompose,
+                           cascade_decompose, haar_atom)
 from fbhardy.quadrature import MEASURE_LEBESGUE, MEASURE_MU
+
+from test_cascade_arrays import ref_materialize
 
 
 def _table(rows, n_slopes=None):
@@ -155,3 +161,103 @@ def test_gate10_atoms_equal_their_public_rebuild():
             assert {g.dtype for g in got} == {w.dtype for w in want} \
                 == {np.dtype(np.float64)}
             assert np.concatenate(got).tobytes() == np.concatenate(want).tobytes()
+
+
+def _counting(monkeypatch, owner, name):
+    """Replace owner.name with a wrapper that counts its calls."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kw):
+        calls.append(name)
+        return original(*args, **kw)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_counting_gate10_atoms_builds_no_function(monkeypatch):
+    """len() and the coefficient sum of the gate-10 atoms read the table's
+    coefficients only: no row function and no label is built."""
+    decs = [atomic_decompose(fn, nu=0.5, measure=measure)
+            for measure, fn in _gate10_cases()]
+    built = [_counting(monkeypatch, PiecewiseLinear, "_row"),
+             _counting(monkeypatch, PiecewiseLinear, "__post_init__"),
+             _counting(monkeypatch, AtomTable, "_label")]
+    count = 0
+    for dec in decs:
+        pairs = dec.atoms()
+        count += len(pairs)
+        total = sum(abs(c) for c, _ in pairs)
+        assert total == pytest.approx(dec.coeff_l1(), rel=1e-12)
+    assert count > 100_000
+    assert built == [[], [], []]
+
+
+def test_row_atom_builds_its_function_once(monkeypatch):
+    rows = _counting(monkeypatch, PiecewiseLinear, "_row")
+    pairs = _cascade().materialize()
+    atoms = [a for _, a in pairs]
+    assert rows == []
+    for atom in atoms:
+        assert atom.fn is atom.fn
+        assert atom.interval == atom.fn.support
+    assert len(rows) == len(atoms)
+
+
+def test_row_atom_builds_its_label_on_first_read(monkeypatch):
+    """Labels are built when read, once, and equal the labels of the eager
+    per-entry reference."""
+    cascade = _cascade()
+    want = [a.label for _, a in ref_materialize(cascade)]
+    labels = _counting(monkeypatch, AtomTable, "_label")
+    atoms = [a for _, a in cascade.materialize()]
+    assert labels == []
+    got = [a.label for a in atoms]
+    assert [a.label for a in atoms] == got == want
+    assert len(labels) == len(atoms)
+
+
+def _atom_key(pair):
+    c, a = pair
+    return c, a.label, a.fn.breaks.tobytes(), a.fn.slopes.tobytes()
+
+
+def _closer_key(cp):
+    return cp.depth, cp.cell, cp.lam, cp.fn.breaks.tobytes(), \
+        cp.fn.slopes.tobytes()
+
+
+@pytest.mark.parametrize("table, key", [
+    (lambda c: c.materialize(), _atom_key), (lambda c: c.closers, _closer_key)])
+def test_tables_index_and_slice_as_a_list(table, key):
+    rows_of = table(_cascade())
+    rows = list(rows_of)
+    assert len(rows) == len(rows_of) > 10
+    for i in (0, 3, -1, -len(rows)):
+        assert key(rows_of[i]) == key(rows[i])
+    for sl in (slice(2, 9), slice(None, None, -3), slice(len(rows) + 5, None)):
+        got = rows_of[sl]
+        assert isinstance(got, list)
+        assert [key(r) for r in got] == [key(r) for r in rows[sl]]
+    for i in (len(rows), -len(rows) - 1):
+        with pytest.raises(IndexError):
+            rows_of[i]
+
+
+def test_atom_table_coefficients_are_floats():
+    pairs = _cascade().materialize()
+    assert isinstance(pairs, AtomTable)
+    assert all(type(c) is float for c, _ in pairs)
+    assert type(pairs[0][0]) is float
+
+
+def test_atom_fields_are_read_only():
+    built = haar_atom(0.2, 0.3, 0.4, 0.5, MEASURE_LEBESGUE)
+    _, row = _cascade().materialize()[0]
+    for atom in (built, row):
+        for name, value in (("fn", built.fn), ("label", "x"), ("kind", "x"),
+                            ("measure", MEASURE_MU), ("nu", 1.0)):
+            with pytest.raises(AttributeError):
+                setattr(atom, name, value)
+        with pytest.raises(AttributeError):
+            atom.extra = 1

@@ -312,3 +312,28 @@ def test_invalid_config_value_exits_two(tmp_path, capsys):
     rc = run(["zeros"], cfg=str(bad), out=tmp_path / "out")
     assert rc == 2
     assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
+@pytest.mark.parametrize("args, flag, value", [
+    (["dirichlet", "--t-min", "-1", "--t-max", "-0.5"], "--t-min", "-1.0"),
+    (["dirichlet", "--t-min", "0.5", "--t-max", "0.1"], "--t-max", "0.1"),
+    (["dirichlet", "--grid", "0"], "--grid", "0"),
+    (["dirichlet", "--n-t", "0"], "--n-t", "0"),
+    (["kernel", "--t", "0.1", "--t", "-1"], "--t", "-1.0"),
+    (["kernel", "--grid", "0"], "--grid", "0"),
+    (["atoms", "batch", "--count", "0"], "--count", "0"),
+    (["atoms", "validate", "--count", "0"], "--count", "0"),
+    (["estimates", "--grid", "0"], "--grid", "0"),
+    (["duhamel", "--t", "0"], "--t", "0.0"),
+    (["uchiyama", "--grid", "0"], "--grid", "0"),
+    (["uchiyama", "--n-r", "-2"], "--n-r", "-2"),
+])
+def test_invalid_flag_exits_two_naming_it(tmp_path, small_cfg, capsys, args,
+                                          flag, value):
+    out = tmp_path / "out"
+    assert run(args, cfg=small_cfg, out=out) == 2
+    report = json.loads(capsys.readouterr().err)
+    assert report["error"] == "config"
+    assert report["detail"].startswith(f"{flag} must be ")
+    assert report["detail"].endswith(f"got {value}")
+    assert not out.exists()
