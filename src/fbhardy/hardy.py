@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -563,11 +563,14 @@ class ClosingPiece:
 
 
 class _RaggedTable(Sequence):
-    """Rows of a ragged table (start, breaks, slopes, intercepts) that is
-    checked once, when built; a subclass reads row i out with _item(i)."""
+    """Rows of a ragged table (start, breaks, slopes, intercepts), checked
+    once, when built, and read-only in every column; _item(i) reads row i."""
 
     def __post_init__(self):
         _check_table(self.start, self.breaks, self.slopes, self.intercepts)
+        for f in fields(self):
+            if isinstance(col := getattr(self, f.name), np.ndarray):
+                col.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.start) - 1

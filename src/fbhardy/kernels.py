@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -89,6 +90,7 @@ class UnitIntervalKernels:
     def __init__(self, basis: EigenBasis, series_tol: float = 1e-10):
         self.basis = basis
         self.series_tol = float(series_tol)
+        self._tables = {}   # (tag, n, shape, bytes of x) -> raw rows, LRU first
 
     @property
     def nu(self) -> float:
@@ -139,17 +141,31 @@ class UnitIntervalKernels:
         j1 = np.asarray(specfun.bessel_j(up, np.outer(lam, x)))
         return (self.basis.norm_constants[:n] * lam)[:, None] * np.sqrt(x)[None, :] * j1
 
+    def _rows(self, tag: str, x: np.ndarray, n: int) -> np.ndarray:
+        """Unweighted rows 1..n of system `tag` at x, reused exactly: the last
+        two tables stay, read-only, keyed by tag, n and the exact points; a
+        miss drops the least recently used one before building."""
+        key = (tag, n, x.shape, x.tobytes())
+        table = self._tables.pop(key, None)
+        if table is None:
+            if len(self._tables) == 2:
+                del self._tables[next(iter(self._tables))]
+            table = _ROWS[tag](self)(x, n)
+            table.setflags(write=False)
+        self._tables[key] = table
+        return table
+
     @staticmethod
     def _rows_at(rows_fn, x, n, weights=1.0):
-        """Rows times weights at the points of x (raveled), built once per
-        distinct point (J depends only on the set of its arguments) and
+        """Rows times weights at the points of x (raveled), once per distinct
+        point (J depends only on the set of its arguments) from `_rows`, and
         gathered by `take` in C order, so einsum sums as on fresh rows."""
         pts, inv = np.unique(x, return_inverse=True)
         rows = rows_fn(pts, n) * np.atleast_1d(weights)[:, None]
         return rows.take(inv.ravel(), axis=1)
 
     def _eval(self, weight_fn, rows_fn_x, rows_fn_y, n, x, y, matrix):
-        """Outer table, or x against y broadcast (rows once per distinct point)."""
+        """Outer table, or x against y broadcast; rows come from `_rows`."""
         w = weight_fn(self.basis.table.zeros[:n])
         if matrix:
             x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -171,20 +187,11 @@ class UnitIntervalKernels:
         scale = min(1.0, float(np.min(ya)) / (self.nu + 0.5))
         n = max(self._n(self.basis.delta_terms_needed, t, tol),
                 self._n(self.basis.poisson_terms_needed, t, tol * scale))
-        w = SEMIGROUPS["poisson"](self.basis.table.zeros[:n], t)
-        if matrix:
-            xa = np.atleast_1d(np.asarray(x, dtype=float))
-            psi_x = self.basis.psi_matrix(xa, n)
-            p = (psi_x * w[:, None]).T @ self.basis.psi_matrix(ya, n)
-            d = (psi_x * w[:, None]).T @ self._chi_matrix(ya, n)
-            return (self.nu + 0.5) * p / ya[None, :] - d
-        xb, yb = _broadcast(x, y)
-        shape = xb.shape
-        psi_x = self._rows_at(self.basis.psi_matrix, xb, n, w)
-        p = np.einsum("np,np->p", psi_x, self._rows_at(self.basis.psi_matrix, yb, n))
-        d = np.einsum("np,np->p", psi_x, self._rows_at(self._chi_matrix, yb, n))
-        out = (self.nu + 0.5) * p / yb.ravel() - d
-        return float(out[0]) if shape == () else out.reshape(shape)
+        p, d = (self._eval(lambda lam: SEMIGROUPS["poisson"](lam, t),
+                           partial(self._rows, "psi"), partial(self._rows, y_rows),
+                           n, x, y, matrix) for y_rows in ("psi", "chi"))
+        out = (self.nu + 0.5) * p / (ya[None, :] if matrix else _broadcast(x, y)[1]) - d
+        return float(out) if np.ndim(out) == 0 else out
 
 
 def _series_method(name: str):
@@ -193,7 +200,8 @@ def _series_method(name: str):
     def kernel(self, t: float, x, y, matrix: bool = False, tol=None):
         n = self._n(getattr(self.basis, terms), t, tol)
         return self._eval(lambda lam: SEMIGROUPS[semigroup](lam, t),
-                          _ROWS[x_rows](self), _ROWS[y_rows](self), n, x, y, matrix)
+                          partial(self._rows, x_rows), partial(self._rows, y_rows),
+                          n, x, y, matrix)
     kernel.__name__ = name
     kernel.__qualname__ = f"UnitIntervalKernels.{name}"
     return kernel

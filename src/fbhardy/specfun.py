@@ -14,9 +14,10 @@ term alone.
 The I sums stop per element (at the smallest term, or at the first term
 below 1e-18 of the element's own sum), so a value does not depend on the
 rest of the call.  The J sums keep one stopping index for the whole array
-(the first term at which every element is past its smallest term or below
-1e-18) and add a_k / x**k in order of k, skipping only terms too small to
-change a rounded sum, so J and the zero tables keep their established bits:
+(the series: found from the largest argument and a running bound; the
+asymptotic form: the first term at which every element is past its smallest
+term or below 1e-18) and add a_k / x**k in order of k, skipping only terms
+too small to change a rounded sum, so J and the zero tables keep their bits:
 at nu = 1 the small-time weighted heat ratios are J rounding noise times
 norm constants of ~1e6 (ROADMAP item 2), and recorded results reproduce
 only with the same bits.  Elements are sorted by their last term in blocks
@@ -62,14 +63,26 @@ class Order:
 
 
 def _jover_series(nu: float, x: np.ndarray) -> np.ndarray:
-    """J_nu(x) / x^nu by the ascending series; entire in x^2, no 0^nu issues."""
+    """J_nu(x) / x^nu by the ascending series; entire in x^2, no 0^nu issues.
+
+    It stops at the first k with max|term_k| < 1e-18 max|out|.  |term_k| is
+    |term_{k-1}| q / (k (nu + k)) rounded, and rounding is monotone, so that
+    max is tk = |term_k| at argmax(q).  The sum B of t_0..t_k bounds |out| up
+    to 2 * _SERIES_CAP roundings of 2^-53, well inside a margin of 1e-12, so
+    max|out| is reduced only once tk < 1e-18 B (1 + 1e-12): the stop index,
+    and every bit of J, stay those of the test on max|out| at every k."""
     q = 0.25 * x * x
     term = np.full_like(q, math.exp(-nu * math.log(2.0) - lgamma(nu + 1.0)))
     out = term.copy()
+    top = int(np.argmax(q))
+    bound = abs(term[top])
     for k in range(1, _SERIES_CAP + 1):
         term = term * (-q) / (k * (nu + k))
         out += term
-        if np.max(np.abs(term)) < 1e-18 * max(np.max(np.abs(out)), 1e-300):
+        tk = abs(term[top])
+        bound += tk
+        if tk < 1e-18 * max(bound * (1.0 + 1e-12), 1e-300) and \
+                tk < 1e-18 * max(np.max(np.abs(out)), 1e-300):
             break
     return out
 

@@ -116,6 +116,21 @@ def test_closer_rows_are_read_only_views():
                 arr.setflags(write=True)
 
 
+def test_every_table_column_is_read_only():
+    """Coefficients and labels cannot go stale: no column of either table
+    can be written after the table is built."""
+    cascade = _cascade()
+    pairs = cascade.materialize()
+    for table in (pairs, cascade.closers):
+        for f in dataclasses.fields(table):
+            col = getattr(table, f.name)
+            assert not isinstance(col, np.ndarray) or not col.flags.writeable, f.name
+    with pytest.raises(ValueError):
+        pairs.coef[0] = 5.0
+    with pytest.raises(ValueError):
+        cascade.closers.lam[0] = 7.0
+
+
 def test_atoms_and_functions_have_no_instance_dict():
     _, atom = _cascade().materialize(1)[0]
     assert not hasattr(atom, "__dict__") and not hasattr(atom.fn, "__dict__")

@@ -321,6 +321,20 @@ def test_j_is_bit_identical(nu, size, seed):
                           ref_besselj_over_xnu(order, x))
 
 
+@pytest.mark.parametrize("nu", [-0.4999, -0.45, 0.5, 1.0, 4.5, 12.0])
+def test_j_series_stop_is_bit_identical(nu):
+    """The series stops at the reference's whole-array index when the
+    largest argument is shared, when every argument is 0, at size 1 and at
+    sizes next to a block."""
+    sw, rng = Order(nu).j_switch, np.random.default_rng(23)
+    cases = [np.array([0.3 * sw, sw, 0.5, sw, sw]), np.full(4, 0.7 * sw),
+             np.zeros(6), np.zeros(1), np.array([sw]), np.array([1e-3]),
+             rng.uniform(0.0, sw, _CHUNK - 1), rng.uniform(0.0, sw, _CHUNK + 1)]
+    cases[-1][::5] = sw
+    for x in cases:
+        assert np.array_equal(specfun._jover_series(nu, x), ref_jover_series(nu, x))
+
+
 @SLOW
 @given(nu=ORDERS, size=SIZES, lo=st.floats(0.0, 2.5), width=st.floats(0.0, 1.0),
        seed=st.integers(0, 2**32 - 1))
