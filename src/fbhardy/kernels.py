@@ -19,6 +19,11 @@ and the Poisson kernel is produced from it by one-sided subordination,
 
     P_t(x, y) = pi^(-1/2) int_0^inf exp(-u) u^(-1/2) T_{t^2/4u}(x, y) du.
 
+T takes h_nu from its series up to u = xy/2t = 30 and, above, the scaled form
+(xy)^(-nu) / 2t exp(-(x-y)^2/4t) exp(-u) I_nu(u), one I evaluation per route.
+P runs every block of its 352 fixed nodes through the same routes, on values
+of the points made once; it does not call bessel_heat.
+
 Series kernels are truncated with certified geometric tail bounds owned by the
 basis object, so every value carries an absolute-accuracy guarantee; when a
 requested time is too small for the available zero table a NumericsError is
@@ -42,7 +47,7 @@ import numpy as np
 
 from .basis import EigenBasis
 from .errors import NumericsError
-from .quadrature import Measure, MEASURE_MU
+from .quadrature import Measure, MEASURE_MU, _gl_on_panels
 from . import specfun
 from .specfun import Order
 
@@ -214,75 +219,96 @@ for _name in SERIES_KERNELS:
 # ---------------------------------------------------------------------------
 # closed-form kernels on the half-line
 
-_IVE_SWITCH = 100.0   # h_nu route below, exponentially-scaled route above
+_IVE_SWITCH = 30.0   # h_nu route up to the smallest i_switch, scaled route above
+
+# route (h_nu?) -> its one I evaluation at u for an order: I_nu(u)/u^nu by the
+# series, or exp(-u) I_nu(u) by the asymptotic form unless i_switch > 30 (nu > 15)
+_ROUTE_I = {True: lambda order, u: specfun._iover_series(order.nu, u),
+            False: lambda order, u: specfun._ive_asymptotic(order.nu, u)
+            if order.i_switch == _IVE_SWITCH else specfun.bessel_i_scaled(order, u)}
 
 
-def _halfline_heat(op: str, nu: float, t, x, y, dy: bool):
-    """Shared body of bessel_heat and dy_bessel_heat: validation, u = xy/2t
-    and the two routes.  Each route forms its Gaussian factor first and
-    evaluates the Bessel functions only where that factor is nonzero; the
-    kernel is exactly 0 everywhere else."""
+def _halfline(op: str, nu: float, t, x, y, kernel):
+    """kernel((Order(nu), Order(nu + 1)), t, (x, y, xy, x^2 + y^2, (x - y)^2,
+    (xy)^-nu)) at checked t, x, y (NaN fails) in their broadcast shape; an
+    infinite t, x or y gets the kernels' limit there, 0."""
     orders = Order(nu), Order(nu + 1.0)
     tb, xb, yb = _broadcast(t, x, y)
     t, x, y = (np.ravel(a) for a in (tb, xb, yb))
-    if np.any(t <= 0) or np.any(x < 0) or np.any(y < 0):
-        raise ValueError(f"{op} needs t > 0 and x, y >= 0")
-    u = x * y / (2.0 * t)
+    if not (np.all(t > 0) and np.all(x >= 0) and np.all(y >= 0)):
+        raise ValueError(f"{op} needs t > 0 and x, y >= 0, none of them NaN")
     out = np.zeros(t.shape)
-    small = u <= _IVE_SWITCH
-    for h_route in (True, False):
-        idx = np.flatnonzero(small == h_route)
-        ts, xs, ys = t[idx], x[idx], y[idx]
-        pre, arg = ((2.0 * ts) ** (-1.0 - nu), -(xs**2 + ys**2) / (4.0 * ts)) if h_route \
-            else ((xs * ys) ** (-nu) / (2.0 * ts), -((xs - ys) ** 2) / (4.0 * ts))
-        # exp underflows to 0 below -746, which zeroes every finite prefactor
-        live = np.flatnonzero((arg > -746.0) | ~np.isfinite(pre))
-        g = pre[live] * np.exp(arg[live])
-        live, g = live[g != 0], g[g != 0]
-        if not live.size:
-            continue
-        idx, ts, xs, ys, us = idx[live], ts[live], xs[live], ys[live], u[idx[live]]
-        bessel = specfun.besseli_over_xnu if h_route else specfun.bessel_i_scaled
-        val = np.asarray(bessel(orders[0], us))
-        if dy:   # on the h_nu route I_{nu+1} enters as u h_{nu+1}(u)
-            val = (xs / (2.0 * ts)) * (us if h_route else 1.0) * \
-                np.asarray(bessel(orders[1], us)) - (ys / (2.0 * ts)) * val
-        out[idx] = g * val
+    keep = np.isfinite(t) & np.isfinite(x) & np.isfinite(y)
+    t, x, y = t[keep], x[keep], y[keep]
+    xy = x * y
+    with np.errstate(divide="ignore"):   # (xy)^-nu at xy = 0, read only where xy > 0
+        out[keep] = kernel(orders, t, (x, y, xy, x**2 + y**2, (x - y) ** 2, xy ** (-nu)))
     return float(out[0]) if tb.shape == () else out.reshape(tb.shape)
 
 
-def bessel_heat(nu: float, t, x, y):
-    """Heat kernel of the Bessel operator on (0, inf) against x^(2nu+1) dx.
+def _heat(orders, s, points, dy: bool) -> np.ndarray:
+    """Heat kernel, or with dy its y-derivative, at heat times s (one per
+    point, or a row per subordination node) over the points.  Each route
+    forms its Gaussian factor first and evaluates I only where that factor
+    is nonzero; the kernel is exactly 0 everywhere else."""
+    x, y, xy, sq, d2, xyn = points
+    nu = orders[0].nu
+    u = xy / (2.0 * s)
+    h = u <= _IVE_SWITCH
+    arg = np.where(h, sq, d2) / (-4.0 * s)
+    out = np.zeros(u.shape)
+    s, u, h, arg = (np.ravel(a) for a in (s, u, h, arg))
+    # exp underflows to 0 below -746, which zeroes every finite prefactor; both
+    # stay below 1e300 above s_safe (as xy > 60 s on the scaled route), and
+    # below it every element is tried, so an overflowed one times 0 is NaN
+    s_safe = 0.5 * 10.0 ** (-300.0 / (1.0 + nu)) if nu >= 0 else 1e-146
+    live = np.flatnonzero((arg > -746.0) | (s.min(initial=np.inf) <= s_safe))
+    for h_route in (True, False):
+        idx = live[h[live] == h_route]
+        ts, col = s[idx], idx % xy.size
+        pre = (2.0 * ts) ** (-1.0 - nu) if h_route else xyn[col] / (2.0 * ts)
+        g = pre * np.exp(arg[idx])
+        nz = g != 0
+        idx, ts, col, g = idx[nz], ts[nz], col[nz], g[nz]
+        if idx.size:
+            us = u[idx]
+            val = _ROUTE_I[h_route](orders[0], us)
+            if dy:   # on the h_nu route I_{nu+1} enters as u h_{nu+1}(u)
+                val = (x[col] / (2.0 * ts)) * (us if h_route else 1.0) * \
+                    _ROUTE_I[h_route](orders[1], us) - (y[col] / (2.0 * ts)) * val
+            out.flat[idx] = g * val
+    return out
 
-    Two algebraically identical routes are used: the h_nu form for moderate
-    xy/2t, and an exponentially scaled form that stays finite when xy/2t is
-    large and the unscaled I_nu would overflow.  I_nu is evaluated only
-    where the Gaussian factor is nonzero."""
-    return _halfline_heat("bessel_heat", nu, t, x, y, dy=False)
+
+def bessel_heat(nu: float, t, x, y):
+    """Heat kernel of the Bessel operator on (0, inf) against x^(2nu+1) dx,
+    on the two algebraically identical routes of the module docstring; the
+    scaled one stays finite where the unscaled I_nu would overflow."""
+    return _halfline("bessel_heat", nu, t, x, y, partial(_heat, dy=False))
 
 
 def dy_bessel_heat(nu: float, t, x, y):
     """Derivative of the half-line heat kernel in its second argument."""
-    return _halfline_heat("dy_bessel_heat", nu, t, x, y, dy=True)
+    return _halfline("dy_bessel_heat", nu, t, x, y, partial(_heat, dy=True))
 
 
-_SUBORD_PANELS = ((0.0, 0.5, 64), (0.5, 1.0, 64), (1.0, 2.0, 64),
-                  (2.0, 4.0, 64), (4.0, 8.0, 64), (8.0, 12.0, 32))
-
-
-def _subordination_nodes():
-    nodes, weights = [], []
-    for a, b, n in _SUBORD_PANELS:
-        z, w = np.polynomial.legendre.leggauss(n)
-        nodes.append(0.5 * (b - a) * z + 0.5 * (a + b))
-        weights.append(0.5 * (b - a) * w)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
-_SUB_V, _SUB_W = _subordination_nodes()
+_SUB_V, _SUB_W = _gl_on_panels(np.array([0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 12.0]),
+                               (64, 64, 64, 64, 64, 32))
 _SUB_WEIGHT = _SUB_W * np.exp(-_SUB_V * _SUB_V)
 _SUB_INV_4V2 = 1.0 / (4.0 * _SUB_V * _SUB_V)
-_SUB_BLOCK = 8192   # max elements per bessel_heat call (nodes x points)
+_SUB_BLOCK = 8192   # max heat values per node block (nodes x points)
+
+
+def _subordinate(orders, t, points) -> np.ndarray:
+    t2 = t * t
+    if not np.all(_SUB_INV_4V2[-1] * t2 > 0):   # the last node's heat time
+        raise ValueError("bessel_poisson needs t^2/576 > 0, t above about 5e-161")
+    step = max(1, _SUB_BLOCK // max(t.size, 1))
+    acc = np.zeros(t.size)
+    for i in range(0, len(_SUB_V), step):
+        s = _SUB_INV_4V2[i:i + step, None] * t2
+        acc += (_SUB_WEIGHT[i:i + step, None] * _heat(orders, s, points, False)).sum(axis=0)
+    return acc * (2.0 / math.sqrt(math.pi))
 
 
 def bessel_poisson(nu: float, t, x, y):
@@ -291,24 +317,12 @@ def bessel_poisson(nu: float, t, x, y):
     After the substitution u = v^2 the defining integral becomes
     2 pi^(-1/2) int_0^inf exp(-v^2) T_{t^2/4v^2}(x, y) dv; the integrand is
     smooth on each panel and dies like exp(-v^2), so fixed Gauss-Legendre
-    panels out to v = 12 give near machine accuracy.
-
-    t, x and y broadcast against each other, so every point may carry its
-    own time.  Each bessel_heat call covers a block of nodes times all
-    points, at most _SUB_BLOCK elements (a single node when the points alone
-    exceed that), so no call holds more than max(_SUB_BLOCK, points) heat
-    values at once."""
-    tb, xb, yb = _broadcast(t, x, y)
-    if np.any(tb <= 0):
-        raise ValueError("bessel_poisson needs t > 0")
-    t2, xf, yf = (np.ravel(a) for a in (tb * tb, xb, yb))
-    step = max(1, _SUB_BLOCK // max(xf.size, 1))
-    acc = np.zeros(xf.size)
-    for i in range(0, len(_SUB_V), step):
-        s = _SUB_INV_4V2[i:i + step, None] * t2
-        acc += (_SUB_WEIGHT[i:i + step, None] * bessel_heat(nu, s, xf, yf)).sum(axis=0)
-    acc *= 2.0 / math.sqrt(math.pi)
-    return float(acc[0]) if xb.shape == () else acc.reshape(xb.shape)
+    panels out to v = 12 give near machine accuracy.  t, x and y broadcast,
+    so every point may carry its own time.  Each block of nodes times points,
+    at most _SUB_BLOCK elements (one node when the points alone exceed that),
+    takes one pass through the heat kernel's routes on the points' values,
+    made once per call; bessel_heat itself is not called."""
+    return _halfline("bessel_poisson", nu, t, x, y, _subordinate)
 
 
 # semigroup -> half-line kernel (nu, t, x, y); the lambdas look the module

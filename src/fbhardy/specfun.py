@@ -5,11 +5,11 @@ explicit and testable: the ascending power series on [0, x_switch] and the
 large-argument (Hankel-type) asymptotic expansion with phase
 x - (nu/2 + 1/4)*pi beyond it.  The switch point is max(12, 2|nu|) for J.
 For I the series has no cancellation, so the switch sits higher, at
-max(30, 2|nu|), which keeps the smoothed asymptotic remainder (~exp(-2x)
-relative) below double precision.  At nu = 1/2 both expansions terminate and
-reproduce the closed forms sqrt(2/(pi x)) sin x and (e^x - e^-x)/sqrt(2 pi x)
-exactly; J there skips the P and Q sums (P = 1, Q = 0) and takes the cosine
-term alone.
+max(30, 2|nu|); there the subdominant term sin(nu pi) exp(-2x) of exp(-x) I_nu
+is below 2^-86 relative, and the asymptotic form leaves it out.  At nu = 1/2
+both expansions terminate: J is sqrt(2/(pi x)) sin x exactly (it skips the P
+and Q sums, P = 1 and Q = 0, and takes the cosine term alone), and exp(-x) I
+is 1/sqrt(2 pi x).
 
 The I sums stop per element (at the smallest term, or at the first term
 below 1e-18 of the element's own sum), so a value does not depend on the
@@ -20,8 +20,12 @@ term or below 1e-18) and add a_k / x**k in order of k, skipping only terms
 too small to change a rounded sum, so J and the zero tables keep their bits:
 at nu = 1 the small-time weighted heat ratios are J rounding noise times
 norm constants of ~1e6 (ROADMAP item 2), and recorded results reproduce
-only with the same bits.  Elements are sorted by their last term in blocks
-of _CHUNK, so term k of a sum touches one contiguous prefix.
+only with the same bits.  An element's smallest and first tiny asymptotic
+terms are read from two per-order tables of the gaps between the sorted
+thresholds, one search per element; elements within 1e-12 of a threshold are
+compared term by term.  Elements are sorted by their last term in blocks of
+_CHUNK (a stable sort of the 8-bit key top - last), so term k of a sum
+touches one contiguous prefix.
 """
 from __future__ import annotations
 
@@ -125,7 +129,7 @@ def _asymptotic_table(nu: float):
     _power_sums, stops(x) and the absorb thresholds; t_k = a_k / x^k.
     stops gives per element the last term before |t_k| stops decreasing
     (x <= |a_k/a_{k-1}|) and the first below 1e-18 (x > (1e18 |a_k|)^(1/k);
-    K + 1 if none), from running extremes of the thresholds, and within 1e-12
+    K + 1 if none), read from its gap between thresholds, and within 1e-12
     of one from the loop's own comparisons.  absorb: past floor, |t_2| <= 1/160
     and 80 |t_3| <= |t_1| keep |P| > 3/4, |Q| > 3/4 |t_1|; once x > absorb[k-1]
     the J terms after k are below 2^-56 min(1, |t_1|), and a float S plus
@@ -142,12 +146,15 @@ def _asymptotic_table(nu: float):
     r, s = ak[1:] / ak[:-1], (1e18 * ak) ** (1.0 / k)
     rise, tiny = np.maximum.accumulate(r), np.minimum.accumulate(s)
     ties = np.sort(np.concatenate([[-np.inf, np.inf], r, s]))
+    # rise and tiny take their values from the ties, so the counts below are
+    # the same across each gap between neighbouring ties
+    stop_at = np.minimum(1 + np.searchsorted(rise, ties, side="right"), K).astype(np.int8)
+    small_at = (1 + np.searchsorted(-tiny, -ties, side="left")).astype(np.int8)
 
     def stops(x):
-        stop = np.minimum(1 + np.searchsorted(rise, x, side="left"), K)
-        small = 1 + np.searchsorted(-tiny, -x, side="right")
-        i = np.searchsorted(ties, x)
-        near = np.flatnonzero(np.minimum(x - ties[i - 1], ties[i] - x) <= 1e-12 * x)
+        i = np.searchsorted(ties, x) - 1   # ties[i] < x <= ties[i + 1]
+        stop, small = stop_at[i], small_at[i]
+        near = np.flatnonzero(np.minimum(x - ties[i], ties[i + 1] - x) <= 1e-12 * x)
         live, prev = np.ones(near.size, dtype=bool), np.inf
         small[near] = K + 1
         for j, cj in enumerate(a if near.size else (), start=1):
@@ -158,33 +165,33 @@ def _asymptotic_table(nu: float):
         return stop, small
     absorb = np.maximum(b ** (1.0 / k[1:]), (b / A[0]) ** (1.0 / k[:-1]))
     add, sub = np.add, np.subtract   # J: P takes even k, Q odd, sign (-1)^(k // 2)
-    return (K, tuple((c, ((j % 2, (add, add, sub, sub)[j % 4]),)) for j, c in enumerate(a, 1)),
-            tuple((c, ((0, sub if j % 2 else add), (1, add))) for j, c in enumerate(a, 1)),
+    return (K, tuple((c, j % 2, (add, add, sub, sub)[j % 4]) for j, c in enumerate(a, 1)),
+            tuple((c, 0, sub if j % 2 else add) for j, c in enumerate(a, 1)),
             stops, np.minimum.accumulate(absorb),
             math.sqrt(max(160.0 * A[1], 80.0 * A[2] / A[0])) if K else math.inf)
 
 
 def _power_sums(x: np.ndarray, lasts, init, terms) -> np.ndarray:
     """Row i: init[i] plus, per element, the terms k = 1..last in order of k,
-    lasts holding each _CHUNK block's last terms; terms[k-1] = (c, rows)
-    applies op(row i, c / x**k), op = np.add or np.subtract, for each (i, op)
-    in rows.  A block is sorted only if its last terms differ."""
+    lasts holding each _CHUNK block's last terms; terms[k-1] = (c, i, op)
+    applies op(row i, c / x**k), op = np.add or np.subtract.  A block is
+    sorted only if its last terms differ."""
     out = np.repeat(np.asarray(init, dtype=float)[:, None], x.size, axis=1)
     for lo, blk in zip(range(0, x.size, _CHUNK), lasts):
         top = int(blk.max())
         if blk.min() == top:
             idx, live = slice(lo, lo + blk.size), [blk.size] * top
         else:
-            order = np.argsort(-blk.astype(np.int16), kind="stable")
+            key = (top - blk).astype(np.uint8)
+            order = np.argsort(key, kind="stable")
             idx = lo + order
-            live = np.searchsorted(-blk[order], -np.arange(1, top + 1), side="right").tolist()
+            live = np.searchsorted(key[order], np.arange(top - 1, -1, -1), side="right").tolist()
         xs, acc = x[idx], out[:, idx]
         for k, n in enumerate(live, start=1):
-            c, rows = terms[k - 1]
+            c, i, op = terms[k - 1]
             t = xs[:n] ** k
             np.divide(c, t, out=t)
-            for i, op in rows:
-                op(acc[i, :n], t, out=acc[i, :n])
+            op(acc[i, :n], t, out=acc[i, :n])
         out[:, idx] = acc
     return out
 
@@ -196,7 +203,7 @@ def _hankel_pq(nu: float, x: np.ndarray):
     1e-18.  Terms that rounding would absorb into P and Q are skipped."""
     K, terms, _, stops, absorb, floor = _asymptotic_table(nu)
     blocks = np.split(x, np.arange(_CHUNK, x.size, _CHUNK))
-    ends = [(stop.astype(np.int8), np.max(np.minimum(stop + 1, small), initial=1))
+    ends = [(stop, np.max(np.minimum(stop + 1, small), initial=1))
             for stop, small in map(stops, blocks)]
     whole = min(K, max(int(w) for _, w in ends))
     return _power_sums(x, (np.minimum(np.minimum(stop, whole), np.where(
@@ -213,16 +220,14 @@ def _j_asymptotic(nu: float, x: np.ndarray) -> np.ndarray:
 
 
 def _ive_asymptotic(nu: float, x: np.ndarray) -> np.ndarray:
-    """exp(-x) I_nu(x) for large x, with the smoothed subdominant exp(-2x)
-    term (coefficient -sin(nu pi); exact at half-integer orders, vanishing at
-    integer orders).  Each element stops at its smallest term or at its
-    first term below 1e-18."""
+    """exp(-x) I_nu(x) for x > 30 from the sum of (-1)^k a_k / x^k; each
+    element stops at its smallest term or at its first term below 1e-18."""
     K, _, terms, stops, _, _ = _asymptotic_table(nu)
-    E = F = 1.0
+    E = 1.0   # nu = 1/2: a_1 = 0 and the sum is 1
     if K:
-        E, F = _power_sums(x, (np.minimum(*stops(xs)) for xs in
-                               np.split(x, np.arange(_CHUNK, x.size, _CHUNK))), (1.0, 1.0), terms)
-    return (E - math.sin(nu * pi) * np.exp(-2.0 * x) * F) / np.sqrt(2.0 * pi * x)
+        E = _power_sums(x, (np.minimum(*stops(xs)) for xs in
+                            np.split(x, np.arange(_CHUNK, x.size, _CHUNK))), (1.0,), terms)[0]
+    return E / np.sqrt(2.0 * pi * x)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,10 @@ bit for bit the same; the I functions may move by a few ulps (their sums now
 stop per element), the half-line heat kernels must give exactly 0 where the
 reference does and agree to rel 4e-15 elsewhere, and the semigroup
 comparison must agree to rel 1e-13.
+
+`ref_stops` is the asymptotic stop scan before its lookup tables, and must
+give the same indices; `ref_bessel_poisson` is the blocked subordination
+loop on `ref_bessel_heat`, held to the heat kernels' rule.
 """
 import math
 from math import lgamma, pi
@@ -20,11 +24,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fbhardy import kernels, specfun
+from fbhardy import specfun
 from fbhardy.covers import DyadicCover, FAMILY_ONE_END
 from fbhardy.basis import EigenBasis
 from fbhardy.errors import NumericsError
-from fbhardy.kernels import _IVE_SWITCH, bessel_heat, bessel_poisson, dy_bessel_heat
+from fbhardy.kernels import (_IVE_SWITCH, _SUB_BLOCK, _SUB_INV_4V2, _SUB_V, _SUB_WEIGHT,
+                             bessel_heat, bessel_poisson, dy_bessel_heat)
 from fbhardy.maximal import SpectralExpansion, compare_semigroups
 from fbhardy.quadrature import (MEASURE_MU, SampledFunction, grid_on_interval,
                                 make_quadrature)
@@ -234,6 +239,51 @@ def ref_dy_bessel_heat(nu, t, x, y):
     return float(out[0]) if scalar else out
 
 
+def ref_stops(nu):
+    """The stop scan of `_asymptotic_table(nu)` with three searches per call,
+    and its thresholds (the ties other than +-inf)."""
+    mu4, c, a = 4.0 * nu * nu, 1.0, []
+    for k in range(1, _ASYMP_CAP + 1):
+        c *= (mu4 - (2 * k - 1) ** 2) / (8.0 * k)
+        if c == 0.0:
+            break
+        a.append(c)
+    K, k = len(a), np.arange(1, len(a) + 1)
+    ak = np.abs(np.array(a))
+    r, s = ak[1:] / ak[:-1], (1e18 * ak) ** (1.0 / k)
+    rise, tiny = np.maximum.accumulate(r), np.minimum.accumulate(s)
+    ties = np.sort(np.concatenate([[-np.inf, np.inf], r, s]))
+
+    def stops(x):
+        stop = np.minimum(1 + np.searchsorted(rise, x, side="left"), K)
+        small = 1 + np.searchsorted(-tiny, -x, side="right")
+        i = np.searchsorted(ties, x)
+        near = np.flatnonzero(np.minimum(x - ties[i - 1], ties[i] - x) <= 1e-12 * x)
+        live, prev = np.ones(near.size, dtype=bool), np.inf
+        small[near] = K + 1
+        for j, cj in enumerate(a if near.size else (), start=1):
+            mag = np.abs(cj / x[near] ** j)
+            live &= mag < prev
+            stop[near[live]], prev = j, mag
+            small[near[live & (mag < 1e-18) & (small[near] > K)]] = j
+        return stop, small
+    return stops, ties[1:-1]
+
+
+def ref_bessel_poisson(nu, t, x, y):
+    tb, xb, yb = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (t, x, y)))
+    if np.any(tb <= 0):
+        raise ValueError("bessel_poisson needs t > 0")
+    t2, xf, yf = (np.ravel(a) for a in (tb * tb, xb, yb))
+    step = max(1, _SUB_BLOCK // max(xf.size, 1))
+    acc = np.zeros(xf.size)
+    for i in range(0, len(_SUB_V), step):
+        s = _SUB_INV_4V2[i:i + step, None] * t2
+        acc += (_SUB_WEIGHT[i:i + step, None] * ref_bessel_heat(nu, s, xf, yf)).sum(axis=0)
+    acc *= 2.0 / math.sqrt(math.pi)
+    return float(acc[0]) if xb.shape == () else acc.reshape(xb.shape)
+
+
 def ref_compare_semigroups(basis, fs, t_grid=None, n_x=48, zeta=0.02):
     if isinstance(fs, SampledFunction):
         fs = [fs]
@@ -257,7 +307,7 @@ def ref_compare_semigroups(basis, fs, t_grid=None, n_x=48, zeta=0.02):
 
     sup = np.zeros((len(fs), len(xn)))
     for t in t_grid:
-        kmat = bessel_poisson(basis.nu, float(t), xn[:, None], grid0.nodes[None, :])
+        kmat = ref_bessel_poisson(basis.nu, float(t), xn[:, None], grid0.nodes[None, :])
         for i, (f, exp) in enumerate(zip(fs, exps)):
             half = kmat @ (grid0.weights * f.values)
             unit = exp.at_time(float(t), xn, "poisson")
@@ -410,7 +460,7 @@ def test_halfline_heat_kernels(nu, size, seed):
     y = rng.uniform(0.0, 3.0, size)
     x[::7] = 0.0
     t = 10.0 ** rng.uniform(-6.0, 1.0, size)
-    # every third point sits next to the route switch u = xy/2t = 100
+    # every third point sits next to the route switch u = xy/2t = _IVE_SWITCH
     near = slice(1, None, 3)
     t[near] = np.maximum(x[near] * y[near], 1e-12) / (
         2.0 * _IVE_SWITCH * (1.0 + rng.uniform(-1e-3, 1e-3, t[near].size)))
@@ -433,6 +483,58 @@ def test_halfline_heat_broadcasts_and_skips_zero_factors():
     assert np.mean(ref_bessel_heat(1.0, 1e-4, x, y) == 0) > 0.5
 
 
+@pytest.mark.parametrize("nu", [-0.3, 0.25, 1.0, 1.5, 2.5, 7.5, 12.0, 30.0])
+def test_stop_lookup_matches_the_scan(nu):
+    """The lookup tables give the scan's indices on log-spread points and on
+    every threshold, a few ulps and 2e-12 or 1e-9 relative to either side."""
+    ref, th = ref_stops(nu)
+    x = [np.geomspace(1e-3, 1e6, 4001), th]
+    for ulps in (1, 4):
+        x += [th + ulps * np.spacing(th), th - ulps * np.spacing(th)]
+    for rel in (2e-12, 1e-9):
+        x += [th * (1.0 + rel), th * (1.0 - rel)]
+    x = np.concatenate(x)
+    with np.errstate(over="ignore"):   # x**j past 1e308 at the largest thresholds
+        pairs = list(zip(specfun._asymptotic_table(nu)[3](x), ref(x)))
+    for got, want in pairs:
+        assert np.array_equal(got, want)
+
+
+def _poisson_points(rng, size):
+    x = rng.uniform(0.0, 3.0, size)
+    y = rng.uniform(0.0, 3.0, size)
+    x[::7] = 0.0
+    return 10.0 ** rng.uniform(-3.0, 1.0, size), x, y
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(nu=ORDERS, size=st.sampled_from([0, 1, 2, 7, 300, _SUB_BLOCK // 3 + 1]),
+       seed=st.integers(0, 2**32 - 1))
+def test_bessel_poisson_against_blocked_loop(nu, size, seed):
+    """Per-point times; sizes that pack many nodes into a block."""
+    t, x, y = _poisson_points(np.random.default_rng(seed), size)
+    _assert_rel(bessel_poisson(nu, t, x, y), ref_bessel_poisson(nu, t, x, y), 4e-15)
+
+
+@pytest.mark.parametrize("size", [_SUB_BLOCK - 1, _SUB_BLOCK, _SUB_BLOCK + 1])
+def test_bessel_poisson_against_blocked_loop_near_block_size(size):
+    t, x, y = _poisson_points(np.random.default_rng(size), size)
+    for nu in (-0.3, 1.0):
+        _assert_rel(bessel_poisson(nu, t, x, y), ref_bessel_poisson(nu, t, x, y), 4e-15)
+
+
+def test_bessel_poisson_scalar_and_empty_inputs():
+    for nu, t, x, y in ((1.0, 0.3, 0.5, 0.7), (-0.3, 2.0, 0.0, 1.5), (12.0, 0.05, 2.0, 2.1)):
+        got = bessel_poisson(nu, t, x, y)
+        assert isinstance(got, float)
+        _assert_rel(got, ref_bessel_poisson(nu, t, x, y), 4e-15)
+    for shape in ((0,), (0, 3)):
+        assert bessel_poisson(1.0, np.ones(shape), 0.5, 0.5).shape == shape
+    x = np.linspace(0.0, 3.0, 9)
+    _assert_rel(bessel_poisson(2.5, 0.4, x[:, None], x[None, :]),
+                ref_bessel_poisson(2.5, 0.4, x[:, None], x[None, :]), 4e-15)
+
+
 def _gate7_bumps(grid, seed=4101, count=20):
     rng = np.random.default_rng(seed)
     fs = []
@@ -450,8 +552,7 @@ def _gate7_bumps(grid, seed=4101, count=20):
 
 def _compare_against_reference(basis, fs, t_grid, n_x):
     got = compare_semigroups(basis, fs, t_grid=t_grid, n_x=n_x)
-    with mock.patch.object(kernels, "bessel_heat", ref_bessel_heat):
-        ref = ref_compare_semigroups(basis, fs, t_grid=t_grid, n_x=n_x)
+    ref = ref_compare_semigroups(basis, fs, t_grid=t_grid, n_x=n_x)
     for g, r in zip(got, ref):
         assert g["f_norm_l1"] == r["f_norm_l1"]
         assert abs(g["ratio"] - r["ratio"]) <= 1e-13 * abs(r["ratio"])

@@ -132,6 +132,49 @@ def test_bessel_heat_large_argument_route():
     assert abs(got / expect - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("nu", [-0.3, 0.5, 1.0, 4.5, 12.0])
+def test_heat_kernels_where_the_h_route_gaussian_underflows(nu):
+    """u = xy/2t in (30, 100] with (x - y)^2/4t = 702.25: exp(-(x^2 + y^2)/4t)
+    underflows, so the h_nu route gave 0; the scaled route keeps the value."""
+    t, y = 2.0**-10, np.array([0.0625, 0.09375, 0.109375])
+    x = y + 1.65625
+    u = x * y / (2 * t)
+    gauss = (x * y) ** (-nu) / (2 * t) * np.exp(-(x - y) ** 2 / (4 * t))
+    heat = gauss * sps.ive(nu, u)
+    dy = gauss * (x / (2 * t) * sps.ive(nu + 1, u) - y / (2 * t) * sps.ive(nu, u))
+    for fn, expect in ((bessel_heat, heat), (dy_bessel_heat, dy)):
+        got = fn(nu, t, x, y)
+        assert np.all(got != 0)
+        np.testing.assert_allclose(got, expect, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("kernel", [bessel_heat, dy_bessel_heat, bessel_poisson])
+def test_halfline_kernels_reject_nan_and_negative_inputs(kernel):
+    name = kernel.__name__
+    good = np.array([0.3, 0.5, 0.7])
+    for bad in (np.nan, -1.0):
+        for arg in range(3):
+            args = [good.copy() for _ in range(3)]
+            args[arg][1] = bad
+            with pytest.raises(ValueError, match=f"^{name} needs"):
+                kernel(1.0, *args)
+    with pytest.raises(ValueError, match=f"^{name} needs"):
+        kernel(0.5, np.nan, 0.5, 0.5)
+
+
+@pytest.mark.parametrize("kernel", [bessel_heat, dy_bessel_heat, bessel_poisson])
+@pytest.mark.filterwarnings("error")
+def test_halfline_kernels_give_zero_at_infinite_inputs(kernel):
+    inf = math.inf
+    for nu in (-0.3, 0.0, 1.0):
+        for t, x, y in ((inf, 0.5, 0.4), (0.5, inf, 0.4), (0.5, 0.3, inf),
+                        (0.5, inf, 0.0), (0.5, 0.0, inf), (inf, inf, inf)):
+            assert kernel(nu, t, x, y) == 0.0
+        got = kernel(nu, np.array([0.5, inf, 0.5]), np.array([0.4, 0.4, inf]), 0.6)
+        assert got[1] == got[2] == 0.0
+        assert got[0] == pytest.approx(kernel(nu, 0.5, 0.4, 0.6), rel=1e-14)
+
+
 def test_bessel_poisson_half_order_closed_form():
     x = np.linspace(0.1, 4.0, 17)
     y = np.linspace(0.2, 3.5, 17)

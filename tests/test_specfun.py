@@ -114,6 +114,16 @@ def test_bessel_i_scaled_matches_scipy():
                                rtol=5e-13, atol=1e-300)
 
 
+@pytest.mark.xfail(strict=True, reason="at nu >= 12 the asymptotic sum is still "
+                   "far from exp(-x) I_nu(x) just past i_switch = max(30, 2 nu) "
+                   "(ROADMAP item 3)")
+def test_bessel_i_scaled_large_order_past_the_switch():
+    x = np.array([31.0, 41.0, 84.0])
+    for nu in (12.0, 15.0, 20.0):
+        np.testing.assert_allclose(bessel_i_scaled(Order(nu), x), sps.ive(nu, x),
+                                   rtol=5e-13, atol=0)
+
+
 def test_bessel_i_overflow_guard():
     with pytest.raises(NumericsError):
         bessel_i(Order(0.5), 800.0)
