@@ -21,8 +21,12 @@ and the Poisson kernel is produced from it by one-sided subordination,
 
 T takes h_nu from its series up to u = xy/2t = 30 and, above, the scaled form
 (xy)^(-nu) / 2t exp(-(x-y)^2/4t) exp(-u) I_nu(u), one I evaluation per route.
-P runs every block of its 352 fixed nodes through the same routes, on values
-of the points made once; it does not call bessel_heat.
+P runs blocks of its 352 fixed nodes through the same routes, on values of
+the points made once, and skips every term whose bound, T_s(x, y) <= (2s)^(-1-nu)
+exp(-(x-y)^2/4s) / (2^nu Gamma(nu + 1)) from I_nu(u) <= (u/2)^nu e^u / Gamma(nu + 1)
+(DLMF 10.32.2, nu > -1/2), is below 2^-60/352 of the exactly evaluated term at
+the node nearest the bound's peak: as all terms are positive, the skipped ones
+sum to at most 2^-60 of P, and none of them costs an I evaluation.
 
 Series kernels are truncated with certified geometric tail bounds owned by the
 basis object, so every value carries an absolute-accuracy guarantee; when a
@@ -39,7 +43,7 @@ widen by less than ten percent.  Each estimate is one row of `_LEMMAS`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -246,32 +250,34 @@ def _halfline(op: str, nu: float, t, x, y, kernel):
     return float(out[0]) if tb.shape == () else out.reshape(tb.shape)
 
 
-def _heat(orders, s, points, dy: bool) -> np.ndarray:
+def _heat(orders, s, points, dy: bool, keep=True) -> np.ndarray:
     """Heat kernel, or with dy its y-derivative, at heat times s (one per
     point, or a row per subordination node) over the points.  Each route
     forms its Gaussian factor first and evaluates I only where that factor
-    is nonzero; the kernel is exactly 0 everywhere else."""
+    is nonzero and `keep` (broadcast like s) holds, or everywhere if some s
+    is at most s_safe; the kernel is exactly 0 at every other element."""
     x, y, xy, sq, d2, xyn = points
     nu = orders[0].nu
-    u = xy / (2.0 * s)
-    h = u <= _IVE_SWITCH
-    arg = np.where(h, sq, d2) / (-4.0 * s)
-    out = np.zeros(u.shape)
-    s, u, h, arg = (np.ravel(a) for a in (s, u, h, arg))
+    h = xy / (2.0 * s) <= _IVE_SWITCH
+    out = np.zeros(h.shape)
     # exp underflows to 0 below -746, which zeroes every finite prefactor; both
     # stay below 1e300 above s_safe (as xy > 60 s on the scaled route), and
-    # below it every element is tried, so an overflowed one times 0 is NaN
+    # below it every element is tried, so an overflowed one times 0 is NaN.
+    # u and the exponent are made again on the live elements, so no full-size
+    # array of either is held while I is evaluated
     s_safe = 0.5 * 10.0 ** (-300.0 / (1.0 + nu)) if nu >= 0 else 1e-146
-    live = np.flatnonzero((arg > -746.0) | (s.min(initial=np.inf) <= s_safe))
+    live = np.flatnonzero(((np.where(h, sq, d2) / (-4.0 * s) > -746.0) & keep).ravel() |
+                          (s.min(initial=np.inf) <= s_safe))
+    s, h = np.ravel(s), np.ravel(h)
     for h_route in (True, False):
         idx = live[h[live] == h_route]
         ts, col = s[idx], idx % xy.size
-        pre = (2.0 * ts) ** (-1.0 - nu) if h_route else xyn[col] / (2.0 * ts)
-        g = pre * np.exp(arg[idx])
+        g = ((2.0 * ts) ** (-1.0 - nu) if h_route else xyn[col] / (2.0 * ts)) * \
+            np.exp((sq if h_route else d2)[col] / (-4.0 * ts))
         nz = g != 0
         idx, ts, col, g = idx[nz], ts[nz], col[nz], g[nz]
         if idx.size:
-            us = u[idx]
+            us = xy[col] / (2.0 * ts)
             val = _ROUTE_I[h_route](orders[0], us)
             if dy:   # on the h_nu route I_{nu+1} enters as u h_{nu+1}(u)
                 val = (x[col] / (2.0 * ts)) * (us if h_route else 1.0) * \
@@ -296,18 +302,29 @@ _SUB_V, _SUB_W = _gl_on_panels(np.array([0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 12.0]),
                                (64, 64, 64, 64, 64, 32))
 _SUB_WEIGHT = _SUB_W * np.exp(-_SUB_V * _SUB_V)
 _SUB_INV_4V2 = 1.0 / (4.0 * _SUB_V * _SUB_V)
-_SUB_BLOCK = 8192   # max heat values per node block (nodes x points)
+_SUB_BLOCK = 16384   # max heat values per node block (nodes x points)
+_SUB_CUT = math.log(2.0**-60 / len(_SUB_V))   # skipped term / reference term
 
 
 def _subordinate(orders, t, points) -> np.ndarray:
-    t2 = t * t
+    t2, nu = t * t, orders[0].nu
     if not np.all(_SUB_INV_4V2[-1] * t2 > 0):   # the last node's heat time
         raise ValueError("bessel_poisson needs t^2/576 > 0, t above about 5e-161")
+    q = points[4] / t2   # (x - y)^2 / t^2
+    v = np.sqrt((1.0 + nu) / (1.0 + q))   # where the terms' bound peaks
+    j = np.rint(np.interp(v, _SUB_V, np.arange(len(_SUB_V)))).astype(int)   # nearest node
+    # term (i, p) has log bound top[i] - v_i^2 q[p] - (1 + nu) log t^2 - nu log 2
+    # - lgamma(1 + nu); it is kept unless that is below log(reference) + _SUB_CUT
+    with np.errstate(divide="ignore", invalid="ignore"):
+        floor = np.log(_SUB_WEIGHT[j] * _heat(orders, _SUB_INV_4V2[j] * t2, points, False)) \
+            + _SUB_CUT + (1.0 + nu) * np.log(t2) + nu * math.log(2.0) + math.lgamma(1.0 + nu)
+    top = np.log(_SUB_WEIGHT) - (1.0 + nu) * np.log(2.0 * _SUB_INV_4V2)
     step = max(1, _SUB_BLOCK // max(t.size, 1))
     acc = np.zeros(t.size)
-    for i in range(0, len(_SUB_V), step):
+    for i in range(0, len(_SUB_V), step):   # a NaN floor (no finite reference) keeps all
+        keep = ~(top[i:i + step, None] - _SUB_V[i:i + step, None] ** 2 * q < floor)
         s = _SUB_INV_4V2[i:i + step, None] * t2
-        acc += (_SUB_WEIGHT[i:i + step, None] * _heat(orders, s, points, False)).sum(axis=0)
+        acc += (_SUB_WEIGHT[i:i + step, None] * _heat(orders, s, points, False, keep)).sum(axis=0)
     return acc * (2.0 / math.sqrt(math.pi))
 
 
@@ -318,10 +335,11 @@ def bessel_poisson(nu: float, t, x, y):
     2 pi^(-1/2) int_0^inf exp(-v^2) T_{t^2/4v^2}(x, y) dv; the integrand is
     smooth on each panel and dies like exp(-v^2), so fixed Gauss-Legendre
     panels out to v = 12 give near machine accuracy.  t, x and y broadcast,
-    so every point may carry its own time.  Each block of nodes times points,
-    at most _SUB_BLOCK elements (one node when the points alone exceed that),
-    takes one pass through the heat kernel's routes on the points' values,
-    made once per call; bessel_heat itself is not called."""
+    so every point may carry its own time.  Blocks of nodes times points, at
+    most _SUB_BLOCK elements (one node when the points alone exceed that), go
+    through the heat kernel's routes for the terms the certified cut of the
+    module docstring keeps; a block with a heat time at or below s_safe tries
+    every term, as a prefactor may overflow there, so NaN stays NaN."""
     return _halfline("bessel_poisson", nu, t, x, y, _subordinate)
 
 
@@ -412,19 +430,10 @@ class EstimateReport:
     witness_max: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "lemma": self.lemma, "kind": self.kind, "nu": self.nu,
-            "t_range": list(self.t_range), "n_samples": self.n_samples,
-            "n_masked": self.n_masked,
-            "ratio_min": _json_float(self.ratio_min),
-            "ratio_max": _json_float(self.ratio_max),
-            "refined_min": _json_float(self.refined_min),
-            "refined_max": _json_float(self.refined_max),
-            "drift_min": _json_float(self.drift_min),
-            "drift_max": _json_float(self.drift_max),
-            "passed": self.passed,
-            "witness_min": self.witness_min, "witness_max": self.witness_max,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update({k: _json_float(v) for k, v in out.items() if isinstance(v, float)})
+        out["t_range"] = list(self.t_range)
+        return out
 
 
 def _refine_linear(a: np.ndarray) -> np.ndarray:

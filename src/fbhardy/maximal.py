@@ -18,7 +18,8 @@ The module also contains:
     families on intervals of (0, 1) and for the time-reparametrized half-line
     Poisson kernel,
   * Duhamel residuals comparing the unit-interval heat semigroup with the
-    half-line one through a smooth cutoff, at operator and at kernel level,
+    half-line one through a smooth cutoff, at operator and at kernel level
+    (one loop over the s nodes sums both),
   * the sup-t comparison of the two Poisson semigroups on functions living
     near the origin.
 """
@@ -32,8 +33,8 @@ import numpy as np
 from .basis import EigenBasis, coefficients
 from .covers import DyadicCover, Interval, FAMILY_ONE_END, FAMILY_TWO_END
 from .errors import NumericsError
-from .kernels import (HALFLINE_KERNELS, SEMIGROUPS, UnitIntervalKernels, bessel_heat,
-                      bessel_poisson, dy_bessel_heat)
+from .kernels import (_SUB_BLOCK, HALFLINE_KERNELS, SEMIGROUPS, UnitIntervalKernels,
+                      bessel_heat, bessel_poisson, dy_bessel_heat)
 from .quadrature import (Measure, SampledFunction, grid_on_interval,
                          MEASURE_LEBESGUE, MEASURE_MU)
 
@@ -419,24 +420,18 @@ class CutoffRho:
 
 def _s_panel_nodes(t: float, n_mid: int = 24, n_end: int = 24):
     """Quadrature nodes/weights for int_0^t ds with square-root substitutions
-    on the endpoint panels (integrands may have boundary layers there)."""
+    on the endpoint panels (integrands may have boundary layers there):
+    s = v^2 on [0, 0.01 t] and t - s = v^2 on [0.99 t, t]."""
     breaks = [0.01 * t, 0.1 * t, 0.5 * t, 0.9 * t, 0.99 * t]
-    nodes, weights = [], []
     z, w = np.polynomial.legendre.leggauss(n_end)
-    # s = v^2 on [0, 0.01 t]
-    vmax = math.sqrt(breaks[0])
-    v = 0.5 * vmax * (z + 1.0)
-    nodes.append(v**2)
-    weights.append(0.5 * vmax * w * 2.0 * v)
     zm, wm = np.polynomial.legendre.leggauss(n_mid)
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        nodes.append(0.5 * (b - a) * zm + 0.5 * (a + b))
-        weights.append(0.5 * (b - a) * wm)
-    # t - s = v^2 on [0.99 t, t]
-    vmax = math.sqrt(t - breaks[-1])
-    v = 0.5 * vmax * (z + 1.0)
-    nodes.append(t - v**2)
-    weights.append(0.5 * vmax * w * 2.0 * v)
+    ends = []
+    for vmax in (math.sqrt(breaks[0]), math.sqrt(t - breaks[-1])):
+        v = 0.5 * vmax * (z + 1.0)
+        ends.append((v**2, 0.5 * vmax * w * 2.0 * v))
+    mids = [(0.5 * (b - a) * zm + 0.5 * (a + b), 0.5 * (b - a) * wm)
+            for a, b in zip(breaks[:-1], breaks[1:])]
+    nodes, weights = zip(ends[0], *mids, (t - ends[1][0], ends[1][1]))
     return np.concatenate(nodes), np.concatenate(weights)
 
 
@@ -448,6 +443,25 @@ def _ramp(rho: CutoffRho, nu: float, n_z: int) -> tuple:
             (2.0 * nu + 1.0) / zg.nodes * rp)
 
 
+def _duhamel_sums(nu: float, t: float, x, ramp: tuple, n_mid: int, inner, pair) -> tuple:
+    """R1, R2, R3: sums over the s nodes of pair(c w_s, K, zw f, g), g from
+    inner(s nodes), K = T_{t-s}(x, z) with f = rho'' (R1) or (2nu+1)/z rho'
+    (R3), or dy T with c = 2 and f = rho' (R2); c = 1 otherwise.  bessel_heat
+    and dy_bessel_heat take the heat times t - s as rows, in slices of at most
+    _SUB_BLOCK values, each value as a call at its own s gives it."""
+    x, (znodes, zw, rp, rpp, drift) = np.atleast_1d(np.asarray(x, dtype=float)), ramp
+    s_nodes, s_weights = _s_panel_nodes(t, n_mid=n_mid)
+    step = max(1, _SUB_BLOCK // max(x.size * znodes.size, 1))
+    r, inners = [0.0] * 3, iter(inner(s_nodes))
+    for i in range(0, len(s_nodes), step):
+        ts = (t - s_nodes[i:i + step])[:, None, None]
+        big, dbig = (k(nu, ts, x[:, None], znodes[None, :]) for k in (bessel_heat, dy_bessel_heat))
+        for j, (w, g) in enumerate(zip(s_weights[i:i + step], inners)):
+            r = [rn + pair(c * w, k[j], zw * f, g) for rn, (c, k, f) in
+                 zip(r, ((1.0, big, rpp), (2.0, dbig, rp), (1.0, big, drift)))]
+    return tuple(r)
+
+
 def duhamel_residuals(basis: EigenBasis, rho: CutoffRho, f: SampledFunction,
                       t: float, x, n_z: int = 48,
                       n_mid: int = 24) -> tuple:
@@ -457,29 +471,17 @@ def duhamel_residuals(basis: EigenBasis, rho: CutoffRho, f: SampledFunction,
     R2 (with its factor 2) pairs the kernel's derivative with the first
     derivative, and R3 carries the first-order drift (2nu+1)/z. All three
     integrate over the ramp of rho in space and over (0, t) in time with
-    endpoint-regularized panels. Requires supp f inside the region where
-    rho = 1."""
+    endpoint-regularized panels, the half-line kernels taken in slices of s
+    nodes (`_duhamel_sums`). Requires supp f inside the region where rho = 1."""
     if not 0 < t < 1:
         raise ValueError("duhamel residuals are set up for 0 < t < 1")
     if f.measure != MEASURE_MU:
         raise ValueError("duhamel residuals need a mu-tagged function")
     if np.any((f.nodes >= rho.inner) & (np.abs(f.values) > 0)):
         raise ValueError("f must be supported where the cutoff equals 1")
-    nu = basis.nu
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    znodes, zw, rp, rpp, drift = _ramp(rho, nu, n_z)
-    s_nodes, s_weights = _s_panel_nodes(t, n_mid=n_mid)
-    heat = SpectralExpansion(f, basis).sweep(s_nodes, znodes, "heat")
-    r1 = np.zeros(len(x))
-    r2 = np.zeros(len(x))
-    r3 = np.zeros(len(x))
-    for s, w, g in zip(s_nodes, s_weights, heat):   # g: heat of f at s
-        big = bessel_heat(nu, t - s, x[:, None], znodes[None, :])
-        dbig = dy_bessel_heat(nu, t - s, x[:, None], znodes[None, :])
-        r1 += w * (big @ (zw * rpp * g))
-        r2 += 2.0 * w * (dbig @ (zw * rp * g))
-        r3 += w * (big @ (zw * drift * g))
-    return r1, r2, r3
+    ramp, sweep = _ramp(rho, basis.nu, n_z), SpectralExpansion(f, basis).sweep
+    return _duhamel_sums(basis.nu, t, x, ramp, n_mid, lambda s: sweep(s, ramp[0], "heat"),
+                         lambda cw, k, zwf, g: cw * (k @ (zwf * g)))
 
 
 def duhamel_closure(basis: EigenBasis, rho: CutoffRho, f: SampledFunction,
@@ -509,28 +511,15 @@ def duhamel_residual_kernels(basis: EigenBasis,
     The inner factor is the unit-interval heat kernel at time s; below the
     certified series floor it is replaced by the half-line heat kernel, whose
     deviation (a boundary reflection term) is exponentially negligible at
-    those times for arguments left of the ramp."""
-    nu = basis.nu
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    znodes, zw, rp, rpp, drift = _ramp(rho, nu, n_z)
-    floor = kernels.heat_floor()
-
-    s_nodes, s_weights = _s_panel_nodes(t, n_mid=n_mid)
-    r1 = np.zeros((len(x), len(y)))
-    r2 = np.zeros((len(x), len(y)))
-    r3 = np.zeros((len(x), len(y)))
-    for s, w in zip(s_nodes, s_weights):
-        if s > 1.05 * floor:
-            inner = kernels.heat_mu(s, znodes, y, matrix=True)
-        else:
-            inner = bessel_heat(nu, s, znodes[:, None], y[None, :])
-        big = bessel_heat(nu, t - s, x[:, None], znodes[None, :])
-        dbig = dy_bessel_heat(nu, t - s, x[:, None], znodes[None, :])
-        r1 += w * (big * (zw * rpp)[None, :]) @ inner
-        r2 += 2.0 * w * (dbig * (zw * rp)[None, :]) @ inner
-        r3 += w * (big * (zw * drift)[None, :]) @ inner
-    return r1, r2, r3
+    those times for arguments left of the ramp.  The outer half-line kernels
+    come in slices of s nodes, as in duhamel_residuals."""
+    nu, y = basis.nu, np.atleast_1d(np.asarray(y, dtype=float))
+    ramp, floor = _ramp(rho, nu, n_z), kernels.heat_floor()
+    z = ramp[0]
+    return _duhamel_sums(nu, t, x, ramp, n_mid, lambda s_nodes: (
+        kernels.heat_mu(s, z, y, matrix=True) if s > 1.05 * floor
+        else bessel_heat(nu, s, z[:, None], y[None, :]) for s in s_nodes),
+        lambda cw, k, zwf, g: (cw * (k * zwf[None, :])) @ g)
 
 
 # ---------------------------------------------------------------------------
@@ -544,8 +533,9 @@ def compare_semigroups(basis: EigenBasis, fs, t_grid=None,
 
     The half-line kernel matrix is built once per time, on the grid columns
     where some input of the batch is nonzero (every other column meets a
-    zero weight), and applied to the whole batch; the unit-interval side is
-    one spectral sweep of the whole batch over all times."""
+    zero weight), and applied to the whole batch (bessel_poisson evaluates
+    only the terms its certified cut keeps); the unit-interval side is one
+    spectral sweep of the whole batch over all times."""
     if isinstance(fs, SampledFunction):
         fs = [fs]
     cover = DyadicCover(FAMILY_ONE_END, zeta=zeta)

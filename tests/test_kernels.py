@@ -228,9 +228,9 @@ def test_bessel_poisson_array_time_matches_scalar_calls():
 
 
 def test_bessel_poisson_crosses_node_blocks():
-    """32 x 512 points hold more elements than one subordination block, so
-    every node is its own block; 32 x 20 points pack 12 nodes per block
-    with a partial last block.  Both must agree with scalar calls."""
+    """32 x 512 points fill a whole subordination block, so every node is
+    its own block; 32 x 20 points pack 25 nodes per block with a partial
+    last block.  Both must agree with scalar calls."""
     rng = np.random.default_rng(5)
     nu = 0.5
     for shape in ((32, 512), (32, 20)):
