@@ -72,8 +72,7 @@ SEMIGROUPS = {
     "heat": lambda lam, t: np.exp(-t * lam**2),
 }
 
-# kernel name -> (semigroup, basis tail count, x rows, y rows); each entry is
-# a UnitIntervalKernels method
+# kernel name -> (semigroup, basis tail count, x rows, y rows); each is a method
 SERIES_KERNELS = {
     "poisson_mu": ("poisson", "poisson_terms_needed", "phi", "phi"),
     "poisson_lebesgue": ("poisson", "poisson_terms_needed", "psi", "psi"),
@@ -99,7 +98,7 @@ class UnitIntervalKernels:
     def __init__(self, basis: EigenBasis, series_tol: float = 1e-10):
         self.basis = basis
         self.series_tol = float(series_tol)
-        self._tables = {}   # (tag, n, shape, bytes of x) -> raw rows, LRU first
+        self._tables = {}   # (tag, shape, bytes of x) -> raw rows, LRU first
 
     @property
     def nu(self) -> float:
@@ -151,18 +150,19 @@ class UnitIntervalKernels:
         return (self.basis.norm_constants[:n] * lam)[:, None] * np.sqrt(x)[None, :] * j1
 
     def _rows(self, tag: str, x: np.ndarray, n: int) -> np.ndarray:
-        """Unweighted rows 1..n of system `tag` at x, reused exactly: the last
-        two tables stay, read-only, keyed by tag, n and the exact points; a
-        miss drops the least recently used one before building."""
-        key = (tag, n, x.shape, x.tobytes())
+        """Rows 1..n of `tag` at x: table[:n], a read-only prefix of one of the
+        last two tables (LRU) kept by tag and exact points, rebuilt at n if
+        shorter.  J's series stop spans the array, so a prefix can be off a
+        fresh build by ~1e-18 at zeros of J (x = 1.0), rarely an ulp (nu = 7.5)."""
+        key = (tag, x.shape, x.tobytes())
         table = self._tables.pop(key, None)
-        if table is None:
+        if table is None or len(table) < n:
             if len(self._tables) == 2:
                 del self._tables[next(iter(self._tables))]
             table = _ROWS[tag](self)(x, n)
             table.setflags(write=False)
         self._tables[key] = table
-        return table
+        return table[:n]
 
     @staticmethod
     def _rows_at(rows_fn, x, n, weights=1.0):

@@ -1,22 +1,28 @@
 """Series kernels reuse their basis row tables exactly.
 
 `UnitIntervalKernels._rows` keeps the last two raw row tables, keyed by
-system, truncation n and the exact points, and hands a kept table out again
-instead of building it anew. These tests hold every series kernel and
-`dy_poisson_lebesgue`, pointwise and as a matrix, bit for bit to a subclass
-that builds fresh rows on every call, over call sequences that hit, miss and
-evict kept tables; pin the kept tables to read-only memory and the eviction
-to least recently used; and count the row builds of one Uchiyama check.
+system and the exact points, and hands out the prefix view table[:n] for a
+truncation n the kept table covers, so one build serves a whole scan of
+times. These tests hold every series kernel and `dy_poisson_lebesgue`,
+pointwise and as a matrix, bit for bit to a subclass that builds fresh rows
+on every call, over call sequences that hit, miss and evict kept tables; pin
+the kept tables and their prefixes to read-only memory, growth to a rebuild
+that replaces the table, and the eviction to least recently used; hold the
+prefixes that the shipped callers read to fresh builds at their n; and count
+the row builds of one Uchiyama check and of the Duhamel residual kernels.
 """
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from fbhardy import maximal
 from fbhardy.basis import EigenBasis
 from fbhardy.covers import DyadicCover, FAMILY_ONE_END
-from fbhardy.kernels import _ROWS, SERIES_KERNELS, UnitIntervalKernels
-from fbhardy.maximal import HomogeneousSpace, check_uchiyama_conditions
+from fbhardy.kernels import (_LEMMAS, _ROWS, SERIES_KERNELS, UnitIntervalKernels,
+                             check_sharp_estimate)
+from fbhardy.maximal import (CutoffRho, HomogeneousSpace, check_uchiyama_conditions,
+                             duhamel_residual_kernels, uchiyama_families)
 from fbhardy.quadrature import MEASURE_MU
 from fbhardy.specfun import Order
 
@@ -37,8 +43,8 @@ TIMES = {"poisson": (0.15, 0.6), "heat": (0.005, 0.02)}
 
 
 @lru_cache(maxsize=None)
-def _basis(nu):
-    return EigenBasis.build(Order(nu), 200)
+def _basis(nu, n_zeros=200):
+    return EigenBasis.build(Order(nu), n_zeros)
 
 
 def _calls():
@@ -74,34 +80,47 @@ def test_reused_rows_give_the_values_of_fresh_rows(nu, matrix):
             assert np.array_equal(got, want), name
 
 
-def test_kept_tables_are_read_only_and_evicted_least_recent_first():
+def test_kept_tables_are_read_only_and_evicted_least_recent_first(monkeypatch):
+    phi, psi = (_counting(monkeypatch, EigenBasis, name)
+                for name in ("phi_matrix", "psi_matrix"))
     k = UnitIntervalKernels(_basis(0.5))
     a, b = np.linspace(0.1, 0.9, 5), np.linspace(0.15, 0.85, 4)
-    first = k._rows("phi", a, 6)
-    assert k._rows("phi", a.copy(), 6) is first
-    k._rows("psi", a, 6)
-    assert k._rows("phi", a, 6) is first      # a hit makes it most recent
-    k._rows("phi", b, 6)                     # evicts psi, not phi
-    assert k._rows("phi", a, 6) is first
-    assert k._rows("phi", a, 7) is not first  # a new n is a new table
+    table = k._rows("phi", a, 6).base
+    assert table.shape == (6, 5)
+    prefix = k._rows("phi", a.copy(), 4)      # the same points, a smaller n
+    assert prefix.base is table and prefix.shape == (4, 5)
+    assert prefix.flags.c_contiguous and not prefix.flags.writeable
+    assert np.array_equal(prefix, table[:4])
+    psi_table = k._rows("psi", a, 6).base
+    assert k._rows("phi", a, 6).base is table  # a hit makes it most recent
+    b_table = k._rows("phi", b, 6).base        # evicts psi, not phi
+    assert not any(t is psi_table for t in k._tables.values())
+    assert k._rows("phi", a, 5).base is table
+    grown = k._rows("phi", a, 9)               # a larger n rebuilds and replaces
+    assert grown.base is not table and grown.base.shape == (9, 5)
+    assert np.array_equal(grown[:6], table)
+    assert not any(t is table for t in k._tables.values())
+    assert k._rows("phi", b, 3).base is b_table
+    assert k._rows("phi", a, 7).base is grown.base
     assert len(k._tables) == 2
-    for table in (first, *k._tables.values()):
-        assert not table.flags.writeable
+    assert (len(phi), len(psi)) == (3, 1)
+    for rows in (table, prefix, grown, *k._tables.values()):
+        assert not rows.flags.writeable
         with pytest.raises(ValueError):
-            table[0, 0] = 1.0
+            rows[0, 0] = 1.0
     k.poisson_mu(0.15, a, a)   # x = y: one new table
     assert len(k._tables) == 2
     assert not any(t.flags.writeable for t in k._tables.values())
 
 
-@pytest.mark.parametrize("n_r", [1, 4])
+@pytest.mark.parametrize("n_r", [1, 4, 7])
 def test_uchiyama_check_builds_at_most_six_tables_per_radius(monkeypatch, n_r):
     """Fresh rows take twelve builds per radius: x and y rows for each of the
     six kernel calls. The diagonal and the table share all their points and
-    every shifted call its x points, so a radius needs its x points once and
-    the four shifted y points: five builds for one radius. With several
-    radii the x table of each radius is evicted before the Lipschitz loop
-    comes back to it and is built once more."""
+    every shifted call its x points; the radii run upward, so the first
+    radius asks for the largest truncation and the x rows are built once for
+    all radii. Each radius then builds its four shifted y point sets: 1 + 4
+    n_r builds."""
     space = HomogeneousSpace(DyadicCover(FAMILY_ONE_END, zeta=0.02).starred(1, 2),
                              "euclidean", MEASURE_MU, 0.5)
     radii = np.geomspace(0.063, 0.9 * space.sigma_total(), n_r)
@@ -116,4 +135,96 @@ def test_uchiyama_check_builds_at_most_six_tables_per_radius(monkeypatch, n_r):
         counts.append(len(phi) + len(psi))
     assert reports[0].to_dict() == reports[1].to_dict()
     assert counts[1] == 12 * n_r
-    assert counts[0] <= (5 if n_r == 1 else 6 * n_r)
+    assert counts[0] == 1 + 4 * n_r
+
+
+def _duhamel_kernels(k):
+    """duhamel_residual_kernels as `fbhardy duhamel` calls it."""
+    xg = np.linspace(0.05, 0.45, 7)
+    return duhamel_residual_kernels(k.basis, k, CutoffRho.build(0.02), 0.3, xg, xg)
+
+
+def test_duhamel_residual_kernels_build_each_row_table_once(monkeypatch):
+    """The s nodes run upward, so the first heat_mu call asks for the largest
+    truncation and one table at the ramp nodes and one at the grid serve all
+    of them; fresh rows build both at almost every node."""
+    kept, fresh = (cls(_basis(1.0, 2400)) for cls in (UnitIntervalKernels, FreshRows))
+    phi, psi = (_counting(monkeypatch, EigenBasis, name)
+                for name in ("phi_matrix", "psi_matrix"))
+    got = _duhamel_kernels(kept)
+    assert len(phi) + len(psi) <= 2
+    want = _duhamel_kernels(fresh)
+    assert len(phi) + len(psi) > 2
+    for r_got, r_want in zip(got, want, strict=True):
+        assert np.array_equal(r_got, r_want)
+
+
+class _Recording(UnitIntervalKernels):
+    """Kept rows, each request logged with the rows it got."""
+
+    def __init__(self, basis):
+        super().__init__(basis)
+        self.log = []
+
+    def _rows(self, tag, x, n):
+        rows = super()._rows(tag, x, n)
+        self.log.append((tag, x.copy(), n, rows))
+        return rows
+
+
+def _shipped_row_requests(monkeypatch, k):
+    """The row requests of the shipped callers on k: the unit-interval
+    estimate scans at n_space=18 (the base and the refined x grid), the
+    Duhamel residual kernels (the 48 ramp nodes and the 7-point grid), and
+    the Uchiyama checks of `fbhardy uchiyama` at their inner points and
+    radii (the diagonal call; the table call reads the same rows)."""
+    for lemma, row in _LEMMAS.items():
+        if not row.halfline:
+            check_sharp_estimate(lemma, kernels=k, n_space=18)
+    _duhamel_kernels(k)
+
+    def diagonal(kernel_fn, space, r_values, label, n_space):
+        if label.startswith("unit"):
+            pts = space.inner_points(n_space)
+            for r in r_values:
+                kernel_fn(float(r), pts, pts)
+    monkeypatch.setattr(maximal, "check_uchiyama_conditions", diagonal)
+    # at nu >= 1 the series floor of 2400 zeros is too high for piece 6
+    unit_js = (1, 2, 3, 4, 5, 6) if k.nu < 1 else (1, 2, 3, 4, 5)
+    uchiyama_families(k, zeta=0.02, unit_js=unit_js, n_r=5, n_space=8)
+    return k.log
+
+
+@pytest.mark.parametrize("nu", ORDERS)
+def test_prefixes_the_shipped_callers_read_equal_fresh_builds(monkeypatch, nu):
+    """Every truncation the shipped callers request at their point sets: the
+    prefix of a table built at the largest of them, and the rows handed out,
+    equal a fresh build at that n bit for bit."""
+    k = _Recording(_basis(nu, 2400))
+    groups = {}
+    for tag, x, n, rows in _shipped_row_requests(monkeypatch, k):
+        groups.setdefault((tag, x.tobytes()), (x, []))[1].append((n, rows))
+    assert {len(x) for x, _ in groups.values()} == {7, 8, 20, 39, 48}
+    for (tag, _), (x, requests) in groups.items():
+        whole = _ROWS[tag](k)(x, max(n for n, _ in requests))
+        for n in {n for n, _ in requests}:
+            assert np.array_equal(whole[:n], _ROWS[tag](k)(x, n)), (tag, len(x), n)
+        for n, rows in requests:
+            assert np.array_equal(rows, whole[:n]), (tag, len(x), n)
+
+
+@pytest.mark.parametrize("nu", ORDERS)
+def test_prefixes_differ_from_fresh_builds_only_by_noise_at_x_one(nu):
+    """The documented exception: lam_k * 1.0 is a computed zero of J, where
+    a phi or psi row is rounding noise that J's array-wide series stop may
+    move. The other points are no rational p/q with q up to the 200 zeros
+    (at nu = 1/2, lam_k = k pi, such points are zeros too); there every row,
+    and every chi row at x = 1.0, is bit-identical."""
+    k = UnitIntervalKernels(_basis(nu))
+    x = np.append(np.geomspace(0.021, 0.979, 13), 1.0)
+    for tag in _ROWS:
+        whole = _ROWS[tag](k)(x, len(k.basis))
+        for n in range(1, len(k.basis) + 1):
+            diff = np.abs(whole[:n] - _ROWS[tag](k)(x, n))
+            assert not np.any(diff if tag == "chi" else diff[:, :-1]), (tag, n)
+            assert np.max(diff) <= 1e-17, (tag, n)
