@@ -99,22 +99,25 @@ class EigenBasis:
     def __len__(self) -> int:
         return len(self.table.zeros)
 
-    def phi_matrix(self, x, n: int | None = None) -> np.ndarray:
-        """Rows phi_1 .. phi_n sampled at x (shape (n, len(x)))."""
+    def phi_matrix(self, x, n: int | None = None, out=None) -> np.ndarray:
+        """Rows phi_1 .. phi_n sampled at x (shape (n, len(x))), built in out if given."""
         n = len(self) if n is None else n
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        x = np.ravel(np.asarray(x, dtype=float))
         lam = self.table.zeros[:n]
-        jov = specfun.besselj_over_xnu(self.order, np.outer(lam, x))
-        return (self.norm_constants[:n] * lam**self.nu)[:, None] * jov
+        rows = np.multiply.outer(lam, x, out=out)
+        specfun.besselj_over_xnu(self.order, rows, out=rows)
+        rows *= (self.norm_constants[:n] * lam**self.nu)[:, None]
+        return rows
 
-    def psi_matrix(self, x, n: int | None = None) -> np.ndarray:
+    def psi_matrix(self, x, n: int | None = None, out=None) -> np.ndarray:
         """Rows of the conjugated (Lebesgue-orthonormal) system
-        psi_n(x) = c_n sqrt(x) J_nu(lam_n x)."""
+        psi_n(x) = c_n sqrt(x) J_nu(lam_n x), built in out if given."""
         n = len(self) if n is None else n
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        x = np.ravel(np.asarray(x, dtype=float))
         lam = self.table.zeros[:n]
-        j = np.asarray(specfun.bessel_j(self.order, np.outer(lam, x)))
-        return self.norm_constants[:n, None] * np.sqrt(x)[None, :] * j
+        rows = np.multiply.outer(lam, x, out=out)
+        specfun.bessel_j(self.order, rows, out=rows)
+        return scale_rows(rows, self.norm_constants[:n], np.sqrt(x))
 
     def phi(self, n: int, x):
         """phi_n pointwise (n is 1-based)."""
@@ -221,6 +224,14 @@ class EigenBasis:
 
     def min_heat_time(self, tol: float) -> float:
         return self._min_time(self.heat_terms_needed, tol, 1e-10)
+
+
+def scale_rows(rows: np.ndarray, row_scale, col_scale) -> np.ndarray:
+    """rows *= row_scale[:, None] * col_scale, the factor made _CHUNK elements at a time."""
+    step = max(1, specfun._CHUNK // max(rows.shape[1], 1))
+    for lo in range(0, len(rows), step):
+        rows[lo:lo + step] *= np.multiply.outer(row_scale[lo:lo + step], col_scale)
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -43,13 +43,14 @@ widen by less than ten percent.  Each estimate is one row of `_LEMMAS`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .basis import EigenBasis
+from .basis import EigenBasis, scale_rows
 from .errors import NumericsError
 from .quadrature import Measure, MEASURE_MU, _gl_on_panels
 from . import specfun
@@ -140,37 +141,43 @@ class UnitIntervalKernels:
 
     # -- evaluation cores ----------------------------------------------------
 
-    def _chi_matrix(self, x, n: int) -> np.ndarray:
+    def _chi_matrix(self, x, n: int, out=None) -> np.ndarray:
         """Rows c_n lam_n sqrt(x) J_{nu+1}(lam_n x): the image of psi_n under
-        the first-order factor  -d/dx + (nu + 1/2)/x."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        the first-order factor  -d/dx + (nu + 1/2)/x; built in out if given."""
+        x = np.ravel(np.asarray(x, dtype=float))
         lam = self.basis.table.zeros[:n]
-        up = Order(self.nu + 1.0)
-        j1 = np.asarray(specfun.bessel_j(up, np.outer(lam, x)))
-        return (self.basis.norm_constants[:n] * lam)[:, None] * np.sqrt(x)[None, :] * j1
+        rows = np.multiply.outer(lam, x, out=out)
+        specfun.bessel_j(Order(self.nu + 1.0), rows, out=rows)
+        return scale_rows(rows, self.basis.norm_constants[:n] * lam, np.sqrt(x))
 
     def _rows(self, tag: str, x: np.ndarray, n: int) -> np.ndarray:
         """Rows 1..n of `tag` at x: table[:n], a read-only prefix of one of the
         last two tables (LRU) kept by tag and exact points, rebuilt at n if
-        shorter.  J's series stop spans the array, so a prefix can be off a
-        fresh build by ~1e-18 at zeros of J (x = 1.0), rarely an ulp (nu = 7.5)."""
+        shorter, in the memory of the table it replaces or evicts if that is
+        large enough and no view of it is held outside (getrefcount(store) is
+        2).  J's series stop spans the array, so a prefix can be off a fresh
+        build by ~1e-18 at zeros of J (x = 1.0), rarely an ulp (nu = 7.5)."""
         key = (tag, x.shape, x.tobytes())
         table = self._tables.pop(key, None)
         if table is None or len(table) < n:
-            if len(self._tables) == 2:
-                del self._tables[next(iter(self._tables))]
-            table = _ROWS[tag](self)(x, n)
+            if table is None and len(self._tables) == 2:
+                table = self._tables.pop(next(iter(self._tables)))
+            # drop our view first, so that getrefcount sees only views held elsewhere
+            store, table, size = getattr(table, "base", None), None, n * x.size
+            if store is None or store.size < size or sys.getrefcount(store) > 2:
+                store = np.empty(size)
+            table = _ROWS[tag](self)(x, n, out=store[:size].reshape(n, x.size))
             table.setflags(write=False)
         self._tables[key] = table
         return table[:n]
 
     @staticmethod
-    def _rows_at(rows_fn, x, n, weights=1.0):
-        """Rows times weights at the points of x (raveled), once per distinct
-        point (J depends only on the set of its arguments) from `_rows`, and
-        gathered by `take` in C order, so einsum sums as on fresh rows."""
+    def _rows_at(rows_fn, x, n, weights=None):
+        """Rows (times weights, if any) at the points of x (raveled), once per
+        distinct point (J depends only on the set of its arguments) from
+        `_rows`, gathered by `take` in C order, so einsum sums as on fresh rows."""
         pts, inv = np.unique(x, return_inverse=True)
-        rows = rows_fn(pts, n) * np.atleast_1d(weights)[:, None]
+        rows = rows_fn(pts, n) if weights is None else rows_fn(pts, n) * weights[:, None]
         return rows.take(inv.ravel(), axis=1)
 
     def _eval(self, weight_fn, rows_fn_x, rows_fn_y, n, x, y, matrix):

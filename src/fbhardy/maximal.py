@@ -356,8 +356,9 @@ def uchiyama_families(kernels: UnitIntervalKernels, zeta: float = 0.02,
             lo = max(1.02 * floor_p, cap / 64.0)
             if lo >= cap:
                 raise NumericsError(
-                    "uchiyama", f"series floor {floor_p:.2e} too high for piece {j}; "
-                    "build the basis with a larger zero table")
+                    "uchiyama", f"series floor {floor_p:.2e} too high for piece {j}, "
+                    f"which needs a floor below {cap / 1.02:.2e}; raise n_zeros "
+                    f"(now {len(kernels.basis)})")
             reports.append(check_uchiyama_conditions(
                 getattr(kernels, method), space, np.geomspace(lo, cap, n_r),
                 label=f"{prefix}-{j}", n_space=n_space))

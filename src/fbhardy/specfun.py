@@ -24,8 +24,12 @@ only with the same bits.  An element's smallest and first tiny asymptotic
 terms are read from two per-order tables of the gaps between the sorted
 thresholds, one search per element; elements within 1e-12 of a threshold are
 compared term by term.  Elements are sorted by their last term in blocks of
-_CHUNK (a stable sort of the 8-bit key top - last), so term k of a sum
-touches one contiguous prefix.
+about _CHUNK (a stable sort of the 8-bit key top - last), so term k of a sum
+touches one contiguous prefix.  The public evaluators write into out= (x
+itself allowed) and run the asymptotic form on one block of _CHUNK = 8192
+elements of x at a time, whose temporaries stay under glibc's 128 KiB mmap
+threshold (larger ones are mapped fresh and fault on every page, each call);
+each J block carries an argument at which the whole array's stop is reached.
 """
 from __future__ import annotations
 
@@ -40,7 +44,7 @@ from .errors import NumericsError
 
 _SERIES_CAP = 220      # ample for x <= 36: terms decay factorially past k ~ x/2
 _ASYMP_CAP = 40
-_CHUNK = 1 << 14       # elements per sorted block of the truncated sums
+_CHUNK = 1 << 13       # elements per block: 64 KiB of float64, under the mmap threshold
 
 
 @dataclass(frozen=True)
@@ -173,11 +177,12 @@ def _asymptotic_table(nu: float):
 
 def _power_sums(x: np.ndarray, lasts, init, terms) -> np.ndarray:
     """Row i: init[i] plus, per element, the terms k = 1..last in order of k,
-    lasts holding each _CHUNK block's last terms; terms[k-1] = (c, i, op)
-    applies op(row i, c / x**k), op = np.add or np.subtract.  A block is
-    sorted only if its last terms differ."""
+    lasts holding the last terms of each block of x in turn; terms[k-1] =
+    (c, i, op) applies op(row i, c / x**k), op = np.add or np.subtract.  A
+    block is sorted only if its last terms differ."""
     out = np.repeat(np.asarray(init, dtype=float)[:, None], x.size, axis=1)
-    for lo, blk in zip(range(0, x.size, _CHUNK), lasts):
+    lo = 0
+    for blk in lasts:
         top = int(blk.max())
         if blk.min() == top:
             idx, live = slice(lo, lo + blk.size), [blk.size] * top
@@ -193,6 +198,7 @@ def _power_sums(x: np.ndarray, lasts, init, terms) -> np.ndarray:
             np.divide(c, t, out=t)
             op(acc[i, :n], t, out=acc[i, :n])
         out[:, idx] = acc
+        lo += blk.size
     return out
 
 
@@ -202,7 +208,7 @@ def _hankel_pq(nu: float, x: np.ndarray):
     array up to the first term where every element is past that or below
     1e-18.  Terms that rounding would absorb into P and Q are skipped."""
     K, terms, _, stops, absorb, floor = _asymptotic_table(nu)
-    blocks = np.split(x, np.arange(_CHUNK, x.size, _CHUNK))
+    blocks = np.array_split(x, max(1, x.size // _CHUNK))   # a block plus J's carry stays one
     ends = [(stop, np.max(np.minimum(stop + 1, small), initial=1))
             for stop, small in map(stops, blocks)]
     whole = min(K, max(int(w) for _, w in ends))
@@ -244,33 +250,57 @@ def _check_domain(x: np.ndarray, op: str, positive: bool = False):
         raise ValueError(f"{op}: argument must be nonnegative")
 
 
-def _evaluate(op: str, order: Order, x, switch: float, series, asymptotic):
-    """The range switch shared by the public evaluators: validate x, use the
-    series on [0, switch] and the asymptotic form beyond it, keep x's shape."""
+def _evaluate(op: str, order: Order, x, switch: float, series, asymptotic,
+              out=None, carry=None):
+    """The range switch of the public evaluators: validate x, use the series on
+    [0, switch] and the asymptotic form beyond it, per _CHUNK block of x plus
+    carry(nu, blocks) if several, into out (x's shape) or a new array."""
     arr = np.asarray(x, dtype=np.float64)
     _check_domain(arr, op)
-    flat = np.atleast_1d(arr).ravel()
-    out = np.empty_like(flat)
+    res = np.empty(arr.shape) if out is None else out
+    if res.shape != arr.shape or res.dtype != np.float64 or not res.flags.c_contiguous:
+        raise ValueError(f"{op}: out must be a C-contiguous float64 array of shape {arr.shape}")
+    flat, dst = arr.reshape(-1), res.reshape(-1)
     small = flat <= switch
+    parts = [(lo, slice(None) if big.all() else big) for lo in range(0, flat.size, _CHUNK)
+             if (big := ~small[lo:lo + _CHUNK]).any()]
+    blocks = lambda: (flat[lo:lo + _CHUNK][big] for lo, big in parts)
+    pad = carry(order.nu, blocks) if carry and len(parts) > 1 else np.empty(0)
     with np.errstate(divide="ignore"):   # x**nu at x = 0 for nu < 0
-        if small.any():
-            out[small] = series(order.nu, flat[small])
-        if (~small).any():
-            out[~small] = asymptotic(order.nu, flat[~small])
-    out = out.reshape(np.atleast_1d(arr).shape)
-    return float(out[0]) if arr.ndim == 0 else out
+        if (idx := np.flatnonzero(small)).size:
+            dst[idx] = series(order.nu, flat[idx])
+        for (lo, big), xs in zip(parts, blocks()):
+            v = asymptotic(order.nu, np.append(xs, pad) if pad.size else xs)
+            dst[lo:lo + _CHUNK][big] = v[:xs.size]
+    return float(res) if arr.ndim == 0 and out is None else res
 
 
-def besselj_over_xnu(order: Order, x) -> np.ndarray | float:
+def _hankel_carry(nu: float, blocks) -> np.ndarray:
+    """An argument at which _hankel_pq reaches the whole array's stop (none if K = 0)."""
+    K, _, _, stops, _, _ = _asymptotic_table(nu)
+    best, arg = 1, np.empty(0)
+    for xs in blocks():
+        if best >= K:   # the stop is at most K
+            break
+        stop, small = stops(xs)
+        end = np.minimum(stop + 1, small)
+        i = int(np.argmax(end))
+        if end[i] > best:
+            best, arg = end[i], xs[i:i + 1]
+    return arg
+
+
+def besselj_over_xnu(order: Order, x, out=None) -> np.ndarray | float:
     """J_nu(x) / x^nu, finite down to x = 0 for every admissible order."""
     return _evaluate("besselj_over_xnu", order, x, order.j_switch, _jover_series,
-                     lambda nu, xs: _j_asymptotic(nu, xs) / xs**nu)
+                     lambda nu, xs: _j_asymptotic(nu, xs) / xs**nu, out, _hankel_carry)
 
 
-def bessel_j(order: Order, x) -> np.ndarray | float:
+def bessel_j(order: Order, x, out=None) -> np.ndarray | float:
     """Bessel J of the first kind, vectorized over x >= 0."""
     return _evaluate("bessel_j", order, x, order.j_switch,
-                     lambda nu, xs: _jover_series(nu, xs) * xs**nu, _j_asymptotic)
+                     lambda nu, xs: _jover_series(nu, xs) * xs**nu, _j_asymptotic,
+                     out, _hankel_carry)
 
 
 def bessel_j_derivative(order: Order, x) -> np.ndarray | float:
@@ -280,24 +310,22 @@ def bessel_j_derivative(order: Order, x) -> np.ndarray | float:
     return (order.nu / arr) * bessel_j(order, arr) - bessel_j(Order(order.nu + 1.0), arr)
 
 
-def bessel_i_scaled(order: Order, x) -> np.ndarray | float:
+def bessel_i_scaled(order: Order, x, out=None) -> np.ndarray | float:
     """exp(-x) I_nu(x); never overflows and is what the heat kernels use."""
     return _evaluate("bessel_i_scaled", order, x, order.i_switch,
                      lambda nu, xs: np.exp(-xs) * _iover_series(nu, xs) * xs**nu,
-                     _ive_asymptotic)
+                     _ive_asymptotic, out)
 
 
-def _iover_asymptotic(nu: float, x: np.ndarray) -> np.ndarray:
-    if np.any(x > 700.0):
+def besseli_over_xnu(order: Order, x, out=None) -> np.ndarray | float:
+    """I_nu(x) / x^nu; entire, positive.  Overflows (by design) past x ~ 700."""
+    arr = np.asarray(x, dtype=np.float64)
+    _check_domain(arr, "besseli_over_xnu")
+    if np.any(arr > max(700.0, order.i_switch)):   # refused before out is written
         raise NumericsError("besseli_over_xnu",
                             "argument beyond exp overflow range; use bessel_i_scaled")
-    return _ive_asymptotic(nu, x) * np.exp(x) / x**nu
-
-
-def besseli_over_xnu(order: Order, x) -> np.ndarray | float:
-    """I_nu(x) / x^nu; entire, positive.  Overflows (by design) past x ~ 700."""
-    return _evaluate("besseli_over_xnu", order, x, order.i_switch, _iover_series,
-                     _iover_asymptotic)
+    return _evaluate("besseli_over_xnu", order, arr, order.i_switch, _iover_series,
+                     lambda nu, xs: _ive_asymptotic(nu, xs) * np.exp(xs) / xs**nu, out)
 
 
 def bessel_i(order: Order, x) -> np.ndarray | float:

@@ -11,19 +11,20 @@ import math
 import numpy as np
 import pytest
 
-from fbhardy.basis import coefficients
+from fbhardy.basis import EigenBasis, coefficients
 from fbhardy.covers import DyadicCover, Interval, FAMILY_ONE_END
 from fbhardy.errors import NumericsError
 from fbhardy.hardy import random_atoms
-from fbhardy.kernels import bessel_poisson
+from fbhardy.kernels import UnitIntervalKernels, bessel_poisson
 from fbhardy.maximal import (CutoffRho, HomogeneousSpace, MaximalResult,
                              SpectralExpansion, TimeGrid, apply_halfline,
                              check_uchiyama_conditions,
                              compare_semigroups, duhamel_closure,
                              duhamel_residual_kernels, maximal_function,
-                             uchiyama_kernel, uchiyama_time)
+                             uchiyama_families, uchiyama_kernel, uchiyama_time)
 from fbhardy.quadrature import (MEASURE_LEBESGUE, MEASURE_MU, Measure,
                                 SampledFunction, make_quadrature)
+from fbhardy.specfun import Order
 
 SQRT_2PI = 2.5066282746310002
 # max over s >= 0 of exp(-s^2/2) (1+s)^2 / sqrt(2 pi), attained at s = 1
@@ -447,3 +448,14 @@ def test_compare_semigroups_input_guards(basis_half, grid_mu, grid_leb):
     other = SampledFunction.from_callable(grid_leb, lambda x: 0 * x)
     with pytest.raises(ValueError):
         compare_semigroups(basis_half, [f, other])
+
+
+def test_uchiyama_floor_refusal_names_the_zero_table_knob():
+    """At nu = 1 the series floor of the shipped 2400 zeros is above what
+    piece 6 needs (its radius cap over 1.02): the refusal gives both floors
+    and the knob that lowers the floor, with its current value."""
+    kernels = UnitIntervalKernels(EigenBasis.build(Order(1.0), 2400))
+    with pytest.raises(NumericsError) as err:
+        uchiyama_families(kernels, zeta=0.02, n_r=1, n_space=8)
+    assert str(err.value) == ("uchiyama: series floor 7.12e-03 too high for piece 6, "
+                              "which needs a floor below 6.92e-03; raise n_zeros (now 2400)")

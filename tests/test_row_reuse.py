@@ -6,10 +6,12 @@ truncation n the kept table covers, so one build serves a whole scan of
 times. These tests hold every series kernel and `dy_poisson_lebesgue`,
 pointwise and as a matrix, bit for bit to a subclass that builds fresh rows
 on every call, over call sequences that hit, miss and evict kept tables; pin
-the kept tables and their prefixes to read-only memory, growth to a rebuild
-that replaces the table, and the eviction to least recently used; hold the
-prefixes that the shipped callers read to fresh builds at their n; and count
-the row builds of one Uchiyama check and of the Duhamel residual kernels.
+the kept tables and their prefixes to read-only views, growth to a rebuild
+that replaces the table, and the eviction to least recently used; check that
+a new table is built in the memory of the one it evicts, unless a view of
+that one is still held; hold the prefixes that the shipped callers read to
+fresh builds at their n; and count the row builds of one Uchiyama check and
+of the Duhamel residual kernels.
 """
 from functools import lru_cache
 
@@ -85,32 +87,78 @@ def test_kept_tables_are_read_only_and_evicted_least_recent_first(monkeypatch):
                 for name in ("phi_matrix", "psi_matrix"))
     k = UnitIntervalKernels(_basis(0.5))
     a, b = np.linspace(0.1, 0.9, 5), np.linspace(0.15, 0.85, 4)
-    table = k._rows("phi", a, 6).base
-    assert table.shape == (6, 5)
+    full = k._rows("phi", a, 6)
+    table = full.base                          # the memory the kept table lives in
+    assert full.shape == (6, 5) and table.shape == (30,)
     prefix = k._rows("phi", a.copy(), 4)      # the same points, a smaller n
     assert prefix.base is table and prefix.shape == (4, 5)
     assert prefix.flags.c_contiguous and not prefix.flags.writeable
-    assert np.array_equal(prefix, table[:4])
+    assert np.array_equal(prefix, full[:4])
     psi_table = k._rows("psi", a, 6).base
     assert k._rows("phi", a, 6).base is table  # a hit makes it most recent
     b_table = k._rows("phi", b, 6).base        # evicts psi, not phi
-    assert not any(t is psi_table for t in k._tables.values())
+    assert not any(t.base is psi_table for t in k._tables.values())
     assert k._rows("phi", a, 5).base is table
     grown = k._rows("phi", a, 9)               # a larger n rebuilds and replaces
-    assert grown.base is not table and grown.base.shape == (9, 5)
-    assert np.array_equal(grown[:6], table)
-    assert not any(t is table for t in k._tables.values())
+    assert grown.base is not table and grown.shape == (9, 5)
+    assert np.array_equal(grown[:6], full)
+    assert not any(t.base is table for t in k._tables.values())
     assert k._rows("phi", b, 3).base is b_table
     assert k._rows("phi", a, 7).base is grown.base
     assert len(k._tables) == 2
     assert (len(phi), len(psi)) == (3, 1)
-    for rows in (table, prefix, grown, *k._tables.values()):
+    for rows in (full, prefix, grown, *k._tables.values()):
         assert not rows.flags.writeable
         with pytest.raises(ValueError):
             rows[0, 0] = 1.0
     k.poisson_mu(0.15, a, a)   # x = y: one new table
     assert len(k._tables) == 2
     assert not any(t.flags.writeable for t in k._tables.values())
+
+
+def _stores(k):
+    return {id(t.base) for t in k._tables.values()}
+
+
+@pytest.mark.parametrize("nu", ORDERS)
+def test_recycled_storage_gives_the_values_of_fresh_rows(nu):
+    """Once two tables of the largest n are kept, each new table is built in
+    the memory of the one it evicts: a pointwise call, a matrix call whose y
+    side evicts the table the pointwise x side read, and the calls that
+    follow (every system, both modes) equal fresh rows bit for bit, with no
+    new memory."""
+    kept, fresh = UnitIntervalKernels(_basis(nu)), FreshRows(_basis(nu))
+    rng = np.random.default_rng(11)
+    a, b, c, d = (np.sort(rng.uniform(0.05, 0.95, 8)) for _ in range(4))
+    kept.dy_poisson_lebesgue(TIMES["poisson"][0], a, b)   # the largest n of the calls
+    stores = _stores(kept)
+    assert len(stores) == 2
+    calls = [("poisson_mu", a, b, False), ("poisson_mu", b, c, True),
+             ("poisson_mu", d, a, False), ("heat_mu", c, d, True),
+             ("poisson_lebesgue", a, b, False), ("delta_poisson", c, a, True),
+             ("dy_poisson_lebesgue", b, d, False), ("dy_poisson_lebesgue", a, c, True),
+             ("poisson_mu", c, a[3], False)]
+    for name, x, y, matrix in calls:
+        got, want = (_call(k, name, 0, x, y, matrix) for k in (kept, fresh))
+        assert np.array_equal(got, want), (name, matrix)
+        assert _stores(kept) == stores, (name, matrix)
+
+
+def test_a_held_prefix_keeps_its_values_when_its_table_is_evicted():
+    """A prefix view still held outside keeps its memory: the table that
+    evicts its table is built in new memory."""
+    k = UnitIntervalKernels(_basis(0.5))
+    a, b, c = np.linspace(0.1, 0.9, 5), np.linspace(0.15, 0.85, 5), np.linspace(0.2, 0.8, 5)
+    held = k._rows("phi", a, 6)
+    want = held.copy()
+    k._rows("phi", b, 6)
+    k._rows("phi", c, 6)                        # evicts a's table
+    assert not any(t.base is held.base for t in k._tables.values())
+    assert np.array_equal(held, want)
+    del held
+    store = id(k._tables[next(iter(k._tables))].base)
+    k._rows("psi", a, 6)                        # evicts b's table, held by no one
+    assert store in _stores(k)
 
 
 @pytest.mark.parametrize("n_r", [1, 4, 7])

@@ -12,6 +12,7 @@ import scipy.special as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fbhardy import specfun
 from fbhardy.errors import NumericsError
 from fbhardy.specfun import (Order, bessel_i, bessel_i_scaled, bessel_j,
                              bessel_j_derivative, bessel_zeros,
@@ -160,3 +161,95 @@ def test_zero_tables_nest(count):
     big = bessel_zeros(Order(0.3), 150).zeros
     small = bessel_zeros(Order(0.3), count).zeros
     np.testing.assert_allclose(small, big[:count], rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# out=: values written into a given array, which may be the argument itself
+
+OUT_EVALUATORS = (bessel_j, besselj_over_xnu, bessel_i_scaled, besseli_over_xnu)
+
+
+def _block_arguments(order: Order, size: int) -> np.ndarray:
+    """size values in (0, 700] with 0, 1.0 and both sides of j_switch and
+    i_switch among them, unsorted, as a (size // 2, 2) array when size is even."""
+    rng = np.random.default_rng(size)
+    x = rng.uniform(0.0, 700.0, size)
+    x[rng.choice(size, size // 3, replace=False)] = rng.uniform(0.0, 40.0, size // 3)
+    special = [0.0, 1.0]
+    for switch in (order.j_switch, order.i_switch):
+        special += [switch, np.nextafter(switch, 0.0), np.nextafter(switch, 1e3),
+                    0.5 * switch, 1.5 * switch]
+    x[rng.choice(size, len(special), replace=False)] = special
+    return x.reshape(size // 2, 2) if size % 2 == 0 else x
+
+
+@pytest.mark.parametrize("size", [specfun._CHUNK - 1, specfun._CHUNK, specfun._CHUNK + 1,
+                                  2 * specfun._CHUNK + 3])
+@pytest.mark.parametrize("nu", [-0.3, 0.0, 0.5, 1.0, 2.5, 7.5])
+def test_out_equals_a_new_array(nu, size):
+    order = Order(nu)
+    x = _block_arguments(order, size)
+    for fn in OUT_EVALUATORS:
+        want = fn(order, x)
+        out = np.full(x.shape, np.nan)
+        assert fn(order, x, out=out) is out
+        assert np.array_equal(out, want), fn.__name__
+        alias = x.copy()
+        assert fn(order, alias, out=alias) is alias
+        assert np.array_equal(alias, want), fn.__name__
+
+
+def _value_error(fn, *args, **kw) -> str:
+    with pytest.raises(ValueError) as err:
+        fn(*args, **kw)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_out_keeps_the_domain_errors(bad):
+    order = Order(1.0)
+    for fn in OUT_EVALUATORS:
+        x = np.array([0.5, 20.0, 40.0, bad])
+        want = _value_error(fn, order, x.copy())
+        alias = x.copy()
+        got = _value_error(fn, order, alias, out=alias)
+        assert got == want and got.startswith(f"{fn.__name__}: argument must be")
+        assert np.array_equal(alias, x, equal_nan=True)   # refused before any write
+
+
+def test_besseli_over_xnu_refuses_past_exp_range_before_any_write():
+    x = np.concatenate([np.full(specfun._CHUNK, 40.0), [800.0, 3.0]])
+    alias = x.copy()
+    with pytest.raises(NumericsError, match="beyond exp overflow range"):
+        besseli_over_xnu(Order(1.0), alias, out=alias)
+    assert np.array_equal(alias, x)
+
+
+def test_out_must_match_the_argument():
+    x = np.linspace(1.0, 30.0, 6)
+    for out in (np.empty(5), np.empty(6, dtype=np.float32), np.empty(12)[::2],
+                np.empty((2, 3))):
+        with pytest.raises(ValueError, match="out must be a C-contiguous float64"):
+            bessel_j(Order(1.0), x, out=out)
+
+
+def test_every_block_sums_to_the_stop_of_the_whole_array(monkeypatch):
+    """J's asymptotic sums keep one stop for all of their arguments: a block
+    of large arguments (its own stop 4 at nu = 1) is summed to the stop that
+    the small arguments of a later block set (40), as one whole-array call."""
+    order = Order(1.0)
+    K, _, _, stops, _, _ = specfun._asymptotic_table(order.nu)
+
+    def stop_of(x):
+        stop, small = stops(x)
+        return min(K, int(np.max(np.minimum(stop + 1, small), initial=1)))
+
+    x = np.concatenate([np.geomspace(1e5, 1e6, specfun._CHUNK), np.geomspace(13.0, 20.0, 100)])
+    assert (stop_of(x[:specfun._CHUNK]), stop_of(x)) == (4, 40)
+    seen, hankel_pq = [], specfun._hankel_pq
+    monkeypatch.setattr(specfun, "_hankel_pq",
+                        lambda nu, xs: seen.append(stop_of(xs)) or hankel_pq(nu, xs))
+    got = bessel_j(order, x)
+    assert seen == [40, 40]
+    monkeypatch.setattr(specfun, "_hankel_pq", hankel_pq)
+    assert np.array_equal(got, specfun._j_asymptotic(order.nu, x))
