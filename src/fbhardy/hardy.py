@@ -748,18 +748,18 @@ class LocalCascade:
         scale = np.ldexp(self.sigma_total, -np.asarray(depth))
         return tuple(meas.quantile(c0 + (k + o) * scale) for o in (0.0, 0.5, 1.0))
 
-    def materialize(self, max_atoms: int | None = None) -> AtomTable:
+    def materialize(self) -> AtomTable:
         """Largest-coefficient pieces as explicit atoms: two-bar atoms for
         the Haar details, normalized remainders for the closers. Entries are
-        ordered by (-|lam|, depth, cell) and cut to max_atoms. They form one
-        AtomTable, checked here; its (coef, atom) rows build each atom's
-        function, a view of the table, and label when first read."""
+        ordered by (-|lam|, depth, cell). They form one AtomTable, checked
+        here; its (coef, atom) rows build each atom's function, a view of the
+        table, and label when first read."""
         t = self.closers
         depth = np.concatenate([np.full(len(lev.idx), lev.depth)
                                 for lev in self.levels] + [t.depth])
         cell = np.concatenate([lev.idx for lev in self.levels] + [t.cell])
         lam = np.concatenate([lev.lam for lev in self.levels] + [t.lam])
-        order = np.lexsort((cell, depth, -np.abs(lam)))[:max_atoms]
+        order = np.lexsort((cell, depth, -np.abs(lam)))
         n_details = len(lam) - len(t)
         closer = order >= n_details
         with np.errstate(divide="ignore", over="ignore"):

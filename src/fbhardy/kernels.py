@@ -155,8 +155,8 @@ class UnitIntervalKernels:
         last two tables (LRU) kept by tag and exact points, rebuilt at n if
         shorter, in the memory of the table it replaces or evicts if that is
         large enough and no view of it is held outside (getrefcount(store) is
-        2).  J's series stop spans the array, so a prefix can be off a fresh
-        build by ~1e-18 at zeros of J (x = 1.0), rarely an ulp (nu = 7.5)."""
+        2).  Every Bessel sum stops per element, so a prefix equals a fresh
+        build at n bit for bit."""
         key = (tag, x.shape, x.tobytes())
         table = self._tables.pop(key, None)
         if table is None or len(table) < n:
@@ -174,8 +174,8 @@ class UnitIntervalKernels:
     @staticmethod
     def _rows_at(rows_fn, x, n, weights=None):
         """Rows (times weights, if any) at the points of x (raveled), once per
-        distinct point (J depends only on the set of its arguments) from
-        `_rows`, gathered by `take` in C order, so einsum sums as on fresh rows."""
+        distinct point (J depends on each argument alone) from `_rows`,
+        gathered by `take` in C order, so einsum sums as on fresh rows."""
         pts, inv = np.unique(x, return_inverse=True)
         rows = rows_fn(pts, n) if weights is None else rows_fn(pts, n) * weights[:, None]
         return rows.take(inv.ravel(), axis=1)
@@ -234,7 +234,7 @@ _IVE_SWITCH = 30.0   # h_nu route up to the smallest i_switch, scaled route abov
 
 # route (h_nu?) -> its one I evaluation at u for an order: I_nu(u)/u^nu by the
 # series, or exp(-u) I_nu(u) by the asymptotic form unless i_switch > 30 (nu > 15)
-_ROUTE_I = {True: lambda order, u: specfun._iover_series(order.nu, u),
+_ROUTE_I = {True: lambda order, u: specfun._over_series(order.nu, u, 1.0),
             False: lambda order, u: specfun._ive_asymptotic(order.nu, u)
             if order.i_switch == _IVE_SWITCH else specfun.bessel_i_scaled(order, u)}
 

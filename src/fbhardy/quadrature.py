@@ -56,9 +56,14 @@ class Measure:
         return np.abs(self.cdf(x) - self.cdf(y))
 
     def linear_integrals(self, s, c, lo, hi):
-        """Integral of s x + c over [lo, hi] against the density."""
-        p = self.p
-        return s * (hi ** (p + 1) - lo ** (p + 1)) / (p + 1) + c * (hi**p - lo**p) / p
+        """Integral of s x + c over [lo, hi] against the density.  It is
+        summed scaled by 2^64, which moves no bit of a normal-range sum, so
+        that a subnormal product, quotient or sum rounds only once, when the
+        scale is taken off (s and c times the power differences must stay
+        below 2^960)."""
+        p, scale = self.p, 2.0**64
+        return (s * scale * (hi ** (p + 1) - lo ** (p + 1)) / (p + 1)
+                + c * scale * (hi**p - lo**p) / p) / scale
 
 
 # ---------------------------------------------------------------------------

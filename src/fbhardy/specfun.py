@@ -11,25 +11,20 @@ both expansions terminate: J is sqrt(2/(pi x)) sin x exactly (it skips the P
 and Q sums, P = 1 and Q = 0, and takes the cosine term alone), and exp(-x) I
 is 1/sqrt(2 pi x).
 
-The I sums stop per element (at the smallest term, or at the first term
-below 1e-18 of the element's own sum), so a value does not depend on the
-rest of the call.  The J sums keep one stopping index for the whole array
-(the series: found from the largest argument and a running bound; the
-asymptotic form: the first term at which every element is past its smallest
-term or below 1e-18) and add a_k / x**k in order of k, skipping only terms
-too small to change a rounded sum, so J and the zero tables keep their bits:
-at nu = 1 the small-time weighted heat ratios are J rounding noise times
-norm constants of ~1e6 (ROADMAP item 2), and recorded results reproduce
-only with the same bits.  An element's smallest and first tiny asymptotic
-terms are read from two per-order tables of the gaps between the sorted
+Every sum stops per element, so a value depends on its own argument alone.
+One ascending series serves J and I (q = -x^2/4 or x^2/4): an element stops
+at its first term below 1e-18 of its own sum, which comes after its largest
+term, so every later term is below half an ulp of the sum and rounds away; a
+block sorted by x keeps its live elements a prefix, cut every fourth term.
+The asymptotic sums stop at an element's smallest term or its first term
+below 1e-18, read from two per-order tables of the gaps between the sorted
 thresholds, one search per element; elements within 1e-12 of a threshold are
-compared term by term.  Elements are sorted by their last term in blocks of
-about _CHUNK (a stable sort of the 8-bit key top - last), so term k of a sum
-touches one contiguous prefix.  The public evaluators write into out= (x
-itself allowed) and run the asymptotic form on one block of _CHUNK = 8192
+compared term by term.  In each block of _CHUNK elements they are sorted by
+their last term (a stable sort of the 8-bit key top - last), so term k of a
+sum touches one contiguous prefix.  The public evaluators write into out=
+(x itself allowed) and run the asymptotic form on one block of _CHUNK = 8192
 elements of x at a time, whose temporaries stay under glibc's 128 KiB mmap
-threshold (larger ones are mapped fresh and fault on every page, each call);
-each J block carries an argument at which the whole array's stop is reached.
+threshold (larger ones are mapped fresh and fault on every page, each call).
 """
 from __future__ import annotations
 
@@ -70,41 +65,16 @@ class Order:
 # ascending series
 
 
-def _jover_series(nu: float, x: np.ndarray) -> np.ndarray:
-    """J_nu(x) / x^nu by the ascending series; entire in x^2, no 0^nu issues.
-
-    It stops at the first k with max|term_k| < 1e-18 max|out|.  |term_k| is
-    |term_{k-1}| q / (k (nu + k)) rounded, and rounding is monotone, so that
-    max is tk = |term_k| at argmax(q).  The sum B of t_0..t_k bounds |out| up
-    to 2 * _SERIES_CAP roundings of 2^-53, well inside a margin of 1e-12, so
-    max|out| is reduced only once tk < 1e-18 B (1 + 1e-12): the stop index,
-    and every bit of J, stay those of the test on max|out| at every k."""
-    q = 0.25 * x * x
-    term = np.full_like(q, math.exp(-nu * math.log(2.0) - lgamma(nu + 1.0)))
-    out = term.copy()
-    top = int(np.argmax(q))
-    bound = abs(term[top])
-    for k in range(1, _SERIES_CAP + 1):
-        term = term * (-q) / (k * (nu + k))
-        out += term
-        tk = abs(term[top])
-        bound += tk
-        if tk < 1e-18 * max(bound * (1.0 + 1e-12), 1e-300) and \
-                tk < 1e-18 * max(np.max(np.abs(out)), 1e-300):
-            break
-    return out
-
-
-def _iover_series(nu: float, x: np.ndarray) -> np.ndarray:
-    """I_nu(x) / x^nu by the ascending series (all terms positive).  The
-    terms needed grow with x, so in each block sorted by x the live
-    elements are a prefix, cut (every fourth term) after the last one not
-    yet converged."""
+def _over_series(nu: float, x: np.ndarray, sign: float) -> np.ndarray:
+    """J_nu(x) / x^nu (sign -1) or I_nu(x) / x^nu (sign +1) by the ascending
+    series in q = sign x^2 / 4; entire in x^2, no 0^nu issues.  The terms
+    needed grow with x, so in each block sorted by x the live elements are a
+    prefix, cut (every fourth term) after the last one not yet converged."""
     q = 0.25 * x * x
     out = np.empty_like(q)
     for lo in range(0, q.size, _CHUNK):
         order = lo + np.argsort(-q[lo:lo + _CHUNK])
-        qs = q[order]
+        qs = sign * q[order]
         term = np.full_like(qs, math.exp(-nu * math.log(2.0) - lgamma(nu + 1.0)))
         acc, n = term.copy(), qs.size
         for k in range(1, _SERIES_CAP + 1):
@@ -114,7 +84,7 @@ def _iover_series(nu: float, x: np.ndarray) -> np.ndarray:
             s += t
             if k % 4:   # terms past a stop are below 1e-18 of the sum: they round away
                 continue
-            live = np.flatnonzero(t >= 1e-18 * s)
+            live = np.flatnonzero(np.abs(t) >= 1e-18 * np.abs(s))
             if not live.size:
                 break
             n = int(live[-1]) + 1
@@ -175,14 +145,14 @@ def _asymptotic_table(nu: float):
             math.sqrt(max(160.0 * A[1], 80.0 * A[2] / A[0])) if K else math.inf)
 
 
-def _power_sums(x: np.ndarray, lasts, init, terms) -> np.ndarray:
+def _power_sums(x: np.ndarray, last, init, terms) -> np.ndarray:
     """Row i: init[i] plus, per element, the terms k = 1..last in order of k,
-    lasts holding the last terms of each block of x in turn; terms[k-1] =
-    (c, i, op) applies op(row i, c / x**k), op = np.add or np.subtract.  A
+    last(xs) giving them for each block xs of _CHUNK elements of x; terms[k-1]
+    = (c, i, op) applies op(row i, c / x**k), op = np.add or np.subtract.  A
     block is sorted only if its last terms differ."""
     out = np.repeat(np.asarray(init, dtype=float)[:, None], x.size, axis=1)
-    lo = 0
-    for blk in lasts:
+    for lo in range(0, x.size, _CHUNK):
+        blk = last(x[lo:lo + _CHUNK])
         top = int(blk.max())
         if blk.min() == top:
             idx, live = slice(lo, lo + blk.size), [blk.size] * top
@@ -198,23 +168,16 @@ def _power_sums(x: np.ndarray, lasts, init, terms) -> np.ndarray:
             np.divide(c, t, out=t)
             op(acc[i, :n], t, out=acc[i, :n])
         out[:, idx] = acc
-        lo += blk.size
     return out
 
 
 def _hankel_pq(nu: float, x: np.ndarray):
     """Even/odd asymptotic sums P, Q, each element up to its smallest term
-    (the usual optimal truncation of a divergent series) and the whole
-    array up to the first term where every element is past that or below
-    1e-18.  Terms that rounding would absorb into P and Q are skipped."""
+    (the usual optimal truncation of a divergent series) or its first term
+    below 1e-18.  Terms that rounding would absorb into P and Q are skipped."""
     K, terms, _, stops, absorb, floor = _asymptotic_table(nu)
-    blocks = np.array_split(x, max(1, x.size // _CHUNK))   # a block plus J's carry stays one
-    ends = [(stop, np.max(np.minimum(stop + 1, small), initial=1))
-            for stop, small in map(stops, blocks)]
-    whole = min(K, max(int(w) for _, w in ends))
-    return _power_sums(x, (np.minimum(np.minimum(stop, whole), np.where(
-        xs >= floor, 1 + np.searchsorted(-absorb, -xs, side="right"), K))
-        for (stop, _), xs in zip(ends, blocks)), (1.0, 0.0), terms)
+    return _power_sums(x, lambda xs: np.minimum(np.minimum(*stops(xs)), np.where(
+        xs >= floor, 1 + np.searchsorted(-absorb, -xs, side="right"), K)), (1.0, 0.0), terms)
 
 
 def _j_asymptotic(nu: float, x: np.ndarray) -> np.ndarray:
@@ -231,8 +194,7 @@ def _ive_asymptotic(nu: float, x: np.ndarray) -> np.ndarray:
     K, _, terms, stops, _, _ = _asymptotic_table(nu)
     E = 1.0   # nu = 1/2: a_1 = 0 and the sum is 1
     if K:
-        E = _power_sums(x, (np.minimum(*stops(xs)) for xs in
-                            np.split(x, np.arange(_CHUNK, x.size, _CHUNK))), (1.0,), terms)[0]
+        E = _power_sums(x, lambda xs: np.minimum(*stops(xs)), (1.0,), terms)[0]
     return E / np.sqrt(2.0 * pi * x)
 
 
@@ -250,11 +212,10 @@ def _check_domain(x: np.ndarray, op: str, positive: bool = False):
         raise ValueError(f"{op}: argument must be nonnegative")
 
 
-def _evaluate(op: str, order: Order, x, switch: float, series, asymptotic,
-              out=None, carry=None):
+def _evaluate(op: str, order: Order, x, switch: float, series, asymptotic, out=None):
     """The range switch of the public evaluators: validate x, use the series on
-    [0, switch] and the asymptotic form beyond it, per _CHUNK block of x plus
-    carry(nu, blocks) if several, into out (x's shape) or a new array."""
+    [0, switch] and the asymptotic form beyond it, per _CHUNK block of x, into
+    out (x's shape) or a new array."""
     arr = np.asarray(x, dtype=np.float64)
     _check_domain(arr, op)
     res = np.empty(arr.shape) if out is None else out
@@ -262,45 +223,27 @@ def _evaluate(op: str, order: Order, x, switch: float, series, asymptotic,
         raise ValueError(f"{op}: out must be a C-contiguous float64 array of shape {arr.shape}")
     flat, dst = arr.reshape(-1), res.reshape(-1)
     small = flat <= switch
-    parts = [(lo, slice(None) if big.all() else big) for lo in range(0, flat.size, _CHUNK)
-             if (big := ~small[lo:lo + _CHUNK]).any()]
-    blocks = lambda: (flat[lo:lo + _CHUNK][big] for lo, big in parts)
-    pad = carry(order.nu, blocks) if carry and len(parts) > 1 else np.empty(0)
     with np.errstate(divide="ignore"):   # x**nu at x = 0 for nu < 0
         if (idx := np.flatnonzero(small)).size:
             dst[idx] = series(order.nu, flat[idx])
-        for (lo, big), xs in zip(parts, blocks()):
-            v = asymptotic(order.nu, np.append(xs, pad) if pad.size else xs)
-            dst[lo:lo + _CHUNK][big] = v[:xs.size]
+        for lo in range(0, flat.size, _CHUNK):
+            if (big := ~small[lo:lo + _CHUNK]).any():
+                big = slice(None) if big.all() else big
+                dst[lo:lo + _CHUNK][big] = asymptotic(order.nu, flat[lo:lo + _CHUNK][big])
     return float(res) if arr.ndim == 0 and out is None else res
-
-
-def _hankel_carry(nu: float, blocks) -> np.ndarray:
-    """An argument at which _hankel_pq reaches the whole array's stop (none if K = 0)."""
-    K, _, _, stops, _, _ = _asymptotic_table(nu)
-    best, arg = 1, np.empty(0)
-    for xs in blocks():
-        if best >= K:   # the stop is at most K
-            break
-        stop, small = stops(xs)
-        end = np.minimum(stop + 1, small)
-        i = int(np.argmax(end))
-        if end[i] > best:
-            best, arg = end[i], xs[i:i + 1]
-    return arg
 
 
 def besselj_over_xnu(order: Order, x, out=None) -> np.ndarray | float:
     """J_nu(x) / x^nu, finite down to x = 0 for every admissible order."""
-    return _evaluate("besselj_over_xnu", order, x, order.j_switch, _jover_series,
-                     lambda nu, xs: _j_asymptotic(nu, xs) / xs**nu, out, _hankel_carry)
+    return _evaluate("besselj_over_xnu", order, x, order.j_switch,
+                     lambda nu, xs: _over_series(nu, xs, -1.0),
+                     lambda nu, xs: _j_asymptotic(nu, xs) / xs**nu, out)
 
 
 def bessel_j(order: Order, x, out=None) -> np.ndarray | float:
     """Bessel J of the first kind, vectorized over x >= 0."""
     return _evaluate("bessel_j", order, x, order.j_switch,
-                     lambda nu, xs: _jover_series(nu, xs) * xs**nu, _j_asymptotic,
-                     out, _hankel_carry)
+                     lambda nu, xs: _over_series(nu, xs, -1.0) * xs**nu, _j_asymptotic, out)
 
 
 def bessel_j_derivative(order: Order, x) -> np.ndarray | float:
@@ -313,7 +256,7 @@ def bessel_j_derivative(order: Order, x) -> np.ndarray | float:
 def bessel_i_scaled(order: Order, x, out=None) -> np.ndarray | float:
     """exp(-x) I_nu(x); never overflows and is what the heat kernels use."""
     return _evaluate("bessel_i_scaled", order, x, order.i_switch,
-                     lambda nu, xs: np.exp(-xs) * _iover_series(nu, xs) * xs**nu,
+                     lambda nu, xs: np.exp(-xs) * _over_series(nu, xs, 1.0) * xs**nu,
                      _ive_asymptotic, out)
 
 
@@ -324,7 +267,8 @@ def besseli_over_xnu(order: Order, x, out=None) -> np.ndarray | float:
     if np.any(arr > max(700.0, order.i_switch)):   # refused before out is written
         raise NumericsError("besseli_over_xnu",
                             "argument beyond exp overflow range; use bessel_i_scaled")
-    return _evaluate("besseli_over_xnu", order, arr, order.i_switch, _iover_series,
+    return _evaluate("besseli_over_xnu", order, arr, order.i_switch,
+                     lambda nu, xs: _over_series(nu, xs, 1.0),
                      lambda nu, xs: _ive_asymptotic(nu, xs) * np.exp(xs) / xs**nu, out)
 
 

@@ -90,7 +90,7 @@ def _cascade():
 
 @pytest.mark.parametrize("max_atoms", [None, 7])
 def test_materialized_arrays_are_read_only_views(max_atoms):
-    pairs = _cascade().materialize(max_atoms)
+    pairs = _cascade().materialize()[:max_atoms]
     assert len(pairs) == max_atoms or {a.label[:4] for _, a in pairs} \
         == {"haar", "clos"}
     arrays = [arr for _, a in pairs
@@ -132,7 +132,7 @@ def test_every_table_column_is_read_only():
 
 
 def test_atoms_and_functions_have_no_instance_dict():
-    _, atom = _cascade().materialize(1)[0]
+    _, atom = _cascade().materialize()[0]
     assert not hasattr(atom, "__dict__") and not hasattr(atom.fn, "__dict__")
     with pytest.raises(dataclasses.FrozenInstanceError):
         atom.fn.breaks = np.zeros(2)

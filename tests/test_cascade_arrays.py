@@ -240,8 +240,9 @@ def _check(new, ref, rng):
     _same(new.evaluate(x), ref_evaluate(ref, x), one_piece)
     assert np.ndim(new.evaluate(float(x[0]))) == 0
 
+    table = new.materialize()
     for max_atoms in (None, 1, 10):
-        got, want = new.materialize(max_atoms), ref_materialize(ref, max_atoms)
+        got, want = table[:max_atoms], ref_materialize(ref, max_atoms)
         assert [(a.label, a.kind) for _, a in got] \
             == [(a.label, a.kind) for _, a in want]
         _same_pieces([(c, a.fn) for c, a in got], [(c, a.fn) for c, a in want],

@@ -400,7 +400,7 @@ def test_cascade_materialize_orders_and_validates():
     space = Interval(0.2, 0.5)
     cascade = cascade_decompose(fn, space, MEASURE_LEBESGUE, 0.5,
                                 detail_cut=1e-6)
-    pairs = cascade.materialize(max_atoms=10)
+    pairs = cascade.materialize()[:10]
     assert 0 < len(pairs) <= 10
     mags = [abs(c) for c, _ in pairs]
     assert mags == sorted(mags, reverse=True)

@@ -9,14 +9,17 @@ on every call, over call sequences that hit, miss and evict kept tables; pin
 the kept tables and their prefixes to read-only views, growth to a rebuild
 that replaces the table, and the eviction to least recently used; check that
 a new table is built in the memory of the one it evicts, unless a view of
-that one is still held; hold the prefixes that the shipped callers read to
-fresh builds at their n; and count the row builds of one Uchiyama check and
-of the Duhamel residual kernels.
+that one is still held; hold the prefixes that the shipped callers read,
+and any prefix of any table, to fresh builds at their n, and J at each
+argument of a table to J at that argument alone; and count the row builds
+of one Uchiyama check and of the Duhamel residual kernels.
 """
 from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbhardy import maximal
 from fbhardy.basis import EigenBasis
@@ -26,7 +29,7 @@ from fbhardy.kernels import (_LEMMAS, _ROWS, SERIES_KERNELS, UnitIntervalKernels
 from fbhardy.maximal import (CutoffRho, HomogeneousSpace, check_uchiyama_conditions,
                              duhamel_residual_kernels, uchiyama_families)
 from fbhardy.quadrature import MEASURE_MU
-from fbhardy.specfun import Order
+from fbhardy.specfun import Order, bessel_j
 
 from test_atom_table import _counting
 
@@ -262,17 +265,39 @@ def test_prefixes_the_shipped_callers_read_equal_fresh_builds(monkeypatch, nu):
 
 
 @pytest.mark.parametrize("nu", ORDERS)
-def test_prefixes_differ_from_fresh_builds_only_by_noise_at_x_one(nu):
-    """The documented exception: lam_k * 1.0 is a computed zero of J, where
-    a phi or psi row is rounding noise that J's array-wide series stop may
-    move. The other points are no rational p/q with q up to the 200 zeros
-    (at nu = 1/2, lam_k = k pi, such points are zeros too); there every row,
-    and every chi row at x = 1.0, is bit-identical."""
+def test_prefixes_equal_fresh_builds_at_every_point(nu):
+    """Every Bessel sum stops per element, so every prefix of a table equals
+    a fresh build at its n, x = 1.0 included: there lam_k * 1.0 is a computed
+    zero of J and the phi and psi rows are rounding noise, which a stop
+    shared by the whole array moved by up to 2e-19."""
     k = UnitIntervalKernels(_basis(nu))
     x = np.append(np.geomspace(0.021, 0.979, 13), 1.0)
     for tag in _ROWS:
         whole = _ROWS[tag](k)(x, len(k.basis))
         for n in range(1, len(k.basis) + 1):
-            diff = np.abs(whole[:n] - _ROWS[tag](k)(x, n))
-            assert not np.any(diff if tag == "chi" else diff[:, :-1]), (tag, n)
-            assert np.max(diff) <= 1e-17, (tag, n)
+            assert np.array_equal(whole[:n], _ROWS[tag](k)(x, n)), (tag, n)
+
+
+def test_chi_prefix_equals_a_fresh_build_at_order_seven_and_a_half():
+    """At nu = 7.5 the chi row at x = 0.8627 (argument 16.32 of J_8.5) of
+    an 8-row build was an ulp off the prefix of a 400-row build, whose
+    series range also held the larger arguments of the 0.25 column."""
+    k = UnitIntervalKernels(_basis(7.5, 400))
+    x = np.array([0.25, 0.8627])
+    assert np.array_equal(_ROWS["chi"](k)(x, 400)[:8], _ROWS["chi"](k)(x, 8))
+
+
+@settings(max_examples=30, deadline=None)
+@given(nu=st.sampled_from(ORDERS + (7.5,)), tag=st.sampled_from(sorted(_ROWS)),
+       x=st.lists(st.one_of(st.just(1.0), st.floats(0.01, 1.0)), min_size=1, max_size=6),
+       sizes=st.tuples(st.integers(1, 200), st.integers(1, 200)))
+def test_any_prefix_equals_a_fresh_build_and_j_is_pointwise(nu, tag, x, sizes):
+    """Any prefix of any row table equals a fresh build at any point set,
+    and J at each argument of a row table equals J at that argument alone."""
+    k, x = UnitIntervalKernels(_basis(nu)), np.array(x)
+    n, m = sorted(sizes)
+    assert np.array_equal(_ROWS[tag](k)(x, m)[:n], _ROWS[tag](k)(x, n))
+    order = Order(nu + 1.0 if tag == "chi" else nu)
+    args = np.multiply.outer(k.basis.table.zeros[:m], x).ravel()
+    got = bessel_j(order, args)
+    assert all(g == bessel_j(order, a) for g, a in zip(got.tolist(), args.tolist()))

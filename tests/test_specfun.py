@@ -233,23 +233,22 @@ def test_out_must_match_the_argument():
             bessel_j(Order(1.0), x, out=out)
 
 
-def test_every_block_sums_to_the_stop_of_the_whole_array(monkeypatch):
-    """J's asymptotic sums keep one stop for all of their arguments: a block
-    of large arguments (its own stop 4 at nu = 1) is summed to the stop that
-    the small arguments of a later block set (40), as one whole-array call."""
-    order = Order(1.0)
+@pytest.mark.parametrize("nu, lo, hi", [(1.0, 1e5, 1e6), (0.45, 25.0, 60.0)])
+def test_a_block_keeps_its_bits_next_to_a_block_of_later_stops(nu, lo, hi):
+    """J's asymptotic sums stop per element: a block of large arguments gives
+    the same bits alone as with 100 arguments of later stops appended in a
+    later block.  A stop shared by the whole array (at nu = 1: 4 alone, 40
+    with the small arguments) moved some of them near nu = 1/2, where Q is
+    small."""
+    order = Order(nu)
     K, _, _, stops, _, _ = specfun._asymptotic_table(order.nu)
 
     def stop_of(x):
         stop, small = stops(x)
         return min(K, int(np.max(np.minimum(stop + 1, small), initial=1)))
 
-    x = np.concatenate([np.geomspace(1e5, 1e6, specfun._CHUNK), np.geomspace(13.0, 20.0, 100)])
-    assert (stop_of(x[:specfun._CHUNK]), stop_of(x)) == (4, 40)
-    seen, hankel_pq = [], specfun._hankel_pq
-    monkeypatch.setattr(specfun, "_hankel_pq",
-                        lambda nu, xs: seen.append(stop_of(xs)) or hankel_pq(nu, xs))
-    got = bessel_j(order, x)
-    assert seen == [40, 40]
-    monkeypatch.setattr(specfun, "_hankel_pq", hankel_pq)
-    assert np.array_equal(got, specfun._j_asymptotic(order.nu, x))
+    big = np.geomspace(lo, hi, specfun._CHUNK)
+    x = np.concatenate([big, np.geomspace(13.0, 20.0, 100)])
+    assert stop_of(big) < stop_of(x)
+    for fn in (bessel_j, besselj_over_xnu):
+        assert np.array_equal(fn(order, x)[:specfun._CHUNK], fn(order, big)), fn.__name__
