@@ -8,9 +8,9 @@ from .config import RunConfig, load_config
 from .covers import DyadicCover, Interval, FAMILY_ONE_END, FAMILY_TWO_END
 from .errors import ConfigError, NumericsError
 from .hardy import (Atom, PiecewiseLinear, atomic_decompose, build_partition,
-                    cascade_decompose, case3_split, chord_product,
-                    h1_norm_report, haar_atom, random_atoms, special_atom,
-                    two_atom_split, validate_atom)
+                    cascade_decompose, chord_product, h1_norm_report,
+                    haar_atom, random_atoms, special_atom, two_atom_split,
+                    validate_atom)
 from .kernels import (UnitIntervalKernels, bessel_heat, bessel_poisson,
                       check_sharp_estimate)
 from .maximal import (CutoffRho, SpectralExpansion, TimeGrid, apply_halfline,
@@ -29,7 +29,7 @@ __all__ = [
     "PiecewiseLinear", "RunConfig", "SampledFunction", "SpectralExpansion",
     "TimeGrid", "UnitIntervalKernels", "apply_halfline", "atomic_decompose",
     "bessel_heat", "bessel_poisson",
-    "bessel_zeros", "build_partition", "cascade_decompose", "case3_split",
+    "bessel_zeros", "build_partition", "cascade_decompose",
     "check_sharp_estimate", "chord_product",
     "coefficients", "compare_semigroups", "duhamel_closure",
     "grid_on_interval", "h1_norm_report", "haar_atom", "hankel_transform",

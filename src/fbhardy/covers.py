@@ -39,14 +39,10 @@ class Interval:
     def center(self) -> float:
         return 0.5 * (self.a + self.b)
 
-    def contains(self, x, strict_left: bool = True):
+    def contains(self, x):
         x = np.asarray(x, dtype=float)
-        left = (x > self.a) if strict_left else (x >= self.a)
-        out = left & (x <= self.b)
+        out = (x > self.a) & (x <= self.b)
         return bool(out) if out.ndim == 0 else out
-
-    def covers(self, other: "Interval") -> bool:
-        return self.a <= other.a and other.b <= self.b
 
     def enlarged(self, zeta: float = DEFAULT_ZETA) -> "Interval":
         """(1 + zeta)-dilation about the center, clipped to (0, 1)."""

@@ -9,11 +9,9 @@ the endpoint 1; the flat family uses Lebesgue measure and the two-end cover.
 
 A cancellative atom is supported in an interval I inside (0, 1), has sup norm
 at most sigma(I)^(-1), and integrates to zero; a special atom is the
-normalized indicator of one cover interval. The splitting identities
-implemented here (two-atom split, wide-atom split across cover cells, bump
-split into a cancellative part plus a special multiple) are the constructive
-steps that turn an arbitrary localized piece into a combination of valid
-atoms with controlled coefficient mass.
+normalized indicator of one cover interval. The two-atom split implemented
+here is the constructive step that rewrites a localized piece's mean as a
+combination of two valid global atoms.
 
 The local decomposition on an enlarged cover piece is a Haar cascade on
 measure-median cells: each cell splits where the measure is halved, the
@@ -46,10 +44,6 @@ _FAMILY_OF_MEASURE = {MEASURE_MU: FAMILY_ONE_END,
                       MEASURE_LEBESGUE: FAMILY_TWO_END}
 
 
-def sigma_interval(a: float, b: float, measure: str, nu: float) -> float:
-    return float(Measure.of(measure, nu).interval(a, b))
-
-
 # ---------------------------------------------------------------------------
 # exact piecewise-linear functions
 
@@ -58,8 +52,8 @@ def sigma_interval(a: float, b: float, measure: str, nu: float) -> float:
 class PiecewiseLinear:
     """slope * x + intercept on [breaks[i], breaks[i+1]), zero outside,
     held as read-only float64 arrays (a float64 input is not copied). The
-    rows of a closer table or of materialized atoms are views of one table
-    that _check_table checked once, as the constructor checks one row.
+    functions of materialized atoms are views of one table that
+    _check_table checked once, as the constructor checks one row.
     Equality and hashing are by identity."""
 
     breaks: np.ndarray
@@ -298,8 +292,8 @@ class Atom:
         return self.fn.support
 
     def sigma(self) -> float:
-        return sigma_interval(self.interval.a, self.interval.b,
-                              self.measure, self.nu)
+        iv = self.interval
+        return float(Measure.of(self.measure, self.nu).interval(iv.a, iv.b))
 
     def evaluate(self, x):
         return self.fn.evaluate(x)
@@ -317,7 +311,7 @@ class Atom:
 def special_atom(cover: DyadicCover, j: int, nu: float, measure: str,
                  label: str = "") -> Atom:
     cell = cover.interval(j)
-    s = sigma_interval(cell.a, cell.b, measure, nu)
+    s = Measure.of(measure, nu).interval(cell.a, cell.b)
     fn = PiecewiseLinear.constant(cell.a, cell.b, 1.0 / s)
     return Atom(fn=fn, measure=measure, nu=nu, kind=KIND_SPECIAL,
                 label=label or f"special[{j}]")
@@ -394,8 +388,8 @@ def two_atom_split(cover: DyadicCover, j: int, nu: float, measure: str) -> dict:
     combination of two valid global atoms."""
     cell = cover.interval(j)
     big = cover.starred(j, 2)
-    s_cell = sigma_interval(cell.a, cell.b, measure, nu)
-    s_big = sigma_interval(big.a, big.b, measure, nu)
+    s_cell, s_big = (float(Measure.of(measure, nu).interval(iv.a, iv.b))
+                     for iv in (cell, big))
     pts = np.unique(np.array([big.a, cell.a, cell.b, big.b]))
     levels = [(1.0 / s_cell if cell.a <= lo and hi <= cell.b else 0.0)
               - 1.0 / s_big for lo, hi in zip(pts[:-1], pts[1:])]
@@ -421,62 +415,6 @@ def globalize_special(cover: DyadicCover, j: int, nu: float, measure: str,
             (-coef * split["lam1"], split["cancellative"])]
 
 
-def bump_split(fn: PiecewiseLinear, cover: DyadicCover, j: int, nu: float,
-               measure: str) -> list:
-    """A bounded bump supported in one cover cell splits into a cancellative
-    atom plus a multiple of the cell's special atom; returns [(coef, atom)]."""
-    cell = cover.interval(j)
-    s_cell = sigma_interval(cell.a, cell.b, measure, nu)
-    mass = fn.integral(measure, nu)
-    centered = fn.extended(cell.a, cell.b).plus_constant(-mass / s_cell)
-    out = []
-    sup = centered.sup_norm()
-    if sup > 0:
-        lam = sup * s_cell
-        out.append((lam, Atom(fn=centered.scaled(1.0 / lam), measure=measure,
-                              nu=nu, kind=KIND_CANCELLATIVE,
-                              label=f"bump-centered[{j}]")))
-    if mass != 0.0:
-        out.append((mass, special_atom(cover, j, nu, measure)))
-    return out
-
-
-def case3_split(atom: Atom, cover: DyadicCover) -> tuple:
-    """Split a wide cancellative atom along the cover cells it touches.
-
-    The atom is written as a sum over cells of scaled restrictions; each
-    restriction has sup norm comparable to the reciprocal cell measure and is
-    then bump-split into valid atoms. Returns (pieces, info) where pieces is
-    a list of (coefficient, atom) and info records the damping exponents."""
-    if atom.kind != KIND_CANCELLATIVE:
-        raise ValueError("the wide-atom split applies to cancellative atoms")
-    iv = atom.interval
-    js = [j for j in cover.indices()
-          if atom.fn.restricted(cover.interval(j).a, cover.interval(j).b)
-          is not None]
-    if not js:
-        raise ValueError("atom support misses the cover")
-    if cover.family == FAMILY_ONE_END:
-        base = min(js)
-        damp = {j: j - base for j in js}
-    else:
-        lo, hi = min(js), max(js)
-        base = 1 if lo < 0 < hi else min(abs(lo), abs(hi))
-        damp = {j: abs(j) - base for j in js}
-    pieces = []
-    for j in js:
-        cell = cover.interval(j)
-        part = atom.fn.restricted(cell.a, cell.b)
-        grow = 2.0 ** damp[j]
-        coef = 1.0 / grow
-        for lam, sub in bump_split(part.scaled(grow), cover, j, atom.nu,
-                                   atom.measure):
-            pieces.append((coef * lam, sub))
-    info = {"indices": js, "base_index": base,
-            "coef_l1": float(sum(abs(c) for c, _ in pieces))}
-    return pieces, info
-
-
 # ---------------------------------------------------------------------------
 # partition of unity (piecewise-linear ramps on the star overlaps)
 
@@ -484,22 +422,18 @@ def case3_split(atom: Atom, cover: DyadicCover) -> tuple:
 @dataclass(frozen=True)
 class PartitionMember:
     j: int
-    cell: Interval
-    star: Interval
     star2: Interval
     eta: PiecewiseLinear
-    t_cap: float
 
 
-def build_partition(cover: DyadicCover, nu: float, measure: str) -> list:
+def build_partition(cover: DyadicCover) -> list:
     """Partition of unity subordinate to the starred cover.
 
     Each member ramps linearly inside the overlap of consecutive starred
     intervals (shrunk 10 percent on each side), so the members sum to one
     exactly between the first ramp and the start of the last member's
     closing ramp, and the slope of member j is of order 2^j as required.
-    The time cap stored with each member is the doubly-starred measure of
-    its cell."""
+    Each member keeps the doubly-starred cell its cascade runs on."""
     order = cover.indices()
     ramps = []
     for a, b in zip(order[:-1], order[1:]):
@@ -522,10 +456,7 @@ def build_partition(cover: DyadicCover, nu: float, measure: str) -> list:
             else [cell.b - 0.1 * cell.length, cell.b]
         vals += [1.0, 0.0]
         eta = PiecewiseLinear.from_node_values(pts, vals)
-        star2 = cover.starred(j, 2)
-        t_cap = sigma_interval(star2.a, star2.b, measure, nu)
-        members.append(PartitionMember(j=j, cell=cell, star=cover.starred(j, 1),
-                                       star2=star2, eta=eta, t_cap=t_cap))
+        members.append(PartitionMember(j=j, star2=cover.starred(j, 2), eta=eta))
     return members
 
 
@@ -550,21 +481,9 @@ class CascadeLevel:
     lam: np.ndarray     # detail coefficients (half-integral differences)
 
 
-@dataclass(frozen=True)
-class ClosingPiece:
-    """Exact remainder of one deactivated cell: the input minus its cell
-    average, a zero-mean bump that normalizes to a valid atom. Closers are
-    stored as rows of a CloserTable; this is one row read out, and fn views
-    the table's arrays."""
-    depth: int
-    cell: int
-    lam: float                  # sup norm times the cell measure
-    fn: PiecewiseLinear
-
-
-class _RaggedTable(Sequence):
-    """Rows of a ragged table (start, breaks, slopes, intercepts), checked
-    once, when built, and read-only in every column; _item(i) reads row i."""
+class _RaggedTable:
+    """A ragged table (start, breaks, slopes, intercepts) of len rows,
+    checked once, when built, and read-only in every column."""
 
     def __post_init__(self):
         _check_table(self.start, self.breaks, self.slopes, self.intercepts)
@@ -575,21 +494,18 @@ class _RaggedTable(Sequence):
     def __len__(self) -> int:
         return len(self.start) - 1
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
-        return self._item(range(len(self))[i])
-
 
 @dataclass(frozen=True, eq=False)
 class CloserTable(_RaggedTable):
     """All closing pieces of one cascade as flat arrays, in closing order
-    (by depth, then cell). Closer i has depth[i], cell[i] and lam[i], the
-    pieces start[i]:start[i+1] of slopes and intercepts, and their breaks
-    from breaks[start[i] + i]. A cell holding a breakpoint of the input or
-    the end of its support has several pieces, zero where the input
-    vanishes. The table is checked once, when built; indexing and iteration
-    yield ClosingPiece rows whose functions are read-only views of it."""
+    (by depth, then cell). A closing piece is the exact remainder of one
+    deactivated cell: the input minus its cell average, a zero-mean bump
+    that normalizes to a valid atom. Closer i has depth[i], cell[i] and
+    lam[i] (its sup norm times the cell measure), the pieces
+    start[i]:start[i+1] of slopes and intercepts, and their breaks from
+    breaks[start[i] + i]. A cell holding a breakpoint of the input or the
+    end of its support has several pieces, zero where the input vanishes.
+    The table is read by column."""
     depth: np.ndarray
     cell: np.ndarray
     lam: np.ndarray
@@ -598,16 +514,11 @@ class CloserTable(_RaggedTable):
     slopes: np.ndarray
     intercepts: np.ndarray
 
-    def _item(self, i: int) -> ClosingPiece:
-        return ClosingPiece(depth=int(self.depth[i]), cell=int(self.cell[i]),
-                            lam=float(self.lam[i]),
-                            fn=PiecewiseLinear._row(self, i))
-
 
 @dataclass(frozen=True, eq=False)
-class AtomTable(_RaggedTable):
-    """The materialized atoms of one cascade as flat arrays, a sibling of
-    CloserTable. Row i is the pair (coef[i], atom): the two-bar atom of a
+class AtomTable(_RaggedTable, Sequence):
+    """The materialized atoms of one cascade as flat arrays, laid out as a
+    CloserTable is. Row i is the pair (coef[i], atom): the two-bar atom of a
     Haar detail, or a closer normalized by 1/coef[i] (closer[i] set), of
     cell[i] at depth[i], with the pieces start[i]:start[i+1] of slopes and
     intercepts. The table is checked once, when built; indexing and
@@ -625,7 +536,10 @@ class AtomTable(_RaggedTable):
     intercepts: np.ndarray
     kind = KIND_CANCELLATIVE
 
-    def _item(self, i: int) -> tuple:
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]
         return self.coef.item(i), Atom._of_row(self, i)
 
     def __iter__(self):
@@ -802,7 +716,7 @@ def cascade_decompose(fn: PiecewiseLinear, space: Interval, measure: str,
     reproduces fn to rounding whatever the cut; the cut only trades the
     number of detail levels against the coefficient mass of the closers.
     Each depth is one array pass over its cells."""
-    sigma_total = sigma_interval(space.a, space.b, measure, nu)
+    sigma_total = float(Measure.of(measure, nu).interval(space.a, space.b))
     if sigma_total <= 0:
         raise ValueError("empty cascade space")
     mean_coef = float(fn.integral(measure, nu))
@@ -866,14 +780,12 @@ def cascade_decompose(fn: PiecewiseLinear, space: Interval, measure: str,
 class Decomposition:
     measure: str
     nu: float
-    cover: DyadicCover
-    members: list
-    pieces: list          # (member, cascade, special_pairs)
+    pieces: list          # (cascade, special_pairs)
 
     def reconstruct(self, x):
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
-        for _, cascade, _ in self.pieces:
+        for cascade, _ in self.pieces:
             out = out + cascade.evaluate(x)
         return out
 
@@ -882,12 +794,12 @@ class Decomposition:
         of the cascade's AtomTable, then the globalized special parts. The
         cascade atoms are lazy rows: nothing reads their arrays until their
         function or label is read."""
-        return [pair for _, cascade, special_pairs in self.pieces
+        return [pair for cascade, special_pairs in self.pieces
                 for pair in (*cascade.materialize(), *special_pairs)]
 
     def coeff_l1(self) -> float:
         total = 0.0
-        for _, cascade, special_pairs in self.pieces:
+        for cascade, special_pairs in self.pieces:
             total += cascade.coeff_l1()
             total += sum(abs(c) for c, _ in special_pairs)
         return total
@@ -897,16 +809,16 @@ class Decomposition:
         return float(f.grid.weights @ np.abs(f.values - rec))
 
     def summary(self, f: SampledFunction | None = None) -> dict:
-        n_details = sum(len(lev.idx) for _, c, _ in self.pieces
+        n_details = sum(len(lev.idx) for c, _ in self.pieces
                         for lev in c.levels)
-        n_closers = sum(len(c.closers) for _, c, _ in self.pieces)
-        n_special = sum(len(sp) for _, _, sp in self.pieces)
+        n_closers = sum(len(c.closers) for c, _ in self.pieces)
+        n_special = sum(len(sp) for _, sp in self.pieces)
         out = {"measure": self.measure, "n_pieces": len(self.pieces),
                "n_details": int(n_details), "n_closers": int(n_closers),
                "n_special_pairs": int(n_special),
                "coeff_l1": self.coeff_l1(),
                "closure_l1": float(sum(c.closure_l1
-                                       for _, c, _ in self.pieces))}
+                                       for c, _ in self.pieces))}
         if f is not None:
             res = self.residual_l1(f)
             norm = f.l1_norm()
@@ -950,7 +862,7 @@ def atomic_decompose(f, nu: float, measure: str | None = None,
                   for e in (supp.a, supp.b) if 0.0 < e < 1.0]
         j_max = max(8, max(j_need, default=8) + 2)
         cover = DyadicCover(family, zeta=zeta, j_max=j_max)
-    members = build_partition(cover, nu, measure)
+    members = build_partition(cover)
     coverage = partition_coverage(members)
     if supp.a < coverage.a or supp.b > coverage.b:
         raise ValueError(
@@ -979,9 +891,8 @@ def atomic_decompose(f, nu: float, measure: str | None = None,
         if cascade.mean_coef != 0.0:
             special_pairs = globalize_special(cover, m.j, nu, measure,
                                               cascade.mean_coef)
-        pieces.append((m, cascade, special_pairs))
-    return Decomposition(measure=measure, nu=nu, cover=cover, members=members,
-                         pieces=pieces)
+        pieces.append((cascade, special_pairs))
+    return Decomposition(measure=measure, nu=nu, pieces=pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -1025,7 +936,7 @@ def random_atoms(rng, measure: str, nu: float, count: int,
             out.append(haar_atom(a, float(m), b, nu, measure, label=label))
         else:
             tent = PiecewiseLinear.tent(a, b, 1.0)
-            s_ab = sigma_interval(a, b, measure, nu)
+            s_ab = meas.interval(a, b)
             mean = tent.integral(measure, nu) / s_ab
             centered = tent.plus_constant(-mean)
             scale = 1.0 / (centered.sup_norm() * s_ab)

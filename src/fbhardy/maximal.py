@@ -69,12 +69,6 @@ class TimeGrid:
         vals = np.unique(np.concatenate([vals, [split]]))
         return cls(values=vals, split=split)
 
-    def refine(self) -> "TimeGrid":
-        """Insert geometric midpoints; the result contains this grid."""
-        mids = np.sqrt(self.values[:-1] * self.values[1:])
-        return TimeGrid(values=np.unique(np.concatenate([self.values, mids])),
-                        split=self.split)
-
     def restricted(self, lo: float, hi: float) -> "TimeGrid":
         mask = (self.values >= lo) & (self.values <= hi)
         if np.sum(mask) < 2:
@@ -243,9 +237,9 @@ class HomogeneousSpace:
         z = d.quantile(d.cdf(y) + sign * delta)
         return np.clip(z, self.interval.a + 1e-12, self.interval.b - 1e-12)
 
-    def inner_points(self, n: int, margin: float = 0.02) -> np.ndarray:
+    def inner_points(self, n: int) -> np.ndarray:
         a, b = self.interval.a, self.interval.b
-        pad = margin * (b - a)
+        pad = 0.02 * (b - a)
         return np.linspace(a + pad, b - pad, n)
 
 
@@ -419,12 +413,12 @@ class CutoffRho:
         return _smoothstep_d2(self._u(x)) / (self.outer - self.inner) ** 2
 
 
-def _s_panel_nodes(t: float, n_mid: int = 24, n_end: int = 24):
+def _s_panel_nodes(t: float, n_mid: int = 24):
     """Quadrature nodes/weights for int_0^t ds with square-root substitutions
     on the endpoint panels (integrands may have boundary layers there):
     s = v^2 on [0, 0.01 t] and t - s = v^2 on [0.99 t, t]."""
     breaks = [0.01 * t, 0.1 * t, 0.5 * t, 0.9 * t, 0.99 * t]
-    z, w = np.polynomial.legendre.leggauss(n_end)
+    z, w = np.polynomial.legendre.leggauss(24)
     zm, wm = np.polynomial.legendre.leggauss(n_mid)
     ends = []
     for vmax in (math.sqrt(breaks[0]), math.sqrt(t - breaks[-1])):

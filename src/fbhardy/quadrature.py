@@ -213,18 +213,11 @@ class SampledFunction:
     def measure(self) -> str:
         return self.grid.measure
 
-    @classmethod
-    def from_callable(cls, grid: Grid, fn) -> "SampledFunction":
-        return cls(grid=grid, values=np.asarray(fn(grid.nodes), dtype=float))
-
     def integral(self) -> float:
         return self.grid.integrate(self.values)
 
     def l1_norm(self) -> float:
         return self.grid.integrate(np.abs(self.values))
-
-    def l2_norm(self) -> float:
-        return math.sqrt(max(self.grid.integrate(self.values**2), 0.0))
 
     def scaled(self, c: float) -> "SampledFunction":
         return SampledFunction(grid=self.grid, values=c * self.values)

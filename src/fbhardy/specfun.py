@@ -17,7 +17,7 @@ at its first term below 1e-18 of its own sum, which comes after its largest
 term, so every later term is below half an ulp of the sum and rounds away; a
 block sorted by x keeps its live elements a prefix, cut every fourth term.
 The asymptotic sums stop at an element's smallest term or its first term
-below 1e-18, read from two per-order tables of the gaps between the sorted
+below 1e-18, read from one per-order table of the gaps between the sorted
 thresholds, one search per element; elements within 1e-12 of a threshold are
 compared term by term.  In each block of _CHUNK elements they are sorted by
 their last term (a stable sort of the 8-bit key top - last), so term k of a
@@ -101,13 +101,13 @@ def _asymptotic_table(nu: float):
     """Coefficients a_1..a_K of the Hankel-type sums (K stops at _ASYMP_CAP
     or before the first vanishing a_k), the J and I term lists for
     _power_sums, stops(x) and the absorb thresholds; t_k = a_k / x^k.
-    stops gives per element the last term before |t_k| stops decreasing
-    (x <= |a_k/a_{k-1}|) and the first below 1e-18 (x > (1e18 |a_k|)^(1/k);
-    K + 1 if none), read from its gap between thresholds, and within 1e-12
-    of one from the loop's own comparisons.  absorb: past floor, |t_2| <= 1/160
-    and 80 |t_3| <= |t_1| keep |P| > 3/4, |Q| > 3/4 |t_1|; once x > absorb[k-1]
-    the J terms after k are below 2^-56 min(1, |t_1|), and a float S plus
-    less than 2^-54 |S| rounds to S."""
+    stops gives per element its last term, the earlier of the last before
+    |t_k| stops decreasing (x <= |a_k/a_{k-1}|) and the first below 1e-18
+    (x > (1e18 |a_k|)^(1/k)), read from its gap between thresholds, and
+    within 1e-12 of one from the loop's own comparisons.  absorb: past floor,
+    |t_2| <= 1/160 and 80 |t_3| <= |t_1| keep |P| > 3/4, |Q| > 3/4 |t_1|;
+    once x > absorb[k-1] the J terms after k are below 2^-56 min(1, |t_1|),
+    and a float S plus less than 2^-54 |S| rounds to S."""
     mu4, c, a = 4.0 * nu * nu, 1.0, []
     for k in range(1, _ASYMP_CAP + 1):
         c *= (mu4 - (2 * k - 1) ** 2) / (8.0 * k)
@@ -122,21 +122,21 @@ def _asymptotic_table(nu: float):
     ties = np.sort(np.concatenate([[-np.inf, np.inf], r, s]))
     # rise and tiny take their values from the ties, so the counts below are
     # the same across each gap between neighbouring ties
-    stop_at = np.minimum(1 + np.searchsorted(rise, ties, side="right"), K).astype(np.int8)
-    small_at = (1 + np.searchsorted(-tiny, -ties, side="left")).astype(np.int8)
+    last = np.minimum(np.searchsorted(rise, ties, side="right"),
+                      np.searchsorted(-tiny, -ties, side="left"))
+    stop_at = np.minimum(1 + last, K).astype(np.int8)
 
     def stops(x):
         i = np.searchsorted(ties, x) - 1   # ties[i] < x <= ties[i + 1]
-        stop, small = stop_at[i], small_at[i]
+        stop = stop_at[i]
         near = np.flatnonzero(np.minimum(x - ties[i], ties[i + 1] - x) <= 1e-12 * x)
         live, prev = np.ones(near.size, dtype=bool), np.inf
-        small[near] = K + 1
         for j, cj in enumerate(a if near.size else (), start=1):
             mag = np.abs(cj / x[near] ** j)
             live &= mag < prev
             stop[near[live]], prev = j, mag
-            small[near[live & (mag < 1e-18) & (small[near] > K)]] = j
-        return stop, small
+            live &= mag >= 1e-18
+        return stop
     absorb = np.maximum(b ** (1.0 / k[1:]), (b / A[0]) ** (1.0 / k[:-1]))
     add, sub = np.add, np.subtract   # J: P takes even k, Q odd, sign (-1)^(k // 2)
     return (K, tuple((c, j % 2, (add, add, sub, sub)[j % 4]) for j, c in enumerate(a, 1)),
@@ -176,7 +176,7 @@ def _hankel_pq(nu: float, x: np.ndarray):
     (the usual optimal truncation of a divergent series) or its first term
     below 1e-18.  Terms that rounding would absorb into P and Q are skipped."""
     K, terms, _, stops, absorb, floor = _asymptotic_table(nu)
-    return _power_sums(x, lambda xs: np.minimum(np.minimum(*stops(xs)), np.where(
+    return _power_sums(x, lambda xs: np.minimum(stops(xs), np.where(
         xs >= floor, 1 + np.searchsorted(-absorb, -xs, side="right"), K)), (1.0, 0.0), terms)
 
 
@@ -194,7 +194,7 @@ def _ive_asymptotic(nu: float, x: np.ndarray) -> np.ndarray:
     K, _, terms, stops, _, _ = _asymptotic_table(nu)
     E = 1.0   # nu = 1/2: a_1 = 0 and the sum is 1
     if K:
-        E = _power_sums(x, lambda xs: np.minimum(*stops(xs)), (1.0,), terms)[0]
+        E = _power_sums(x, stops, (1.0,), terms)[0]
     return E / np.sqrt(2.0 * pi * x)
 
 

@@ -5,10 +5,11 @@ ragged table, an `AtomTable`, checks it once with PiecewiseLinear's
 conditions and returns it as a sequence of (coefficient, atom) rows. A row
 atom holds only the table and its row index; its function, a read-only view
 of the row, and its label are built when first read and then kept.
-`CloserTable` hands out the closers of a cascade the same way. These tests
-pin the table check to the constructor's messages, the views to read-only
-memory, the rows to building nothing until read, and the atoms to what the
-public constructor builds from the same numbers.
+`CloserTable` holds the closers of a cascade in the same layout and is read
+by column. These tests pin the table check to the constructor's messages,
+the views and columns to read-only memory, the rows to building nothing
+until read, and the atoms to what the public constructor builds from the
+same numbers.
 """
 import dataclasses
 
@@ -21,7 +22,7 @@ from fbhardy.hardy import (Atom, AtomTable, CascadeLevel, CloserTable,
                            cascade_decompose, haar_atom)
 from fbhardy.quadrature import MEASURE_LEBESGUE, MEASURE_MU
 
-from test_cascade_arrays import ref_materialize
+from test_cascade_arrays import ref_cascade_decompose, ref_materialize
 
 
 def _table(rows, n_slopes=None):
@@ -62,8 +63,8 @@ def test_table_rejects_a_missing_slope_as_the_constructor_does():
 def test_table_rows_may_decrease_across_rows():
     """Only the breaks inside a row must increase: rows come in any order."""
     t = _table([[0.5, 0.6], [0.1, 0.2, 0.3], [0.05, 0.4]])
-    assert [list(c.fn.breaks) for c in t] == [[0.5, 0.6], [0.1, 0.2, 0.3],
-                                             [0.05, 0.4]]
+    assert [list(PiecewiseLinear._row(t, i).breaks) for i in range(len(t))] \
+        == [[0.5, 0.6], [0.1, 0.2, 0.3], [0.05, 0.4]]
 
 
 def test_materialize_rejects_a_degenerate_detail_as_haar_atom_does():
@@ -81,11 +82,10 @@ def test_materialize_rejects_a_degenerate_detail_as_haar_atom_does():
         assert _message(broken.materialize) == want
 
 
-def _cascade():
+def _cascade(build=cascade_decompose):
     fn = PiecewiseLinear.from_node_values([0.22, 0.3, 0.41, 0.46],
                                           [0.0, 1.0, -0.4, 0.0])
-    return cascade_decompose(fn, Interval(0.2, 0.5), MEASURE_MU, 0.5,
-                             detail_cut=1e-7)
+    return build(fn, Interval(0.2, 0.5), MEASURE_MU, 0.5, detail_cut=1e-7)
 
 
 @pytest.mark.parametrize("max_atoms", [None, 7])
@@ -106,14 +106,14 @@ def test_materialized_arrays_are_read_only_views(max_atoms):
 
 
 def test_closer_rows_are_read_only_views():
+    """Every column of a closer table is read-only and stays so."""
     t = _cascade().closers
-    for arr in (t.start, t.breaks, t.slopes, t.intercepts):
-        assert not arr.flags.writeable
-    for cp in t:
-        for arr in (cp.fn.breaks, cp.fn.slopes, cp.fn.intercepts):
-            assert arr.base is not None and not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr.setflags(write=True)
+    assert len(t) > 10
+    for f in dataclasses.fields(t):
+        arr = getattr(t, f.name)
+        assert not arr.flags.writeable, f.name
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
 
 
 def test_every_table_column_is_read_only():
@@ -223,7 +223,7 @@ def test_row_atom_builds_its_label_on_first_read(monkeypatch):
     """Labels are built when read, once, and equal the labels of the eager
     per-entry reference."""
     cascade = _cascade()
-    want = [a.label for _, a in ref_materialize(cascade)]
+    want = [a.label for _, a in ref_materialize(_cascade(ref_cascade_decompose))]
     labels = _counting(monkeypatch, AtomTable, "_label")
     atoms = [a for _, a in cascade.materialize()]
     assert labels == []
@@ -237,13 +237,7 @@ def _atom_key(pair):
     return c, a.label, a.fn.breaks.tobytes(), a.fn.slopes.tobytes()
 
 
-def _closer_key(cp):
-    return cp.depth, cp.cell, cp.lam, cp.fn.breaks.tobytes(), \
-        cp.fn.slopes.tobytes()
-
-
-@pytest.mark.parametrize("table, key", [
-    (lambda c: c.materialize(), _atom_key), (lambda c: c.closers, _closer_key)])
+@pytest.mark.parametrize("table, key", [(lambda c: c.materialize(), _atom_key)])
 def test_tables_index_and_slice_as_a_list(table, key):
     rows_of = table(_cascade())
     rows = list(rows_of)

@@ -3,12 +3,16 @@
 The reference functions below are the original one-cell-at-a-time routines:
 `cascade_decompose` with its per-cell `close()`, the per-closer loop of
 `LocalCascade.evaluate` and the per-entry `materialize` with its scalar
-`haar_atom`. They are kept verbatim apart from three edits: the methods
+`haar_atom`. They are kept verbatim apart from four edits: the methods
 take the cascade as an argument, the reference cascade keeps its closers
-in a plain list, and comments inside the loops are dropped. The array
+in a plain list of `RefCloser` records, interval measures come from
+`Measure.interval`, and comments inside the loops are dropped. The array
 routines must find the same cells, coefficients and remainders, evaluate
-to the same values and materialize the same atoms in the same order.
+to the same values and materialize the same atoms in the same order; the
+closer table is compared by column.
 """
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -16,15 +20,23 @@ from hypothesis import strategies as st
 
 from fbhardy.covers import Interval
 from fbhardy.hardy import (KIND_CANCELLATIVE, Atom, CascadeLevel,
-                           ClosingPiece, LocalCascade, PiecewiseLinear,
-                           cascade_decompose, sigma_interval)
-from fbhardy.quadrature import MEASURE_LEBESGUE, MEASURE_MU
+                           LocalCascade, PiecewiseLinear, cascade_decompose)
+from fbhardy.quadrature import MEASURE_LEBESGUE, MEASURE_MU, Measure
+
+
+class RefCloser(NamedTuple):
+    """One closing piece of the reference cascade: the remainder fn of the
+    cell at depth, with lam its sup norm times the cell measure."""
+    depth: int
+    cell: int
+    lam: float
+    fn: PiecewiseLinear
 
 
 def ref_haar_atom(a, m, b, nu, measure, label=""):
-    s = sigma_interval(a, b, measure, nu)
-    s1 = sigma_interval(a, m, measure, nu)
-    s2 = sigma_interval(m, b, measure, nu)
+    s = Measure.of(measure, nu).interval(a, b)
+    s1 = Measure.of(measure, nu).interval(a, m)
+    s2 = Measure.of(measure, nu).interval(m, b)
     h1 = 1.0 / s
     h2 = h1 * s1 / s2
     scale = 1.0 / max(1.0, h2 * s)   # an off-median split peaks on the right
@@ -36,7 +48,7 @@ def ref_haar_atom(a, m, b, nu, measure, label=""):
 
 def ref_cascade_decompose(fn, space, measure, nu, depth_cap=26,
                           detail_cut=None):
-    sigma_total = sigma_interval(space.a, space.b, measure, nu)
+    sigma_total = float(Measure.of(measure, nu).interval(space.a, space.b))
     if sigma_total <= 0:
         raise ValueError("empty cascade space")
     mean_coef = float(fn.integral(measure, nu))
@@ -62,8 +74,8 @@ def ref_cascade_decompose(fn, space, measure, nu, depth_cap=26,
         s = rem.sup_norm()
         if s <= 0.0:
             return 0.0
-        closers.append(ClosingPiece(depth=depth, cell=int(k),
-                                    lam=s * sigma_cell, fn=rem))
+        closers.append(RefCloser(depth=depth, cell=int(k),
+                                 lam=s * sigma_cell, fn=rem))
         return s * sigma_cell
 
     for d in range(depth_cap):
@@ -183,7 +195,7 @@ def cascade_inputs(draw):
 
 def _build(fn, space, measure, nu, cut, depth_cap):
     # the cut is relative to the input's scale on the space, as the default
-    sigma = sigma_interval(space.a, space.b, measure, nu)
+    sigma = float(Measure.of(measure, nu).interval(space.a, space.b))
     detail_cut = cut * max(fn.sup_norm() * sigma, 1e-300)
     new = cascade_decompose(fn, space, measure, nu, depth_cap=depth_cap,
                             detail_cut=detail_cut)
@@ -202,16 +214,23 @@ def _same(x, y, exact, rel=1e-12):
                                atol=rel * float(np.max(np.abs(y), initial=0)))
 
 
+def _columns(pairs):
+    """A list of (coefficient, PiecewiseLinear) as the columns of a ragged
+    table: coefficients, piece counts, breaks, slopes, intercepts."""
+    def flat(key):
+        return np.concatenate([getattr(f, key) for _, f in pairs] or [np.zeros(0)])
+    return ([c for c, _ in pairs], [len(f.slopes) for _, f in pairs],
+            flat("breaks"), flat("slopes"), flat("intercepts"))
+
+
 def _same_pieces(got, want, exact):
-    """Two lists of (coefficient, PiecewiseLinear) agree, entry by entry."""
+    """Two ragged tables, given by _columns, agree row by row."""
     exact = np.asarray(exact, dtype=bool)
-    assert [len(f.slopes) for _, f in got] == [len(f.slopes) for _, f in want]
-    _same([c for c, _ in got], [c for c, _ in want], exact)
-    sizes = np.array([len(f.slopes) for _, f in want], dtype=int)
-    for key, extra in (("breaks", 1), ("slopes", 0), ("intercepts", 0)):
-        flat = [np.concatenate([getattr(f, key) for _, f in pairs] or
-                               [np.zeros(0)]) for pairs in (got, want)]
-        _same(*flat, np.repeat(exact, sizes + extra))
+    assert list(got[1]) == list(want[1])
+    _same(got[0], want[0], exact)
+    sizes = np.array(want[1], dtype=int)
+    for g, w, extra in zip(got[2:], want[2:], (1, 0, 0)):
+        _same(g, w, np.repeat(exact, sizes + extra))
 
 
 def _check(new, ref, rng):
@@ -221,13 +240,13 @@ def _check(new, ref, rng):
         assert ln.depth == lr.depth
         np.testing.assert_array_equal(ln.idx, lr.idx)
         np.testing.assert_array_equal(ln.lam, lr.lam)
-    rows = list(new.closers)
-    assert [(c.depth, c.cell) for c in rows] \
+    t = new.closers
+    assert list(zip(t.depth.tolist(), t.cell.tolist())) \
         == [(c.depth, c.cell) for c in ref.closers]
     exact = [len(c.fn.slopes) == 1 for c in ref.closers]
     one_piece = all(exact)
-    _same_pieces([(c.lam, c.fn) for c in rows],
-                 [(c.lam, c.fn) for c in ref.closers], exact)
+    _same_pieces((t.lam, np.diff(t.start), t.breaks, t.slopes, t.intercepts),
+                 _columns([(c.lam, c.fn) for c in ref.closers]), exact)
     _same(new.closure_l1, ref.closure_l1, one_piece)
 
     # random points, and the quantile edges of up to 400 closed cells
@@ -245,7 +264,8 @@ def _check(new, ref, rng):
         got, want = table[:max_atoms], ref_materialize(ref, max_atoms)
         assert [(a.label, a.kind) for _, a in got] \
             == [(a.label, a.kind) for _, a in want]
-        _same_pieces([(c, a.fn) for c, a in got], [(c, a.fn) for c, a in want],
+        _same_pieces(_columns([(c, a.fn) for c, a in got]),
+                     _columns([(c, a.fn) for c, a in want]),
                      [one_piece or a.label.startswith("haar") for _, a in want])
 
 
@@ -276,16 +296,8 @@ def test_depth_cap_keeps_breakpoint_cells_as_multi_piece_closers():
     _check(new, ref, np.random.default_rng(3))
 
 
-def test_closer_table_reads_back_as_closing_pieces():
+def test_a_cascade_capped_at_depth_zero_has_no_closers():
     fn = PiecewiseLinear.tent(0.25, 0.45, 1.3)
-    cascade = cascade_decompose(fn, Interval(0.2, 0.5), MEASURE_LEBESGUE,
-                                0.5, detail_cut=1e-6)
-    rows = list(cascade.closers)
-    assert len(rows) == len(cascade.closers) > 0
-    assert all(isinstance(cp, ClosingPiece) for cp in rows)
-    assert cascade.closers[-1].lam == rows[-1].lam
-    with pytest.raises(IndexError):
-        cascade.closers[len(rows)]
     empty = cascade_decompose(fn, Interval(0.2, 0.5), MEASURE_LEBESGUE, 0.5,
                               depth_cap=0)
     assert len(empty.closers) == 0 and empty.closure_l1 == 0.0

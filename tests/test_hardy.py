@@ -15,10 +15,9 @@ from fbhardy.errors import NumericsError
 from fbhardy.covers import DyadicCover, FAMILY_ONE_END, FAMILY_TWO_END, Interval
 from fbhardy.hardy import (Atom, Decomposition, KIND_CANCELLATIVE,
                            KIND_SPECIAL, PiecewiseLinear, atomic_decompose,
-                           build_partition, bump_split, cascade_decompose,
-                           case3_split, chord_product, globalize_special,
-                           h1_norm_report, haar_atom, partition_coverage,
-                           random_atoms, sigma_interval, special_atom,
+                           build_partition, cascade_decompose, chord_product,
+                           globalize_special, h1_norm_report, haar_atom,
+                           partition_coverage, random_atoms, special_atom,
                            two_atom_split, validate_atom)
 from fbhardy.maximal import TimeGrid
 from fbhardy.quadrature import (MEASURE_LEBESGUE, MEASURE_MU, SampledFunction,
@@ -160,7 +159,7 @@ def test_chord_product_exact_at_shared_points():
 
 def test_partition_chords_sum_back_to_input():
     cover = DyadicCover(FAMILY_ONE_END, zeta=0.02, j_max=10)
-    members = build_partition(cover, 0.5, MEASURE_MU)
+    members = build_partition(cover)
     f = _bump_pl()
     points = np.unique(np.concatenate([f.breaks]
                                       + [m.eta.breaks for m in members]))
@@ -280,40 +279,6 @@ def test_globalize_special_reproduces_local_atom():
     assert np.allclose(got, want, atol=1e-10)
 
 
-def test_bump_split_reassembles_and_cancels():
-    cover = DyadicCover(FAMILY_ONE_END, zeta=0.02)
-    cell = cover.interval(4)
-    inner = PiecewiseLinear.tent(cell.a + 0.2 * cell.length,
-                                 cell.b - 0.2 * cell.length, 0.8)
-    pieces = bump_split(inner, cover, 4, 0.5, MEASURE_MU)
-    assert len(pieces) == 2
-    lam, cancel = pieces[0]
-    assert cancel.kind == KIND_CANCELLATIVE
-    assert validate_atom(cancel)["valid"]
-    x = np.linspace(cell.a + 1e-9, cell.b - 1e-9, 301)
-    got = sum(c * atom.evaluate(x) for c, atom in pieces)
-    assert np.allclose(got, inner.extended(cell.a, cell.b).evaluate(x),
-                       atol=1e-12)
-
-
-def test_case3_split_covers_wide_atom():
-    cover = DyadicCover(FAMILY_TWO_END, zeta=0.02, j_max=10)
-    # a cancellative atom spanning several cells around the midpoint
-    atom = haar_atom(0.3, 0.5, 0.7, 0.5, MEASURE_LEBESGUE)
-    pieces, info = case3_split(atom, cover)
-    assert info["coef_l1"] < math.inf and len(pieces) >= 2
-    for c, sub in pieces:
-        assert validate_atom(sub)["valid"]
-    cell_edges = np.array([cover.interval(j).a for j in info["indices"]]
-                          + [cover.interval(j).b for j in info["indices"]])
-    x = np.linspace(0.301, 0.699, 400)
-    x = x[np.min(np.abs(x[:, None] - cell_edges[None, :]), axis=1) > 1e-4]
-    got = sum(c * sub.evaluate(x) for c, sub in pieces)
-    assert np.allclose(got, atom.evaluate(x), atol=1e-10)
-    with pytest.raises(ValueError):
-        case3_split(special_atom(cover, 1, 0.5, MEASURE_LEBESGUE), cover)
-
-
 # ---------------------------------------------------------------------------
 # partition of unity
 
@@ -322,7 +287,7 @@ def test_case3_split_covers_wide_atom():
                                             (MEASURE_LEBESGUE, FAMILY_TWO_END)])
 def test_partition_sums_to_one(measure, family):
     cover = DyadicCover(family, zeta=0.02, j_max=12)
-    members = build_partition(cover, 0.5, measure)
+    members = build_partition(cover)
     cov = partition_coverage(members)
     x = np.linspace(cov.a + 1e-9, cov.b - 1e-12, 1500)
     total = sum(m.eta.evaluate(x) for m in members)
@@ -330,13 +295,11 @@ def test_partition_sums_to_one(measure, family):
     for m in members:
         vals = m.eta.evaluate(x)
         assert np.all((vals >= 0) & (vals <= 1 + 1e-15))
-        assert m.t_cap == pytest.approx(
-            sigma_interval(m.star2.a, m.star2.b, measure, 0.5))
 
 
 def test_partition_slopes_track_cell_scale():
     cover = DyadicCover(FAMILY_ONE_END, zeta=0.02, j_max=12)
-    members = build_partition(cover, 0.5, MEASURE_MU)
+    members = build_partition(cover)
     by_j = {m.j: float(np.max(np.abs(m.eta.slopes))) for m in members}
     # ramp widths shrink geometrically toward the accumulation end
     for j in range(2, 11):
@@ -451,7 +414,7 @@ def test_cascade_rejects_empty_space():
 def test_atomic_decompose_weighted_family(grid_mu):
     fn = _bump_pl()
     dec = atomic_decompose(fn, nu=0.5, measure=MEASURE_MU)
-    f = SampledFunction.from_callable(grid_mu, fn.evaluate)
+    f = SampledFunction(grid=grid_mu, values=fn.evaluate(grid_mu.nodes))
     out = dec.summary(f)
     assert out["residual_rel"] < 1e-6
     assert out["n_closers"] > 0
@@ -485,7 +448,7 @@ def test_atomic_decompose_input_contracts(grid_mu):
     high = PiecewiseLinear.tent(0.95, 0.99, 1.0)
     with pytest.raises(ValueError):
         atomic_decompose(high, nu=0.5, measure=MEASURE_MU, cover=tiny_cover)
-    f = SampledFunction.from_callable(grid_mu, fn.evaluate)
+    f = SampledFunction(grid=grid_mu, values=fn.evaluate(grid_mu.nodes))
     dec = atomic_decompose(f, nu=0.5)         # measure read off the tag
     assert dec.measure == MEASURE_MU
 
@@ -505,8 +468,8 @@ def test_random_atoms_are_valid_and_deterministic():
 
 def test_h1_norm_report_fields(basis_half):
     grid = make_quadrature("unit_interval", 64, MEASURE_MU, 0.5)
-    f = SampledFunction.from_callable(
-        grid, lambda x: np.maximum(0.0, 1 - np.abs((x - 0.3) / 0.15)))
+    f = SampledFunction(grid=grid, values=np.maximum(
+        0.0, 1 - np.abs((grid.nodes - 0.3) / 0.15)))
     tg = TimeGrid.build(1e-3, 2.0, ratio=1.25)
     rep = h1_norm_report(f, basis_half, tg, nu=0.5)
     assert rep["n_details"] > 0

@@ -241,11 +241,10 @@ def test_a_block_keeps_its_bits_next_to_a_block_of_later_stops(nu, lo, hi):
     with the small arguments) moved some of them near nu = 1/2, where Q is
     small."""
     order = Order(nu)
-    K, _, _, stops, _, _ = specfun._asymptotic_table(order.nu)
+    stops = specfun._asymptotic_table(order.nu)[3]
 
     def stop_of(x):
-        stop, small = stops(x)
-        return min(K, int(np.max(np.minimum(stop + 1, small), initial=1)))
+        return int(np.max(stops(x), initial=1))
 
     big = np.geomspace(lo, hi, specfun._CHUNK)
     x = np.concatenate([big, np.geomspace(13.0, 20.0, 100)])
