@@ -135,10 +135,16 @@ class EigenBasis:
     # -- certified series tails ----------------------------------------------
     #
     # With theta = 0.9 the spacing lam_{n+k} >= lam_n + k pi theta holds for
-    # every order nu > -1/2 (the table is checked at build time), and
-    #   sup_x |phi_n(x)| <= c_n lam_n^nu / (2^nu Gamma(nu+1)),
-    # so the tail past index n is bounded by a geometric series whose first
-    # term and ratio q_n are computed for every n of the table at once.  The
+    # every order nu > -1/2 (the table is checked at build time).  A term
+    # |phi_n(x) phi_n(y)| is bounded two ways, with c_n <= M sqrt(pi lam_n):
+    #   point-free, sup_x |phi_n(x)| <= c_n lam_n^nu / (2^nu Gamma(nu+1)):
+    #     M^2 pi lam_n^(2nu+1) / (2^nu Gamma(nu+1))^2;
+    #   pointwise, |J_nu(z)| <= s_nu z^(-1/2), at x y >= xy:
+    #     M^2 pi s_nu^2 xy^(-nu-1/2),
+    # and psi_n = x^(nu+1/2) phi_n makes the pointwise one M^2 pi s_nu^2 (xy = 1).
+    # The tail past index n is bounded by a geometric series whose first term
+    # (the smaller bound) and ratio q_n (the point-free one's, which the
+    # pointwise one's does not exceed) are computed for every n at once.  The
     # truncation index is the first n whose bound falls below tol.
 
     _THETA = 0.9
@@ -146,6 +152,16 @@ class EigenBasis:
     def _global_coeff(self) -> float:
         g = 2.0**self.nu * math.gamma(self.nu + 1.0)
         return (self.c_margin**2) * math.pi / g**2
+
+    def _first_coeff(self, lam: np.ndarray, xy: float | None) -> np.ndarray:
+        """Bound on |phi_n(x) phi_n(y)| at x y >= xy; point-free if xy is None."""
+        coeff = self._global_coeff() * lam ** (2 * self.nu + 1)
+        if xy is not None and xy > 0:
+            with np.errstate(over="ignore"):   # inf at tiny xy: point-free there
+                local = self.c_margin**2 * math.pi * self.s_nu**2 \
+                    * np.float64(xy) ** (-self.nu - 0.5)
+            coeff = np.minimum(coeff, local)
+        return coeff
 
     @staticmethod
     def _first_below(first, log_q, tol, operation, message) -> int:
@@ -159,28 +175,29 @@ class EigenBasis:
             raise NumericsError(operation, message)
         return n
 
-    def poisson_terms_needed(self, t: float, tol: float) -> int:
+    def poisson_terms_needed(self, t: float, tol: float, xy: float | None = None) -> int:
         """Smallest N so the tail of sum exp(-t lam_n) |phi phi| past N is
-        below tol, or a NumericsError if the table cannot certify it."""
+        below tol at x y >= xy (anywhere if None), or a NumericsError if the
+        table cannot certify it."""
         if t <= 0:
             raise ValueError("t must be positive")
         lam = self.table.zeros
         pt = math.pi * self._THETA
         p = 2 * self.nu + 1
         return self._first_below(
-            self._global_coeff() * lam**p * np.exp(-t * lam),
+            self._first_coeff(lam, xy) * np.exp(-t * lam),
             -t * pt + p * pt / lam, tol, "poisson_kernel",
             f"tail not certified at t={t:.3e} with table of {len(lam)} zeros; "
             "enlarge the zero table or raise t")
 
-    def heat_terms_needed(self, t: float, tol: float) -> int:
+    def heat_terms_needed(self, t: float, tol: float, xy: float | None = None) -> int:
         if t <= 0:
             raise ValueError("t must be positive")
         lam = self.table.zeros
         pt = math.pi * self._THETA
         p = 2 * self.nu + 1
         return self._first_below(
-            self._global_coeff() * lam**p * np.exp(-t * lam**2),
+            self._first_coeff(lam, xy) * np.exp(-t * lam**2),
             -2.0 * t * lam * pt + p * pt / lam, tol, "heat_kernel",
             f"tail not certified at t={t:.3e} with table of {len(lam)} zeros")
 

@@ -164,29 +164,6 @@ class PiecewiseLinear:
         return PiecewiseLinear(self.breaks.copy(), c * self.slopes,
                                c * self.intercepts)
 
-    def restricted(self, a: float, b: float) -> "PiecewiseLinear | None":
-        a = max(a, float(self.breaks[0]))
-        b = min(b, float(self.breaks[-1]))
-        if b <= a:
-            return None
-        pts = np.unique(np.concatenate([[a, b],
-                                        self.breaks[(self.breaks > a)
-                                                    & (self.breaks < b)]]))
-        mids = 0.5 * (pts[:-1] + pts[1:])
-        idx = self._piece_index(mids)
-        return PiecewiseLinear(pts, self.slopes[idx], self.intercepts[idx])
-
-    def extended(self, a: float, b: float) -> "PiecewiseLinear":
-        """Pad with zero pieces so the support becomes [a, b]."""
-        lo = [a] if a < self.breaks[0] else []
-        hi = [b] if b > self.breaks[-1] else []
-        if not (lo or hi):
-            return self
-        zl, zh = [0.0] * len(lo), [0.0] * len(hi)
-        return PiecewiseLinear(np.concatenate([lo, self.breaks, hi]),
-                               np.concatenate([zl, self.slopes, zh]),
-                               np.concatenate([zl, self.intercepts, zh]))
-
     def plus_constant(self, c: float) -> "PiecewiseLinear":
         """Add c on the whole support (the support does not change)."""
         return PiecewiseLinear(self.breaks.copy(), self.slopes.copy(),
@@ -558,9 +535,9 @@ def _remainders(fn: PiecewiseLinear, depth: int, cells, a, b,
     depth, all in one pass.
 
     A remainder is fn cut to the cell, padded with zero where fn's support
-    ends inside it, minus the cell average: restricted, integral, extended,
-    plus_constant and sup_norm with the same arithmetic per element. Its
-    breaks are the cell's ends and fn's breaks strictly inside the cell."""
+    ends inside it, minus the cell average, with the arithmetic of a
+    one-cell cut, integral, zero pad, plus_constant and sup_norm per element.
+    Its breaks are the cell's ends and fn's breaks strictly inside the cell."""
     br = fn.breaks
     sel = np.flatnonzero(np.minimum(b, br[-1]) > np.maximum(a, br[0]))
     first = np.searchsorted(br, a[sel], side="right")

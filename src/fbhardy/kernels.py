@@ -29,9 +29,10 @@ the node nearest the bound's peak: as all terms are positive, the skipped ones
 sum to at most 2^-60 of P, and none of them costs an I evaluation.
 
 Series kernels are truncated with certified geometric tail bounds owned by the
-basis object, so every value carries an absolute-accuracy guarantee; when a
-requested time is too small for the available zero table a NumericsError is
-raised rather than returning an uncertified number.
+basis object, taken at the smallest x y of each call (phi rows) or anywhere
+(psi and chi rows), so every value carries an absolute-accuracy guarantee;
+when a requested time is too small for the available zero table a
+NumericsError is raised rather than returning an uncertified number.
 
 `check_sharp_estimate` measures two-sided comparability (or a one-sided bound)
 against the closed-form comparand of each estimate on a deterministic
@@ -165,6 +166,7 @@ class UnitIntervalKernels:
             # drop our view first, so that getrefcount sees only views held elsewhere
             store, table, size = getattr(table, "base", None), None, n * x.size
             if store is None or store.size < size or sys.getrefcount(store) > 2:
+                store = None   # free an outgrown store before allocating its replacement
                 store = np.empty(size)
             table = _ROWS[tag](self)(x, n, out=store[:size].reshape(n, x.size))
             table.setflags(write=False)
@@ -202,7 +204,7 @@ class UnitIntervalKernels:
         ya = np.atleast_1d(np.asarray(y, dtype=float))
         scale = min(1.0, float(np.min(ya)) / (self.nu + 0.5))
         n = max(self._n(self.basis.delta_terms_needed, t, tol),
-                self._n(self.basis.poisson_terms_needed, t, tol * scale))
+                self._n(partial(self.basis.poisson_terms_needed, xy=1.0), t, tol * scale))
         p, d = (self._eval(lambda lam: SEMIGROUPS["poisson"](lam, t),
                            partial(self._rows, "psi"), partial(self._rows, y_rows),
                            n, x, y, matrix) for y_rows in ("psi", "chi"))
@@ -210,11 +212,21 @@ class UnitIntervalKernels:
         return float(out) if np.ndim(out) == 0 else out
 
 
+def _min_xy(x, y, matrix: bool) -> float:
+    """Smallest x y over the pairs a call evaluates (an outer table or x against y)."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return float(x.min(initial=np.inf) * y.min(initial=np.inf) if matrix
+                 else (x * y).min(initial=np.inf))
+
+
 def _series_method(name: str):
     semigroup, terms, x_rows, y_rows = SERIES_KERNELS[name]
 
     def kernel(self, t: float, x, y, matrix: bool = False, tol=None):
-        n = self._n(getattr(self.basis, terms), t, tol)
+        count = getattr(self.basis, terms)
+        if x_rows != "chi":   # phi rows are bounded at the call's points, psi rows anywhere
+            count = partial(count, xy=1.0 if x_rows == "psi" else _min_xy(x, y, matrix))
+        n = self._n(count, t, tol)
         return self._eval(lambda lam: SEMIGROUPS[semigroup](lam, t),
                           partial(self._rows, x_rows), partial(self._rows, y_rows),
                           n, x, y, matrix)

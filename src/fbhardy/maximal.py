@@ -69,12 +69,6 @@ class TimeGrid:
         vals = np.unique(np.concatenate([vals, [split]]))
         return cls(values=vals, split=split)
 
-    def restricted(self, lo: float, hi: float) -> "TimeGrid":
-        mask = (self.values >= lo) & (self.values <= hi)
-        if np.sum(mask) < 2:
-            raise ValueError(f"restriction to [{lo}, {hi}] leaves fewer than 2 nodes")
-        return TimeGrid(values=self.values[mask], split=self.split)
-
     def __len__(self) -> int:
         return len(self.values)
 

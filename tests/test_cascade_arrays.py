@@ -3,10 +3,12 @@
 The reference functions below are the original one-cell-at-a-time routines:
 `cascade_decompose` with its per-cell `close()`, the per-closer loop of
 `LocalCascade.evaluate` and the per-entry `materialize` with its scalar
-`haar_atom`. They are kept verbatim apart from four edits: the methods
+`haar_atom`, and the `PiecewiseLinear.restricted` and `.extended` that
+`close()` calls. They are kept verbatim apart from five edits: the methods
 take the cascade as an argument, the reference cascade keeps its closers
 in a plain list of `RefCloser` records, interval measures come from
-`Measure.interval`, and comments inside the loops are dropped. The array
+`Measure.interval`, comments inside the loops are dropped, and `restricted`
+and `extended` are module functions of the piecewise-linear `self`. The array
 routines must find the same cells, coefficients and remainders, evaluate
 to the same values and materialize the same atoms in the same order; the
 closer table is compared by column.
@@ -31,6 +33,31 @@ class RefCloser(NamedTuple):
     cell: int
     lam: float
     fn: PiecewiseLinear
+
+
+def ref_restricted(self, a: float, b: float) -> "PiecewiseLinear | None":
+    a = max(a, float(self.breaks[0]))
+    b = min(b, float(self.breaks[-1]))
+    if b <= a:
+        return None
+    pts = np.unique(np.concatenate([[a, b],
+                                    self.breaks[(self.breaks > a)
+                                                & (self.breaks < b)]]))
+    mids = 0.5 * (pts[:-1] + pts[1:])
+    idx = self._piece_index(mids)
+    return PiecewiseLinear(pts, self.slopes[idx], self.intercepts[idx])
+
+
+def ref_extended(self, a: float, b: float) -> "PiecewiseLinear":
+    """Pad with zero pieces so the support becomes [a, b]."""
+    lo = [a] if a < self.breaks[0] else []
+    hi = [b] if b > self.breaks[-1] else []
+    if not (lo or hi):
+        return self
+    zl, zh = [0.0] * len(lo), [0.0] * len(hi)
+    return PiecewiseLinear(np.concatenate([lo, self.breaks, hi]),
+                           np.concatenate([zl, self.slopes, zh]),
+                           np.concatenate([zl, self.intercepts, zh]))
 
 
 def ref_haar_atom(a, m, b, nu, measure, label=""):
@@ -66,11 +93,11 @@ def ref_cascade_decompose(fn, space, measure, nu, depth_cap=26,
                            closure_l1=0.0)
 
     def close(depth, k, a, b, sigma_cell):
-        r = fn.restricted(a, b)
+        r = ref_restricted(fn, a, b)
         if r is None:
             return 0.0
         avg = float(r.integral(measure, nu)) / sigma_cell
-        rem = r.extended(a, b).plus_constant(-avg)
+        rem = ref_extended(r, a, b).plus_constant(-avg)
         s = rem.sup_norm()
         if s <= 0.0:
             return 0.0

@@ -75,21 +75,13 @@ def test_integral_between_is_additive():
     assert whole[0] == pytest.approx(parts[0], rel=1e-13)
 
 
-def test_scaled_shifted_restricted_extended():
+def test_scaled_and_shifted():
     fn = _bump_pl()
     x = np.linspace(0.05, 0.45, 41)
     assert np.allclose(fn.scaled(-2.5).evaluate(x), -2.5 * fn.evaluate(x))
     shifted = fn.plus_constant(0.3)
     inside = (x >= fn.breaks[0]) & (x <= fn.breaks[-1])
     assert np.allclose(shifted.evaluate(x[inside]), fn.evaluate(x[inside]) + 0.3)
-    cut = fn.restricted(0.15, 0.3)
-    xin = x[(x > 0.15) & (x < 0.3)]
-    assert np.allclose(cut.evaluate(xin), fn.evaluate(xin))
-    assert fn.restricted(0.9, 0.95) is None
-    ext = fn.extended(0.0, 1.0)
-    assert ext.support.a == 0.0 and ext.support.b == 1.0
-    assert np.allclose(ext.evaluate(x), fn.evaluate(x))
-    assert ext.evaluate(0.9) == 0.0
 
 
 def test_piecewise_linear_validation():

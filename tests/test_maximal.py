@@ -66,14 +66,6 @@ def test_time_grid_rejects_disorder():
         TimeGrid.build(0.5, 0.8)   # split outside (t_min, t_max)
 
 
-def test_time_grid_restricted():
-    g = TimeGrid.build(1e-3, 4.0)
-    r = g.restricted(0.01, 1.0)
-    assert r.values[0] >= 0.01 and r.values[-1] <= 1.0
-    with pytest.raises(ValueError):
-        g.restricted(0.01, 0.0100001)
-
-
 # ---------------------------------------------------------------------------
 # spectral application
 
@@ -178,9 +170,11 @@ def test_maximal_split_pieces_recombine(basis_half, grid_mu):
     f = _bump(grid_mu)
     grid = TimeGrid.build(1e-3, 4.0, ratio=1.25)
     res = maximal_function(basis_half, f, grid)
-    lo, hi = grid.values[0], grid.values[-1]
-    small = maximal_function(basis_half, f, grid.restricted(lo, grid.split)).values
-    large = maximal_function(basis_half, f, grid.restricted(grid.split, hi)).values
+    v = grid.values
+    small = maximal_function(basis_half, f, TimeGrid(
+        values=v[v <= grid.split], split=grid.split)).values
+    large = maximal_function(basis_half, f, TimeGrid(
+        values=v[v >= grid.split], split=grid.split)).values
     assert np.array_equal(small, res.small)
     assert np.array_equal(large, res.large)
     assert np.allclose(np.maximum(res.small, res.large), res.values)

@@ -1,8 +1,10 @@
 """Pointwise series kernels and the Uchiyama checker against the ravelled code.
 
 The reference functions below are the earlier implementations, kept verbatim
-apart from renaming: `_pointwise`, the pointwise branch of `UnitIntervalKernels._eval` and
-of `dy_poisson_lebesgue`, which build basis rows at every raveled point, the
+apart from renaming and the psi tail count of `dy_poisson_lebesgue`, which
+takes the kernel's current pointwise bound (xy = 1): `_pointwise`, the
+pointwise branch of `UnitIntervalKernels._eval` and of
+`dy_poisson_lebesgue`, which build basis rows at every raveled point, the
 J asymptotic form that sums P and Q at every order (P = 1 and Q = 0 at
 nu = 1/2, where the Hankel table is empty), and `check_uchiyama_conditions`,
 which evaluates each radius's kernel table a second time for the Lipschitz
@@ -12,7 +14,7 @@ bit the same.
 """
 import contextlib
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import pi
 from unittest import mock
 
@@ -54,7 +56,7 @@ class RefKernels(UnitIntervalKernels):
         ya = np.atleast_1d(np.asarray(y, dtype=float))
         scale = min(1.0, float(np.min(ya)) / (self.nu + 0.5))
         n = max(self._n(self.basis.delta_terms_needed, t, tol),
-                self._n(self.basis.poisson_terms_needed, t, tol * scale))
+                self._n(partial(self.basis.poisson_terms_needed, xy=1.0), t, tol * scale))
         w = np.exp(-t * self.basis.table.zeros[:n])
         if matrix:
             xa = np.atleast_1d(np.asarray(x, dtype=float))

@@ -1,20 +1,28 @@
-"""Series tail counts against a scalar reference implementation.
+"""Series tail counts against reference implementations, and the certificate.
 
-The reference functions below are the original one-index-at-a-time loops of
+The `ref_*` functions below are the original one-index-at-a-time loops of
 `EigenBasis.*_terms_needed`, kept verbatim apart from two edits: `self` is
 the basis argument, and the local coefficient bound is replaced by its value
 when no xy floor is given (infinity, so the global bound always decides).
-The vectorised methods must return the same truncation index, or raise the
-same NumericsError, everywhere the property samples.
+The `prev_*` functions are the vectorised point-free counts as they were
+before the pointwise bound, kept verbatim apart from `self` being the basis
+argument. Called without xy, the methods must return the same truncation
+index, or raise the same NumericsError, everywhere the properties sample.
+With xy, the count must still certify the tail at the kernel's own points.
 """
+import contextlib
 import math
+from functools import partial
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbhardy.basis import EigenBasis
 from fbhardy.errors import NumericsError
+from fbhardy.kernels import SEMIGROUPS, UnitIntervalKernels
 from fbhardy.specfun import Order
 
 
@@ -84,6 +92,33 @@ def ref_delta_terms_needed(self, t: float, tol: float) -> int:
         f"tail not certified at t={t:.3e} with table of {len(lam)} zeros")
 
 
+def prev_poisson_terms_needed(self, t: float, tol: float) -> int:
+    """Smallest N so the tail of sum exp(-t lam_n) |phi phi| past N is
+    below tol, or a NumericsError if the table cannot certify it."""
+    if t <= 0:
+        raise ValueError("t must be positive")
+    lam = self.table.zeros
+    pt = math.pi * self._THETA
+    p = 2 * self.nu + 1
+    return self._first_below(
+        self._global_coeff() * lam**p * np.exp(-t * lam),
+        -t * pt + p * pt / lam, tol, "poisson_kernel",
+        f"tail not certified at t={t:.3e} with table of {len(lam)} zeros; "
+        "enlarge the zero table or raise t")
+
+
+def prev_heat_terms_needed(self, t: float, tol: float) -> int:
+    if t <= 0:
+        raise ValueError("t must be positive")
+    lam = self.table.zeros
+    pt = math.pi * self._THETA
+    p = 2 * self.nu + 1
+    return self._first_below(
+        self._global_coeff() * lam**p * np.exp(-t * lam**2),
+        -2.0 * t * lam * pt + p * pt / lam, tol, "heat_kernel",
+        f"tail not certified at t={t:.3e} with table of {len(lam)} zeros")
+
+
 # min_poisson_time(1e-10) and min_heat_time(1e-10) of the nu = 1/2,
 # 2400-zero basis, recorded with the scalar loops above
 SEED_MIN_POISSON_TIME = 0.006073069820746941
@@ -112,7 +147,9 @@ def test_tail_counts_match_scalar_reference(bases, nu, log_t, log_tol):
     t, tol = 10.0**log_t, 10.0**log_tol
     for new, ref in ((basis.poisson_terms_needed, ref_poisson_terms_needed),
                      (basis.heat_terms_needed, ref_heat_terms_needed),
-                     (basis.delta_terms_needed, ref_delta_terms_needed)):
+                     (basis.delta_terms_needed, ref_delta_terms_needed),
+                     (basis.poisson_terms_needed, prev_poisson_terms_needed),
+                     (basis.heat_terms_needed, prev_heat_terms_needed)):
         assert _outcome(new, t, tol) == _outcome(ref, basis, t, tol)
 
 
@@ -133,3 +170,90 @@ def test_poisson_count_past_exp_underflow(bases):
     assert basis.poisson_terms_needed(t, 1e-10) == 0
     with pytest.raises(NumericsError):
         ref_poisson_terms_needed(basis, t, 1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the pointwise bound
+
+
+def _count_or_inf(count, *args, **kw):
+    try:
+        return count(*args, **kw)
+    except NumericsError:
+        return math.inf
+
+
+@pytest.mark.parametrize("nu", ORDERS)
+def test_time_floors_equal_the_previous_formula(bases, nu):
+    """The floors pass no points, so they stay bit for bit as they were."""
+    basis = bases[nu]
+    assert basis.min_poisson_time(1e-10) == \
+        basis._min_time(partial(prev_poisson_terms_needed, basis), 1e-10, 1e-8)
+    assert basis.min_heat_time(1e-10) == \
+        basis._min_time(partial(prev_heat_terms_needed, basis), 1e-10, 1e-10)
+
+
+@pytest.mark.parametrize("nu", ORDERS)
+@settings(max_examples=100, deadline=None)
+@given(log_t=st.floats(-6.0, math.log10(12.0)), log_tol=st.floats(-14.0, -6.0),
+       xy=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=2, max_size=2))
+def test_pointwise_count_is_at_most_the_point_free_one(bases, nu, log_t, log_tol, xy):
+    """Never above the point-free count, and not increasing as x y grows."""
+    basis = bases[nu]
+    t, tol = 10.0**log_t, 10.0**log_tol
+    small, large = sorted(xy)
+    for count in (basis.poisson_terms_needed, basis.heat_terms_needed):
+        free = _count_or_inf(count, t, tol)
+        assert _count_or_inf(count, t, tol, xy=large) <= \
+            _count_or_inf(count, t, tol, xy=small) <= free
+
+
+@contextlib.contextmanager
+def recorded_counts(calls):
+    """Append (xy, count) of every Poisson and heat tail count made inside."""
+    def spy(original):
+        def counted(self, t, tol, xy=None):
+            calls.append((xy, original(self, t, tol, xy)))
+            return calls[-1][1]
+        return counted
+    with mock.patch.object(EigenBasis, "poisson_terms_needed",
+                           spy(EigenBasis.poisson_terms_needed)), \
+            mock.patch.object(EigenBasis, "heat_terms_needed",
+                              spy(EigenBasis.heat_terms_needed)):
+        yield
+
+
+_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+# EigenBasis.build refuses nu in [7.96, 8]: c_n needs J_{nu+1}, and bessel_j
+# is off by up to 0.36 at orders from about 8.5 on; hence 7.9
+@settings(max_examples=8, deadline=None)
+@given(nu=st.floats(-0.5, 7.9, exclude_min=True), frac=st.floats(0.0, 1.0),
+       x=_unit, y=_unit)
+def test_series_kernels_certify_at_their_points(nu, frac, x, y):
+    """For each of the four series kernels on the shipped 2400-zero table, at
+    t from its floor to 1: the tail past the kernel's count, summed in
+    absolute value, is below tol, so the value at the count is within tol of
+    the 2400-term value (whose own tail the floor certifies), up to the
+    rounding of the two sums, each within n eps sum|terms| (Higham 2002, 4.2)."""
+    basis = EigenBasis.build(Order(nu), 2400)
+    kernels = UnitIntervalKernels(basis)
+    tol, lam = kernels.series_tol, basis.table.zeros
+    floors = {"poisson": kernels.poisson_floor(), "heat": kernels.heat_floor()}
+    for name, semigroup, rows in (("poisson_mu", "poisson", basis.phi_matrix),
+                                  ("poisson_lebesgue", "poisson", basis.psi_matrix),
+                                  ("heat_mu", "heat", basis.phi_matrix),
+                                  ("heat_lebesgue", "heat", basis.psi_matrix)):
+        t = floors[semigroup] ** (1.0 - frac)
+        getattr(basis, f"{semigroup}_terms_needed")(t, tol)   # the full table certifies
+        calls = []
+        with recorded_counts(calls):
+            value = getattr(kernels, name)(t, x, y)
+        ((xy, n),) = calls
+        assert xy == (x * y if rows == basis.phi_matrix else 1.0), name
+        table = rows(np.array([x, y]), len(basis))
+        terms = SEMIGROUPS[semigroup](lam, t) * table[:, 0] * table[:, 1]
+        assert np.sum(np.abs(terms[n:])) < tol, name
+        rounding = 2 * len(lam) * np.finfo(float).eps * np.sum(np.abs(terms))
+        assert abs(value - np.sum(terms)) <= tol + rounding, name
