@@ -73,10 +73,11 @@ class EigenBasis:
         basis = cls(order=order, table=table, norm_constants=c,
                     c_margin=1.05 * margin, s_nu=_sup_sqrtz_j(order),
                     s_nu1=_sup_sqrtz_j(Order(order.nu + 1.0)))
-        worst = np.max(basis.norm_check_errors)
-        if worst > _NORM_TOL:
-            raise NumericsError("eigenbasis",
-                                f"unit-norm quadrature check failed: {worst:.3e}")
+        errors = basis.norm_check_errors
+        if errors[worst := int(np.argmax(errors))] > _NORM_TOL:
+            raise NumericsError("eigenbasis", f"unit-norm quadrature check failed at nu = "
+                                f"{order.nu:g}, n_zeros = {n_zeros}: mode {worst + 1} of "
+                                f"{len(errors)} is off by {errors[worst]:.3e}")
         return basis
 
     @functools.cached_property

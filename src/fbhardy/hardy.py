@@ -28,8 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
-from typing import NamedTuple
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -218,26 +217,21 @@ def chord_product(f: PiecewiseLinear, g: PiecewiseLinear,
 # atoms
 
 
-class _Tags(NamedTuple):
-    """Measure, order and kind of an atom built by the constructor."""
-    measure: str
-    nu: float
-    kind: str
-
-
 class Atom:
-    """An atom: a piecewise-linear function with its measure, order nu and
-    kind. One built by the constructor holds its function and label; a row
-    of an AtomTable holds only the table and its row index, and builds its
-    function and label the first time they are read. The fields are
-    read-only, and equality is by identity."""
+    """An atom: row _row of an AtomTable, with the table's measure and order
+    nu and the row's kind and label. The constructor builds a one-row table
+    (coefficient 1) around fn; an atom read from a larger table builds its
+    function, a read-only view of its row, and its label the first time they
+    are read. The fields are read-only, and equality is by identity."""
 
     __slots__ = ("_table", "_row", "_fn", "_label")
 
     def __init__(self, fn: PiecewiseLinear, measure: str, nu: float,
                  kind: str, label: str = ""):
-        self._table, self._row = _Tags(measure, nu, kind), None
-        self._fn, self._label = fn, label
+        z = np.zeros(1, dtype=np.int64)
+        self._table, self._row, self._fn, self._label = AtomTable(
+            measure, nu, np.ones(1), z.astype(bool), z, z, np.array([0, len(fn.slopes)]),
+            fn.breaks, fn.slopes, fn.intercepts, {0: (kind, label)}), 0, fn, label
 
     @classmethod
     def _of_row(cls, table: "AtomTable", i: int) -> "Atom":
@@ -247,7 +241,8 @@ class Atom:
 
     measure = property(lambda self: self._table.measure)
     nu = property(lambda self: self._table.nu)
-    kind = property(lambda self: self._table.kind)
+    kind = property(lambda self: self._table.tags.get(
+        self._row, (KIND_CANCELLATIVE,))[0])
 
     @property
     def fn(self) -> PiecewiseLinear:
@@ -384,12 +379,13 @@ def two_atom_split(cover: DyadicCover, j: int, nu: float, measure: str) -> dict:
 
 
 def globalize_special(cover: DyadicCover, j: int, nu: float, measure: str,
-                      coef: float) -> list:
+                      coef: float) -> "AtomTable":
     """Rewrite coef times the enlarged piece's special atom as a combination
-    of two global atoms; returns [(coef, atom), ...]."""
+    of two global atoms: the rows (coef, cell special atom) and
+    (-coef * lam1, corrector) of one AtomTable."""
     split = two_atom_split(cover, j, nu, measure)
-    return [(coef, split["cell_special"]),
-            (-coef * split["lam1"], split["cancellative"])]
+    pair = [split["cell_special"]._table, split["cancellative"]._table]
+    return replace(AtomTable._concat(pair), coef=np.array([coef, -coef * split["lam1"]]))
 
 
 # ---------------------------------------------------------------------------
@@ -494,13 +490,15 @@ class CloserTable(_RaggedTable):
 
 @dataclass(frozen=True, eq=False)
 class AtomTable(_RaggedTable, Sequence):
-    """The materialized atoms of one cascade as flat arrays, laid out as a
-    CloserTable is. Row i is the pair (coef[i], atom): the two-bar atom of a
-    Haar detail, or a closer normalized by 1/coef[i] (closer[i] set), of
-    cell[i] at depth[i], with the pieces start[i]:start[i+1] of slopes and
-    intercepts. The table is checked once, when built; indexing and
-    iteration yield atoms that hold only the table and their row, and build
-    their read-only views and labels when first read."""
+    """Atoms of one measure and order nu as flat arrays, laid out as a
+    CloserTable is: the one representation of an atom. Row i is the pair
+    (coef[i], atom) with the pieces start[i]:start[i+1] of slopes and
+    intercepts. A row in tags carries its own (kind, label); every other row
+    is a cascade atom, cancellative: the two-bar atom of a Haar detail, or a
+    closer normalized by 1/coef[i] (closer[i] set), of cell[i] at depth[i].
+    The table is checked once, when built; indexing and iteration yield
+    atoms that hold only the table and their row, and build their read-only
+    views and labels when first read."""
     measure: str
     nu: float
     coef: np.ndarray
@@ -511,7 +509,21 @@ class AtomTable(_RaggedTable, Sequence):
     breaks: np.ndarray
     slopes: np.ndarray
     intercepts: np.ndarray
-    kind = KIND_CANCELLATIVE
+    tags: dict = field(default_factory=dict)
+
+    @classmethod
+    def _concat(cls, tables) -> "AtomTable":
+        """The rows of the tables, which share one measure and order nu, in
+        order as one table, joined by column: no atom object is built."""
+        rows = np.cumsum([0] + [len(t) for t in tables]).tolist()
+        pieces = np.cumsum([0] + [t.start[-1] for t in tables])
+        cols = {name: np.concatenate([getattr(t, name) for t in tables])
+                for name in ("coef", "closer", "depth", "cell", "breaks",
+                             "slopes", "intercepts")}
+        return cls(tables[0].measure, tables[0].nu, **cols, start=np.concatenate(
+            [[0]] + [t.start[1:] + p for t, p in zip(tables, pieces)]),
+            tags={r + i: tag for t, r in zip(tables, rows)
+                  for i, tag in t.tags.items()})
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -524,6 +536,8 @@ class AtomTable(_RaggedTable, Sequence):
                    map(functools.partial(Atom._of_row, self), range(len(self))))
 
     def _label(self, i: int) -> str:
+        if i in self.tags:
+            return self.tags[i][1]
         return (f"{'closer' if self.closer.item(i) else 'haar'}"
                 f"[d{self.depth.item(i)},k{self.cell.item(i)}]")
 
@@ -757,7 +771,7 @@ def cascade_decompose(fn: PiecewiseLinear, space: Interval, measure: str,
 class Decomposition:
     measure: str
     nu: float
-    pieces: list          # (cascade, special_pairs)
+    pieces: list          # (cascade, special rows: an AtomTable or ())
 
     def reconstruct(self, x):
         x = np.asarray(x, dtype=float)
@@ -766,24 +780,21 @@ class Decomposition:
             out = out + cascade.evaluate(x)
         return out
 
-    def atoms(self) -> list:
-        """Materialized (coefficient, atom) pairs, piece by piece: the rows
-        of the cascade's AtomTable, then the globalized special parts. The
-        cascade atoms are lazy rows: nothing reads their arrays until their
-        function or label is read."""
-        return [pair for cascade, special_pairs in self.pieces
-                for pair in (*cascade.materialize(), *special_pairs)]
+    def atoms(self) -> "AtomTable | tuple":
+        """(coefficient, atom) rows, piece by piece: the cascade's
+        materialized atoms, then its globalized special rows, joined by
+        column into one read-only AtomTable (an empty tuple when no piece is
+        left). len is O(1); no atom object exists until its row is read."""
+        tables = [t for cascade, special in self.pieces
+                  for t in (cascade.materialize(), special) if len(t)]
+        return AtomTable._concat(tables) if tables else ()
 
     def coeff_l1(self) -> float:
         total = 0.0
-        for cascade, special_pairs in self.pieces:
+        for cascade, special in self.pieces:
             total += cascade.coeff_l1()
-            total += sum(abs(c) for c, _ in special_pairs)
+            total += sum(abs(c) for c, _ in special)
         return total
-
-    def residual_l1(self, f: SampledFunction) -> float:
-        rec = self.reconstruct(f.nodes)
-        return float(f.grid.weights @ np.abs(f.values - rec))
 
     def summary(self, f: SampledFunction | None = None) -> dict:
         n_details = sum(len(lev.idx) for c, _ in self.pieces
@@ -797,19 +808,11 @@ class Decomposition:
                "closure_l1": float(sum(c.closure_l1
                                        for c, _ in self.pieces))}
         if f is not None:
-            res = self.residual_l1(f)
+            res = float(f.grid.weights @ np.abs(f.values - self.reconstruct(f.nodes)))
             norm = f.l1_norm()
             out["residual_l1"] = res
             out["residual_rel"] = res / norm if norm > 0 else 0.0
         return out
-
-
-def _as_piecewise_linear(f) -> PiecewiseLinear:
-    if isinstance(f, PiecewiseLinear):
-        return f
-    if isinstance(f, SampledFunction):
-        return PiecewiseLinear.from_node_values(f.nodes, f.values)
-    raise TypeError("expected a PiecewiseLinear or SampledFunction")
 
 
 def atomic_decompose(f, nu: float, measure: str | None = None,
@@ -826,12 +829,13 @@ def atomic_decompose(f, nu: float, measure: str | None = None,
     exactly as well, so the reconstruction holds to rounding and
     reconstruct_tol only steers how the coefficient mass splits between
     Haar details and closers."""
+    if isinstance(f, SampledFunction):
+        fn = PiecewiseLinear.from_node_values(f.nodes, f.values)
+        measure = f.measure if measure is None else measure
+    elif not isinstance(fn := f, PiecewiseLinear):
+        raise TypeError("expected a PiecewiseLinear or SampledFunction")
     if measure is None:
-        if isinstance(f, SampledFunction):
-            measure = f.measure
-        else:
-            raise ValueError("measure tag required for raw piecewise input")
-    fn = _as_piecewise_linear(f)
+        raise ValueError("measure tag required for raw piecewise input")
     family = _FAMILY_OF_MEASURE[measure]
     supp = fn.support
     if cover is None:
@@ -864,11 +868,9 @@ def atomic_decompose(f, nu: float, measure: str | None = None,
             continue
         cascade = cascade_decompose(piece, m.star2, measure, nu,
                                     depth_cap=depth_cap, detail_cut=cut)
-        special_pairs = []
-        if cascade.mean_coef != 0.0:
-            special_pairs = globalize_special(cover, m.j, nu, measure,
-                                              cascade.mean_coef)
-        pieces.append((cascade, special_pairs))
+        special = () if cascade.mean_coef == 0.0 else globalize_special(
+            cover, m.j, nu, measure, cascade.mean_coef)
+        pieces.append((cascade, special))
     return Decomposition(measure=measure, nu=nu, pieces=pieces)
 
 
@@ -903,14 +905,12 @@ def random_atoms(rng, measure: str, nu: float, count: int,
         a = cell.a + float(rng.random()) * (cell.length - width)
         b = a + width
         profile = _PROFILES[int(rng.integers(0, len(_PROFILES)))]
-        label = f"{profile}-j{j}-{i}"
-        if profile == "haar":
-            med = meas.quantile(0.5 * (meas.cdf(a) + meas.cdf(b)))
-            out.append(haar_atom(a, float(med), b, nu, measure, label=label))
-        elif profile == "twobar":
-            q = 0.3 + 0.4 * float(rng.random())
-            m = meas.quantile(meas.cdf(a) + q * (meas.cdf(b) - meas.cdf(a)))
-            out.append(haar_atom(a, float(m), b, nu, measure, label=label))
+        label, ca, cb = f"{profile}-j{j}-{i}", meas.cdf(a), meas.cdf(b)
+        if profile != "tent":   # split at the median, or at a drawn quantile
+            q = 0.5 * (ca + cb) if profile == "haar" \
+                else ca + (0.3 + 0.4 * float(rng.random())) * (cb - ca)
+            out.append(haar_atom(a, float(meas.quantile(q)), b, nu, measure,
+                                 label=label))
         else:
             tent = PiecewiseLinear.tent(a, b, 1.0)
             s_ab = meas.interval(a, b)

@@ -103,15 +103,14 @@ class Grid:
         return float(np.min(2.0 * (counts[good] - 2) / widths[good]))
 
 
-def _gl_on_panels(edges: np.ndarray, counts: np.ndarray):
-    nodes_list = []
-    weights_list = []
-    for (a, b), p in zip(zip(edges[:-1], edges[1:]), counts):
-        xg, wg = np.polynomial.legendre.leggauss(int(p))
-        half = 0.5 * (b - a)
-        nodes_list.append(0.5 * (a + b) + half * xg)
-        weights_list.append(half * wg)
-    return np.concatenate(nodes_list), np.concatenate(weights_list)
+def _gl_on_panels(edges: np.ndarray, counts):
+    """Gauss-Legendre nodes and weights, counts[i] of them on panel i; each
+    distinct count's rule is computed once."""
+    counts = [int(p) for p in counts]
+    rules = {p: np.polynomial.legendre.leggauss(p) for p in set(counts)}
+    half, mid = 0.5 * np.diff(edges), 0.5 * (edges[:-1] + edges[1:])
+    return (np.concatenate([m + h * rules[p][0] for m, h, p in zip(mid, half, counts)]),
+            np.concatenate([h * rules[p][1] for h, p in zip(half, counts)]))
 
 
 def _grid(edges: np.ndarray, n_nodes: int, measure: str, nu: float,

@@ -1,28 +1,33 @@
-"""The checked tables behind closers and materialized atoms.
+"""The checked tables behind closers and atoms.
 
-`LocalCascade.materialize` gathers the selected details and closers into one
-ragged table, an `AtomTable`, checks it once with PiecewiseLinear's
-conditions and returns it as a sequence of (coefficient, atom) rows. A row
-atom holds only the table and its row index; its function, a read-only view
-of the row, and its label are built when first read and then kept.
-`CloserTable` holds the closers of a cascade in the same layout and is read
-by column. These tests pin the table check to the constructor's messages,
-the views and columns to read-only memory, the rows to building nothing
-until read, and the atoms to what the public constructor builds from the
-same numbers.
+An `AtomTable` is the one representation of an atom: a ragged table checked
+once with PiecewiseLinear's conditions and read as a sequence of
+(coefficient, atom) rows. An atom holds only its table and row index; its
+function, a read-only view of the row, and its label are built when first
+read and then kept. The public `Atom` constructor builds a one-row table,
+`LocalCascade.materialize` one table per cascade, and
+`Decomposition.atoms()` joins the cascades' tables and the special rows by
+column. `CloserTable` holds the closers of a cascade in the same layout and
+is read by column. These tests pin the table check to the constructor's
+messages, the views and columns to read-only memory, the rows to building
+nothing until read, the atoms to what the public constructor builds from the
+same numbers, and the joined table to the list of pairs it replaces.
 """
 import dataclasses
 
 import numpy as np
 import pytest
 
-from fbhardy.covers import Interval
-from fbhardy.hardy import (Atom, AtomTable, CascadeLevel, CloserTable,
-                           PiecewiseLinear, atomic_decompose,
-                           cascade_decompose, haar_atom)
-from fbhardy.quadrature import MEASURE_LEBESGUE, MEASURE_MU
+from fbhardy.covers import FAMILY_ONE_END, FAMILY_TWO_END, DyadicCover, Interval
+from fbhardy.hardy import (KIND_CANCELLATIVE, KIND_SPECIAL, Atom, AtomTable,
+                           CascadeLevel, CloserTable, PiecewiseLinear,
+                           atomic_decompose, cascade_decompose,
+                           globalize_special, haar_atom, special_atom,
+                           two_atom_split)
+from fbhardy.quadrature import MEASURE_LEBESGUE, MEASURE_MU, Measure
 
-from test_cascade_arrays import ref_cascade_decompose, ref_materialize
+from test_cascade_arrays import (ref_cascade_decompose, ref_haar_atom,
+                                 ref_materialize)
 
 
 def _table(rows, n_slopes=None):
@@ -270,3 +275,114 @@ def test_atom_fields_are_read_only():
                 setattr(atom, name, value)
         with pytest.raises(AttributeError):
             atom.extra = 1
+
+
+# ---------------------------------------------------------------------------
+# one kind of atom: constructor atoms and the joined decomposition table
+
+
+def ref_atoms(self):
+    """`Decomposition.atoms` as a list of pairs, verbatim."""
+    return [pair for cascade, special_pairs in self.pieces
+            for pair in (*cascade.materialize(), *special_pairs)]
+
+
+def ref_globalize_special(cover, j, nu, measure, coef):
+    """`globalize_special` as a list of pairs, verbatim."""
+    split = two_atom_split(cover, j, nu, measure)
+    return [(coef, split["cell_special"]),
+            (-coef * split["lam1"], split["cancellative"])]
+
+
+def _same_pairs(got, want):
+    """Two lists of (coef, atom) pairs hold the same float coefficients, the
+    same fields and the same float64 arrays, bit for bit."""
+    assert len(got) == len(want)
+    assert all(type(c) is float for c, _ in got)
+    assert np.array([c for c, _ in got]).tobytes() \
+        == np.array([c for c, _ in want]).tobytes()
+    assert [_fields(a) for _, a in got] == [_fields(a) for _, a in want]
+    for name in ("breaks", "slopes", "intercepts"):
+        g = [getattr(a.fn, name) for _, a in got]
+        w = [getattr(a.fn, name) for _, a in want]
+        assert [len(x) for x in g] == [len(x) for x in w]
+        assert np.concatenate(g).tobytes() == np.concatenate(w).tobytes()
+
+
+def test_gate10_atoms_are_the_rows_of_the_pair_list():
+    """On the four gate-10 cases the joined table gives, by len, index,
+    negative index, slice and iteration, the pairs of the list it replaced."""
+    for measure, fn in _gate10_cases():
+        dec = atomic_decompose(fn, nu=0.5, measure=measure)
+        rows, want = dec.atoms(), ref_atoms(dec)
+        assert isinstance(rows, AtomTable) and len(rows) == len(want)
+        for i in (0, 1, len(want) // 2, -1, -len(want)):
+            _same_pairs([rows[i]], [want[i]])
+        for sl in (slice(None, 40), slice(None, None, 7)):
+            _same_pairs(rows[sl], want[sl])
+        _same_pairs(list(rows), want)
+        assert [a.kind for _, a in want].count(KIND_SPECIAL) \
+            == len(dec.pieces) == sum(len(sp) for _, sp in dec.pieces) // 2
+
+
+@pytest.mark.parametrize("measure, family, js", [
+    (MEASURE_MU, FAMILY_ONE_END, (0, 3, 7)),
+    (MEASURE_LEBESGUE, FAMILY_TWO_END, (-5, -1, 4))])
+def test_globalized_special_rows_equal_the_pair_list(measure, family, js):
+    cover = DyadicCover(family, zeta=0.02)
+    for j in js:
+        got = globalize_special(cover, j, 0.5, measure, 0.7)
+        assert isinstance(got, AtomTable)
+        _same_pairs(list(got), ref_globalize_special(cover, j, 0.5, measure, 0.7))
+        assert [(a.kind, a.label) for _, a in got] == [
+            (KIND_SPECIAL, f"special[{j}]"),
+            (KIND_CANCELLATIVE, f"two-atom-corrector[{j}]")]
+
+
+def test_constructor_atom_is_the_one_row_of_its_table():
+    fn = PiecewiseLinear.tent(0.2, 0.6)
+    atom = Atom(fn=fn, measure=MEASURE_MU, nu=0.5, kind=KIND_SPECIAL, label="t")
+    table = atom._table
+    assert isinstance(table, AtomTable) and len(table) == 1 and atom._row == 0
+    assert atom.fn is fn and _fields(atom) == (MEASURE_MU, 0.5, KIND_SPECIAL, "t")
+    (coef, row), = table
+    assert coef == 1.0 and row is not atom
+    _same_pairs([(coef, row)], [(1.0, atom)])
+
+
+def _special_ref(iv, nu, measure, label):
+    s = Measure.of(measure, nu).interval(iv.a, iv.b)
+    return Atom(fn=PiecewiseLinear.constant(iv.a, iv.b, 1.0 / s), measure=measure,
+                nu=nu, kind=KIND_SPECIAL, label=label)
+
+
+@pytest.mark.parametrize("measure, family, j", [(MEASURE_MU, FAMILY_ONE_END, 3),
+                                                (MEASURE_LEBESGUE, FAMILY_TWO_END, -2)])
+def test_built_atoms_keep_their_fields_and_arrays(measure, family, j):
+    """haar_atom, special_atom and two_atom_split give the fields and arrays
+    of their references, and each atom is the one row of its own table."""
+    cover = DyadicCover(family, zeta=0.02)
+    split = two_atom_split(cover, j, 0.5, measure)
+    cell, big = cover.interval(j), cover.starred(j, 2)
+    pts = np.unique(np.array([big.a, cell.a, cell.b, big.b]))
+    s_cell, s_big = (Measure.of(measure, 0.5).interval(iv.a, iv.b) for iv in (cell, big))
+    diff = PiecewiseLinear.from_breaks_levels(pts, [
+        (1.0 / s_cell if cell.a <= lo and hi <= cell.b else 0.0) - 1.0 / s_big
+        for lo, hi in zip(pts[:-1], pts[1:])])
+    corrector = Atom(fn=diff.scaled(1.0 / split["lam1"]), measure=measure,
+                     nu=0.5, kind=KIND_CANCELLATIVE, label=f"two-atom-corrector[{j}]")
+    assert split["lam1"] == s_big * diff.sup_norm()
+    pairs = [(haar_atom(0.2, 0.3, 0.45, 0.5, measure, label="h"),
+              ref_haar_atom(0.2, 0.3, 0.45, 0.5, measure, label="h")),
+             (haar_atom(0.2, 0.3, 0.45, 0.5, measure),
+              ref_haar_atom(0.2, 0.3, 0.45, 0.5, measure)),
+             (special_atom(cover, j, 0.5, measure),
+              _special_ref(cell, 0.5, measure, f"special[{j}]")),
+             (split["cell_special"], _special_ref(cell, 0.5, measure, f"special[{j}]")),
+             (split["local_special"],
+              _special_ref(big, 0.5, measure, f"local-special[{j}]")),
+             (split["cancellative"], corrector)]
+    for got, want in pairs:
+        _same_pairs([(1.0, got)], [(1.0, want)])
+        assert len(got._table) == 1
+        _same_pairs(list(got._table), [(1.0, got)])

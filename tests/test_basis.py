@@ -111,6 +111,14 @@ def test_build_refuses_a_failed_norm_check(monkeypatch):
         EigenBasis.build(Order(0.5), 16)
 
 
+def test_norm_check_refusal_names_the_order_the_zeros_and_the_worst_mode():
+    """At nu = 7.98 bessel_j at order nu + 1 is off near z = 2 nu, so c_3
+    is wrong (ROADMAP item 3); the refusal says where, not only how much."""
+    with pytest.raises(NumericsError, match=r"unit-norm quadrature check failed "
+                       r"at nu = 7\.98, n_zeros = 80: mode 3 of 64 is off by \d"):
+        EigenBasis.build(Order(7.98), 80)
+
+
 def test_series_counters_monotone(basis_half):
     n_small = basis_half.poisson_terms_needed(0.5, 1e-10)
     n_large = basis_half.poisson_terms_needed(0.05, 1e-10)

@@ -6,7 +6,7 @@ import scipy.special as sps
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fbhardy.quadrature import (Grid, Measure, SampledFunction,
+from fbhardy.quadrature import (Grid, Measure, SampledFunction, _gl_on_panels,
                                 grid_on_interval, make_quadrature,
                                 MEASURE_LEBESGUE, MEASURE_MU)
 
@@ -43,6 +43,44 @@ def test_mu_distance_closed_form():
     for x, y in [(0.1, 0.7), (0.5, 0.5), (2.0, 0.3)]:
         expect = abs(y**p - x**p) / p
         assert abs(Measure.of(MEASURE_MU, nu).distance(x, y) - expect) < 1e-14
+
+
+def ref_gl_on_panels(edges, counts):
+    """The per-panel loop that computed one Gauss-Legendre rule per panel."""
+    nodes_list = []
+    weights_list = []
+    for (a, b), p in zip(zip(edges[:-1], edges[1:]), counts):
+        xg, wg = np.polynomial.legendre.leggauss(int(p))
+        half = 0.5 * (b - a)
+        nodes_list.append(0.5 * (a + b) + half * xg)
+        weights_list.append(half * wg)
+    return np.concatenate(nodes_list), np.concatenate(weights_list)
+
+
+@pytest.mark.parametrize("domain, n, measure, nu, kw", [
+    ("unit_interval", 1024, MEASURE_MU, 1.0, {}),        # the norm-check grids
+    ("unit_interval", 1024, MEASURE_MU, 0.5, {}),
+    ("unit_interval", 256, MEASURE_MU, -0.3, {}),
+    ("unit_interval", 256, MEASURE_LEBESGUE, 0.5, {}),
+    ("halfline_truncated", 1024, MEASURE_MU, 0.5, {"radius": 8.0})])
+def test_grids_equal_the_per_panel_loop(domain, n, measure, nu, kw):
+    """One rule per distinct panel count gives the nodes and weights of one
+    rule per panel, bit for bit."""
+    g = make_quadrature(domain, n, measure=measure, nu=nu, **kw)
+    counts = np.histogram(g.nodes, bins=g.panel_edges)[0]
+    assert len(set(counts.tolist())) < len(counts)      # counts repeat
+    want_nodes, want_w = ref_gl_on_panels(g.panel_edges, counts)
+    got_nodes, got_w = _gl_on_panels(g.panel_edges, counts)
+    assert got_nodes.tobytes() == want_nodes.tobytes() == g.nodes.tobytes()
+    assert got_w.tobytes() == want_w.tobytes()
+    density = Measure.of(measure, nu).density
+    assert g.weights.tobytes() == (want_w * density(want_nodes)).tobytes()
+
+
+def test_subordination_nodes_equal_the_per_panel_loop():
+    edges, counts = np.array([0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 12.0]), (64,) * 5 + (32,)
+    for got, want in zip(_gl_on_panels(edges, counts), ref_gl_on_panels(edges, counts)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_grid_on_interval_restricts():
