@@ -228,10 +228,16 @@ class Atom:
 
     def __init__(self, fn: PiecewiseLinear, measure: str, nu: float,
                  kind: str, label: str = ""):
+        # fn passed _check_table, alone or as a row of a checked table: its
+        # one-row table is not checked again, only made read-only
         z = np.zeros(1, dtype=np.int64)
-        self._table, self._row, self._fn, self._label = AtomTable(
-            measure, nu, np.ones(1), z.astype(bool), z, z, np.array([0, len(fn.slopes)]),
-            fn.breaks, fn.slopes, fn.intercepts, {0: (kind, label)}), 0, fn, label
+        cols = dict(coef=np.ones(1), closer=z.astype(bool), depth=z, cell=z,
+                    start=np.array([0, len(fn.slopes)]), breaks=fn.breaks,
+                    slopes=fn.slopes, intercepts=fn.intercepts)
+        for col in cols.values():
+            col.setflags(write=False)
+        self._table, self._row, self._fn, self._label = object.__new__(AtomTable), 0, fn, label
+        vars(self._table).update(cols, measure=measure, nu=nu, tags={0: (kind, label)})
 
     @classmethod
     def _of_row(cls, table: "AtomTable", i: int) -> "Atom":
@@ -303,8 +309,7 @@ def _haar_levels(a, m, b, measure: str, nu: float) -> tuple:
 
 def haar_atom(a: float, m: float, b: float, nu: float, measure: str,
               label: str = "") -> Atom:
-    """Two-bar cancellative atom: opposite-sign constants balanced so the
-    integral vanishes exactly, scaled so the sup norm is 1/sigma(a, b)."""
+    """Two-bar cancellative atom on [a, m) and [m, b) (see _haar_levels)."""
     fn = PiecewiseLinear.from_breaks_levels(
         [a, m, b], _haar_levels(a, m, b, measure, nu))
     return Atom(fn=fn, measure=measure, nu=nu, kind=KIND_CANCELLATIVE,
@@ -369,10 +374,8 @@ def two_atom_split(cover: DyadicCover, j: int, nu: float, measure: str) -> dict:
     lam1 = s_big * diff.sup_norm()
     a1 = Atom(fn=diff.scaled(1.0 / lam1), measure=measure, nu=nu,
               kind=KIND_CANCELLATIVE, label=f"two-atom-corrector[{j}]")
-    local_special = Atom(
-        fn=PiecewiseLinear.constant(big.a, big.b, 1.0 / s_big),
-        measure=measure, nu=nu, kind=KIND_SPECIAL,
-        label=f"local-special[{j}]")
+    local_special = Atom(PiecewiseLinear.constant(big.a, big.b, 1.0 / s_big), measure,
+                         nu, KIND_SPECIAL, label=f"local-special[{j}]")
     return {"lam1": lam1, "cancellative": a1,
             "cell_special": special_atom(cover, j, nu, measure),
             "local_special": local_special}
@@ -542,11 +545,10 @@ class AtomTable(_RaggedTable, Sequence):
                 f"[d{self.depth.item(i)},k{self.cell.item(i)}]")
 
 
-def _remainders(fn: PiecewiseLinear, depth: int, cells, a, b,
-                sigma_cell: float, measure: str, nu: float) -> tuple:
-    """CloserTable columns (depth, cell, lam, piece counts, breaks, slopes,
-    intercepts) of the nonzero remainders of fn on the cells [a, b] of one
-    depth, all in one pass.
+def _remainders(fn: PiecewiseLinear, depth, cells, a, b, sigma_total: float,
+                measure: str, nu: float) -> CloserTable:
+    """The CloserTable of the nonzero remainders of fn on the cells [a, b]
+    at the given depths, of measure sigma_total 2^-depth, all in one pass.
 
     A remainder is fn cut to the cell, padded with zero where fn's support
     ends inside it, minus the cell average, with the arithmetic of a
@@ -554,6 +556,7 @@ def _remainders(fn: PiecewiseLinear, depth: int, cells, a, b,
     Its breaks are the cell's ends and fn's breaks strictly inside the cell."""
     br = fn.breaks
     sel = np.flatnonzero(np.minimum(b, br[-1]) > np.maximum(a, br[0]))
+    sigma_cell = np.ldexp(sigma_total, -depth[sel])
     first = np.searchsorted(br, a[sel], side="right")
     n_breaks = np.searchsorted(br, b[sel], side="left") - first + 2
     start, last = np.cumsum(n_breaks) - n_breaks, np.cumsum(n_breaks) - 1
@@ -577,9 +580,9 @@ def _remainders(fn: PiecewiseLinear, depth: int, cells, a, b,
     sup = np.maximum.reduceat(ends, start - np.arange(len(sel))) \
         if len(sel) else ends
     keep = ~(sup <= 0.0)
-    return (np.full(np.count_nonzero(keep), depth), cells[sel[keep]],
-            sup[keep] * sigma_cell, counts[keep], brk[np.repeat(keep, n_breaks)],
-            s[np.repeat(keep, counts)], c[np.repeat(keep, counts)])
+    return CloserTable(depth[sel[keep]], cells[sel[keep]], sup[keep] * sigma_cell[keep],
+                       np.append(0, np.cumsum(counts[keep])), brk[np.repeat(keep, n_breaks)],
+                       s[np.repeat(keep, counts)], c[np.repeat(keep, counts)])
 
 
 @dataclass
@@ -706,7 +709,8 @@ def cascade_decompose(fn: PiecewiseLinear, space: Interval, measure: str,
     depth cap) emits its exact remainder as a closing piece, so the cascade
     reproduces fn to rounding whatever the cut; the cut only trades the
     number of detail levels against the coefficient mass of the closers.
-    Each depth is one array pass over its cells."""
+    Each depth is one array pass over its cells; one remainder pass after
+    the last depth closes every cell that stopped."""
     sigma_total = float(Measure.of(measure, nu).interval(space.a, space.b))
     if sigma_total <= 0:
         raise ValueError("empty cascade space")
@@ -719,7 +723,7 @@ def cascade_decompose(fn: PiecewiseLinear, space: Interval, measure: str,
 
     inner_breaks = fn.breaks[(fn.breaks > space.a) & (fn.breaks < space.b)]
     levels = []
-    closed = []                 # per depth: the columns of the closer table
+    closed = [(np.zeros(0, dtype=np.int64),) * 4]   # (depth, cell, a, b) that stop
     active = np.array([0], dtype=np.int64)
     cascade = LocalCascade(space=space, measure=measure, nu=nu,
                            sigma_total=sigma_total, mean_coef=mean_coef,
@@ -728,9 +732,9 @@ def cascade_decompose(fn: PiecewiseLinear, space: Interval, measure: str,
     for d in range(depth_cap):
         if len(active) == 0:
             break
-        left, med, right = cascade.edges(d, active)
-        lam = (fn.integral_between(left, med, measure, nu)
-               - fn.integral_between(med, right, measure, nu))
+        left, med, right = edges = np.stack(cascade.edges(d, active))
+        # (C(med) - C(left)) - (C(right) - C(med)) from one cumulative call
+        lam = np.subtract(*np.diff(fn.cumulative(edges, measure, nu), axis=0))
         keep = lam != 0.0
         if np.any(keep):
             levels.append(CascadeLevel(depth=d, idx=active[keep],
@@ -744,22 +748,18 @@ def cascade_decompose(fn: PiecewiseLinear, space: Interval, measure: str,
         has_break = (np.searchsorted(inner_breaks, b, side="left")
                      > np.searchsorted(inner_breaks, a, side="right"))
         osc = np.abs(fn.slopes[fn._piece_index(0.5 * (a + b))]) * (b - a)
-        sigma_child = sigma_total / 2.0 ** (d + 1)
-        split = live & (has_break | (osc * sigma_child > detail_cut)) \
-            & (d + 1 < depth_cap)
-        # the remainder pass drops the cells where fn vanishes
-        closed.append(_remainders(fn, d + 1, child[~split], a[~split],
-                                  b[~split], sigma_child, measure, nu))
+        split = live & (has_break | (osc * np.ldexp(sigma_total, -d - 1)
+                                     > detail_cut)) & (d + 1 < depth_cap)
+        closed.append((np.full(np.count_nonzero(~split), d + 1), child[~split],
+                       a[~split], b[~split]))
         active = child[split]
         cascade.depth = d + 1
-    depth, cell, lam, counts, breaks, slopes, intercepts = (
-        [np.concatenate(col) for col in zip(*closed)] or [np.zeros(0)] * 7)
-    cascade.closers = CloserTable(
-        depth.astype(np.int64), cell.astype(np.int64), lam,
-        np.concatenate([[0], np.cumsum(counts)]).astype(np.int64), breaks,
-        slopes, intercepts)
+    # one remainder pass closes the stopped cells in closing order (by depth,
+    # then cell) and drops those where fn vanishes
+    cascade.closers = _remainders(fn, *map(np.concatenate, zip(*closed)),
+                                  sigma_total, measure, nu)
     # closure mass summed in closing order, as the closers were found
-    cascade.closure_l1 = float(np.cumsum(np.append(0.0, lam))[-1])
+    cascade.closure_l1 = float(np.cumsum(np.append(0.0, cascade.closers.lam))[-1])
     return cascade
 
 

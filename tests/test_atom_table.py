@@ -26,8 +26,8 @@ from fbhardy.hardy import (KIND_CANCELLATIVE, KIND_SPECIAL, Atom, AtomTable,
                            two_atom_split)
 from fbhardy.quadrature import MEASURE_LEBESGUE, MEASURE_MU, Measure
 
-from test_cascade_arrays import (ref_cascade_decompose, ref_haar_atom,
-                                 ref_materialize)
+from test_cascade_arrays import (_gate10_cases, ref_cascade_decompose,
+                                 ref_haar_atom, ref_materialize)
 
 
 def _table(rows, n_slopes=None):
@@ -141,20 +141,6 @@ def test_atoms_and_functions_have_no_instance_dict():
     assert not hasattr(atom, "__dict__") and not hasattr(atom.fn, "__dict__")
     with pytest.raises(dataclasses.FrozenInstanceError):
         atom.fn.breaks = np.zeros(2)
-
-
-def _gate10_cases():
-    nodes = np.linspace(0.08, 0.40, 33)
-    u = (nodes - 0.08) / 0.32
-    bump = PiecewiseLinear.from_node_values(nodes, np.sin(np.pi * u) ** 2)
-    return [
-        (MEASURE_MU, bump),
-        (MEASURE_MU, PiecewiseLinear.from_breaks_levels([0.12, 0.27, 0.42],
-                                                        [1.1, -0.7])),
-        (MEASURE_LEBESGUE, PiecewiseLinear.tent(0.3, 0.62, 1.0)),
-        (MEASURE_LEBESGUE, PiecewiseLinear.from_breaks_levels(
-            [0.22, 0.47, 0.68], [0.9, -0.5])),
-    ]
 
 
 def _fields(atom):

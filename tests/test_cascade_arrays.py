@@ -12,7 +12,16 @@ and `extended` are module functions of the piecewise-linear `self`. The array
 routines must find the same cells, coefficients and remainders, evaluate
 to the same values and materialize the same atoms in the same order; the
 closer table is compared by column.
+
+`cascade_decompose` closes every stopped cell in one remainder pass after its
+last depth and takes each depth's details from one cumulative call.
+`ref_depth_cascade_decompose` and `ref_depth_remainders` are the routines it
+replaced, with one remainder pass per depth and two `integral_between` calls
+per depth, kept verbatim apart from their names. Every array a cascade yields
+must be equal to theirs byte for byte: closer columns, detail levels,
+`closure_l1`, `coeff_l1` and `evaluate`.
 """
+import dataclasses
 from typing import NamedTuple
 
 import numpy as np
@@ -20,9 +29,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fbhardy import hardy
 from fbhardy.covers import Interval
-from fbhardy.hardy import (KIND_CANCELLATIVE, Atom, CascadeLevel,
-                           LocalCascade, PiecewiseLinear, cascade_decompose)
+from fbhardy.hardy import (KIND_CANCELLATIVE, Atom, CascadeLevel, CloserTable,
+                           LocalCascade, PiecewiseLinear, atomic_decompose,
+                           cascade_decompose)
 from fbhardy.quadrature import MEASURE_LEBESGUE, MEASURE_MU, Measure
 
 
@@ -330,3 +341,198 @@ def test_a_cascade_capped_at_depth_zero_has_no_closers():
     assert len(empty.closers) == 0 and empty.closure_l1 == 0.0
     assert np.all(empty.evaluate(np.linspace(0.21, 0.5, 7))
                   == empty.mean_coef / empty.sigma_total)
+
+
+# ---------------------------------------------------------------------------
+# one remainder pass per cascade against the per-depth passes it replaced
+
+
+def ref_depth_remainders(fn: PiecewiseLinear, depth: int, cells, a, b,
+                         sigma_cell: float, measure: str, nu: float) -> tuple:
+    """CloserTable columns (depth, cell, lam, piece counts, breaks, slopes,
+    intercepts) of the nonzero remainders of fn on the cells [a, b] of one
+    depth, all in one pass.
+
+    A remainder is fn cut to the cell, padded with zero where fn's support
+    ends inside it, minus the cell average, with the arithmetic of a
+    one-cell cut, integral, zero pad, plus_constant and sup_norm per element.
+    Its breaks are the cell's ends and fn's breaks strictly inside the cell."""
+    br = fn.breaks
+    sel = np.flatnonzero(np.minimum(b, br[-1]) > np.maximum(a, br[0]))
+    first = np.searchsorted(br, a[sel], side="right")
+    n_breaks = np.searchsorted(br, b[sel], side="left") - first + 2
+    start, last = np.cumsum(n_breaks) - n_breaks, np.cumsum(n_breaks) - 1
+    owner = np.repeat(np.arange(len(sel)), n_breaks)
+    brk = br[np.clip(np.arange(len(owner)) - start[owner] + first[owner] - 1,
+                     0, len(br) - 1)]
+    brk[start], brk[last] = a[sel], b[sel]
+    left = np.delete(np.arange(len(brk)), last)
+    x0, x1, owner = brk[left], brk[left + 1], owner[left]
+    idx = fn._piece_index(0.5 * (x0 + x1))
+    on = (x1 > br[0]) & (x0 < br[-1])          # off: zero padding
+    s = np.where(on, fn.slopes[idx], 0.0)
+    c = np.where(on, fn.intercepts[idx], 0.0)
+    # each cell's integral summed left to right from 0, as cumulative() does
+    counts = n_breaks - 1
+    rows = np.zeros((len(sel), int(counts.max(initial=0)) + 1))
+    integrals = Measure.of(measure, nu).linear_integrals
+    rows[owner, left - start[owner] + 1] = integrals(s, c, x0, x1)
+    c = c - (np.cumsum(rows, axis=1)[:, -1] / sigma_cell)[owner]
+    ends = np.maximum(np.abs(s * x0 + c), np.abs(s * x1 + c))
+    sup = np.maximum.reduceat(ends, start - np.arange(len(sel))) \
+        if len(sel) else ends
+    keep = ~(sup <= 0.0)
+    return (np.full(np.count_nonzero(keep), depth), cells[sel[keep]],
+            sup[keep] * sigma_cell, counts[keep], brk[np.repeat(keep, n_breaks)],
+            s[np.repeat(keep, counts)], c[np.repeat(keep, counts)])
+
+
+def ref_depth_cascade_decompose(fn: PiecewiseLinear, space: Interval,
+                                measure: str, nu: float, depth_cap: int = 26,
+                                detail_cut: float | None = None) -> LocalCascade:
+    """Adaptive Haar cascade of fn on the space, in measure-median cells.
+
+    A cell splits at the point halving its measure; the detail coefficient is
+    the difference of the two half integrals, and a child stays active while
+    it contains a breakpoint of fn or while the oscillation bound of its
+    linear piece exceeds the cut. A cell that stops (by the cut or by the
+    depth cap) emits its exact remainder as a closing piece, so the cascade
+    reproduces fn to rounding whatever the cut; the cut only trades the
+    number of detail levels against the coefficient mass of the closers.
+    Each depth is one array pass over its cells."""
+    sigma_total = float(Measure.of(measure, nu).interval(space.a, space.b))
+    if sigma_total <= 0:
+        raise ValueError("empty cascade space")
+    mean_coef = float(fn.integral(measure, nu))
+    if detail_cut is None:
+        # the active front on a sloped stretch grows like cut^(-1/2); this
+        # default keeps a bare call near 1e4 cells with closer mass around
+        # 1e-4 of the input's scale
+        detail_cut = 1e-8 * max(abs(mean_coef), fn.sup_norm() * sigma_total, 1e-300)
+
+    inner_breaks = fn.breaks[(fn.breaks > space.a) & (fn.breaks < space.b)]
+    levels = []
+    closed = []                 # per depth: the columns of the closer table
+    active = np.array([0], dtype=np.int64)
+    cascade = LocalCascade(space=space, measure=measure, nu=nu,
+                           sigma_total=sigma_total, mean_coef=mean_coef,
+                           levels=levels, closers=None, depth=0,
+                           closure_l1=0.0)
+    for d in range(depth_cap):
+        if len(active) == 0:
+            break
+        left, med, right = cascade.edges(d, active)
+        lam = (fn.integral_between(left, med, measure, nu)
+               - fn.integral_between(med, right, measure, nu))
+        keep = lam != 0.0
+        if np.any(keep):
+            levels.append(CascadeLevel(depth=d, idx=active[keep],
+                                       lam=lam[keep]))
+        # children either stay active, close, or vanish with the function;
+        # child 2k is (left, med) and 2k + 1 is (med, right)
+        a = np.column_stack([left, med]).ravel()
+        b = np.column_stack([med, right]).ravel()
+        child = np.column_stack([2 * active, 2 * active + 1]).ravel()
+        live = (b > fn.breaks[0]) & (a < fn.breaks[-1])
+        has_break = (np.searchsorted(inner_breaks, b, side="left")
+                     > np.searchsorted(inner_breaks, a, side="right"))
+        osc = np.abs(fn.slopes[fn._piece_index(0.5 * (a + b))]) * (b - a)
+        sigma_child = sigma_total / 2.0 ** (d + 1)
+        split = live & (has_break | (osc * sigma_child > detail_cut)) \
+            & (d + 1 < depth_cap)
+        # the remainder pass drops the cells where fn vanishes
+        closed.append(ref_depth_remainders(fn, d + 1, child[~split], a[~split],
+                                           b[~split], sigma_child, measure, nu))
+        active = child[split]
+        cascade.depth = d + 1
+    depth, cell, lam, counts, breaks, slopes, intercepts = (
+        [np.concatenate(col) for col in zip(*closed)] or [np.zeros(0)] * 7)
+    cascade.closers = CloserTable(
+        depth.astype(np.int64), cell.astype(np.int64), lam,
+        np.concatenate([[0], np.cumsum(counts)]).astype(np.int64), breaks,
+        slopes, intercepts)
+    # closure mass summed in closing order, as the closers were found
+    cascade.closure_l1 = float(np.cumsum(np.append(0.0, lam))[-1])
+    return cascade
+
+
+def _gate10_cases():
+    nodes = np.linspace(0.08, 0.40, 33)
+    u = (nodes - 0.08) / 0.32
+    bump = PiecewiseLinear.from_node_values(nodes, np.sin(np.pi * u) ** 2)
+    return [
+        (MEASURE_MU, bump),
+        (MEASURE_MU, PiecewiseLinear.from_breaks_levels([0.12, 0.27, 0.42],
+                                                        [1.1, -0.7])),
+        (MEASURE_LEBESGUE, PiecewiseLinear.tent(0.3, 0.62, 1.0)),
+        (MEASURE_LEBESGUE, PiecewiseLinear.from_breaks_levels(
+            [0.22, 0.47, 0.68], [0.9, -0.5])),
+    ]
+
+
+def _cascade_bytes(c):
+    """Every array a cascade yields, as (dtype, bytes): the closer columns,
+    the detail levels, closure_l1, coeff_l1, the depth reached, and evaluate
+    on a grid around the space and on every closed cell's edges."""
+    t = c.closers
+    cols = [getattr(t, f.name) for f in dataclasses.fields(t)]
+    cols += [v for lev in c.levels for v in (np.int64(lev.depth), lev.idx, lev.lam)]
+    x = np.concatenate([np.linspace(c.space.a - 0.02, c.space.b + 0.02, 2001),
+                        *c.edges(t.depth, t.cell)])
+    cols += [np.float64(c.closure_l1), np.float64(c.coeff_l1()),
+             np.int64(c.depth), c.evaluate(x)]
+    return [(np.asarray(v).dtype.str, np.asarray(v).tobytes()) for v in cols]
+
+
+def _same_as_per_depth(fn, space, measure, nu, **kw):
+    new = cascade_decompose(fn, space, measure, nu, **kw)
+    ref = ref_depth_cascade_decompose(fn, space, measure, nu, **kw)
+    assert _cascade_bytes(new) == _cascade_bytes(ref)
+    return new
+
+
+def test_gate10_cascades_equal_the_per_depth_passes(monkeypatch):
+    """Every cascade of the four gate-10 decompositions, bit for bit."""
+    seen = []
+
+    def both(*args, **kw):
+        seen.append(_same_as_per_depth(*args, **kw))
+        return seen[-1]
+    monkeypatch.setattr(hardy, "cascade_decompose", both)
+    for measure, fn in _gate10_cases():
+        atomic_decompose(fn, nu=0.5, measure=measure)
+    assert len(seen) > 4 and sum(len(c.closers) for c in seen) > 10_000
+
+
+@pytest.mark.parametrize("measure", [MEASURE_MU, MEASURE_LEBESGUE])
+def test_profile_cuts_equal_the_per_depth_passes(measure):
+    """The decomposition_profile tent at each of its cuts, bit for bit."""
+    fn = PiecewiseLinear.tent(0.25, 0.45, 1.3)
+    for k in range(3, 10):
+        _same_as_per_depth(fn, Interval(0.2, 0.5), measure, 0.5,
+                           detail_cut=10.0 ** -k)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cascade_inputs())
+def test_drawn_cascades_equal_the_per_depth_passes(inputs):
+    fn, space, measure, nu, cut, depth_cap = inputs
+    sigma = float(Measure.of(measure, nu).interval(space.a, space.b))
+    _same_as_per_depth(fn, space, measure, nu, depth_cap=depth_cap,
+                       detail_cut=cut * max(fn.sup_norm() * sigma, 1e-300))
+
+
+@pytest.mark.parametrize("fn, space, depth_cap, n_closers", [
+    # a zero input closes no cell, however deep its break cells split
+    (PiecewiseLinear.constant(0.3, 0.4, 0.0), Interval(0.2, 0.5), 26, 0),
+    (PiecewiseLinear.tent(0.25, 0.45, 1.3), Interval(0.2, 0.5), 0, 0),
+    (PiecewiseLinear.tent(0.25, 0.45, 1.3), Interval(0.2, 0.5), 1, 2),
+    # a narrow tent in a wide space: most stopped cells hold no part of it
+    (PiecewiseLinear.tent(0.3, 0.33, 1.0), Interval(0.05, 0.9), 26, None),
+    (PiecewiseLinear.constant(0.2, 0.5, 0.7), Interval(0.2, 0.5), 26, None)])
+@pytest.mark.parametrize("measure", [MEASURE_MU, MEASURE_LEBESGUE])
+def test_edge_cascades_equal_the_per_depth_passes(fn, space, depth_cap,
+                                                  n_closers, measure):
+    new = _same_as_per_depth(fn, space, measure, 0.5, depth_cap=depth_cap)
+    assert n_closers is None or len(new.closers) == n_closers
