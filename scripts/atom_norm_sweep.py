@@ -26,10 +26,11 @@ def sweep(basis, measure, count, scale_max, seed, n_nodes):
     tg = TimeGrid.build(1e-6, 10.0, ratio=1.25)
     rng = np.random.default_rng(seed)
     atoms = random_atoms(rng, measure, basis.nu, count, scale_max=scale_max)
-    batch = SampledFunction(grid=grid, values=[a.evaluate(grid.nodes) for a in atoms])
+    batch = SampledFunction(grid=grid, values=atoms.evaluate(grid.nodes))
     norms = maximal_function(basis, batch, tg).l1_norm(grid.weights)
-    js = [abs(int(re.search(r"-j(-?\d+)-", a.label).group(1))) for a in atoms]
-    return [(j, a.label, float(norm)) for j, a, norm in zip(js, atoms, norms)]
+    labels = [a.label for _, a in atoms]
+    js = [abs(int(re.search(r"-j(-?\d+)-", label).group(1))) for label in labels]
+    return [(j, label, float(norm)) for j, label, norm in zip(js, labels, norms)]
 
 
 def main():

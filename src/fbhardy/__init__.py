@@ -3,7 +3,7 @@ atomic Hardy-space decompositions on the unit interval and the half line,
 with desk-scale numerical verification of the kernel estimates and norm
 equivalences that connect them."""
 
-from .basis import EigenBasis, coefficients, hankel_transform
+from .basis import EigenBasis, coefficients
 from .config import RunConfig, load_config
 from .covers import DyadicCover, Interval, FAMILY_ONE_END, FAMILY_TWO_END
 from .errors import ConfigError, NumericsError
@@ -32,8 +32,8 @@ __all__ = [
     "bessel_zeros", "build_partition", "cascade_decompose",
     "check_sharp_estimate", "chord_product",
     "coefficients", "compare_semigroups", "duhamel_closure",
-    "grid_on_interval", "h1_norm_report", "haar_atom", "hankel_transform",
-    "load_config", "make_quadrature", "maximal_function", "random_atoms",
+    "grid_on_interval", "h1_norm_report", "haar_atom", "load_config",
+    "make_quadrature", "maximal_function", "random_atoms",
     "special_atom", "two_atom_split", "uchiyama_families", "uchiyama_kernel",
     "validate_atom",
 ]

@@ -1,4 +1,4 @@
-"""Orthonormal Fourier-Bessel eigensystems on (0, 1) and the Hankel transform.
+"""Orthonormal Fourier-Bessel eigensystems on (0, 1).
 
 For order nu > -1/2 and the n-th positive zero lam_n of J_nu, the functions
 
@@ -274,24 +274,3 @@ def coefficients(f: SampledFunction, basis: EigenBasis,
     out = np.zeros(f.values.shape[:-1] + (n_max,))
     out[..., :n_ok] = (mat @ batch.T).T.reshape(out.shape[:-1] + (n_ok,))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Hankel transform on the half-line
-
-
-def hankel_transform(f: SampledFunction, xi) -> np.ndarray:
-    """Modified Hankel transform H f(xi) = int (xi y)^-nu J_nu(xi y) f(y) dmu(y).
-
-    Self-inverse and an L^2(mu) isometry with unit constant; f must be
-    mu-tagged and supported inside its (truncated) grid domain."""
-    if f.measure != MEASURE_MU:
-        raise ValueError("hankel_transform expects a mu-tagged sampled function")
-    scalar = np.ndim(xi) == 0
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if np.any(xi <= 0):
-        raise ValueError("transform variable must be positive")
-    order = Order(f.grid.nu)
-    kernel = specfun.besselj_over_xnu(order, np.outer(xi, f.nodes))
-    out = kernel @ (f.grid.weights * f.values)
-    return float(out[0]) if scalar else out

@@ -286,7 +286,7 @@ def cmd_atoms(session: _Session, args) -> int:
         cover = DyadicCover(family, zeta=cfg.zeta,
                             j_max=max(cfg.atom_scale_max, 8))
         reports = [validate_atom(a, cover=cover, cancel_tol=cfg.cancel_tol)
-                   for a in atoms]
+                   for _, a in atoms]
         payload = {"count": len(reports),
                    "n_valid": sum(1 for r in reports if r["valid"]),
                    "reports": reports}
@@ -316,12 +316,12 @@ def cmd_atoms(session: _Session, args) -> int:
     atoms = random_atoms(rng, measure, cfg.nu, args.count,
                          scale_max=cfg.atom_scale_max, zeta=cfg.zeta)
     grid = session.unit_grid(measure)
-    batch = SampledFunction(grid=grid, values=[a.evaluate(grid.nodes) for a in atoms])
+    batch = SampledFunction(grid=grid, values=atoms.evaluate(grid.nodes))
     res = maximal_function(session.basis, batch, session.time_grid())
     rows = [{"index": i, "label": atom.label, "kind": atom.kind,
              "maximal_l1": float(grid.weights @ values),
              "valid": validate_atom(atom, cancel_tol=cfg.cancel_tol)["valid"]}
-            for i, (atom, values) in enumerate(zip(atoms, res.values))]
+            for i, ((_, atom), values) in enumerate(zip(atoms, res.values))]
     norms = [r["maximal_l1"] for r in rows]
     payload = {"count": len(rows), "max_norm": max(norms),
                "min_norm": min(norms), "rows": rows}

@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -228,16 +228,13 @@ class Atom:
 
     def __init__(self, fn: PiecewiseLinear, measure: str, nu: float,
                  kind: str, label: str = ""):
-        # fn passed _check_table, alone or as a row of a checked table: its
-        # one-row table is not checked again, only made read-only
+        # fn passed _check_table, alone or as a row of a checked table
         z = np.zeros(1, dtype=np.int64)
-        cols = dict(coef=np.ones(1), closer=z.astype(bool), depth=z, cell=z,
-                    start=np.array([0, len(fn.slopes)]), breaks=fn.breaks,
-                    slopes=fn.slopes, intercepts=fn.intercepts)
-        for col in cols.values():
-            col.setflags(write=False)
-        self._table, self._row, self._fn, self._label = object.__new__(AtomTable), 0, fn, label
-        vars(self._table).update(cols, measure=measure, nu=nu, tags={0: (kind, label)})
+        self._table = AtomTable._unchecked(
+            measure=measure, nu=nu, tags={0: (kind, label)}, coef=np.ones(1),
+            closer=z.astype(bool), depth=z, cell=z, start=np.array([0, len(fn.slopes)]),
+            breaks=fn.breaks, slopes=fn.slopes, intercepts=fn.intercepts)
+        self._row, self._fn, self._label = 0, fn, label
 
     @classmethod
     def _of_row(cls, table: "AtomTable", i: int) -> "Atom":
@@ -387,8 +384,8 @@ def globalize_special(cover: DyadicCover, j: int, nu: float, measure: str,
     of two global atoms: the rows (coef, cell special atom) and
     (-coef * lam1, corrector) of one AtomTable."""
     split = two_atom_split(cover, j, nu, measure)
-    pair = [split["cell_special"]._table, split["cancellative"]._table]
-    return replace(AtomTable._concat(pair), coef=np.array([coef, -coef * split["lam1"]]))
+    pair = AtomTable._concat([split["cell_special"]._table, split["cancellative"]._table])
+    return AtomTable._unchecked(**vars(pair) | {"coef": np.array([coef, -coef * split["lam1"]])})
 
 
 # ---------------------------------------------------------------------------
@@ -457,51 +454,18 @@ class CascadeLevel:
     lam: np.ndarray     # detail coefficients (half-integral differences)
 
 
-class _RaggedTable:
-    """A ragged table (start, breaks, slopes, intercepts) of len rows,
-    checked once, when built, and read-only in every column."""
-
-    def __post_init__(self):
-        _check_table(self.start, self.breaks, self.slopes, self.intercepts)
-        for f in fields(self):
-            if isinstance(col := getattr(self, f.name), np.ndarray):
-                col.setflags(write=False)
-
-    def __len__(self) -> int:
-        return len(self.start) - 1
-
-
 @dataclass(frozen=True, eq=False)
-class CloserTable(_RaggedTable):
-    """All closing pieces of one cascade as flat arrays, in closing order
-    (by depth, then cell). A closing piece is the exact remainder of one
-    deactivated cell: the input minus its cell average, a zero-mean bump
-    that normalizes to a valid atom. Closer i has depth[i], cell[i] and
-    lam[i] (its sup norm times the cell measure), the pieces
+class AtomTable(Sequence):
+    """Piecewise-linear rows of one measure and order nu as flat arrays: every
+    atom, and a cascade's closers. Row i has coefficient coef[i], the pieces
     start[i]:start[i+1] of slopes and intercepts, and their breaks from
-    breaks[start[i] + i]. A cell holding a breakpoint of the input or the
-    end of its support has several pieces, zero where the input vanishes.
-    The table is read by column."""
-    depth: np.ndarray
-    cell: np.ndarray
-    lam: np.ndarray
-    start: np.ndarray
-    breaks: np.ndarray
-    slopes: np.ndarray
-    intercepts: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class AtomTable(_RaggedTable, Sequence):
-    """Atoms of one measure and order nu as flat arrays, laid out as a
-    CloserTable is: the one representation of an atom. Row i is the pair
-    (coef[i], atom) with the pieces start[i]:start[i+1] of slopes and
-    intercepts. A row in tags carries its own (kind, label); every other row
-    is a cascade atom, cancellative: the two-bar atom of a Haar detail, or a
-    closer normalized by 1/coef[i] (closer[i] set), of cell[i] at depth[i].
-    The table is checked once, when built; indexing and iteration yield
-    atoms that hold only the table and their row, and build their read-only
-    views and labels when first read."""
+    breaks[start[i] + i]. A row in tags carries its own (kind, label); every
+    other row is a cancellative cascade row of cell[i] at depth[i]: a Haar
+    detail's two-bar atom, or a closer (closer[i] set), which a cascade holds
+    as its remainder and materialize scales by 1/coef[i] into an atom. The
+    table is checked once, when built, and read-only; indexing and iteration
+    yield (coef, atom) pairs whose atoms build their views and labels when
+    first read."""
     measure: str
     nu: float
     coef: np.ndarray
@@ -514,6 +478,22 @@ class AtomTable(_RaggedTable, Sequence):
     intercepts: np.ndarray
     tags: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        _check_table(self.start, self.breaks, self.slopes, self.intercepts)
+        for col in (self.coef, self.closer, self.depth, self.cell):
+            col.setflags(write=False)
+
+    @classmethod
+    def _unchecked(cls, **values) -> "AtomTable":
+        """The table of the given fields, not checked again: for rows of checked
+        tables or functions. Its columns are made read-only."""
+        table = object.__new__(cls)
+        vars(table).update({"tags": {}, **values})
+        for col in values.values():
+            if isinstance(col, np.ndarray):
+                col.setflags(write=False)
+        return table
+
     @classmethod
     def _concat(cls, tables) -> "AtomTable":
         """The rows of the tables, which share one measure and order nu, in
@@ -523,10 +503,48 @@ class AtomTable(_RaggedTable, Sequence):
         cols = {name: np.concatenate([getattr(t, name) for t in tables])
                 for name in ("coef", "closer", "depth", "cell", "breaks",
                              "slopes", "intercepts")}
-        return cls(tables[0].measure, tables[0].nu, **cols, start=np.concatenate(
-            [[0]] + [t.start[1:] + p for t, p in zip(tables, pieces)]),
-            tags={r + i: tag for t, r in zip(tables, rows)
-                  for i, tag in t.tags.items()})
+        start = np.concatenate([[0]] + [t.start[1:] + p for t, p in zip(tables, pieces)])
+        return cls._unchecked(measure=tables[0].measure, nu=tables[0].nu, start=start, **cols,
+                              tags={r + i: tag for t, r in zip(tables, rows)
+                                    for i, tag in t.tags.items()})
+
+    def _take(self, order) -> "AtomTable":
+        """The rows order[0], order[1], ... as one table, copied by column."""
+        n, counts = len(order), np.diff(self.start)[order]
+        start = np.concatenate([[0], np.cumsum(counts)])
+        first = self.start[order] - start[:-1]
+        piece = np.repeat(first, counts) + np.arange(start[-1])
+        brk = np.repeat(first + order - np.arange(n), counts + 1)
+        brk += np.arange(start[-1] + n)
+        return AtomTable._unchecked(
+            measure=self.measure, nu=self.nu, coef=self.coef[order],
+            closer=self.closer[order], depth=self.depth[order], cell=self.cell[order],
+            start=start, breaks=self.breaks[brk], slopes=self.slopes[piece],
+            intercepts=self.intercepts[piece], tags={
+                i: self.tags[r] for i, r in enumerate(order.tolist())
+                if r in self.tags} if self.tags else {})
+
+    def _pieces(self, rows, x):
+        """The piece of row rows[i] holding x[i] (broadcast; a row's end
+        pieces extend outward), as PiecewiseLinear._piece_index finds it: one
+        searchsorted over the (row, break) keys. Complex numbers order them
+        lexicographically, so a point on a break is compared exactly."""
+        keys = np.repeat(np.arange(len(self)), np.diff(self.start) + 1) + 1j * self.breaks
+        pos = np.searchsorted(keys, rows + 1j * x, side="right") - rows - 1
+        return np.clip(pos, self.start[rows], self.start[rows + 1] - 1)
+
+    def evaluate(self, x) -> np.ndarray:
+        """Every row at the points x, as a (rows, len(x)) array whose row i
+        equals the atom of row i evaluated at x, bit for bit."""
+        x = np.asarray(x, dtype=float)
+        rows = np.arange(len(self))[:, None]
+        piece = self._pieces(rows, x)
+        inside = (x >= self.breaks[self.start[:-1, None] + rows]) \
+            & (x <= self.breaks[self.start[1:, None] + rows])
+        return np.where(inside, self.slopes[piece] * x + self.intercepts[piece], 0.0)
+
+    def __len__(self) -> int:
+        return len(self.start) - 1
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -546,9 +564,10 @@ class AtomTable(_RaggedTable, Sequence):
 
 
 def _remainders(fn: PiecewiseLinear, depth, cells, a, b, sigma_total: float,
-                measure: str, nu: float) -> CloserTable:
-    """The CloserTable of the nonzero remainders of fn on the cells [a, b]
-    at the given depths, of measure sigma_total 2^-depth, all in one pass.
+                measure: str, nu: float) -> AtomTable:
+    """The nonzero remainders of fn on the cells [a, b] at the given depths,
+    of measure sigma_total 2^-depth, all in one pass, as closer rows of an
+    AtomTable whose coef is each one's sup norm times the cell measure.
 
     A remainder is fn cut to the cell, padded with zero where fn's support
     ends inside it, minus the cell average, with the arithmetic of a
@@ -580,9 +599,10 @@ def _remainders(fn: PiecewiseLinear, depth, cells, a, b, sigma_total: float,
     sup = np.maximum.reduceat(ends, start - np.arange(len(sel))) \
         if len(sel) else ends
     keep = ~(sup <= 0.0)
-    return CloserTable(depth[sel[keep]], cells[sel[keep]], sup[keep] * sigma_cell[keep],
-                       np.append(0, np.cumsum(counts[keep])), brk[np.repeat(keep, n_breaks)],
-                       s[np.repeat(keep, counts)], c[np.repeat(keep, counts)])
+    return AtomTable(measure, nu, sup[keep] * sigma_cell[keep], np.ones(keep.sum(), bool),
+                     depth[sel[keep]], cells[sel[keep]], np.append(0, np.cumsum(counts[keep])),
+                     brk[np.repeat(keep, n_breaks)], s[np.repeat(keep, counts)],
+                     c[np.repeat(keep, counts)])
 
 
 @dataclass
@@ -592,15 +612,16 @@ class LocalCascade:
     The expansion is exact: levels hold the retained Haar details, and each
     cell deactivated by the cut (or stopped by the depth cap) contributes a
     closing piece carrying the remainder there, so evaluate() reproduces the
-    input to rounding. The closing pieces live in one CloserTable; the
-    closed cells are disjoint, so each point reads at most one of them."""
+    input to rounding. The closing pieces are the closer rows of one
+    AtomTable (see _remainders); the closed cells are disjoint, so each
+    point reads at most one of them."""
     space: Interval
     measure: str
     nu: float
     sigma_total: float
     mean_coef: float            # integral of the piece over the space
     levels: list
-    closers: CloserTable
+    closers: AtomTable
     depth: int
     closure_l1: float           # coefficient mass of the closing pieces
 
@@ -635,12 +656,8 @@ class LocalCascade:
         order = np.argsort(u0)
         j = order[np.maximum(np.searchsorted(u0[order], u, side="right") - 1, 0)]
         hit = inside & (np.floor(np.ldexp(u, t.depth[j])) == t.cell[j])
-        first, count = t.start[j], t.start[j + 1] - t.start[j]
-        xc = np.clip(x, t.breaks[first + j], t.breaks[first + j + count])
-        piece = first
-        for q in range(1, int(np.max(count, initial=1))):   # later pieces
-            nxt = t.breaks[np.minimum(first + j + q, len(t.breaks) - 1)]
-            piece = piece + ((q < count) & (nxt <= xc))
+        xc = np.clip(x, t.breaks[t.start[j] + j], t.breaks[t.start[j + 1] + j])
+        piece = t._pieces(j, xc)
         return out + np.where(hit, t.slopes[piece] * xc + t.intercepts[piece], 0.0)
 
     def coeff_l1(self) -> float:
@@ -656,45 +673,36 @@ class LocalCascade:
         scale = np.ldexp(self.sigma_total, -np.asarray(depth))
         return tuple(meas.quantile(c0 + (k + o) * scale) for o in (0.0, 0.5, 1.0))
 
+    def _details(self) -> AtomTable:
+        """The retained Haar details as two-bar atom rows, in level order,
+        checked (a cell too deep to split fails as haar_atom does). Built
+        apart, so its temporaries are freed before materialize takes rows."""
+        depth = np.concatenate([np.full(len(lev.idx), lev.depth) for lev in self.levels]
+                               + [self.closers.depth[:0]])
+        cell = np.concatenate([lev.idx for lev in self.levels] + [self.closers.cell[:0]])
+        lam = np.concatenate([lev.lam for lev in self.levels] + [self.closers.coef[:0]])
+        edges = self.edges(depth, cell)
+        return AtomTable(self.measure, self.nu, lam, np.zeros(len(lam), bool), depth, cell,
+                         2 * np.arange(len(lam) + 1), np.column_stack(edges).ravel(),
+                         np.zeros(2 * len(lam)), np.column_stack(
+                             _haar_levels(*edges, self.measure, self.nu)).ravel())
+
     def materialize(self) -> AtomTable:
-        """Largest-coefficient pieces as explicit atoms: two-bar atoms for
-        the Haar details, normalized remainders for the closers. Entries are
-        ordered by (-|lam|, depth, cell). They form one AtomTable, checked
-        here; its (coef, atom) rows build each atom's function, a view of the
-        table, and label when first read."""
+        """Largest-coefficient pieces as explicit atoms: the detail rows and
+        the closer rows joined, taken in (-|coef|, depth, cell) order, and
+        the closers scaled by 1/coef. Their (coef, atom) rows build each
+        atom's function, a view of the table, and label when first read."""
         t = self.closers
-        depth = np.concatenate([np.full(len(lev.idx), lev.depth)
-                                for lev in self.levels] + [t.depth])
-        cell = np.concatenate([lev.idx for lev in self.levels] + [t.cell])
-        lam = np.concatenate([lev.lam for lev in self.levels] + [t.lam])
-        order = np.lexsort((cell, depth, -np.abs(lam)))
-        n_details = len(lam) - len(t)
-        closer = order >= n_details
         with np.errstate(divide="ignore", over="ignore"):
-            scale = 1.0 / np.where(closer, lam[order], 1.0)
-        for j in order[~np.isfinite(scale)][:1] - n_details:   # the largest one
+            bad = np.flatnonzero(~np.isfinite(1.0 / t.coef))
+        for j in bad[np.lexsort((t.cell[bad], t.depth[bad], -np.abs(t.coef[bad])))][:1]:  # largest
             raise NumericsError("materialize", f"closer [d{t.depth[j]},k{t.cell[j]}]: "
-                                f"coefficient {t.lam[j]:.3e} cannot be normalized")
-        # source rows: the selected details (3 breaks, 2 flat pieces), then
-        # the closers; `rows` takes them in order, closers scaled by 1/lam
-        det = order[~closer]
-        left, med, right = self.edges(depth[det], cell[det])
-        levels = _haar_levels(left, med, right, self.measure, self.nu)
-        nd, n = len(det), len(order)
-        src = np.concatenate([2 * np.arange(nd), 2 * nd + t.start])
-        rows = np.where(closer, nd + order - n_details, np.cumsum(~closer) - 1)
-        counts = src[rows + 1] - src[rows]
-        start = np.concatenate([[0], np.cumsum(counts)])
-        piece = np.repeat(src[rows] - start[:-1], counts) + np.arange(start[-1])
-        brk = np.repeat(src[rows] + rows - start[:-1] - np.arange(n),
-                        counts + 1) + np.arange(start[-1] + n)
-        scale = np.repeat(scale, counts)
-        breaks = np.append(np.column_stack([left, med, right]), t.breaks)[brk]
-        slopes = np.append(np.zeros(2 * nd), t.slopes)[piece] * scale
-        intercepts = np.append(np.column_stack(levels), t.intercepts)[piece] * scale
-        return AtomTable(self.measure, self.nu, lam[order], closer,
-                         depth[order], cell[order], start, breaks, slopes,
-                         intercepts)
+                                f"coefficient {t.coef[j]:.3e} cannot be normalized")
+        rows = AtomTable._concat([self._details(), t])
+        rows = rows._take(np.lexsort((rows.cell, rows.depth, -np.abs(rows.coef))))
+        scale = np.repeat(1.0 / np.where(rows.closer, rows.coef, 1.0), np.diff(rows.start))
+        return AtomTable._unchecked(**vars(rows) | {"slopes": rows.slopes * scale,
+                                                    "intercepts": rows.intercepts * scale})
 
 
 def cascade_decompose(fn: PiecewiseLinear, space: Interval, measure: str,
@@ -759,7 +767,7 @@ def cascade_decompose(fn: PiecewiseLinear, space: Interval, measure: str,
     cascade.closers = _remainders(fn, *map(np.concatenate, zip(*closed)),
                                   sigma_total, measure, nu)
     # closure mass summed in closing order, as the closers were found
-    cascade.closure_l1 = float(np.cumsum(np.append(0.0, cascade.closers.lam))[-1])
+    cascade.closure_l1 = float(np.cumsum(np.append(0.0, cascade.closers.coef))[-1])
     return cascade
 
 
@@ -882,9 +890,10 @@ _PROFILES = ("haar", "tent", "twobar")
 
 
 def random_atoms(rng, measure: str, nu: float, count: int,
-                 scale_max: int = 8, zeta: float = 0.02) -> list:
+                 scale_max: int = 8, zeta: float = 0.02) -> AtomTable:
     """Seeded atoms of the three cancellative profiles plus occasional
-    special atoms, at dyadic cover scales up to scale_max."""
+    special atoms, at dyadic cover scales up to scale_max, as the rows
+    (coefficient 1) of one AtomTable."""
     family = _FAMILY_OF_MEASURE[measure]
     meas = Measure.of(measure, nu)
     cover = DyadicCover(family, zeta=zeta, j_max=max(scale_max, 8))
@@ -919,7 +928,7 @@ def random_atoms(rng, measure: str, nu: float, count: int,
             scale = 1.0 / (centered.sup_norm() * s_ab)
             out.append(Atom(fn=centered.scaled(scale), measure=measure, nu=nu,
                             kind=KIND_CANCELLATIVE, label=label))
-    return out
+    return AtomTable._concat([atom._table for atom in out])
 
 
 def h1_norm_report(f: SampledFunction, basis, time_grid, nu: float,

@@ -260,28 +260,6 @@ def bessel_i_scaled(order: Order, x, out=None) -> np.ndarray | float:
                      _ive_asymptotic, out)
 
 
-def besseli_over_xnu(order: Order, x, out=None) -> np.ndarray | float:
-    """I_nu(x) / x^nu; entire, positive.  Overflows (by design) past x ~ 700."""
-    arr = np.asarray(x, dtype=np.float64)
-    _check_domain(arr, "besseli_over_xnu")
-    if np.any(arr > max(700.0, order.i_switch)):   # refused before out is written
-        raise NumericsError("besseli_over_xnu",
-                            "argument beyond exp overflow range; use bessel_i_scaled")
-    return _evaluate("besseli_over_xnu", order, arr, order.i_switch,
-                     lambda nu, xs: _over_series(nu, xs, 1.0),
-                     lambda nu, xs: _ive_asymptotic(nu, xs) * np.exp(xs) / xs**nu, out)
-
-
-def bessel_i(order: Order, x) -> np.ndarray | float:
-    """Modified Bessel I; raises past the representable exp range."""
-    arr = np.asarray(x, dtype=np.float64)
-    _check_domain(arr, "bessel_i")
-    if np.any(arr > 700.0):
-        raise NumericsError("bessel_i", "overflow: use bessel_i_scaled for x > 700")
-    out = np.asarray(bessel_i_scaled(order, arr)) * np.exp(arr)
-    return float(out) if arr.ndim == 0 else out
-
-
 # ---------------------------------------------------------------------------
 # zeros
 

@@ -1,29 +1,33 @@
-"""The checked tables behind closers and atoms.
+"""The one checked table behind closers and atoms.
 
 An `AtomTable` is the one representation of an atom: a ragged table checked
 once with PiecewiseLinear's conditions and read as a sequence of
 (coefficient, atom) rows. An atom holds only its table and row index; its
 function, a read-only view of the row, and its label are built when first
 read and then kept. The public `Atom` constructor builds a one-row table,
-`LocalCascade.materialize` one table per cascade, and
+`random_atoms` joins its atoms into one table, `LocalCascade.materialize`
+takes one table per cascade from its details and closers, and
 `Decomposition.atoms()` joins the cascades' tables and the special rows by
-column. `CloserTable` holds the closers of a cascade in the same layout and
-is read by column. These tests pin the table check to the constructor's
-messages, the views and columns to read-only memory, the rows to building
-nothing until read, the atoms to what the public constructor builds from the
-same numbers, and the joined table to the list of pairs it replaces.
+column. A cascade keeps its closers, unnormalized, as the closer rows of an
+`AtomTable` read by column. These tests pin the table check to the
+constructor's messages, the views and columns to read-only memory, the rows
+to building nothing until read, the atoms to what the public constructor
+builds from the same numbers, the joined table to the list of pairs it
+replaces, a taken row to its source row, and `AtomTable.evaluate` to each
+row's atom, bit for bit.
 """
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbhardy.covers import FAMILY_ONE_END, FAMILY_TWO_END, DyadicCover, Interval
 from fbhardy.hardy import (KIND_CANCELLATIVE, KIND_SPECIAL, Atom, AtomTable,
-                           CascadeLevel, CloserTable, PiecewiseLinear,
-                           atomic_decompose, cascade_decompose,
-                           globalize_special, haar_atom, special_atom,
-                           two_atom_split)
+                           CascadeLevel, PiecewiseLinear, atomic_decompose,
+                           cascade_decompose, globalize_special, haar_atom,
+                           random_atoms, special_atom, two_atom_split)
 from fbhardy.quadrature import MEASURE_LEBESGUE, MEASURE_MU, Measure
 
 from test_cascade_arrays import (_gate10_cases, ref_cascade_decompose,
@@ -31,13 +35,14 @@ from test_cascade_arrays import (_gate10_cases, ref_cascade_decompose,
 
 
 def _table(rows, n_slopes=None):
-    """A CloserTable holding the given rows of breaks, with zero pieces
-    (n_slopes of them, if given, instead of one per piece)."""
+    """A table of closer rows holding the given rows of breaks, with zero
+    pieces (n_slopes of them, if given, instead of one per piece)."""
     counts = [len(r) - 1 for r in rows]
     n_pieces = sum(counts)
-    return CloserTable(
+    return AtomTable(
+        MEASURE_MU, 0.5, np.ones(len(rows)), np.ones(len(rows), dtype=bool),
         np.ones(len(rows), dtype=np.int64), np.arange(len(rows)),
-        np.ones(len(rows)), np.concatenate([[0], np.cumsum(counts)]).astype(np.int64),
+        np.concatenate([[0], np.cumsum(counts)]).astype(np.int64),
         np.concatenate([np.asarray(r, dtype=float) for r in rows]),
         np.zeros(n_pieces if n_slopes is None else n_slopes), np.zeros(n_pieces))
 
@@ -113,9 +118,11 @@ def test_materialized_arrays_are_read_only_views(max_atoms):
 def test_closer_rows_are_read_only_views():
     """Every column of a closer table is read-only and stays so."""
     t = _cascade().closers
-    assert len(t) > 10
+    assert len(t) > 10 and t.closer.all()
     for f in dataclasses.fields(t):
         arr = getattr(t, f.name)
+        if not isinstance(arr, np.ndarray):   # measure, nu and tags
+            continue
         assert not arr.flags.writeable, f.name
         with pytest.raises(ValueError):
             arr[0] = arr[0]
@@ -133,7 +140,7 @@ def test_every_table_column_is_read_only():
     with pytest.raises(ValueError):
         pairs.coef[0] = 5.0
     with pytest.raises(ValueError):
-        cascade.closers.lam[0] = 7.0
+        cascade.closers.coef[0] = 7.0
 
 
 def test_atoms_and_functions_have_no_instance_dict():
@@ -372,3 +379,71 @@ def test_built_atoms_keep_their_fields_and_arrays(measure, family, j):
         _same_pairs([(1.0, got)], [(1.0, want)])
         assert len(got._table) == 1
         _same_pairs(list(got._table), [(1.0, got)])
+
+
+# ---------------------------------------------------------------------------
+# taking rows, and evaluating every row at once
+
+
+def _taken_tables():
+    """A materialized cascade, a random batch (its rows carry tags) and a
+    joined decomposition table (cascade rows and special rows)."""
+    nodes = np.linspace(0.08, 0.40, 9)
+    bump = PiecewiseLinear.from_node_values(nodes, np.sin(np.pi * (nodes - 0.08) / 0.32))
+    return [_cascade().materialize(),
+            random_atoms(np.random.default_rng(5), MEASURE_LEBESGUE, -0.3, 30),
+            atomic_decompose(bump, nu=1.0, measure=MEASURE_MU).atoms()]
+
+
+def test_taken_rows_equal_their_source_rows():
+    rng = np.random.default_rng(17)
+    for table in _taken_tables():
+        n = len(table)
+        assert len(table._take(np.zeros(0, dtype=np.int64))) == 0
+        for order in (rng.permutation(n), np.arange(n)[::-1], rng.integers(0, n, 25)):
+            taken = table._take(order)
+            assert isinstance(taken, AtomTable) and len(taken) == len(order)
+            _same_pairs(list(taken), [table[i] for i in order.tolist()])
+            for name in ("closer", "depth", "cell"):
+                assert getattr(taken, name).tobytes() == getattr(table, name)[order].tobytes()
+            assert not taken.breaks.flags.writeable and not taken.coef.flags.writeable
+
+
+@st.composite
+def tables_and_points(draw):
+    """A random batch (both measures, nu including -0.3), a materialized
+    cascade or a globalized special pair, with points on the table's
+    breaks, one ulp either side of them, outside every support and between."""
+    measure, family = draw(st.sampled_from([(MEASURE_MU, FAMILY_ONE_END),
+                                            (MEASURE_LEBESGUE, FAMILY_TWO_END)]))
+    nu = draw(st.sampled_from([-0.3, 0.5, 1.0]))
+    source = draw(st.sampled_from(["random", "materialize", "special"]))
+    if source == "random":
+        table = random_atoms(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                             measure, nu, draw(st.integers(1, 40)))
+    elif source == "materialize":
+        fn = PiecewiseLinear.from_node_values([0.22, 0.3, 0.41, 0.46],
+                                              [0.0, 1.0, -0.4, 0.0])
+        table = cascade_decompose(fn, Interval(0.2, 0.5), measure, nu,
+                                  detail_cut=draw(st.sampled_from([1e-4, 1e-6]))).materialize()
+    else:
+        j = draw(st.integers(0, 6) if family == FAMILY_ONE_END
+                 else st.sampled_from([-5, -3, -1, 1, 2, 6]))
+        table = globalize_special(DyadicCover(family, zeta=0.02), j, nu, measure,
+                                  draw(st.floats(-3.0, 3.0)))
+    breaks = np.unique(table.breaks)
+    on = breaks[draw(st.lists(st.integers(0, len(breaks) - 1), min_size=1, max_size=80))]
+    between = draw(st.lists(st.floats(0.0, 1.0), max_size=20))
+    x = np.concatenate([on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf), between,
+                        [breaks[0] - 0.25, breaks[-1] + 0.25, -1.0, 2.0]])
+    return table, x
+
+
+@settings(max_examples=40, deadline=None)
+@given(tables_and_points())
+def test_table_evaluate_equals_each_rows_atom(case):
+    table, x = case
+    got = table.evaluate(x)
+    want = np.array([a.evaluate(x) for _, a in table])
+    assert got.shape == (len(table), len(x)) and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()

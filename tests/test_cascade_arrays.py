@@ -20,8 +20,13 @@ replaced, with one remainder pass per depth and two `integral_between` calls
 per depth, kept verbatim apart from their names. Every array a cascade yields
 must be equal to theirs byte for byte: closer columns, detail levels,
 `closure_l1`, `coeff_l1` and `evaluate`.
+
+`LocalCascade.evaluate` finds each point's closer piece with one exact
+`AtomTable._pieces` lookup. `ref_piece_loop_evaluate` is the routine it
+replaced, with a loop over piece positions, kept verbatim apart from its
+name; the two must agree byte for byte, on every closer break and closed
+cell edge and one ulp either side of them.
 """
-import dataclasses
 from typing import NamedTuple
 
 import numpy as np
@@ -31,7 +36,7 @@ from hypothesis import strategies as st
 
 from fbhardy import hardy
 from fbhardy.covers import Interval
-from fbhardy.hardy import (KIND_CANCELLATIVE, Atom, CascadeLevel, CloserTable,
+from fbhardy.hardy import (KIND_CANCELLATIVE, Atom, AtomTable, CascadeLevel,
                            LocalCascade, PiecewiseLinear, atomic_decompose,
                            cascade_decompose)
 from fbhardy.quadrature import MEASURE_LEBESGUE, MEASURE_MU, Measure
@@ -283,7 +288,7 @@ def _check(new, ref, rng):
         == [(c.depth, c.cell) for c in ref.closers]
     exact = [len(c.fn.slopes) == 1 for c in ref.closers]
     one_piece = all(exact)
-    _same_pieces((t.lam, np.diff(t.start), t.breaks, t.slopes, t.intercepts),
+    _same_pieces((t.coef, np.diff(t.start), t.breaks, t.slopes, t.intercepts),
                  _columns([(c.lam, c.fn) for c in ref.closers]), exact)
     _same(new.closure_l1, ref.closure_l1, one_piece)
 
@@ -349,7 +354,7 @@ def test_a_cascade_capped_at_depth_zero_has_no_closers():
 
 def ref_depth_remainders(fn: PiecewiseLinear, depth: int, cells, a, b,
                          sigma_cell: float, measure: str, nu: float) -> tuple:
-    """CloserTable columns (depth, cell, lam, piece counts, breaks, slopes,
+    """Closer columns (depth, cell, lam, piece counts, breaks, slopes,
     intercepts) of the nonzero remainders of fn on the cells [a, b] of one
     depth, all in one pass.
 
@@ -447,8 +452,9 @@ def ref_depth_cascade_decompose(fn: PiecewiseLinear, space: Interval,
         cascade.depth = d + 1
     depth, cell, lam, counts, breaks, slopes, intercepts = (
         [np.concatenate(col) for col in zip(*closed)] or [np.zeros(0)] * 7)
-    cascade.closers = CloserTable(
-        depth.astype(np.int64), cell.astype(np.int64), lam,
+    cascade.closers = AtomTable(
+        measure, nu, lam, np.ones(len(lam), dtype=bool),
+        depth.astype(np.int64), cell.astype(np.int64),
         np.concatenate([[0], np.cumsum(counts)]).astype(np.int64), breaks,
         slopes, intercepts)
     # closure mass summed in closing order, as the closers were found
@@ -475,7 +481,8 @@ def _cascade_bytes(c):
     the detail levels, closure_l1, coeff_l1, the depth reached, and evaluate
     on a grid around the space and on every closed cell's edges."""
     t = c.closers
-    cols = [getattr(t, f.name) for f in dataclasses.fields(t)]
+    cols = [getattr(t, name) for name in ("coef", "closer", "depth", "cell", "start",
+                                          "breaks", "slopes", "intercepts")]
     cols += [v for lev in c.levels for v in (np.int64(lev.depth), lev.idx, lev.lam)]
     x = np.concatenate([np.linspace(c.space.a - 0.02, c.space.b + 0.02, 2001),
                         *c.edges(t.depth, t.cell)])
@@ -536,3 +543,73 @@ def test_edge_cascades_equal_the_per_depth_passes(fn, space, depth_cap,
                                                   n_closers, measure):
     new = _same_as_per_depth(fn, space, measure, 0.5, depth_cap=depth_cap)
     assert n_closers is None or len(new.closers) == n_closers
+
+
+# ---------------------------------------------------------------------------
+# the closers' piece lookup against the per-position loop it replaced
+
+
+def ref_piece_loop_evaluate(self, x):
+    """Mean part, all retained details, and the closing remainders."""
+    x = np.asarray(x, dtype=float)
+    inside = (x > self.space.a) & (x <= self.space.b)
+    out = np.where(inside, self.mean_coef / self.sigma_total, 0.0)
+    u = self._u(x)
+    for lev in self.levels:
+        cell = np.floor(u * 2.0**lev.depth).astype(np.int64)
+        pos = np.searchsorted(lev.idx, cell)
+        pos_c = np.clip(pos, 0, len(lev.idx) - 1)
+        hit = inside & (lev.idx[pos_c] == cell)
+        sign = np.where(np.floor(u * 2.0 ** (lev.depth + 1)) % 2 == 0,
+                        1.0, -1.0)
+        sigma_cell = self.sigma_total / 2.0**lev.depth
+        out = out + np.where(hit, sign * lev.lam[pos_c] / sigma_cell, 0.0)
+    t = self.closers
+    if len(t) == 0:
+        return out
+    u0 = np.ldexp(t.cell.astype(float), -t.depth)
+    order = np.argsort(u0)
+    j = order[np.maximum(np.searchsorted(u0[order], u, side="right") - 1, 0)]
+    hit = inside & (np.floor(np.ldexp(u, t.depth[j])) == t.cell[j])
+    first, count = t.start[j], t.start[j + 1] - t.start[j]
+    xc = np.clip(x, t.breaks[first + j], t.breaks[first + j + count])
+    piece = first
+    for q in range(1, int(np.max(count, initial=1))):   # later pieces
+        nxt = t.breaks[np.minimum(first + j + q, len(t.breaks) - 1)]
+        piece = piece + ((q < count) & (nxt <= xc))
+    return out + np.where(hit, t.slopes[piece] * xc + t.intercepts[piece], 0.0)
+
+
+def _same_as_piece_loop(c):
+    """evaluate equals the piece loop bit for bit on a grid around the space,
+    on every closer break and closed cell edge, and one ulp either side."""
+    t = c.closers
+    edges = np.concatenate([t.breaks, *c.edges(t.depth, t.cell)])
+    x = np.concatenate([np.linspace(c.space.a - 0.02, c.space.b + 0.02, 2001), edges,
+                        np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+    assert c.evaluate(x).tobytes() == ref_piece_loop_evaluate(c, x).tobytes()
+
+
+def test_gate10_piece_lookup_equals_the_piece_loop(monkeypatch):
+    seen = []
+
+    def keep(*args, **kw):
+        seen.append(cascade_decompose(*args, **kw))
+        return seen[-1]
+    monkeypatch.setattr(hardy, "cascade_decompose", keep)
+    for measure, fn in _gate10_cases():
+        atomic_decompose(fn, nu=0.5, measure=measure)
+    assert max(np.diff(c.closers.start).max(initial=0) for c in seen) > 1
+    for c in seen:
+        _same_as_piece_loop(c)
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cascade_inputs())
+def test_drawn_piece_lookup_equals_the_piece_loop(inputs):
+    fn, space, measure, nu, cut, depth_cap = inputs
+    sigma = float(Measure.of(measure, nu).interval(space.a, space.b))
+    _same_as_piece_loop(cascade_decompose(
+        fn, space, measure, nu, depth_cap=depth_cap,
+        detail_cut=cut * max(fn.sup_norm() * sigma, 1e-300)))

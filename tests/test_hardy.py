@@ -450,10 +450,11 @@ def test_random_atoms_are_valid_and_deterministic():
         atoms = random_atoms(np.random.default_rng(20240), measure, 0.5,
                              count=60)
         assert len(atoms) == 60
-        for atom in atoms:
+        for _, atom in atoms:
             assert validate_atom(atom)["valid"], atom.label
         again = random_atoms(np.random.default_rng(20240), measure, 0.5,
                              count=60)
+        atoms, again = [a for _, a in atoms], [b for _, b in again]
         assert [a.label for a in atoms] == [b.label for b in again]
         assert all(a.interval.a == b.interval.a for a, b in zip(atoms, again))
 
