@@ -462,10 +462,10 @@ class AtomTable(Sequence):
     breaks[start[i] + i]. A row in tags carries its own (kind, label); every
     other row is a cancellative cascade row of cell[i] at depth[i]: a Haar
     detail's two-bar atom, or a closer (closer[i] set), which a cascade holds
-    as its remainder and materialize scales by 1/coef[i] into an atom. The
-    table is checked once, when built, and read-only; indexing and iteration
-    yield (coef, atom) pairs whose atoms build their views and labels when
-    first read."""
+    as its remainder and writes as an atom scaled by 1/coef[i]. A table is
+    checked once, when built (_concat writes checked rows), and read-only;
+    indexing and iteration yield (coef, atom) pairs whose atoms build their
+    views and labels when first read."""
     measure: str
     nu: float
     coef: np.ndarray
@@ -495,34 +495,29 @@ class AtomTable(Sequence):
         return table
 
     @classmethod
-    def _concat(cls, tables) -> "AtomTable":
-        """The rows of the tables, which share one measure and order nu, in
-        order as one table, joined by column: no atom object is built."""
-        rows = np.cumsum([0] + [len(t) for t in tables]).tolist()
-        pieces = np.cumsum([0] + [t.start[-1] for t in tables])
-        cols = {name: np.concatenate([getattr(t, name) for t in tables])
-                for name in ("coef", "closer", "depth", "cell", "breaks",
-                             "slopes", "intercepts")}
-        start = np.concatenate([[0]] + [t.start[1:] + p for t, p in zip(tables, pieces)])
-        return cls._unchecked(measure=tables[0].measure, nu=tables[0].nu, start=start, **cols,
-                              tags={r + i: tag for t, r in zip(tables, rows)
-                                    for i, tag in t.tags.items()})
+    def _concat(cls, parts) -> "AtomTable":
+        """The rows of the parts (tables or cascades of one measure and order
+        nu) in order as one table, sized once, each part writing its rows."""
+        shapes = np.array([t._shape() for t in parts], dtype=np.int64)
+        rows, pieces = shapes.sum(axis=0).tolist()
+        cols = dict(coef=np.empty(rows), closer=np.empty(rows, bool), tags={},
+                    depth=np.empty(rows, np.int64), cell=np.empty(rows, np.int64),
+                    start=np.zeros(rows + 1, np.int64), breaks=np.empty(rows + pieces),
+                    slopes=np.zeros(pieces), intercepts=np.empty(pieces))
+        for t, (row, piece) in zip(parts, (np.cumsum(shapes, axis=0) - shapes).tolist()):
+            t._write(cols, row, piece)
+        return cls._unchecked(measure=parts[0].measure, nu=parts[0].nu, **cols)
 
-    def _take(self, order) -> "AtomTable":
-        """The rows order[0], order[1], ... as one table, copied by column."""
-        n, counts = len(order), np.diff(self.start)[order]
-        start = np.concatenate([[0], np.cumsum(counts)])
-        first = self.start[order] - start[:-1]
-        piece = np.repeat(first, counts) + np.arange(start[-1])
-        brk = np.repeat(first + order - np.arange(n), counts + 1)
-        brk += np.arange(start[-1] + n)
-        return AtomTable._unchecked(
-            measure=self.measure, nu=self.nu, coef=self.coef[order],
-            closer=self.closer[order], depth=self.depth[order], cell=self.cell[order],
-            start=start, breaks=self.breaks[brk], slopes=self.slopes[piece],
-            intercepts=self.intercepts[piece], tags={
-                i: self.tags[r] for i, r in enumerate(order.tolist())
-                if r in self.tags} if self.tags else {})
+    def _shape(self) -> tuple:
+        return len(self), self.start.item(-1)
+
+    def _write(self, cols: dict, row: int, piece: int) -> None:
+        """Copy the rows into cols (see _concat) from row `row` and piece `piece` on."""
+        for name, at in (("coef", row), ("closer", row), ("depth", row), ("cell", row),
+                         ("breaks", row + piece), ("slopes", piece), ("intercepts", piece)):
+            cols[name][at:at + len(getattr(self, name))] = getattr(self, name)
+        cols["start"][row + 1:row + len(self) + 1] = self.start[1:] + piece
+        cols["tags"].update({row + i: tag for i, tag in self.tags.items()})
 
     def _pieces(self, rows, x):
         """The piece of row rows[i] holding x[i] (broadcast; a row's end
@@ -563,6 +558,11 @@ class AtomTable(Sequence):
                 f"[d{self.depth.item(i)},k{self.cell.item(i)}]")
 
 
+def _ragged(first, counts):
+    """first[i] + 0, 1, ..., counts[i] - 1, for each i in order."""
+    return np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+
+
 def _remainders(fn: PiecewiseLinear, depth, cells, a, b, sigma_total: float,
                 measure: str, nu: float) -> AtomTable:
     """The nonzero remainders of fn on the cells [a, b] at the given depths,
@@ -580,8 +580,7 @@ def _remainders(fn: PiecewiseLinear, depth, cells, a, b, sigma_total: float,
     n_breaks = np.searchsorted(br, b[sel], side="left") - first + 2
     start, last = np.cumsum(n_breaks) - n_breaks, np.cumsum(n_breaks) - 1
     owner = np.repeat(np.arange(len(sel)), n_breaks)
-    brk = br[np.clip(np.arange(len(owner)) - start[owner] + first[owner] - 1,
-                     0, len(br) - 1)]
+    brk = br[np.clip(_ragged(first - 1, n_breaks), 0, len(br) - 1)]
     brk[start], brk[last] = a[sel], b[sel]
     left = np.delete(np.arange(len(brk)), last)
     x0, x1, owner = brk[left], brk[left + 1], owner[left]
@@ -673,36 +672,51 @@ class LocalCascade:
         scale = np.ldexp(self.sigma_total, -np.asarray(depth))
         return tuple(meas.quantile(c0 + (k + o) * scale) for o in (0.0, 0.5, 1.0))
 
-    def _details(self) -> AtomTable:
-        """The retained Haar details as two-bar atom rows, in level order,
-        checked (a cell too deep to split fails as haar_atom does). Built
-        apart, so its temporaries are freed before materialize takes rows."""
-        depth = np.concatenate([np.full(len(lev.idx), lev.depth) for lev in self.levels]
-                               + [self.closers.depth[:0]])
-        cell = np.concatenate([lev.idx for lev in self.levels] + [self.closers.cell[:0]])
-        lam = np.concatenate([lev.lam for lev in self.levels] + [self.closers.coef[:0]])
-        edges = self.edges(depth, cell)
-        return AtomTable(self.measure, self.nu, lam, np.zeros(len(lam), bool), depth, cell,
-                         2 * np.arange(len(lam) + 1), np.column_stack(edges).ravel(),
-                         np.zeros(2 * len(lam)), np.column_stack(
-                             _haar_levels(*edges, self.measure, self.nu)).ravel())
+    def _shape(self) -> tuple:
+        n_details = sum(len(lev.idx) for lev in self.levels)
+        return n_details + len(self.closers), 2 * n_details + self.closers.start.item(-1)
 
-    def materialize(self) -> AtomTable:
-        """Largest-coefficient pieces as explicit atoms: the detail rows and
-        the closer rows joined, taken in (-|coef|, depth, cell) order, and
-        the closers scaled by 1/coef. Their (coef, atom) rows build each
-        atom's function, a view of the table, and label when first read."""
+    def _write(self, cols: dict, row: int, piece: int) -> None:
+        """Write the atoms into cols (see _concat) from row `row` and piece
+        `piece` on, in (-|coef|, depth, cell) order: each Haar detail's two-bar
+        atom, checked as haar_atom checks it, and each closer scaled by 1/coef.
+        The keys are sorted in the table's own columns; no row is copied twice."""
         t = self.closers
         with np.errstate(divide="ignore", over="ignore"):
             bad = np.flatnonzero(~np.isfinite(1.0 / t.coef))
         for j in bad[np.lexsort((t.cell[bad], t.depth[bad], -np.abs(t.coef[bad])))][:1]:  # largest
             raise NumericsError("materialize", f"closer [d{t.depth[j]},k{t.cell[j]}]: "
                                 f"coefficient {t.coef[j]:.3e} cannot be normalized")
-        rows = AtomTable._concat([self._details(), t])
-        rows = rows._take(np.lexsort((rows.cell, rows.depth, -np.abs(rows.coef))))
-        scale = np.repeat(1.0 / np.where(rows.closer, rows.coef, 1.0), np.diff(rows.start))
-        return AtomTable._unchecked(**vars(rows) | {"slopes": rows.slopes * scale,
-                                                    "intercepts": rows.intercepts * scale})
+        n_details = (n := self._shape()[0]) - len(t)
+        coef, closer, depth, cell = (cols[k][row:row + n]
+                                     for k in ("coef", "closer", "depth", "cell"))
+        for col, name, last in ((coef, "lam", t.coef), (depth, "depth", t.depth),
+                                (cell, "idx", t.cell)):
+            np.concatenate([np.broadcast_to(getattr(lev, name), len(lev.idx))
+                            for lev in self.levels] + [last], out=col)
+        src = np.lexsort((cell, depth, -np.abs(coef)))
+        for col in (coef, depth, cell):
+            col[:] = col[src]
+        src = src[np.greater_equal(src, n_details, out=closer)] - n_details   # closers' rows of t
+        first, n_pieces = cols["start"][row:row + n + 1], np.diff(t.start)[src]
+        first[1:], first[1:][closer] = 2, n_pieces      # first[0] is piece; then piece counts
+        np.cumsum(first, out=first)
+        edges = self.edges(depth[~closer], cell[~closer])
+        if (np.diff(edges, axis=0) <= 0).any():
+            raise ValueError("breaks must be strictly increasing, length >= 2")
+        brk = cols["breaks"][row + piece:row + n + first.item(-1)]
+        on = np.repeat(closer, np.diff(first) + 1)      # the closers' breaks; below, pieces
+        brk[~on] = np.column_stack(edges).ravel()
+        brk[on] = t.breaks[_ragged(t.start[src] + src, n_pieces + 1)]
+        slopes, intercepts = (cols[k][piece:first.item(-1)] for k in ("slopes", "intercepts"))
+        on = np.repeat(closer, np.diff(first))          # details keep _concat's zero slopes
+        intercepts[~on] = np.column_stack(_haar_levels(*edges, self.measure, self.nu)).ravel()
+        at, scale = _ragged(t.start[src], n_pieces), np.repeat(1.0 / coef[closer], n_pieces)
+        slopes[on], intercepts[on] = t.slopes[at] * scale, t.intercepts[at] * scale
+
+    def materialize(self) -> AtomTable:
+        """The atoms, written once by _write, as the (coef, atom) rows of a table."""
+        return AtomTable._concat([self])
 
 
 def cascade_decompose(fn: PiecewiseLinear, space: Interval, measure: str,
@@ -789,13 +803,13 @@ class Decomposition:
         return out
 
     def atoms(self) -> "AtomTable | tuple":
-        """(coefficient, atom) rows, piece by piece: the cascade's
-        materialized atoms, then its globalized special rows, joined by
-        column into one read-only AtomTable (an empty tuple when no piece is
-        left). len is O(1); no atom object exists until its row is read."""
-        tables = [t for cascade, special in self.pieces
-                  for t in (cascade.materialize(), special) if len(t)]
-        return AtomTable._concat(tables) if tables else ()
+        """(coefficient, atom) rows, piece by piece: the cascade's atoms, as
+        materialize writes them, then its globalized special rows, written
+        once into one read-only AtomTable sized up front (an empty tuple when
+        no row is left). len is O(1); no atom exists until its row is read."""
+        parts = [t for piece in self.pieces for t in piece if not isinstance(t, tuple)]
+        table = AtomTable._concat(parts) if parts else ()
+        return table if len(table) else ()
 
     def coeff_l1(self) -> float:
         total = 0.0

@@ -14,8 +14,8 @@ is 1/sqrt(2 pi x).
 Every sum stops per element, so a value depends on its own argument alone.
 One ascending series serves J and I (q = -x^2/4 or x^2/4): an element stops
 at its first term below 1e-18 of its own sum, which comes after its largest
-term, so every later term is below half an ulp of the sum and rounds away; a
-block sorted by x keeps its live elements a prefix, cut every fourth term.
+term, so later terms round away and a block is cut exactly, every fourth term,
+after its last live element, in any order (a one-byte key of |x| puts them first).
 The asymptotic sums stop at an element's smallest term or its first term
 below 1e-18, read from one per-order table of the gaps between the sorted
 thresholds, one search per element; elements within 1e-12 of a threshold are
@@ -68,12 +68,13 @@ class Order:
 def _over_series(nu: float, x: np.ndarray, sign: float) -> np.ndarray:
     """J_nu(x) / x^nu (sign -1) or I_nu(x) / x^nu (sign +1) by the ascending
     series in q = sign x^2 / 4; entire in x^2, no 0^nu issues.  The terms
-    needed grow with x, so in each block sorted by x the live elements are a
-    prefix, cut (every fourth term) after the last one not yet converged."""
+    needed grow with x, so a block ordered by 255 - min(4|x|, 255) (a radix
+    sort) is cut, every fourth term, after the last element not converged."""
     q = 0.25 * x * x
     out = np.empty_like(q)
     for lo in range(0, q.size, _CHUNK):
-        order = lo + np.argsort(-q[lo:lo + _CHUNK])
+        key = 255.0 - np.minimum(4.0 * np.abs(x[lo:lo + _CHUNK]), 255.0)
+        order = lo + np.argsort(key.astype(np.uint8), kind="stable")
         qs = sign * q[order]
         term = np.full_like(qs, math.exp(-nu * math.log(2.0) - lgamma(nu + 1.0)))
         acc, n = term.copy(), qs.size
@@ -344,8 +345,8 @@ def bessel_zeros(order: Order, count: int, zero_tol: float = 1e-12,
         if iters > iter_cap:
             raise NumericsError("bessel_zeros", f"iteration cap {iter_cap} exceeded")
     res = np.abs(np.asarray(bessel_j(order, roots)))
-    if np.max(res) > zero_tol:
+    if res[worst := int(np.argmax(res))] > zero_tol:
         raise NumericsError(
-            "bessel_zeros",
-            f"residual {np.max(res):.3e} above tolerance {zero_tol:.1e}")
+            "bessel_zeros", f"residual above zero_tol = {zero_tol:.1e} at nu = {nu:g}, "
+            f"n_zeros = {count}: zero {worst + 1} has residual {res[worst]:.3e}")
     return BesselZeroTable(order=order, zeros=roots, residuals=res)

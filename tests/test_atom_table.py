@@ -5,16 +5,24 @@ once with PiecewiseLinear's conditions and read as a sequence of
 (coefficient, atom) rows. An atom holds only its table and row index; its
 function, a read-only view of the row, and its label are built when first
 read and then kept. The public `Atom` constructor builds a one-row table,
-`random_atoms` joins its atoms into one table, `LocalCascade.materialize`
-takes one table per cascade from its details and closers, and
-`Decomposition.atoms()` joins the cascades' tables and the special rows by
-column. A cascade keeps its closers, unnormalized, as the closer rows of an
-`AtomTable` read by column. These tests pin the table check to the
-constructor's messages, the views and columns to read-only memory, the rows
-to building nothing until read, the atoms to what the public constructor
-builds from the same numbers, the joined table to the list of pairs it
-replaces, a taken row to its source row, and `AtomTable.evaluate` to each
-row's atom, bit for bit.
+`random_atoms` joins its atoms into one table, and a cascade keeps its
+closers, unnormalized, as the closer rows of an `AtomTable` read by column.
+One writer, `LocalCascade._write`, puts a cascade's detail and closer rows
+straight into the columns of a table: `LocalCascade.materialize` sizes a
+table of its own for it, and `Decomposition.atoms()` sizes one table for
+every piece and writes each piece's special rows after its cascade's.
+These tests pin the table check to the constructor's messages, the views
+and columns to read-only memory, the rows to building nothing until read,
+the atoms to what the public constructor builds from the same numbers, the
+joined table to the list of pairs it replaces, and `AtomTable.evaluate` to
+each row's atom, bit for bit.
+
+`ref_details`, `ref_concat`, `ref_take`, `ref_materialize_table` and
+`ref_atoms_table` are the path the writer replaced: a checked detail table,
+joined to the closers, taken in order and rescaled, then joined again across
+pieces. They are kept verbatim apart from their names, with `self` an
+argument. `materialize()` and `atoms()` must equal them column for column,
+byte for byte, with the same tags and labels.
 """
 import dataclasses
 
@@ -23,11 +31,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fbhardy.errors import NumericsError
 from fbhardy.covers import FAMILY_ONE_END, FAMILY_TWO_END, DyadicCover, Interval
 from fbhardy.hardy import (KIND_CANCELLATIVE, KIND_SPECIAL, Atom, AtomTable,
-                           CascadeLevel, PiecewiseLinear, atomic_decompose,
-                           cascade_decompose, globalize_special, haar_atom,
-                           random_atoms, special_atom, two_atom_split)
+                           CascadeLevel, Decomposition, PiecewiseLinear,
+                           _haar_levels, atomic_decompose, cascade_decompose,
+                           globalize_special, haar_atom, random_atoms,
+                           special_atom, two_atom_split)
 from fbhardy.quadrature import MEASURE_LEBESGUE, MEASURE_MU, Measure
 
 from test_cascade_arrays import (_gate10_cases, ref_cascade_decompose,
@@ -90,6 +100,23 @@ def test_materialize_rejects_a_degenerate_detail_as_haar_atom_does():
         want = _message(lambda: haar_atom(left, med, right, 0.5,
                                           MEASURE_LEBESGUE))
         assert _message(broken.materialize) == want
+
+
+def test_atoms_reject_a_degenerate_detail_as_haar_atom_does():
+    """The same depth-80 level in one piece of a decomposition fails atoms()
+    with the constructor's message, before its levels are taken."""
+    fn = PiecewiseLinear.tent(0.3, 0.62, 1.0)
+    dec = atomic_decompose(fn, nu=0.5, measure=MEASURE_LEBESGUE, depth_cap=8)
+    cascade, special = dec.pieces[1]
+    deep = CascadeLevel(depth=80, idx=np.array([3]), lam=np.array([1e3]))
+    broken = dataclasses.replace(cascade, levels=cascade.levels + [deep])
+    left, med, right = (float(e[0]) for e in broken.edges(80, [3]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = _message(lambda: haar_atom(left, med, right, 0.5, MEASURE_LEBESGUE))
+    pieces = dec.pieces[:1] + [(broken, special)] + dec.pieces[2:]
+    with np.errstate(divide="raise", invalid="raise"):
+        assert _message(Decomposition(MEASURE_LEBESGUE, 0.5, pieces).atoms) == want
+    assert want == "breaks must be strictly increasing, length >= 2"
 
 
 def _cascade(build=cascade_decompose):
@@ -382,7 +409,145 @@ def test_built_atoms_keep_their_fields_and_arrays(measure, family, j):
 
 
 # ---------------------------------------------------------------------------
-# taking rows, and evaluating every row at once
+# the one writer against the path it replaced, and evaluating every row at once
+
+
+def ref_details(self) -> AtomTable:
+    depth = np.concatenate([np.full(len(lev.idx), lev.depth) for lev in self.levels]
+                           + [self.closers.depth[:0]])
+    cell = np.concatenate([lev.idx for lev in self.levels] + [self.closers.cell[:0]])
+    lam = np.concatenate([lev.lam for lev in self.levels] + [self.closers.coef[:0]])
+    edges = self.edges(depth, cell)
+    return AtomTable(self.measure, self.nu, lam, np.zeros(len(lam), bool), depth, cell,
+                     2 * np.arange(len(lam) + 1), np.column_stack(edges).ravel(),
+                     np.zeros(2 * len(lam)), np.column_stack(
+                         _haar_levels(*edges, self.measure, self.nu)).ravel())
+
+
+def ref_concat(tables) -> AtomTable:
+    rows = np.cumsum([0] + [len(t) for t in tables]).tolist()
+    pieces = np.cumsum([0] + [t.start[-1] for t in tables])
+    cols = {name: np.concatenate([getattr(t, name) for t in tables])
+            for name in ("coef", "closer", "depth", "cell", "breaks",
+                         "slopes", "intercepts")}
+    start = np.concatenate([[0]] + [t.start[1:] + p for t, p in zip(tables, pieces)])
+    return AtomTable._unchecked(measure=tables[0].measure, nu=tables[0].nu, start=start, **cols,
+                                tags={r + i: tag for t, r in zip(tables, rows)
+                                      for i, tag in t.tags.items()})
+
+
+def ref_take(self, order) -> AtomTable:
+    n, counts = len(order), np.diff(self.start)[order]
+    start = np.concatenate([[0], np.cumsum(counts)])
+    first = self.start[order] - start[:-1]
+    piece = np.repeat(first, counts) + np.arange(start[-1])
+    brk = np.repeat(first + order - np.arange(n), counts + 1)
+    brk += np.arange(start[-1] + n)
+    return AtomTable._unchecked(
+        measure=self.measure, nu=self.nu, coef=self.coef[order],
+        closer=self.closer[order], depth=self.depth[order], cell=self.cell[order],
+        start=start, breaks=self.breaks[brk], slopes=self.slopes[piece],
+        intercepts=self.intercepts[piece], tags={
+            i: self.tags[r] for i, r in enumerate(order.tolist())
+            if r in self.tags} if self.tags else {})
+
+
+def ref_materialize_table(self) -> AtomTable:
+    t = self.closers
+    with np.errstate(divide="ignore", over="ignore"):
+        bad = np.flatnonzero(~np.isfinite(1.0 / t.coef))
+    for j in bad[np.lexsort((t.cell[bad], t.depth[bad], -np.abs(t.coef[bad])))][:1]:  # largest
+        raise NumericsError("materialize", f"closer [d{t.depth[j]},k{t.cell[j]}]: "
+                            f"coefficient {t.coef[j]:.3e} cannot be normalized")
+    rows = ref_concat([ref_details(self), t])
+    rows = ref_take(rows, np.lexsort((rows.cell, rows.depth, -np.abs(rows.coef))))
+    scale = np.repeat(1.0 / np.where(rows.closer, rows.coef, 1.0), np.diff(rows.start))
+    return AtomTable._unchecked(**vars(rows) | {"slopes": rows.slopes * scale,
+                                                "intercepts": rows.intercepts * scale})
+
+
+def ref_atoms_table(self) -> "AtomTable | tuple":
+    tables = [t for cascade, special in self.pieces
+              for t in (ref_materialize_table(cascade), special) if len(t)]
+    return ref_concat(tables) if tables else ()
+
+
+def _same_table(got, want):
+    """Two tables hold the same columns (dtype and bytes, read-only), tags,
+    labels and kinds."""
+    assert isinstance(got, AtomTable) and isinstance(want, AtomTable)
+    assert (got.measure, got.nu, len(got)) == (want.measure, want.nu, len(want))
+    for f in dataclasses.fields(AtomTable):
+        g, w = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(w, np.ndarray):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), f.name
+            assert not g.flags.writeable, f.name
+    assert got.tags == want.tags
+    assert [(a.label, a.kind) for _, a in got] == [(a.label, a.kind) for _, a in want]
+
+
+@st.composite
+def decomposition_inputs(draw):
+    """A piecewise-linear input whose support crosses several cover cells,
+    either measure, nu in {-0.3, 1/2, 1}, three cuts and two depth caps."""
+    a = draw(st.floats(0.08, 0.5))
+    nodes = np.linspace(a, a + draw(st.floats(0.05, 0.3)), n := draw(st.integers(2, 6)))
+    values = draw(st.lists(st.integers(-1000, 1000), min_size=n, max_size=n))
+    fn = PiecewiseLinear.from_node_values(nodes, np.asarray(values) * 1e-3)
+    return (fn, draw(st.sampled_from([-0.3, 0.5, 1.0])),
+            draw(st.sampled_from([MEASURE_MU, MEASURE_LEBESGUE])),
+            draw(st.sampled_from([1e-2, 1e-4, 1e-6])), draw(st.sampled_from([6, 26])))
+
+
+@settings(max_examples=30, deadline=None)
+@given(decomposition_inputs())
+def test_written_tables_equal_the_joined_and_taken_path(inputs):
+    fn, nu, measure, tol, depth_cap = inputs
+    dec = atomic_decompose(fn, nu=nu, measure=measure, reconstruct_tol=tol,
+                           depth_cap=depth_cap)
+    got, want = dec.atoms(), ref_atoms_table(dec)
+    assert (got == ()) == (want == ())
+    if want != ():
+        _same_table(got, want)
+    for cascade, _ in dec.pieces:
+        _same_table(cascade.materialize(), ref_materialize_table(cascade))
+
+
+def test_gate10_tables_equal_the_joined_and_taken_path():
+    """The four gate-10 decompositions (more than 100 000 rows), the bump at
+    nu = -0.3 and a mu tent of several pieces at nu = 1."""
+    cases = [(measure, fn, 0.5) for measure, fn in _gate10_cases()] + [
+        (MEASURE_MU, _gate10_cases()[0][1], -0.3),
+        (MEASURE_MU, PiecewiseLinear.tent(0.3, 0.62, 1.0), 1.0)]
+    for measure, fn, nu in cases:
+        dec = atomic_decompose(fn, nu=nu, measure=measure)
+        _same_table(dec.atoms(), ref_atoms_table(dec))
+    assert len(dec.pieces) > 1
+
+
+def test_coefficient_ties_order_by_depth_then_cell():
+    """Rows of equal |coef| come by depth, then by cell: a closer's row
+    precedes the detail rows of later cells at its depth that tie with it."""
+    cascade = _cascade()
+    t = cascade.closers
+    d, k, lam = t.depth.item(0), t.cell.item(0), t.coef.item(0)
+    tie = CascadeLevel(depth=d, idx=np.array([k + 1, k + 3]), lam=np.array([-lam, lam]))
+    tied = dataclasses.replace(cascade, levels=[tie])
+    got = tied.materialize()
+    _same_table(got, ref_materialize_table(tied))
+    labels = [a.label for _, a in got]
+    i = labels.index(f"closer[d{d},k{k}]")
+    assert labels[i:i + 3] == [f"closer[d{d},k{k}]", f"haar[d{d},k{k + 1}]", f"haar[d{d},k{k + 3}]"]
+
+
+def test_an_empty_cascade_writes_no_rows():
+    """A cascade capped at depth 0 holds no detail and no closer: its table
+    is empty, and a decomposition of such pieces has no atoms."""
+    fn = PiecewiseLinear.tent(0.25, 0.45, 1.0)
+    cascade = cascade_decompose(fn, Interval(0.2, 0.5), MEASURE_MU, 0.5, depth_cap=0)
+    _same_table(cascade.materialize(), ref_materialize_table(cascade))
+    assert len(cascade.materialize()) == 0
+    assert Decomposition(MEASURE_MU, 0.5, [(cascade, ())] * 2).atoms() == ()
 
 
 def _taken_tables():
@@ -396,12 +561,14 @@ def _taken_tables():
 
 
 def test_taken_rows_equal_their_source_rows():
+    """ref_take, the reference that the written tables are compared
+    against, takes rows as indexing reads them."""
     rng = np.random.default_rng(17)
     for table in _taken_tables():
         n = len(table)
-        assert len(table._take(np.zeros(0, dtype=np.int64))) == 0
+        assert len(ref_take(table, np.zeros(0, dtype=np.int64))) == 0
         for order in (rng.permutation(n), np.arange(n)[::-1], rng.integers(0, n, 25)):
-            taken = table._take(order)
+            taken = ref_take(table, order)
             assert isinstance(taken, AtomTable) and len(taken) == len(order)
             _same_pairs(list(taken), [table[i] for i in order.tolist()])
             for name in ("closer", "depth", "cell"):

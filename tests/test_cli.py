@@ -8,6 +8,7 @@ quadrature keep this module fast.
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -287,6 +288,24 @@ def test_small_zero_table_fails_uchiyama(tmp_path, small_cfg, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["error"] == "numerics"
     assert report["operation"] == "uchiyama"
+
+
+@pytest.mark.parametrize("nu, zero_tol, tol_text", [("9", None, "1.0e-12"),
+                                                     ("0", "1e-300", "1.0e-300")])
+def test_zero_table_refusal_names_its_inputs(tmp_path, nu, zero_tol, tol_text, capsys):
+    """A zero table that misses its residual tolerance (at nu = 9, where J is
+    off; at nu = 0, under a tolerance no float meets) is refused with nu,
+    the worst zero, n_zeros and zero_tol named, and no table written."""
+    cfg = tmp_path / "zeros.cfg"
+    cfg.write_text("n_zeros = 64\n" + (f"zero_tol = {zero_tol}\n" if zero_tol else ""))
+    out = tmp_path / "out"
+    rc = run(["--nu", nu, "zeros"], cfg=str(cfg), out=out)
+    assert rc == 1
+    report = json.loads(capsys.readouterr().out)
+    assert (report["error"], report["operation"]) == ("numerics", "bessel_zeros")
+    assert re.fullmatch(rf"residual above zero_tol = {tol_text} at nu = {nu}, n_zeros = 64: "
+                        r"zero \d+ has residual \d\.\d{3}e[-+]\d+", report["detail"])
+    assert not (out / "zeros.csv").exists()
 
 
 def test_unknown_config_key_exits_two(tmp_path, capsys):

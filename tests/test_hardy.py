@@ -393,6 +393,26 @@ def test_materialize_refuses_closer_it_cannot_normalize(measure):
             cascade.materialize()
 
 
+@pytest.mark.parametrize("measure", [MEASURE_MU, MEASURE_LEBESGUE])
+def test_atoms_refuse_closer_as_materialize_does(measure):
+    """A decomposition holding that cascade after a sound one refuses its
+    atoms with materialize's NumericsError, which names the same closer."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tiny = cascade_decompose(PiecewiseLinear.tent(0.25, 0.45, 1e-307),
+                                 Interval(0.2, 0.5), measure, 0.5)
+        sound = cascade_decompose(PiecewiseLinear.tent(0.25, 0.45, 1.0),
+                                  Interval(0.2, 0.5), measure, 0.5)
+        errors = []
+        for call in (tiny.materialize,
+                     Decomposition(measure, 0.5, [(sound, ()), (tiny, ())]).atoms):
+            with pytest.raises(NumericsError) as info:
+                call()
+            errors.append((info.value.operation, info.value.detail))
+    assert errors[0] == errors[1]
+    assert errors[0][0] == "materialize" and "cannot be normalized" in errors[0][1]
+
+
 def test_cascade_rejects_empty_space():
     fn = PiecewiseLinear.tent(0.25, 0.45, 1.0)
     with pytest.raises(ValueError):

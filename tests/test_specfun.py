@@ -236,3 +236,26 @@ def test_a_block_keeps_its_bits_next_to_a_block_of_later_stops(nu, lo, hi):
     assert stop_of(big) < stop_of(x)
     for fn in (bessel_j, besselj_over_xnu):
         assert np.array_equal(fn(order, x)[:specfun._CHUNK], fn(order, big)), fn.__name__
+
+
+@settings(max_examples=40, deadline=None)
+@given(nu=st.sampled_from([-0.3, 0.0, 0.5, 1.0, 2.5, 7.5]), sign=st.sampled_from([-1.0, 1.0]),
+       size=st.integers(1, 2 * specfun._CHUNK + 5), seed=st.integers(0, 2**32 - 1))
+def test_series_bits_do_not_depend_on_the_order_of_the_points(nu, sign, size, seed):
+    """Each element of the ascending series stops on its own, so the cut
+    after a block's last live element is exact whatever the order: any
+    permutation of the points permutes the values, bit for bit.  The points
+    hold the series' switch (J's or I's), J's zeros and their neighbours."""
+    order = Order(nu)
+    switch = order.j_switch if sign < 0 else order.i_switch
+    zeros = bessel_zeros(order, 8).zeros
+    zeros = zeros[zeros < switch]
+    special = np.concatenate([[0.0, switch, np.nextafter(switch, 0.0)], zeros,
+                              np.nextafter(zeros, 0.0), np.nextafter(zeros, np.inf),
+                              zeros * (1.0 + 1e-9)])
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, switch, size)
+    x[rng.choice(size, min(size, len(special)), replace=False)] = special[:size]
+    want = specfun._over_series(nu, x, sign)
+    for perm in (rng.permutation(size), np.arange(size)[::-1], np.argsort(x)):
+        assert specfun._over_series(nu, x[perm], sign).tobytes() == want[perm].tobytes()
