@@ -295,20 +295,21 @@ def special_atom(cover: DyadicCover, j: int, nu: float, measure: str,
 def _haar_levels(a, m, b, measure: str, nu: float) -> tuple:
     """Levels of the two-bar atoms on [a, m) and [m, b), elementwise:
     opposite-sign constants balanced so the integral vanishes exactly,
-    scaled so the sup norm is 1/sigma(a, b)."""
+    scaled so the sup norm is 1/sigma(a, b); as 1-d arrays, in four buffers."""
     cdf = Measure.of(measure, nu).cdf
-    ca, cm, cb = cdf(a), cdf(m), cdf(b)
-    s, s1, s2 = cb - ca, cm - ca, cb - cm
-    h1, h2 = 1.0 / s, 1.0 / s * s1 / s2
-    scale = 1.0 / np.maximum(1.0, h2 * s)   # an off-median split peaks on the right
-    return scale * h1, -scale * h2
+    ca, cm, cb = (np.atleast_1d(cdf(v)) for v in (a, m, b))
+    s2, s, s1 = cb - cm, np.subtract(cb, ca, out=cb), np.subtract(cm, ca, out=cm)
+    h1, h2 = np.divide(1.0, s, out=ca), np.divide(np.multiply(ca, s1, out=s1), s2, out=s1)
+    # an off-median split peaks on the right
+    scale = np.divide(1.0, np.maximum(1.0, np.multiply(h2, s, out=s), out=s), out=s)
+    return np.multiply(scale, h1, out=h1), np.multiply(np.negative(scale, out=scale), h2, out=h2)
 
 
 def haar_atom(a: float, m: float, b: float, nu: float, measure: str,
               label: str = "") -> Atom:
     """Two-bar cancellative atom on [a, m) and [m, b) (see _haar_levels)."""
     fn = PiecewiseLinear.from_breaks_levels(
-        [a, m, b], _haar_levels(a, m, b, measure, nu))
+        [a, m, b], np.concatenate(_haar_levels(a, m, b, measure, nu)))
     return Atom(fn=fn, measure=measure, nu=nu, kind=KIND_CANCELLATIVE,
                 label=label or "haar")
 
@@ -630,34 +631,34 @@ class LocalCascade:
                        / self.sigma_total, 0.0, 1.0 - 1e-15)
 
     def evaluate(self, x):
-        """Mean part, all retained details, and the closing remainders."""
+        """Mean part, all retained details, and the closing remainders. Cell k
+        of depth d holds the points with k 2^-d <= u < (k + 1) 2^-d: with u sorted
+        once, one searchsorted of the detail cells' ends and medians, and one of
+        the closed cells' ends, find the points each cell adds to, and no other."""
         x = np.asarray(x, dtype=float)
         inside = (x > self.space.a) & (x <= self.space.b)
         out = np.where(inside, self.mean_coef / self.sigma_total, 0.0)
-        u = self._u(x)
-        for lev in self.levels:
-            cell = np.floor(u * 2.0**lev.depth).astype(np.int64)
-            pos = np.searchsorted(lev.idx, cell)
-            pos_c = np.clip(pos, 0, len(lev.idx) - 1)
-            hit = inside & (lev.idx[pos_c] == cell)
-            sign = np.where(np.floor(u * 2.0 ** (lev.depth + 1)) % 2 == 0,
-                            1.0, -1.0)
-            sigma_cell = self.sigma_total / 2.0**lev.depth
-            out = out + np.where(hit, sign * lev.lam[pos_c] / sigma_cell, 0.0)
-        t = self.closers
-        if len(t) == 0:
-            return out
-        # the closed cells are disjoint, so only the last closer starting at
-        # or before u can hold a point; gate it with the detail levels' cell
-        # assignment, so a point on a cell edge counts on one side only, and
-        # clamp into its break range (the quantile edges can sit one ulp away)
-        u0 = np.ldexp(t.cell.astype(float), -t.depth)
-        order = np.argsort(u0)
-        j = order[np.maximum(np.searchsorted(u0[order], u, side="right") - 1, 0)]
-        hit = inside & (np.floor(np.ldexp(u, t.depth[j])) == t.cell[j])
-        xc = np.clip(x, t.breaks[t.start[j] + j], t.breaks[t.start[j + 1] + j])
+        u, pts = np.ravel(self._u(x)), np.flatnonzero(inside)
+        pts = pts[np.argsort(u[pts])]
+        flat, us, t = out.reshape(-1), u[pts], self.closers
+        # every detail cell, level by level after an empty one (add.at adds in
+        # this order); int32 depths keep ldexp's fast loop; 2^-d scales exactly
+        levels = self.levels + [CascadeLevel(0, t.cell[:0], t.coef[:0])]
+        depth = np.repeat([v.depth for v in levels], [len(v.idx) for v in levels]).astype("i4")
+        cell, lam = (np.concatenate([getattr(v, k) for v in levels]) for k in ("idx", "lam"))
+        lo, mid, hi = np.searchsorted(us, (cell + [[0.0], [0.5], [1.0]]) * np.ldexp(1.0, -depth))
+        h, counts = lam / np.ldexp(self.sigma_total, -depth), np.column_stack([mid - lo, hi - mid])
+        np.add.at(flat, pts[_ragged(np.column_stack([lo, mid]).ravel(), counts.ravel())],
+                  np.repeat(np.column_stack([h, -h]).ravel(), counts.ravel()))
+        # then every closed cell, found alike, so a point on a cell edge counts
+        # once, each point clamped into its closer's breaks (the quantile edges
+        # can sit one ulp away)
+        lo, hi = np.searchsorted(us, (t.cell + [[0], [1]]) * np.ldexp(1.0, -t.depth.astype("i4")))
+        at, j = pts[_ragged(lo, hi - lo)], np.repeat(np.arange(len(t)), hi - lo)
+        xc = np.clip(np.ravel(x)[at], t.breaks[t.start[j] + j], t.breaks[t.start[j + 1] + j])
         piece = t._pieces(j, xc)
-        return out + np.where(hit, t.slopes[piece] * xc + t.intercepts[piece], 0.0)
+        flat[at] += t.slopes[piece] * xc + t.intercepts[piece]
+        return out
 
     def coeff_l1(self) -> float:
         details = sum(np.sum(np.abs(lev.lam)) for lev in self.levels)
@@ -666,11 +667,13 @@ class LocalCascade:
     def edges(self, depth, cells) -> tuple:
         """(left, median, right) x-coordinates of the given cells; depth is
         one depth or one per cell."""
+        return tuple(self._at(depth, np.asarray(cells, dtype=float) + o) for o in (0.0, 0.5, 1.0))
+
+    def _at(self, depth, pos):
+        """Where the measure from the space's left end is pos cells of depth."""
         meas = Measure.of(self.measure, self.nu)
-        c0 = meas.cdf(self.space.a)
-        k = np.asarray(cells, dtype=float)
         scale = np.ldexp(self.sigma_total, -np.asarray(depth))
-        return tuple(meas.quantile(c0 + (k + o) * scale) for o in (0.0, 0.5, 1.0))
+        return meas.quantile(meas.cdf(self.space.a) + pos * scale)
 
     def _shape(self) -> tuple:
         n_details = sum(len(lev.idx) for lev in self.levels)
@@ -731,8 +734,12 @@ def cascade_decompose(fn: PiecewiseLinear, space: Interval, measure: str,
     depth cap) emits its exact remainder as a closing piece, so the cascade
     reproduces fn to rounding whatever the cut; the cut only trades the
     number of detail levels against the coefficient mass of the closers.
-    Each depth is one array pass over its cells; one remainder pass after
-    the last depth closes every cell that stopped."""
+    Each depth is one array pass over its cells. A cell carries its ends and
+    fn's cumulative integral C there from its parent: (2k) sigma 2^-(d+1) =
+    k sigma 2^-d and (2k + 1) sigma 2^-(d+1) = (k + 1/2) sigma 2^-d exactly,
+    so a depth makes one quantile and one cumulative call, on its medians
+    (depth 0 also on the root's ends). One remainder pass after the last
+    depth closes every cell that stopped."""
     sigma_total = float(Measure.of(measure, nu).interval(space.a, space.b))
     if sigma_total <= 0:
         raise ValueError("empty cascade space")
@@ -751,21 +758,23 @@ def cascade_decompose(fn: PiecewiseLinear, space: Interval, measure: str,
                            sigma_total=sigma_total, mean_coef=mean_coef,
                            levels=levels, closers=None, depth=0,
                            closure_l1=0.0)
+    pos = np.array([0.0, 0.5, 1.0])     # depth 0: the root's ends and median
     for d in range(depth_cap):
         if len(active) == 0:
             break
-        left, med, right = edges = np.stack(cascade.edges(d, active))
-        # (C(med) - C(left)) - (C(right) - C(med)) from one cumulative call
-        lam = np.subtract(*np.diff(fn.cumulative(edges, measure, nu), axis=0))
+        med = cascade._at(d, pos)
+        cmed = fn.cumulative(med, measure, nu)
+        if d == 0:
+            (left, med, right), (cleft, cmed, cright) = med[:, None], cmed[:, None]
+        lam = (cmed - cleft) - (cright - cmed)
         keep = lam != 0.0
         if np.any(keep):
             levels.append(CascadeLevel(depth=d, idx=active[keep],
                                        lam=lam[keep]))
         # children either stay active, close, or vanish with the function;
-        # child 2k is (left, med) and 2k + 1 is (med, right)
-        a = np.column_stack([left, med]).ravel()
-        b = np.column_stack([med, right]).ravel()
-        child = np.column_stack([2 * active, 2 * active + 1]).ravel()
+        # child 2k is (left, med) and 2k + 1 is (med, right), with fn's C there
+        a, b, ca, cb, child = (np.column_stack(v).ravel() for v in (
+            (left, med), (med, right), (cleft, cmed), (cmed, cright), 2 * active + [[0], [1]]))
         live = (b > fn.breaks[0]) & (a < fn.breaks[-1])
         has_break = (np.searchsorted(inner_breaks, b, side="left")
                      > np.searchsorted(inner_breaks, a, side="right"))
@@ -774,7 +783,8 @@ def cascade_decompose(fn: PiecewiseLinear, space: Interval, measure: str,
                                      > detail_cut)) & (d + 1 < depth_cap)
         closed.append((np.full(np.count_nonzero(~split), d + 1), child[~split],
                        a[~split], b[~split]))
-        active = child[split]
+        active, left, right, cleft, cright = (v[split] for v in (child, a, b, ca, cb))
+        pos = active + 0.5
         cascade.depth = d + 1
     # one remainder pass closes the stopped cells in closing order (by depth,
     # then cell) and drops those where fn vanishes

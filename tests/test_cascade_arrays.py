@@ -14,18 +14,32 @@ to the same values and materialize the same atoms in the same order; the
 closer table is compared by column.
 
 `cascade_decompose` closes every stopped cell in one remainder pass after its
-last depth and takes each depth's details from one cumulative call.
-`ref_depth_cascade_decompose` and `ref_depth_remainders` are the routines it
-replaced, with one remainder pass per depth and two `integral_between` calls
-per depth, kept verbatim apart from their names. Every array a cascade yields
-must be equal to theirs byte for byte: closer columns, detail levels,
-`closure_l1`, `coeff_l1` and `evaluate`.
+last depth, and each cell carries its ends and the input's cumulative
+integral there from its parent, so a depth finds only its medians, with one
+quantile and one cumulative call. `ref_depth_cascade_decompose` and
+`ref_depth_remainders` stand for the routines it replaced: one remainder
+pass per depth, all three ends of every cell found again at each depth, and
+two `integral_between` calls per depth. They are kept verbatim apart from
+their names. Every array a cascade yields must be equal to theirs byte for
+byte: closer columns, detail levels, `closure_l1`, `coeff_l1` and
+`evaluate`. The carry is also pinned by count: one quantile per visited
+cell plus the root's two ends, against the reference's three per cell, and
+one cumulative call per depth.
 
-`LocalCascade.evaluate` finds each point's closer piece with one exact
-`AtomTable._pieces` lookup. `ref_piece_loop_evaluate` is the routine it
-replaced, with a loop over piece positions, kept verbatim apart from its
-name; the two must agree byte for byte, on every closer break and closed
-cell edge and one ulp either side of them.
+`LocalCascade.evaluate` sorts the points by u once. One `searchsorted` of
+every detail cell's ends and median finds the points of each cell's two
+halves, which one `np.add.at` adds to in depth order; one `searchsorted` of
+the closed cells' ends finds their points, and one exact `AtomTable._pieces`
+lookup each point's closer piece. `ref_piece_loop_evaluate` stands for the
+routine it replaced, with a pass over every point per detail level, a pass
+over every point for the closers and a loop over piece positions, kept
+verbatim apart from its name. The two must agree byte for byte, on every
+closer break, closed cell edge and detail cell's ends and median, one ulp
+either side of them, on shuffled and repeated points and points outside the
+space, and at 0-d and 2-D points, whose shapes are kept.
+
+`ref_haar_levels` is `_haar_levels` as a fresh array per operation, before
+it reused four buffers; the two must agree byte for byte.
 """
 from typing import NamedTuple
 
@@ -37,8 +51,8 @@ from hypothesis import strategies as st
 from fbhardy import hardy
 from fbhardy.covers import Interval
 from fbhardy.hardy import (KIND_CANCELLATIVE, Atom, AtomTable, CascadeLevel,
-                           LocalCascade, PiecewiseLinear, atomic_decompose,
-                           cascade_decompose)
+                           LocalCascade, PiecewiseLinear, _haar_levels,
+                           atomic_decompose, cascade_decompose)
 from fbhardy.quadrature import MEASURE_LEBESGUE, MEASURE_MU, Measure
 
 
@@ -613,3 +627,147 @@ def test_drawn_piece_lookup_equals_the_piece_loop(inputs):
     _same_as_piece_loop(cascade_decompose(
         fn, space, measure, nu, depth_cap=depth_cap,
         detail_cut=cut * max(fn.sup_norm() * sigma, 1e-300)))
+
+
+# ---------------------------------------------------------------------------
+# the read-back from sorted points against the per-level passes it replaced
+
+
+def _read_back_points(c, rng):
+    """A grid around the space; every detail cell's ends and median, every
+    closer break and closed cell edge, and one ulp either side of each;
+    points outside the space; shuffled, with a third of them repeated."""
+    t = c.closers
+    edges = np.concatenate([t.breaks, *c.edges(t.depth, t.cell)] + [
+        e for lev in c.levels for e in c.edges(lev.depth, lev.idx)])
+    x = np.concatenate([np.linspace(c.space.a - 0.02, c.space.b + 0.02, 2001), edges,
+                        np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                        [-np.inf, -1.0, 0.0, c.space.a, c.space.b, 1.0, 2.0, np.inf]])
+    return rng.permutation(np.concatenate([x, rng.choice(x, len(x) // 3)]))
+
+
+def _same_as_per_level_passes(c, rng):
+    """evaluate equals ref_piece_loop_evaluate, whose levels pass over every
+    point, byte for byte on _read_back_points, and on 1200 of them as a 2-D
+    array and at two as 0-d points, keeping each shape."""
+    x = _read_back_points(c, rng)
+    for pts in (x, x[:1200].reshape(-1, 6), x[0], x[1]):
+        got, want = c.evaluate(pts), ref_piece_loop_evaluate(c, pts)
+        assert np.shape(got) == np.shape(want) == np.shape(pts)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_gate10_read_back_equals_the_per_level_passes(monkeypatch):
+    seen = []
+
+    def keep(*args, **kw):
+        seen.append(cascade_decompose(*args, **kw))
+        return seen[-1]
+    monkeypatch.setattr(hardy, "cascade_decompose", keep)
+    for measure, fn in _gate10_cases():
+        atomic_decompose(fn, nu=0.5, measure=measure)
+    assert sum(len(lev.idx) for c in seen for lev in c.levels) > 10_000
+    rng = np.random.default_rng(11)
+    for c in seen:
+        _same_as_per_level_passes(c, rng)
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cascade_inputs(), st.integers(0, 2**32 - 1))
+def test_drawn_read_back_equals_the_per_level_passes(inputs, seed):
+    fn, space, measure, nu, cut, depth_cap = inputs
+    sigma = float(Measure.of(measure, nu).interval(space.a, space.b))
+    _same_as_per_level_passes(cascade_decompose(
+        fn, space, measure, nu, depth_cap=depth_cap,
+        detail_cut=cut * max(fn.sup_norm() * sigma, 1e-300)), np.random.default_rng(seed))
+
+
+# ---------------------------------------------------------------------------
+# each cell's ends and integrals carried from its parent
+
+
+def _carry_counts(build, fn, *args, **kw):
+    """(elements passed to Measure.quantile, calls of fn's cumulative, the
+    cascade) while build(fn, *args, **kw) runs."""
+    counts = [0, 0]
+    quantile, cumulative = Measure.quantile, PiecewiseLinear.cumulative
+
+    def counted_quantile(self, m):
+        counts[0] += np.size(m)
+        return quantile(self, m)
+
+    def counted_cumulative(self, *a):
+        counts[1] += self is fn
+        return cumulative(self, *a)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Measure, "quantile", counted_quantile)
+        mp.setattr(PiecewiseLinear, "cumulative", counted_cumulative)
+        cascade = build(fn, *args, **kw)
+    return counts[0], counts[1], cascade
+
+
+def _carries(fn, space, measure, nu, **kw):
+    """cascade_decompose finds one quantile per visited cell, plus the root's
+    two ends, and calls fn's cumulative once per depth (and once for its
+    integral); the per-depth reference finds each visited cell's three ends."""
+    ref_q, _, ref = _carry_counts(ref_depth_cascade_decompose, fn, space, measure, nu, **kw)
+    q, calls, new = _carry_counts(cascade_decompose, fn, space, measure, nu, **kw)
+    assert ref_q % 3 == 0 and ref_q > 0
+    assert q == ref_q // 3 + 2
+    assert calls == new.depth + 1 == ref.depth + 1
+    return q
+
+
+@pytest.mark.parametrize("measure", [MEASURE_MU, MEASURE_LEBESGUE])
+def test_profile_cuts_find_one_quantile_per_cell(measure):
+    fn = PiecewiseLinear.tent(0.25, 0.45, 1.3)
+    counts = [_carries(fn, Interval(0.2, 0.5), measure, 0.5, detail_cut=10.0 ** -k)
+              for k in range(3, 10)]
+    if measure == MEASURE_MU:   # the cut-mu-1e-08 sweep item: 10 686 at three per cell
+        assert counts[5] == 3564
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cascade_inputs())
+def test_drawn_cascades_find_one_quantile_per_cell(inputs):
+    fn, space, measure, nu, cut, depth_cap = inputs
+    sigma = float(Measure.of(measure, nu).interval(space.a, space.b))
+    _carries(fn, space, measure, nu, depth_cap=depth_cap,
+             detail_cut=cut * max(fn.sup_norm() * sigma, 1e-300))
+
+
+# ---------------------------------------------------------------------------
+# the two-bar levels in four buffers against the plain expression
+
+
+def ref_haar_levels(a, m, b, measure: str, nu: float) -> tuple:
+    cdf = Measure.of(measure, nu).cdf
+    ca, cm, cb = cdf(a), cdf(m), cdf(b)
+    s, s1, s2 = cb - ca, cm - ca, cb - cm
+    h1, h2 = 1.0 / s, 1.0 / s * s1 / s2
+    scale = 1.0 / np.maximum(1.0, h2 * s)   # an off-median split peaks on the right
+    return scale * h1, -scale * h2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.floats(1e-4, 0.9), st.floats(1e-12, 0.099),
+                          st.floats(0.001, 0.999)), min_size=1, max_size=50),
+       st.sampled_from([MEASURE_MU, MEASURE_LEBESGUE]), st.sampled_from([-0.3, 0.5, 1.0]))
+def test_buffered_haar_levels_equal_the_plain_expression(cells, measure, nu):
+    """On drawn cells, at and off their measure medians, and on one cell
+    given as floats (as haar_atom passes it), byte for byte."""
+    a, width, frac = map(np.array, zip(*cells))
+    b, m = a + width, a + frac * width
+    med = Measure.of(measure, nu).quantile(0.5 * (Measure.of(measure, nu).cdf(a)
+                                                  + Measure.of(measure, nu).cdf(b)))
+    for mid in (m, med):
+        ok = (a < mid) & (mid < b)
+        edges = (a[ok], mid[ok], b[ok])
+        got, want = _haar_levels(*edges, measure, nu), ref_haar_levels(*edges, measure, nu)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    got = _haar_levels(float(a[0]), float(m[0]), float(b[0]), measure, nu)
+    want = ref_haar_levels(float(a[0]), float(m[0]), float(b[0]), measure, nu)
+    assert [g.shape for g in got] == [(1,), (1,)]
+    assert [g.tobytes() for g in got] == [np.float64(w).tobytes() for w in want]
