@@ -26,6 +26,7 @@ finite expansion reproduces the input to rounding.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -112,8 +113,8 @@ class PiecewiseLinear:
 
     def _piece_index(self, x):
         """Index of the piece holding each x; the end pieces extend outward."""
-        return np.clip(np.searchsorted(self.breaks, x, side="right") - 1,
-                       0, len(self.slopes) - 1)
+        return np.minimum(np.maximum(np.searchsorted(self.breaks, x, side="right") - 1, 0),
+                          len(self.slopes) - 1)
 
     def evaluate(self, x):
         x = np.asarray(x, dtype=float)
@@ -527,7 +528,7 @@ class AtomTable(Sequence):
         lexicographically, so a point on a break is compared exactly."""
         keys = np.repeat(np.arange(len(self)), np.diff(self.start) + 1) + 1j * self.breaks
         pos = np.searchsorted(keys, rows + 1j * x, side="right") - rows - 1
-        return np.clip(pos, self.start[rows], self.start[rows + 1] - 1)
+        return np.minimum(np.maximum(pos, self.start[rows]), self.start[rows + 1] - 1)
 
     def evaluate(self, x) -> np.ndarray:
         """Every row at the points x, as a (rows, len(x)) array whose row i
@@ -549,8 +550,10 @@ class AtomTable(Sequence):
         return self.coef.item(i), Atom._of_row(self, i)
 
     def __iter__(self):
-        return zip(self.coef.tolist(),
-                   map(functools.partial(Atom._of_row, self), range(len(self))))
+        # the coefficients become Python floats 4096 at a time, not all at once
+        coef = itertools.chain.from_iterable(self.coef[lo:lo + 4096].tolist()
+                                             for lo in range(0, len(self), 4096))
+        return zip(coef, map(functools.partial(Atom._of_row, self), range(len(self))))
 
     def _label(self, i: int) -> str:
         if i in self.tags:
@@ -581,7 +584,7 @@ def _remainders(fn: PiecewiseLinear, depth, cells, a, b, sigma_total: float,
     n_breaks = np.searchsorted(br, b[sel], side="left") - first + 2
     start, last = np.cumsum(n_breaks) - n_breaks, np.cumsum(n_breaks) - 1
     owner = np.repeat(np.arange(len(sel)), n_breaks)
-    brk = br[np.clip(_ragged(first - 1, n_breaks), 0, len(br) - 1)]
+    brk = br[np.minimum(np.maximum(_ragged(first - 1, n_breaks), 0), len(br) - 1)]
     brk[start], brk[last] = a[sel], b[sel]
     left = np.delete(np.arange(len(brk)), last)
     x0, x1, owner = brk[left], brk[left + 1], owner[left]

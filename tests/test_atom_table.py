@@ -540,6 +540,35 @@ def test_coefficient_ties_order_by_depth_then_cell():
     assert labels[i:i + 3] == [f"closer[d{d},k{k}]", f"haar[d{d},k{k + 1}]", f"haar[d{d},k{k + 3}]"]
 
 
+def _same_as_the_coefficient_list(table):
+    """Iterating the table gives coef.tolist() (same floats, same type) with
+    the atom of each row in order."""
+    pairs = list(table)
+    assert [type(c) for c, _ in pairs] == [float] * len(table)
+    assert [c for c, _ in pairs] == table.coef.tolist()
+    assert np.array([c for c, _ in pairs], dtype=float).tobytes() == table.coef.tobytes()
+    assert all(a._table is table for _, a in pairs)
+    assert [a._row for _, a in pairs] == list(range(len(table)))
+
+
+def test_iterating_streams_the_coefficient_list():
+    """The gate-10 bump's 57 035 rows (more than one block of floats) and an
+    empty table."""
+    bump_table = atomic_decompose(_gate10_cases()[0][1], nu=0.5, measure=MEASURE_MU).atoms()
+    assert len(bump_table) > 50_000
+    _same_as_the_coefficient_list(bump_table)
+    fn = PiecewiseLinear.tent(0.25, 0.45, 1.0)
+    _same_as_the_coefficient_list(
+        cascade_decompose(fn, Interval(0.2, 0.5), MEASURE_MU, 0.5, depth_cap=0).materialize())
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 60))
+def test_iterating_a_random_batch_streams_the_coefficient_list(seed, count):
+    _same_as_the_coefficient_list(
+        random_atoms(np.random.default_rng(seed), MEASURE_LEBESGUE, 0.5, count))
+
+
 def test_an_empty_cascade_writes_no_rows():
     """A cascade capped at depth 0 holds no detail and no closer: its table
     is empty, and a decomposition of such pieces has no atoms."""

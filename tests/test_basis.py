@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special as sps
 
 from fbhardy import basis as basis_module, specfun
 from fbhardy.basis import EigenBasis, coefficients
@@ -98,11 +99,48 @@ def test_norm_check_rows_match_their_own_formula(nu):
     basis = EigenBasis.build(Order(nu), 80)
     lam = basis.table.zeros[:64]
     g = make_quadrature("unit_interval", max(1024, int(10 * lam[-1] / math.pi) + 64),
-                        MEASURE_MU, nu)
+                        MEASURE_MU, nu, split_points=np.arange(1, 16) / 16)
     jov = specfun.besselj_over_xnu(basis.order, np.outer(lam, g.nodes))
     phi = (basis.norm_constants[:64] * lam**nu)[:, None] * jov
     want = np.abs((phi * phi) @ g.weights - 1.0)
     assert np.array_equal(basis.norm_check_errors, want)
+
+
+_CHECKED_ORDERS = [(nu, n) for nu in (-0.3, 0.0, 0.5, 1.0, 2.5, 7.5) for n in (80, 2400)]
+
+
+@pytest.mark.parametrize("nu, n_zeros", _CHECKED_ORDERS)
+def test_a_build_computes_no_gauss_legendre_rule_above_64_nodes(monkeypatch, nu, n_zeros):
+    """The norm check's panels hold at most a sixteenth of its 1024 nodes;
+    its long panels above 1/4 once took two dense 384-node rules. The check
+    still reads each mode's norm defect c_n^2 / c_n'^2 - 1, with c_n' from
+    scipy's J_{nu+1}, to within 5e-13, and stays below 1e-12 wherever that
+    defect does: at nu = 7.5, c_2 is itself off by 1.26e-12 (J_{nu+1} near
+    z = 2 (nu + 1), ROADMAP item 3)."""
+    sizes, leggauss = [], np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda p: sizes.append(p) or leggauss(p))
+    basis = EigenBasis.build(Order(nu), n_zeros)
+    assert sizes and max(sizes) <= 64
+    lam = basis.table.zeros[:64]
+    defect = np.abs((basis.norm_constants[:64] * np.abs(sps.jv(nu + 1, lam))) ** 2 / 2 - 1)
+    assert np.max(np.abs(basis.norm_check_errors - defect)) < 5e-13
+    assert np.max(basis.norm_check_errors) < 1e-12 or np.max(defect) > 1e-12
+
+
+@pytest.mark.parametrize("nu, n_zeros", _CHECKED_ORDERS)
+def test_the_norm_check_grid_moves_no_other_bit_of_a_build(monkeypatch, nu, n_zeros):
+    """Zeros, residuals, norm constants and the tail constants equal those
+    of a build whose check uses the unsplit grid, byte for byte."""
+    basis = EigenBasis.build(Order(nu), n_zeros)
+    monkeypatch.setattr(basis_module, "make_quadrature",
+                        lambda *args, split_points=(), **kw: make_quadrature(*args, **kw))
+    unsplit = EigenBasis.build(Order(nu), n_zeros)
+    for get in (lambda b: b.table.zeros, lambda b: b.table.residuals,
+                lambda b: b.norm_constants, lambda b: b.c_margin,
+                lambda b: b.s_nu, lambda b: b.s_nu1):
+        assert np.asarray(get(basis)).tobytes() == np.asarray(get(unsplit)).tobytes()
+    assert len(basis.norm_check_errors) == len(unsplit.norm_check_errors) == 64
 
 
 def test_build_refuses_a_failed_norm_check(monkeypatch):

@@ -230,7 +230,7 @@ def test_one_element_batch_is_bit_identical(basis_half, grid_mu, grid_leb,
 
 @pytest.mark.xfail(strict=True, reason=(
     "the expansion is cut at the grid's resolvable frequency, so the finest "
-    "atoms lose mass that M a >= |a| requires (ROADMAP item 6)"))
+    "atoms lose mass that M a >= |a| requires (ROADMAP item 7)"))
 def test_maximal_mass_of_every_atom_reaches_its_l1_norm(basis_half):
     tg = TimeGrid.build(1e-6, 10.0, ratio=1.25)
     for measure in (MEASURE_MU, MEASURE_LEBESGUE):
