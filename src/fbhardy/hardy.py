@@ -828,7 +828,8 @@ class Decomposition:
         total = 0.0
         for cascade, special in self.pieces:
             total += cascade.coeff_l1()
-            total += sum(abs(c) for c, _ in special)
+            if len(special):   # the special rows by column, in iteration's order
+                total += sum(np.abs(special.coef).tolist())
         return total
 
     def summary(self, f: SampledFunction | None = None) -> dict:

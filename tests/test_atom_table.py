@@ -233,6 +233,25 @@ def test_counting_gate10_atoms_builds_no_function(monkeypatch):
     assert built == [[], [], []]
 
 
+def test_coeff_l1_reads_the_special_rows_by_column(monkeypatch):
+    """On the four gate-10 decompositions coeff_l1 equals, byte for byte, the
+    sum that reads each piece's special rows by iteration, and builds no atom."""
+    decs = [atomic_decompose(fn, nu=0.5, measure=measure)
+            for measure, fn in _gate10_cases()]
+    want = []
+    for dec in decs:
+        total = 0.0
+        for cascade, special in dec.pieces:
+            total += cascade.coeff_l1()
+            total += sum(abs(c) for c, _ in special)
+        want.append(total)
+    assert sum(len(special) for dec in decs for _, special in dec.pieces) > 0
+    rows = _counting(monkeypatch, Atom, "_of_row")
+    got = [dec.coeff_l1() for dec in decs]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert all(type(v) is float for v in got) and rows == []
+
+
 def test_row_atom_builds_its_function_once(monkeypatch):
     rows = _counting(monkeypatch, PiecewiseLinear, "_row")
     pairs = _cascade().materialize()

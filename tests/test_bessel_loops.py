@@ -442,6 +442,48 @@ def test_j_series_stop_is_bit_identical(nu):
         assert np.array_equal(specfun._over_series(nu, x, -1.0), ref_jover_series(nu, x))
 
 
+@settings(max_examples=80, deadline=None)
+@given(nu=ORDERS, sign=st.sampled_from([-1.0, 1.0]),
+       size=st.integers(0, 2 * specfun._SCALAR_MAX), seed=st.integers(0, 2**32 - 1))
+def test_a_handful_of_arguments_sums_as_the_blocks_do(nu, sign, size, seed):
+    """Up to _SCALAR_MAX arguments, summed one at a time, and every size up to
+    twice that give the bits the same arguments get inside an array above the
+    limit, which the block loop sums.  The arguments lie in [0, switch] (J's or
+    I's) and hold 0 and the switch itself."""
+    order = Order(nu)
+    switch = order.j_switch if sign < 0 else order.i_switch
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, switch, size)
+    x[:2] = [0.0, switch][:size]
+    rng.shuffle(x)
+    big = np.concatenate([x, rng.uniform(0.0, switch, specfun._SCALAR_MAX + 1)])
+    assert np.array_equal(specfun._over_series(nu, x, sign),
+                          specfun._over_series(nu, big, sign)[:size])
+
+
+@pytest.mark.parametrize("nu", [0.5, 1.0])
+def test_a_basis_build_sums_no_handful_of_arguments_in_blocks(nu, monkeypatch):
+    """A build's series calls on at most _SCALAR_MAX arguments (the zero
+    finder's few zeros below the switch, at each bisection step) skip the block
+    loop, and every zero table and residual is the one a build gets with every
+    call in blocks."""
+    sizes, blocks = [], specfun._series_blocks
+
+    def spy(*args):
+        sizes.append(args[1].size)
+        return blocks(*args)
+    monkeypatch.setattr(specfun, "_series_blocks", spy)
+    got = EigenBasis.build(Order(nu), 2400)
+    assert sizes and min(sizes) > specfun._SCALAR_MAX
+    sizes.clear()
+    monkeypatch.setattr(specfun, "_SCALAR_MAX", -1)
+    want = EigenBasis.build(Order(nu), 2400)
+    assert min(sizes) <= 3 and len(sizes) > 50
+    for name in ("zeros", "residuals"):
+        assert getattr(got.table, name).tobytes() == getattr(want.table, name).tobytes()
+    assert got.norm_constants.tobytes() == want.norm_constants.tobytes()
+
+
 @SLOW
 @given(nu=ORDERS, size=SIZES, lo=st.floats(0.0, 2.5), width=st.floats(0.0, 1.0),
        seed=st.integers(0, 2**32 - 1))

@@ -148,6 +148,16 @@ def test_derivative_recurrence(nu, x):
     assert abs(lhs - rhs) < 5e-11 * max(1.0, abs(rhs))
 
 
+@pytest.mark.parametrize("nu, zero_tol", [(0.0, 1e-12), (0.5, 1e-12), (1.0, 1e-12),
+                                           (1.0, 1e-14), (0.65, 1e-13), (3.5, 1e-13)])
+def test_residuals_are_j_at_the_returned_zeros(nu, zero_tol):
+    """The residuals are |J_nu| at the zeros returned, bit for bit, whether
+    the Newton polish stops early (nu = 1/2, 1 at 1e-12) or takes all its
+    steps (nu = 0; 1e-14), and when its last step moves a zero (1e-13)."""
+    table = bessel_zeros(Order(nu), 200, zero_tol=zero_tol)
+    assert table.residuals.tobytes() == np.abs(bessel_j(Order(nu), table.zeros)).tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(count=st.integers(1, 120))
 def test_zero_tables_nest(count):
