@@ -123,19 +123,6 @@ class EigenBasis:
         specfun.bessel_j(self.order, rows, out=rows)
         return scale_rows(rows, self.norm_constants[:n], np.sqrt(x))
 
-    def phi(self, n: int, x):
-        """phi_n pointwise (n is 1-based)."""
-        if not 1 <= n <= len(self):
-            raise ValueError(f"mode index {n} outside table of size {len(self)}")
-        out = self.phi_matrix(np.atleast_1d(x), n)[n - 1]
-        return float(out[0]) if np.ndim(x) == 0 else out
-
-    def psi(self, n: int, x):
-        if not 1 <= n <= len(self):
-            raise ValueError(f"mode index {n} outside table of size {len(self)}")
-        out = self.psi_matrix(np.atleast_1d(x), n)[n - 1]
-        return float(out[0]) if np.ndim(x) == 0 else out
-
     # -- certified series tails ----------------------------------------------
     #
     # With theta = 0.9 the spacing lam_{n+k} >= lam_n + k pi theta holds for

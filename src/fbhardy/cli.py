@@ -23,7 +23,7 @@ from .config import RunConfig, load_config
 from .covers import DyadicCover, FAMILY_ONE_END, FAMILY_TWO_END
 from .errors import ConfigError, NumericsError
 from .hardy import (PiecewiseLinear, atomic_decompose, h1_norm_report,
-                    random_atoms, validate_atom)
+                    random_atoms)
 from .kernels import (HALFLINE_KERNELS, LEMMA_IDS, SERIES_KERNELS,
                       UnitIntervalKernels, check_sharp_estimate)
 from .maximal import (CutoffRho, SpectralExpansion, TimeGrid, duhamel_closure,
@@ -285,8 +285,7 @@ def cmd_atoms(session: _Session, args) -> int:
         family = FAMILY_ONE_END if measure == MEASURE_MU else FAMILY_TWO_END
         cover = DyadicCover(family, zeta=cfg.zeta,
                             j_max=max(cfg.atom_scale_max, 8))
-        reports = [validate_atom(a, cover=cover, cancel_tol=cfg.cancel_tol)
-                   for _, a in atoms]
+        reports = atoms.reports(cover, cfg.cancel_tol)
         payload = {"count": len(reports),
                    "n_valid": sum(1 for r in reports if r["valid"]),
                    "reports": reports}
@@ -318,10 +317,10 @@ def cmd_atoms(session: _Session, args) -> int:
     grid = session.unit_grid(measure)
     batch = SampledFunction(grid=grid, values=atoms.evaluate(grid.nodes))
     res = maximal_function(session.basis, batch, session.time_grid())
-    rows = [{"index": i, "label": atom.label, "kind": atom.kind,
-             "maximal_l1": float(grid.weights @ values),
-             "valid": validate_atom(atom, cancel_tol=cfg.cancel_tol)["valid"]}
-            for i, ((_, atom), values) in enumerate(zip(atoms, res.values))]
+    rows = [{"index": i, "label": r["label"], "kind": r["kind"],
+             "maximal_l1": float(grid.weights @ values), "valid": r["valid"]}
+            for i, (r, values) in enumerate(zip(atoms.reports(cancel_tol=cfg.cancel_tol),
+                                                res.values))]
     norms = [r["maximal_l1"] for r in rows]
     payload = {"count": len(rows), "max_norm": max(norms),
                "min_norm": min(norms), "rows": rows}
@@ -337,8 +336,9 @@ def cmd_h1_report(session: _Session, args) -> int:
     out = {}
     for measure, tag in ((MEASURE_MU, "mu"), (MEASURE_LEBESGUE, "lebesgue")):
         f = _sampled(session, _twobar_profile(measure), measure)
-        out[tag] = h1_norm_report(f, session.basis, session.time_grid(),
-                                  cfg.nu, depth_cap=cfg.cascade_depth_cap)
+        out[tag] = h1_norm_report(f, session.basis, session.time_grid(), cfg.nu,
+                                  depth_cap=cfg.cascade_depth_cap,
+                                  reconstruct_tol=cfg.reconstruct_tol, zeta=cfg.zeta)
     path = session.out("h1_report.json")
     _write_json(path, out)
     print(f"h1-report: ratios mu={out['mu']['ratio']:.4g} "

@@ -39,6 +39,10 @@ from .quadrature import Measure, SampledFunction, MEASURE_LEBESGUE, MEASURE_MU
 
 KIND_CANCELLATIVE = "cancellative"
 KIND_SPECIAL = "special"
+# the report fields that a row of each kind leaves out
+_NOT_CHECKED = {KIND_CANCELLATIVE: ("constant_ok", "cell_match_ok"),
+                KIND_SPECIAL: ("cancellation", "cancellation_ok")}
+SIZE_SLACK = 1e-9       # relative slack of the size condition sup <= 1/sigma
 
 _FAMILY_OF_MEASURE = {MEASURE_MU: FAMILY_ONE_END,
                       MEASURE_LEBESGUE: FAMILY_TWO_END}
@@ -263,26 +267,6 @@ class Atom:
     def __repr__(self) -> str:
         return f"Atom({self.label!r}, {self.kind}, {self.measure}, nu={self.nu})"
 
-    @property
-    def interval(self) -> Interval:
-        return self.fn.support
-
-    def sigma(self) -> float:
-        iv = self.interval
-        return float(Measure.of(self.measure, self.nu).interval(iv.a, iv.b))
-
-    def evaluate(self, x):
-        return self.fn.evaluate(x)
-
-    def sup_norm(self) -> float:
-        return self.fn.sup_norm()
-
-    def cancellation(self) -> float:
-        return self.fn.integral(self.measure, self.nu)
-
-    def l1_norm(self) -> float:
-        return self.fn.l1_norm(self.measure, self.nu)
-
 
 def special_atom(cover: DyadicCover, j: int, nu: float, measure: str,
                  label: str = "") -> Atom:
@@ -316,38 +300,13 @@ def haar_atom(a: float, m: float, b: float, nu: float, measure: str,
 
 
 def validate_atom(atom: Atom, cover: DyadicCover | None = None,
-                  cancel_tol: float = 1e-10, size_slack: float = 1e-9) -> dict:
-    """Defect report for one atom; 'valid' aggregates the individual checks."""
-    iv = atom.interval
-    sigma = atom.sigma()
-    sup = atom.sup_norm()
-    report = {
-        "kind": atom.kind,
-        "measure": atom.measure,
-        "label": atom.label,
-        "support": (iv.a, iv.b),
-        "support_ok": bool(0.0 <= iv.a < iv.b <= 1.0),
-        "sigma": sigma,
-        "sup_norm": sup,
-        "size_limit": 1.0 / sigma,
-        "size_ok": bool(sup <= (1.0 + size_slack) / sigma),
-    }
-    if atom.kind == KIND_CANCELLATIVE:
-        defect = atom.cancellation()
-        report["cancellation"] = defect
-        report["cancellation_ok"] = bool(abs(defect) <= cancel_tol)
-    else:
-        # a special atom is the exact normalized indicator of a cover cell
-        flat = bool(np.all(atom.fn.slopes == 0.0)
-                    and np.ptp(atom.fn.intercepts) == 0.0)
-        value_ok = flat and abs(atom.fn.intercepts[0] * sigma - 1.0) < 1e-12
-        report["constant_ok"] = value_ok
-        if cover is not None:
-            report["cell_match_ok"] = any(
-                abs(cell.a - iv.a) < 1e-12 and abs(cell.b - iv.b) < 1e-12
-                for cell in map(cover.interval, cover.indices()))
-    report["valid"] = all(v for k, v in report.items() if k.endswith("_ok"))
-    return report
+                  cancel_tol: float = 1e-10) -> dict:
+    """Defect report for one atom: the one row of its own table's check (see
+    AtomTable.check and AtomTable.reports); 'valid' aggregates the checks.
+    A row of a cascade's closers table is an unnormalized remainder, not an
+    atom: validate the atoms that materialize writes."""
+    table = Atom(atom.fn, atom.measure, atom.nu, atom.kind, atom.label)._table
+    return table.reports(cover, cancel_tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -560,6 +519,70 @@ class AtomTable(Sequence):
             return self.tags[i][1]
         return (f"{'closer' if self.closer.item(i) else 'haar'}"
                 f"[d{self.depth.item(i)},k{self.cell.item(i)}]")
+
+    def check(self, cover: DyadicCover | None = None, cancel_tol: float = 1e-10) -> dict:
+        """The atom conditions (Coifman-Weiss) of every row, in one array
+        pass, as columns named as in validate_atom's report:
+        - support, a (rows, 2) array of each row's first and last break, and
+          support_ok, the support lies in [0, 1];
+        - sigma, the support's measure, sup_norm, size_limit = 1/sigma, and
+          size_ok, sup_norm <= (1 + SIZE_SLACK)/sigma;
+        - for cancellative rows, the cancellation (the row's integral, its
+          pieces summed from the left as PiecewiseLinear.integral sums them)
+          and cancellation_ok, |cancellation| <= cancel_tol;
+        - for special rows, constant_ok, the row is the exact normalized
+          indicator of its support, and, given a cover, cell_match_ok, the
+          support is a cell of the cover to 1e-12;
+        - valid, all of the _ok columns.
+        An _ok column reads True on the rows of the kind it does not check.
+        A cascade's closers table holds unnormalized remainders, not atoms:
+        check the table that materialize or Decomposition.atoms() writes."""
+        rows, pieces = np.arange(len(self)), np.diff(self.start)
+        left = np.arange(len(self.slopes)) + np.repeat(rows, pieces)   # pieces' left breaks
+        x0, x1, s, c = self.breaks[left], self.breaks[left + 1], self.slopes, self.intercepts
+        lo, hi = self.breaks[self.start[:-1] + rows], self.breaks[self.start[1:] + rows]
+        meas, first = Measure.of(self.measure, self.nu), c[self.start[:-1]]
+        sigma = meas.interval(lo, hi)
+        sup = np.maximum.reduceat(np.maximum(np.abs(s * x0 + c), np.abs(s * x1 + c)),
+                                  self.start[:-1])
+        # -0.0 + x is x, and a one-piece row adds its piece to 0.0
+        cancellation = np.where(pieces > 1, -0.0, 0.0)
+        integrals = meas.linear_integrals(s, c, x0, x1)
+        for k in range(pieces.max(initial=0)):
+            on = np.flatnonzero(pieces > k)
+            cancellation[on] += integrals[self.start[on] + k]
+        special = np.zeros(len(self), bool)
+        special[[i for i, (kind, _) in self.tags.items() if kind == KIND_SPECIAL]] = True
+        flat = np.logical_and.reduceat((s == 0.0) & (c == np.repeat(first, pieces)),
+                                       self.start[:-1])
+        cols = {"support": np.column_stack([lo, hi]),
+                "support_ok": (0.0 <= lo) & (lo < hi) & (hi <= 1.0),
+                "sigma": sigma, "sup_norm": sup, "size_limit": 1.0 / sigma,
+                "size_ok": sup <= (1.0 + SIZE_SLACK) / sigma,
+                "cancellation": cancellation,
+                "cancellation_ok": special | (np.abs(cancellation) <= cancel_tol),
+                "constant_ok": ~special | (flat & (np.abs(first * sigma - 1.0) < 1e-12))}
+        if cover is not None:
+            cells = np.array([(iv.a, iv.b) for iv in map(cover.interval, cover.indices())])
+            match = np.zeros(len(self), bool)
+            match[special] = ((np.abs(cells[:, 0] - lo[special, None]) < 1e-12)
+                              & (np.abs(cells[:, 1] - hi[special, None]) < 1e-12)).any(axis=1)
+            cols["cell_match_ok"] = ~special | match
+        cols["valid"] = np.logical_and.reduce([v for k, v in cols.items() if k.endswith("_ok")])
+        return cols
+
+    def reports(self, cover: DyadicCover | None = None, cancel_tol: float = 1e-10) -> list:
+        """validate_atom's report for every row, read from one check: a
+        cancellative row's report has no constant_ok or cell_match_ok, and a
+        special row's has no cancellation or cancellation_ok."""
+        cols = {k: v.tolist() for k, v in self.check(cover, cancel_tol).items()}
+        cols["support"] = list(map(tuple, cols["support"]))
+        out = []
+        for i, values in enumerate(zip(*cols.values())):
+            kind = self.tags.get(i, (KIND_CANCELLATIVE,))[0]
+            out.append({"kind": kind, "measure": self.measure, "label": self._label(i)})
+            out[-1].update((k, v) for k, v in zip(cols, values) if k not in _NOT_CHECKED[kind])
+        return out
 
 
 def _ragged(first, counts):
@@ -960,14 +983,17 @@ def random_atoms(rng, measure: str, nu: float, count: int,
 
 
 def h1_norm_report(f: SampledFunction, basis, time_grid, nu: float,
-                   depth_cap: int = 26) -> dict:
+                   depth_cap: int = 26, reconstruct_tol: float = 1e-6,
+                   zeta: float = 0.02) -> dict:
     """Atomic coefficient mass against the maximal-function L1 norm.
 
     The two numbers estimate the same Hardy-space norm through its two
-    characterizations; their ratio is the quantity tracked for stability."""
+    characterizations; their ratio is the quantity tracked for stability.
+    depth_cap, reconstruct_tol and zeta go to atomic_decompose."""
     from .maximal import maximal_function
 
-    dec = atomic_decompose(f, nu=nu, measure=f.measure, depth_cap=depth_cap)
+    dec = atomic_decompose(f, nu=nu, measure=f.measure, depth_cap=depth_cap,
+                           reconstruct_tol=reconstruct_tol, zeta=zeta)
     res = maximal_function(basis, f, time_grid)
     maximal_l1 = float(f.grid.weights @ res.values)
     coeff = dec.coeff_l1()

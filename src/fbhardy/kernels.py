@@ -58,6 +58,7 @@ from . import specfun
 from .specfun import Order
 
 GAUSS_DECAY_C = 0.2   # exponent constant used by every Gaussian comparand
+_DRIFT_TOL = 0.10     # widest ratio drift under refinement that passes
 
 
 def _broadcast(*arrays):
@@ -116,20 +117,20 @@ class UnitIntervalKernels:
         n = terms_needed(t, self.series_tol if tol is None else tol)
         return min(len(self.basis), max(n, 1) + 8)
 
-    def poisson_floor(self, tol: float | None = None) -> float:
-        """Smallest time the zero table certifies for Poisson-type series."""
-        return self.basis.min_poisson_time(self.series_tol if tol is None else tol)
+    def poisson_floor(self) -> float:
+        """Smallest time the zero table certifies for Poisson-type series at
+        series_tol."""
+        return self.basis.min_poisson_time(self.series_tol)
 
-    def heat_floor(self, tol: float | None = None) -> float:
-        return self.basis.min_heat_time(self.series_tol if tol is None else tol)
+    def heat_floor(self) -> float:
+        return self.basis.min_heat_time(self.series_tol)
 
-    def derivative_floor(self, x_min: float, y_min: float,
-                         tol: float | None = None) -> float:
+    def derivative_floor(self, x_min: float, y_min: float) -> float:
         """Smallest time certified for both derivative series when the
         evaluation grid stays inside [x_min, 1) x [y_min, 1).  The derivative
-        kernels tighten the requested tolerance by grid-dependent factors, so
-        their floor sits above the plain Poisson one."""
-        tol = self.series_tol if tol is None else tol
+        kernels tighten series_tol by grid-dependent factors, so their floor
+        sits above the plain Poisson one."""
+        tol = self.series_tol
         tol_dx = tol * min(1.0, (x_min * y_min) ** (self.nu + 0.5))
         tol_dy = tol * min(1.0, y_min / (self.nu + 0.5))
 
@@ -397,11 +398,11 @@ def comparand_gradient(t, x, y):
     return 1.0 / (t**2 + (x - y) ** 2)
 
 
-def comparand_heat_gauss(nu: float, t, x, y, c: float = GAUSS_DECAY_C):
+def comparand_heat_gauss(nu: float, t, x, y):
     """Gaussian upper comparand exp(-c(x-y)^2/t) / (sqrt(t) (t v xy)^(nu+1/2))
-    for the weighted heat kernel on (0, 1), times in (0, 1)."""
+    for the weighted heat kernel on (0, 1), times in (0, 1); c = GAUSS_DECAY_C."""
     t, x, y = _broadcast(t, x, y)
-    return np.exp(-c * (x - y) ** 2 / t) / \
+    return np.exp(-GAUSS_DECAY_C * (x - y) ** 2 / t) / \
         (np.sqrt(t) * np.maximum(t, x * y) ** (nu + 0.5))
 
 
@@ -410,16 +411,16 @@ def comparand_heat_large(lam1: float, t, x, y):
     return (1 - x) * (1 - y) * np.exp(-t * lam1**2)
 
 
-def comparand_bessel_heat_gauss(nu: float, t, x, y, c: float = GAUSS_DECAY_C):
-    """exp(-c(x-y)^2/t) / mu(B(x, sqrt(t))) on the half-line."""
+def comparand_bessel_heat_gauss(nu: float, t, x, y):
+    """exp(-c(x-y)^2/t) / mu(B(x, sqrt(t))) on the half-line; c = GAUSS_DECAY_C."""
     t, x, y = _broadcast(t, x, y)
     r = np.sqrt(t)
     ball = Measure.of(MEASURE_MU, nu).interval(np.maximum(x - r, 0.0), x + r)
-    return np.exp(-c * (x - y) ** 2 / t) / ball
+    return np.exp(-GAUSS_DECAY_C * (x - y) ** 2 / t) / ball
 
 
-def comparand_dy_bessel_heat(nu: float, t, x, y, c: float = GAUSS_DECAY_C):
-    return comparand_bessel_heat_gauss(nu, t, x, y, c) / np.sqrt(t)
+def comparand_dy_bessel_heat(nu: float, t, x, y):
+    return comparand_bessel_heat_gauss(nu, t, x, y) / np.sqrt(t)
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +589,7 @@ def _scan_lemma(row: _Lemma, kernels: UnitIntervalKernels | None, nu: float,
 
 def check_sharp_estimate(lemma: str, kernels: UnitIntervalKernels | None = None,
                          nu: float | None = None, n_t: int = 14,
-                         n_space: int = 18, drift_tol: float = 0.10) -> EstimateReport:
+                         n_space: int = 18) -> EstimateReport:
     """Measure one sharp estimate over a deterministic (t, x, y) box.
 
     Unit-interval estimates need `kernels`; half-line ones only need `nu`.
@@ -619,9 +620,9 @@ def check_sharp_estimate(lemma: str, kernels: UnitIntervalKernels | None = None,
     # the refined grid is a superset, so extremes only widen
     drift_max = fine.rmax / base.rmax - 1.0 if base.rmax > 0 else math.inf
     drift_min = base.rmin / fine.rmin - 1.0 if fine.rmin > 0 else math.inf
-    ok = math.isfinite(fine.rmax) and abs(drift_max) <= drift_tol
+    ok = math.isfinite(fine.rmax) and abs(drift_max) <= _DRIFT_TOL
     if row.two_sided:
-        ok = ok and fine.rmin > 0 and abs(drift_min) <= drift_tol
+        ok = ok and fine.rmin > 0 and abs(drift_min) <= _DRIFT_TOL
     return EstimateReport(
         lemma=lemma, kind="two_sided" if row.two_sided else "upper", nu=nu,
         t_range=(float(t_grid[0]), float(t_grid[-1])),

@@ -145,12 +145,12 @@ class MaximalResult:
 
 
 def maximal_function(basis: EigenBasis, f: SampledFunction,
-                     grid: TimeGrid, x=None) -> MaximalResult:
-    """Discretized sup over t of |Poisson of f| with per-node argmax times
-    (the first on ties). For a batch f every array of the result carries
-    its leading axes. The sups are taken slice by slice as the sweep makes
-    them, so the (times, inputs, points) array is never held."""
-    x = f.nodes if x is None else np.atleast_1d(np.asarray(x, dtype=float))
+                     grid: TimeGrid) -> MaximalResult:
+    """Discretized sup over t of |Poisson of f| at f's nodes, with per-node
+    argmax times (the first on ties). For a batch f every array of the
+    result carries its leading axes. The sups are taken slice by slice as
+    the sweep makes them, so the (times, inputs, points) array is never held."""
+    x = f.nodes
     shape = f.values.shape[:-1] + x.shape
     values, argmax_t = np.full(shape, -np.inf), np.zeros(shape)
     small, large = np.zeros(shape), np.zeros(shape)
@@ -407,39 +407,40 @@ class CutoffRho:
         return _smoothstep_d2(self._u(x)) / (self.outer - self.inner) ** 2
 
 
-def _s_panel_nodes(t: float, n_mid: int = 24):
-    """Quadrature nodes/weights for int_0^t ds with square-root substitutions
-    on the endpoint panels (integrands may have boundary layers there):
-    s = v^2 on [0, 0.01 t] and t - s = v^2 on [0.99 t, t]."""
+def _s_panel_nodes(t: float):
+    """Quadrature nodes/weights for int_0^t ds, 24 Gauss-Legendre nodes per
+    panel, with square-root substitutions on the endpoint panels (integrands
+    may have boundary layers there): s = v^2 on [0, 0.01 t] and t - s = v^2
+    on [0.99 t, t]."""
     breaks = [0.01 * t, 0.1 * t, 0.5 * t, 0.9 * t, 0.99 * t]
     z, w = np.polynomial.legendre.leggauss(24)
-    zm, wm = np.polynomial.legendre.leggauss(n_mid)
     ends = []
     for vmax in (math.sqrt(breaks[0]), math.sqrt(t - breaks[-1])):
         v = 0.5 * vmax * (z + 1.0)
         ends.append((v**2, 0.5 * vmax * w * 2.0 * v))
-    mids = [(0.5 * (b - a) * zm + 0.5 * (a + b), 0.5 * (b - a) * wm)
+    mids = [(0.5 * (b - a) * z + 0.5 * (a + b), 0.5 * (b - a) * w)
             for a, b in zip(breaks[:-1], breaks[1:])]
     nodes, weights = zip(ends[0], *mids, (t - ends[1][0], ends[1][1]))
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _ramp(rho: CutoffRho, nu: float, n_z: int) -> tuple:
-    """On the ramp of rho: mu-nodes and weights, rho', rho'', (2nu+1)/z rho'."""
-    zg = grid_on_interval(rho.inner, rho.outer, n_z, MEASURE_MU, nu)
+def _ramp(rho: CutoffRho, nu: float) -> tuple:
+    """On the ramp of rho, a 48-node grid: mu-nodes and weights, rho', rho'',
+    (2nu+1)/z rho'."""
+    zg = grid_on_interval(rho.inner, rho.outer, 48, MEASURE_MU, nu)
     rp = rho.derivative(zg.nodes)
     return (zg.nodes, zg.weights, rp, rho.second_derivative(zg.nodes),
             (2.0 * nu + 1.0) / zg.nodes * rp)
 
 
-def _duhamel_sums(nu: float, t: float, x, ramp: tuple, n_mid: int, inner, pair) -> tuple:
+def _duhamel_sums(nu: float, t: float, x, ramp: tuple, inner, pair) -> tuple:
     """R1, R2, R3: sums over the s nodes of pair(c w_s, K, zw f, g), g from
     inner(s nodes), K = T_{t-s}(x, z) with f = rho'' (R1) or (2nu+1)/z rho'
     (R3), or dy T with c = 2 and f = rho' (R2); c = 1 otherwise.  bessel_heat
     and dy_bessel_heat take the heat times t - s as rows, in slices of at most
     _SUB_BLOCK values, each value as a call at its own s gives it."""
     x, (znodes, zw, rp, rpp, drift) = np.atleast_1d(np.asarray(x, dtype=float)), ramp
-    s_nodes, s_weights = _s_panel_nodes(t, n_mid=n_mid)
+    s_nodes, s_weights = _s_panel_nodes(t)
     step = max(1, _SUB_BLOCK // max(x.size * znodes.size, 1))
     r, inners = [0.0] * 3, iter(inner(s_nodes))
     for i in range(0, len(s_nodes), step):
@@ -452,8 +453,7 @@ def _duhamel_sums(nu: float, t: float, x, ramp: tuple, n_mid: int, inner, pair) 
 
 
 def duhamel_residuals(basis: EigenBasis, rho: CutoffRho, f: SampledFunction,
-                      t: float, x, n_z: int = 48,
-                      n_mid: int = 24) -> tuple:
+                      t: float, x) -> tuple:
     """The three residual terms of the heat-semigroup comparison at time t.
 
     R1 pairs the half-line kernel with the second derivative of the cutoff,
@@ -468,13 +468,13 @@ def duhamel_residuals(basis: EigenBasis, rho: CutoffRho, f: SampledFunction,
         raise ValueError("duhamel residuals need a mu-tagged function")
     if np.any((f.nodes >= rho.inner) & (np.abs(f.values) > 0)):
         raise ValueError("f must be supported where the cutoff equals 1")
-    ramp, sweep = _ramp(rho, basis.nu, n_z), SpectralExpansion(f, basis).sweep
-    return _duhamel_sums(basis.nu, t, x, ramp, n_mid, lambda s: sweep(s, ramp[0], "heat"),
+    ramp, sweep = _ramp(rho, basis.nu), SpectralExpansion(f, basis).sweep
+    return _duhamel_sums(basis.nu, t, x, ramp, lambda s: sweep(s, ramp[0], "heat"),
                          lambda cw, k, zwf, g: cw * (k @ (zwf * g)))
 
 
 def duhamel_closure(basis: EigenBasis, rho: CutoffRho, f: SampledFunction,
-                    t: float, x, **kw) -> dict:
+                    t: float, x) -> dict:
     """Compare both sides of the semigroup-difference identity at time t.
 
     Left side: (cutoff times unit-interval heat of f) minus (half-line heat
@@ -484,7 +484,7 @@ def duhamel_closure(basis: EigenBasis, rho: CutoffRho, f: SampledFunction,
     exp = SpectralExpansion(f, basis)
     lhs = rho.value(x) * exp.at_time(t, x, "heat") - \
         apply_halfline(basis.nu, f, t, x, kind="heat")
-    r1, r2, r3 = duhamel_residuals(basis, rho, f, t, x, **kw)
+    r1, r2, r3 = duhamel_residuals(basis, rho, f, t, x)
     rhs = r1 + r2 + r3
     return {"x": x, "lhs": lhs, "rhs": rhs, "r1": r1, "r2": r2, "r3": r3,
             "max_error": float(np.max(np.abs(lhs - rhs)))}
@@ -492,8 +492,7 @@ def duhamel_closure(basis: EigenBasis, rho: CutoffRho, f: SampledFunction,
 
 def duhamel_residual_kernels(basis: EigenBasis,
                              kernels: UnitIntervalKernels, rho: CutoffRho,
-                             t: float, x, y, n_z: int = 48,
-                             n_mid: int = 24) -> tuple:
+                             t: float, x, y) -> tuple:
     """Pointwise residual kernels R[j](x, y) on a grid, for the uniform
     boundedness check.
 
@@ -503,9 +502,9 @@ def duhamel_residual_kernels(basis: EigenBasis,
     those times for arguments left of the ramp.  The outer half-line kernels
     come in slices of s nodes, as in duhamel_residuals."""
     nu, y = basis.nu, np.atleast_1d(np.asarray(y, dtype=float))
-    ramp, floor = _ramp(rho, nu, n_z), kernels.heat_floor()
+    ramp, floor = _ramp(rho, nu), kernels.heat_floor()
     z = ramp[0]
-    return _duhamel_sums(nu, t, x, ramp, n_mid, lambda s_nodes: (
+    return _duhamel_sums(nu, t, x, ramp, lambda s_nodes: (
         kernels.heat_mu(s, z, y, matrix=True) if s > 1.05 * floor
         else bessel_heat(nu, s, z[:, None], y[None, :]) for s in s_nodes),
         lambda cw, k, zwf, g: (cw * (k * zwf[None, :])) @ g)

@@ -176,14 +176,11 @@ def make_quadrature(domain: str, n_nodes: int, measure: str = MEASURE_MU,
 
 
 def grid_on_interval(a: float, b: float, n_nodes: int, measure: str,
-                     nu: float, split_points=()) -> Grid:
-    """Composite GL grid on an arbitrary subinterval (used for atom supports
-    and cutoff ramps, where panels must align with breakpoints)."""
+                     nu: float) -> Grid:
+    """Gauss-Legendre grid on one panel [a, b] (the Duhamel cutoff ramp)."""
     if not (b > a >= 0.0):
         raise ValueError("need 0 <= a < b")
-    edges = {a, b}
-    edges.update(s for s in split_points if a < s < b)
-    return _grid(np.array(sorted(edges)), n_nodes, measure, nu, (a, b))
+    return _grid(np.array([a, b]), n_nodes, measure, nu, (a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +208,6 @@ class SampledFunction:
     @property
     def measure(self) -> str:
         return self.grid.measure
-
-    def integral(self) -> float:
-        return self.grid.integrate(self.values)
 
     def l1_norm(self) -> float:
         return self.grid.integrate(np.abs(self.values))

@@ -80,7 +80,7 @@ def test_criterion_03_semigroup_identities(kernels_half, basis_half,
     mat = kernels_half.poisson_mu(t, grid_mu.nodes, grid_mu.nodes, matrix=True)
     eig_err = 0.0
     for n in range(1, 11):
-        phi = basis_half.phi(n, grid_mu.nodes)
+        phi = basis_half.phi_matrix(grid_mu.nodes, n)[n - 1]
         lam = basis_half.table.zeros[n - 1]
         got = mat @ (grid_mu.weights * phi)
         eig_err = max(eig_err, float(np.max(np.abs(got - math.exp(-t * lam)

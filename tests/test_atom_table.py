@@ -37,7 +37,7 @@ from fbhardy.hardy import (KIND_CANCELLATIVE, KIND_SPECIAL, Atom, AtomTable,
                            CascadeLevel, Decomposition, PiecewiseLinear,
                            _haar_levels, atomic_decompose, cascade_decompose,
                            globalize_special, haar_atom, random_atoms,
-                           special_atom, two_atom_split)
+                           special_atom, two_atom_split, validate_atom)
 from fbhardy.quadrature import MEASURE_LEBESGUE, MEASURE_MU, Measure
 
 from test_cascade_arrays import (_gate10_cases, ref_cascade_decompose,
@@ -259,7 +259,7 @@ def test_row_atom_builds_its_function_once(monkeypatch):
     assert rows == []
     for atom in atoms:
         assert atom.fn is atom.fn
-        assert atom.interval == atom.fn.support
+        assert validate_atom(atom)["support"] == (atom.fn.support.a, atom.fn.support.b)
     assert len(rows) == len(atoms)
 
 
@@ -659,6 +659,6 @@ def tables_and_points(draw):
 def test_table_evaluate_equals_each_rows_atom(case):
     table, x = case
     got = table.evaluate(x)
-    want = np.array([a.evaluate(x) for _, a in table])
+    want = np.array([a.fn.evaluate(x) for _, a in table])
     assert got.shape == (len(table), len(x)) and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()

@@ -336,11 +336,11 @@ def ref_compare_semigroups(basis, fs, t_grid=None, n_x=48, zeta=0.02):
     return out
 
 
-def ref_duhamel_residuals(basis, rho, f, t, x, n_z=48, n_mid=24):
+def ref_duhamel_residuals(basis, rho, f, t, x):
     nu = basis.nu
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    znodes, zw, rp, rpp, drift = _ramp(rho, nu, n_z)
-    s_nodes, s_weights = _s_panel_nodes(t, n_mid=n_mid)
+    znodes, zw, rp, rpp, drift = _ramp(rho, nu)
+    s_nodes, s_weights = _s_panel_nodes(t)
     heat = SpectralExpansion(f, basis).sweep(s_nodes, znodes, "heat")
     r1 = np.zeros(len(x))
     r2 = np.zeros(len(x))
@@ -354,14 +354,14 @@ def ref_duhamel_residuals(basis, rho, f, t, x, n_z=48, n_mid=24):
     return r1, r2, r3
 
 
-def ref_duhamel_residual_kernels(basis, kernels, rho, t, x, y, n_z=48, n_mid=24):
+def ref_duhamel_residual_kernels(basis, kernels, rho, t, x, y):
     nu = basis.nu
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    znodes, zw, rp, rpp, drift = _ramp(rho, nu, n_z)
+    znodes, zw, rp, rpp, drift = _ramp(rho, nu)
     floor = kernels.heat_floor()
 
-    s_nodes, s_weights = _s_panel_nodes(t, n_mid=n_mid)
+    s_nodes, s_weights = _s_panel_nodes(t)
     r1 = np.zeros((len(x), len(y)))
     r2 = np.zeros((len(x), len(y)))
     r3 = np.zeros((len(x), len(y)))
@@ -813,7 +813,7 @@ def test_duhamel_sliced_heat_matches_per_node_calls(nu):
     kern = UnitIntervalKernels(basis)
     t = 0.3
     x, xg = np.linspace(0.03, 0.49, 24), np.linspace(0.05, 0.45, 7)
-    znodes = _ramp(rho, nu, 48)[0]
+    znodes = _ramp(rho, nu)[0]
     s_nodes = _s_panel_nodes(t)[0]
     for fn, args, ref, xs in (
             (duhamel_residuals, (basis, rho, f, t, x), ref_duhamel_residuals, x),

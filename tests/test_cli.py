@@ -15,8 +15,13 @@ import pytest
 
 import fbhardy.cli
 from fbhardy.cli import main
+from fbhardy.config import load_config
+from fbhardy.covers import FAMILY_ONE_END, FAMILY_TWO_END, DyadicCover
+from fbhardy.hardy import atomic_decompose, random_atoms
 from fbhardy.kernels import LEMMA_IDS, EstimateReport
 from fbhardy.quadrature import MEASURE_LEBESGUE, MEASURE_MU, make_quadrature
+
+from test_atom_check import ref_validate_atom
 
 
 def grid_size(measure: str) -> int:
@@ -221,6 +226,52 @@ def test_atoms_batch(tmp_path, small_cfg):
     assert payload["count"] == 5
     assert math.isfinite(payload["max_norm"])
     assert all(r["valid"] for r in payload["rows"])
+
+
+@pytest.mark.parametrize("family", ["mu", "lebesgue"])
+@pytest.mark.parametrize("nu", ["-0.3", "1"])
+def test_atoms_reports_equal_the_per_atom_reference(tmp_path, small_cfg, family, nu):
+    """atoms validate writes the per-atom reference report of every seeded
+    atom, byte for byte, and atoms batch its label, kind and validity."""
+    out = tmp_path / "out"
+    for action in ("validate", "batch"):
+        assert run(["--nu", nu, "atoms", action, "--family", family, "--count", "30"],
+                   cfg=small_cfg, out=out) == 0
+    cfg = load_config(small_cfg, overrides={"nu": float(nu)})
+    measure = fbhardy.cli._FAMILY_ALIASES[family]
+    atoms = random_atoms(np.random.default_rng(cfg.seed), measure, cfg.nu, 30,
+                         scale_max=cfg.atom_scale_max, zeta=cfg.zeta)
+    cover = DyadicCover(FAMILY_ONE_END if measure == MEASURE_MU else FAMILY_TWO_END,
+                        zeta=cfg.zeta, j_max=max(cfg.atom_scale_max, 8))
+    want = [ref_validate_atom(a, cover, cfg.cancel_tol) for _, a in atoms]
+    payload = {"count": 30, "n_valid": sum(r["valid"] for r in want), "reports": want}
+    assert (out / f"atoms_validate_{family}.json").read_text() == \
+        json.dumps(fbhardy.cli._py(payload), sort_keys=True, indent=1) + "\n"
+    with open(out / f"atoms_batch_{family}.json") as fh:
+        rows = json.load(fh)["rows"]
+    assert [(r["label"], r["kind"], r["valid"]) for r in rows] == [
+        (a.label, a.kind, ref_validate_atom(a, cancel_tol=cfg.cancel_tol)["valid"])
+        for _, a in atoms]
+
+
+def test_h1_report_decomposes_with_the_config(tmp_path):
+    """zeta and reconstruct_tol from the config reach the decomposition: the
+    report's atomic numbers are those of a direct call with the same
+    settings, and differ from those at the defaults."""
+    path = tmp_path / "h1.cfg"
+    path.write_text(SMALL_CFG + "zeta = 0.05\nreconstruct_tol = 1e-4\n")
+    out = tmp_path / "out"
+    assert run(["h1-report"], cfg=str(path), out=out) == 0
+    with open(out / "h1_report.json") as fh:
+        payload = json.load(fh)
+    session = fbhardy.cli._Session(load_config(path))
+    for measure, tag in ((MEASURE_MU, "mu"), (MEASURE_LEBESGUE, "lebesgue")):
+        f = fbhardy.cli._sampled(session, fbhardy.cli._twobar_profile(measure), measure)
+        summary = atomic_decompose(f, nu=0.5, reconstruct_tol=1e-4, zeta=0.05).summary(f)
+        assert payload[tag]["coeff_l1"] == summary["coeff_l1"]
+        assert payload[tag]["n_details"] == summary["n_details"]
+        assert payload[tag]["residual_rel"] == summary["residual_rel"]
+        assert payload[tag]["n_details"] != atomic_decompose(f, nu=0.5).summary()["n_details"]
 
 
 def test_h1_report(tmp_path, small_cfg):

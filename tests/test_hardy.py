@@ -20,8 +20,13 @@ from fbhardy.hardy import (Atom, Decomposition, KIND_CANCELLATIVE,
                            partition_coverage, random_atoms, special_atom,
                            two_atom_split, validate_atom)
 from fbhardy.maximal import TimeGrid
-from fbhardy.quadrature import (MEASURE_LEBESGUE, MEASURE_MU, SampledFunction,
-                                make_quadrature)
+from fbhardy.quadrature import (MEASURE_LEBESGUE, MEASURE_MU, Measure,
+                                SampledFunction, make_quadrature)
+
+
+def _sigma(atom):
+    """The measure of the atom's support."""
+    return float(Measure.of(atom.measure, atom.nu).interval(*atom.fn.breaks[[0, -1]]))
 
 
 def _bump_pl(a=0.08, b=0.40, n=33):
@@ -174,7 +179,7 @@ def test_special_atom_is_normalized_indicator():
     cover = DyadicCover(FAMILY_ONE_END, zeta=0.02)
     atom = special_atom(cover, 3, 0.5, MEASURE_MU)
     assert atom.kind == KIND_SPECIAL
-    assert atom.cancellation() == pytest.approx(1.0, rel=1e-12)
+    assert atom.fn.integral(atom.measure, atom.nu) == pytest.approx(1.0, rel=1e-12)
     rep = validate_atom(atom, cover)
     assert rep["valid"] and rep["cell_match_ok"]
 
@@ -185,8 +190,8 @@ def test_haar_atom_median_split_saturates_size():
     p = 2 * nu + 2
     m = ((a**p + b**p) / 2) ** (1 / p)
     atom = haar_atom(a, m, b, nu, MEASURE_MU)
-    assert atom.cancellation() == pytest.approx(0.0, abs=1e-15)
-    assert atom.sup_norm() == pytest.approx(1.0 / atom.sigma(), rel=1e-12)
+    assert atom.fn.integral(atom.measure, atom.nu) == pytest.approx(0.0, abs=1e-15)
+    assert atom.fn.sup_norm() == pytest.approx(1.0 / _sigma(atom), rel=1e-12)
     assert validate_atom(atom)["valid"]
 
 
@@ -195,7 +200,7 @@ def test_haar_atom_off_median_stays_valid():
     rep = validate_atom(atom)
     assert rep["valid"]
     assert rep["cancellation"] == pytest.approx(0.0, abs=1e-15)
-    assert atom.sup_norm() <= (1 + 1e-12) / atom.sigma()
+    assert atom.fn.sup_norm() <= (1 + 1e-12) / _sigma(atom)
 
 
 def test_validate_atom_flags_defects():
@@ -252,9 +257,9 @@ def test_two_atom_split_identity(measure, family):
     assert validate_atom(split["cancellative"])["valid"]
     big = cover.starred(j, 2)
     x = np.linspace(big.a + 1e-6, big.b - 1e-6, 211)
-    lhs = split["cell_special"].evaluate(x)
-    rhs = (split["lam1"] * split["cancellative"].evaluate(x)
-           + split["local_special"].evaluate(x))
+    lhs = split["cell_special"].fn.evaluate(x)
+    rhs = (split["lam1"] * split["cancellative"].fn.evaluate(x)
+           + split["local_special"].fn.evaluate(x))
     assert np.allclose(lhs, rhs, atol=1e-10)
 
 
@@ -266,8 +271,8 @@ def test_globalize_special_reproduces_local_atom():
     split = two_atom_split(cover, 3, 0.5, MEASURE_MU)
     big = cover.starred(3, 2)
     x = np.linspace(big.a + 1e-6, big.b - 1e-6, 101)
-    got = sum(c * atom.evaluate(x) for c, atom in pairs)
-    want = coef * split["local_special"].evaluate(x)
+    got = sum(c * atom.fn.evaluate(x) for c, atom in pairs)
+    want = coef * split["local_special"].fn.evaluate(x)
     assert np.allclose(got, want, atol=1e-10)
 
 
@@ -476,7 +481,7 @@ def test_random_atoms_are_valid_and_deterministic():
                              count=60)
         atoms, again = [a for _, a in atoms], [b for _, b in again]
         assert [a.label for a in atoms] == [b.label for b in again]
-        assert all(a.interval.a == b.interval.a for a, b in zip(atoms, again))
+        assert all(a.fn.breaks[0] == b.fn.breaks[0] for a, b in zip(atoms, again))
 
 
 def test_h1_norm_report_fields(basis_half):

@@ -78,14 +78,14 @@ def _at_time(basis, f, t, kind="poisson"):
 
 def test_apply_poisson_scales_eigenfunction(basis_half, grid_mu):
     lam = basis_half.table.zeros[2]
-    f = SampledFunction(grid=grid_mu, values=basis_half.phi(3, grid_mu.nodes))
+    f = SampledFunction(grid=grid_mu, values=basis_half.phi_matrix(grid_mu.nodes, 3)[2])
     out = _at_time(basis_half, f, 0.4, "poisson")
     assert np.allclose(out.values, math.exp(-0.4 * lam) * f.values, atol=1e-8)
 
 
 def test_apply_heat_scales_eigenfunction(basis_half, grid_mu):
     lam = basis_half.table.zeros[2]
-    f = SampledFunction(grid=grid_mu, values=basis_half.phi(3, grid_mu.nodes))
+    f = SampledFunction(grid=grid_mu, values=basis_half.phi_matrix(grid_mu.nodes, 3)[2])
     out = _at_time(basis_half, f, 0.05, "heat")
     assert np.allclose(out.values, math.exp(-0.05 * lam**2) * f.values,
                        atol=1e-8)
@@ -93,14 +93,14 @@ def test_apply_heat_scales_eigenfunction(basis_half, grid_mu):
 
 def test_psi_system_used_for_lebesgue_inputs(basis_half, grid_leb):
     lam = basis_half.table.zeros[1]
-    f = SampledFunction(grid=grid_leb, values=basis_half.psi(2, grid_leb.nodes))
+    f = SampledFunction(grid=grid_leb, values=basis_half.psi_matrix(grid_leb.nodes, 2)[1])
     exp = SpectralExpansion(f, basis_half)
     out = exp.at_time(0.1, grid_leb.nodes, "heat")
     assert np.allclose(out, math.exp(-0.1 * lam**2) * f.values, atol=1e-8)
 
 
 def test_expansion_resolves_single_mode(basis_half, grid_mu):
-    f = SampledFunction(grid=grid_mu, values=basis_half.phi(3, grid_mu.nodes))
+    f = SampledFunction(grid=grid_mu, values=basis_half.phi_matrix(grid_mu.nodes, 3)[2])
     exp = SpectralExpansion(f, basis_half)
     # trimmed far below the table size by the grid's resolvable frequency
     assert exp.n_active < len(basis_half) // 4
@@ -158,7 +158,7 @@ def test_apply_halfline_needs_mu_tag(grid_leb):
 
 def test_maximal_of_eigenfunction_peaks_at_smallest_time(basis_half, grid_mu):
     lam = basis_half.table.zeros[0]
-    f = SampledFunction(grid=grid_mu, values=basis_half.phi(1, grid_mu.nodes))
+    f = SampledFunction(grid=grid_mu, values=basis_half.phi_matrix(grid_mu.nodes, 1)[0])
     grid = TimeGrid.build(1e-4, 5.0, ratio=1.25)
     res = maximal_function(basis_half, f, grid)
     expected = math.exp(-grid.values[0] * lam) * np.abs(f.values)
@@ -237,7 +237,7 @@ def test_maximal_mass_of_every_atom_reaches_its_l1_norm(basis_half):
         grid = make_quadrature("unit_interval", 1024, measure=measure, nu=0.5)
         atoms, batch = _atom_batch(grid, 104)
         mass = maximal_function(basis_half, batch, tg).l1_norm(grid.weights)
-        l1 = np.array([a.l1_norm() for _, a in atoms])
+        l1 = np.array([a.fn.l1_norm(a.measure, a.nu) for _, a in atoms])
         assert np.all(mass >= 0.9 * l1), measure
 
 
