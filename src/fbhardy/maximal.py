@@ -34,7 +34,7 @@ from .basis import EigenBasis, coefficients
 from .covers import DyadicCover, Interval, FAMILY_ONE_END, FAMILY_TWO_END
 from .errors import NumericsError
 from .kernels import (_SUB_BLOCK, HALFLINE_KERNELS, SEMIGROUPS, UnitIntervalKernels,
-                      bessel_heat, bessel_poisson, dy_bessel_heat)
+                      _subordinated_poisson, bessel_heat, bessel_poisson, dy_bessel_heat)
 from .quadrature import (Measure, SampledFunction, grid_on_interval,
                          MEASURE_LEBESGUE, MEASURE_MU)
 
@@ -181,10 +181,12 @@ def uchiyama_time(nu: float, r, x):
 
 
 def uchiyama_kernel(nu: float, r: float, x, y, sigma_total: float | None = None):
-    """Half-line Poisson kernel at the reparametrized time t(x, r)."""
+    """Half-line Poisson kernel at the reparametrized time t(x, r), still by the
+    352-node subordination: the benchmark records `halfline-0` from it (ROADMAP
+    item 12); `kernels._subordinate` and `_SUB_*` go when that reference moves."""
     if sigma_total is not None and not (0 < r < sigma_total):
         raise ValueError(f"radius {r} outside (0, {sigma_total})")
-    return bessel_poisson(nu, uchiyama_time(nu, float(r), x), x, y)
+    return _subordinated_poisson(nu, uchiyama_time(nu, float(r), x), x, y)
 
 
 # each metric is the cdf distance of one measure
@@ -521,9 +523,9 @@ def compare_semigroups(basis: EigenBasis, fs, t_grid=None,
 
     The half-line kernel matrix is built once per time, on the grid columns
     where some input of the batch is nonzero (every other column meets a
-    zero weight), and applied to the whole batch (bessel_poisson evaluates
-    only the terms its certified cut keeps); the unit-interval side is one
-    spectral sweep of the whole batch over all times."""
+    zero weight), and applied to the whole batch (bessel_poisson's fixed
+    rules, 76 nodes a point); the unit-interval side is one spectral sweep of
+    the whole batch over all times."""
     if isinstance(fs, SampledFunction):
         fs = [fs]
     cover = DyadicCover(FAMILY_ONE_END, zeta=zeta)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -111,6 +112,25 @@ def _gl_on_panels(edges: np.ndarray, counts):
     half, mid = 0.5 * np.diff(edges), 0.5 * (edges[:-1] + edges[1:])
     return (np.concatenate([m + h * rules[p][0] for m, h, p in zip(mid, half, counts)]),
             np.concatenate([h * rules[p][1] for h, p in zip(half, counts)]))
+
+
+@lru_cache(maxsize=16)
+def _gauss_jacobi(n: int, alpha: float, beta: float):
+    """n-point Gauss rule for (1 - s)^alpha (1 + s)^beta on [-1, 1] (alpha, beta,
+    alpha + beta > -1) by Golub-Welsch, built once: read-only nodes and weights."""
+    k = np.arange(1.0, n)
+    s = 2.0 * k + alpha + beta
+    diag = np.concatenate([[(beta - alpha) / (alpha + beta + 2.0)],
+                           (beta * beta - alpha * alpha) / (s * (s + 2.0))])
+    off = np.sqrt(4.0 * k * (k + alpha) * (k + beta) * (k + alpha + beta)
+                  / (s * s * (s + 1.0) * (s - 1.0)))
+    nodes, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, -1))
+    mass = math.exp((alpha + beta + 1.0) * math.log(2.0) + math.lgamma(alpha + 1.0)
+                    + math.lgamma(beta + 1.0) - math.lgamma(alpha + beta + 2.0))
+    weights = mass * vectors[0] ** 2
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def _grid(edges: np.ndarray, n_nodes: int, measure: str, nu: float,

@@ -96,6 +96,17 @@ def test_kernel_halfline_closed_form(tmp_path, small_cfg):
     assert (out / "kernel_bessel-poisson.csv").exists()
 
 
+def test_kernel_bessel_poisson_is_non_negative_at_order_12(tmp_path):
+    """The subordination wrote -8.917e13 here (t = 0.1, x = y = 0.2466), where
+    mpmath gives 1.15877e14."""
+    out = tmp_path / "out"
+    assert run(["--nu", "12", "kernel", "--which", "bessel-poisson", "--grid", "4"],
+               out=out) == 0
+    _, body = read_csv(out / "kernel_bessel-poisson.csv")
+    vals = np.array([float(r[3]) for r in body])
+    assert len(vals) > 0 and np.all(np.isfinite(vals)) and np.all(vals >= 0)
+
+
 def test_estimates_write_one_report_per_lemma(tmp_path, small_cfg):
     out = tmp_path / "out"
     rc = run(["estimates", "--lemma", "all", "--grid", "4"],

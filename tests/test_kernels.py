@@ -13,8 +13,8 @@ import scipy.integrate
 import scipy.special as sps
 
 from fbhardy.errors import NumericsError
-from fbhardy.kernels import (UnitIntervalKernels, bessel_heat, bessel_poisson,
-                             check_sharp_estimate, dy_bessel_heat, LEMMA_IDS)
+from fbhardy.kernels import (UnitIntervalKernels, _subordinated_poisson, bessel_heat,
+                             bessel_poisson, check_sharp_estimate, dy_bessel_heat, LEMMA_IDS)
 from fbhardy.quadrature import Measure, MEASURE_MU
 
 P1_HALF_CLOSED = 2.0 * math.exp(-math.pi) / (1.0 - math.exp(-2.0 * math.pi))
@@ -186,9 +186,6 @@ def test_bessel_poisson_half_order_closed_form():
         np.testing.assert_allclose(got, expect, rtol=1e-11, atol=1e-300)
 
 
-@pytest.mark.xfail(strict=True, reason="the fixed subordination nodes miss "
-                   "the integrand's peak at v ~ t/|x-y| for small t off the "
-                   "diagonal (ROADMAP item 2)")
 def test_bessel_poisson_small_time_off_diagonal():
     t, x, y = 1e-5, 0.2, 1.2
     expect = (t / math.pi) / (x * y) * (
@@ -228,19 +225,21 @@ def test_bessel_poisson_array_time_matches_scalar_calls():
 
 
 def test_bessel_poisson_crosses_node_blocks():
-    """32 x 512 points fill a whole subordination block, so every node is
-    its own block; 32 x 20 points pack 25 nodes per block with a partial
-    last block.  Both must agree with scalar calls."""
+    """The subordination that uchiyama_kernel keeps: 32 x 512 points fill a
+    whole subordination block, so every node is its own block; 32 x 20
+    points pack 25 nodes per block with a partial last block.  Both must
+    agree with scalar calls."""
     rng = np.random.default_rng(5)
     nu = 0.5
     for shape in ((32, 512), (32, 20)):
         x = rng.uniform(0.05, 4.0, shape)
         y = rng.uniform(0.05, 4.0, shape)
         t = rng.uniform(0.02, 3.0, shape)
-        got = bessel_poisson(nu, t, x, y)
+        got = _subordinated_poisson(nu, t, x, y)
         sample = rng.choice(x.size, 64, replace=False)
-        expect = _per_point_poisson(nu, t.ravel()[sample], x.ravel()[sample],
-                                    y.ravel()[sample])
+        expect = np.array([_subordinated_poisson(nu, float(tv), float(xv), float(yv))
+                           for tv, xv, yv in zip(t.ravel()[sample], x.ravel()[sample],
+                                                 y.ravel()[sample])])
         np.testing.assert_allclose(got.ravel()[sample], expect, rtol=1e-13,
                                    atol=0)
 

@@ -6,9 +6,43 @@ import scipy.special as sps
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fbhardy.quadrature import (Grid, Measure, SampledFunction, _gl_on_panels,
-                                grid_on_interval, make_quadrature,
+from fbhardy.quadrature import (Grid, Measure, SampledFunction, _gauss_jacobi,
+                                _gl_on_panels, grid_on_interval, make_quadrature,
                                 MEASURE_LEBESGUE, MEASURE_MU)
+
+
+_JACOBI_ORDERS = (-0.45, 0.0, 0.5, 1.0, 12.0)
+
+
+@pytest.mark.parametrize("nu", _JACOBI_ORDERS)
+@pytest.mark.parametrize("n", [16, 20, 40])
+def test_gauss_jacobi_matches_scipy(nu, n):
+    """The weights bessel_poisson uses, (1 - s)^(nu - 1/2) and
+    (1 + s)^(nu - 1/2): nodes to 2e-15, weights to 1e-11 of their sum, as
+    roots_jacobi's own rule is off by up to 1e-12 relative in integrals at
+    nu = -0.45 (test_gauss_jacobi_integrates_a_smooth_function)."""
+    for alpha, beta in ((nu - 0.5, 0.0), (0.0, nu - 0.5)):
+        nodes, weights = _gauss_jacobi(n, alpha, beta)
+        want_nodes, want_weights = sps.roots_jacobi(n, alpha, beta)
+        assert np.max(np.abs(nodes - want_nodes)) <= 2e-15
+        assert np.max(np.abs(weights - want_weights)) <= 1e-11 * want_weights.sum()
+        assert np.all(weights > 0)
+
+
+@pytest.mark.parametrize("nu", _JACOBI_ORDERS)
+def test_gauss_jacobi_integrates_a_smooth_function(nu):
+    """int (1 + s)^b e^s / (2 + s) ds to 1e-14 against mpmath, which takes
+    it in v = (1 + s)^(b + 1), where the integrand is smooth."""
+    mpmath = pytest.importorskip("mpmath")
+    b = nu - 0.5
+    with mpmath.workdps(30):
+        e = mpmath.mpf(b) + 1
+        want = mpmath.quad(lambda v: (lambda s: mpmath.exp(s) / (2 + s))(v ** (1 / e) - 1),
+                           [0, 2**e]) / e
+    for n in (20, 40):
+        nodes, weights = _gauss_jacobi(n, 0.0, b)
+        got = weights @ (np.exp(nodes) / (2.0 + nodes))
+        assert abs(got - float(want)) <= 1e-14 * float(want)
 
 
 def test_monomial_moments_unit_interval():
