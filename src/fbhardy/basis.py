@@ -38,11 +38,14 @@ def _sup_sqrtz_j(order: Order) -> float:
 
     Beyond the scan window the envelope sqrt(2/pi)(1 + O(1/z)) applies, so the
     max over [grid, asymptotic envelope] inflated by 2 percent is a safe desk
-    constant."""
-    z = np.linspace(1e-3, 260.0, 26000)
-    vals = np.sqrt(z) * np.abs(np.asarray(specfun.bessel_j(order, z)))
+    constant.  For |nu| <= 1/2, z (J_nu^2 + Y_nu^2) rises to 2/pi (Watson
+    section 13.74, with M_{-nu} = M_nu), so the scan never reaches the
+    envelope and is skipped."""
     envelope = math.sqrt(2.0 / math.pi) * 1.01
-    return 1.02 * max(float(vals.max()), envelope)
+    if abs(order.nu) <= 0.5:
+        return 1.02 * envelope
+    z = np.linspace(1e-3, 260.0, 26000)
+    return 1.02 * max(float(np.max(np.sqrt(z) * np.abs(specfun.bessel_j(order, z)))), envelope)
 
 
 @dataclass(frozen=True)
@@ -62,7 +65,7 @@ class EigenBasis:
     @classmethod
     def build(cls, order: Order, n_zeros: int, zero_tol: float = 1e-12) -> "EigenBasis":
         table = specfun.bessel_zeros(order, n_zeros, zero_tol=zero_tol)
-        jnext = np.abs(np.asarray(specfun.bessel_j(Order(order.nu + 1.0), table.zeros)))
+        jnext = np.abs(specfun._j(Order(order.nu + 1.0), table.zeros))
         if np.any(jnext == 0.0):
             raise NumericsError("eigenbasis", "J_{nu+1} vanishes at a computed zero")
         c = math.sqrt(2.0) / jnext

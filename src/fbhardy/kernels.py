@@ -257,9 +257,9 @@ _ROUTE_I = {True: lambda order, u: specfun._over_series(order.nu, u, 1.0),
 
 
 def _halfline(op: str, nu: float, t, x, y, kernel):
-    """kernel((Order(nu), Order(nu + 1)), t, (x, y, xy, x^2 + y^2, (x - y)^2,
-    (xy)^-nu)) at checked t, x, y (NaN fails) in their broadcast shape; an
-    infinite t, x or y gets the kernels' limit there, 0."""
+    """kernel((Order(nu), Order(nu + 1)), t, (x, y, xy, x^2 + y^2, (x - y)^2))
+    at checked t, x, y (NaN fails) in their broadcast shape; an infinite t, x
+    or y gets the kernels' limit there, 0."""
     orders = Order(nu), Order(nu + 1.0)
     tb, xb, yb = _broadcast(t, x, y)
     t, x, y = (np.ravel(a) for a in (tb, xb, yb))
@@ -269,8 +269,7 @@ def _halfline(op: str, nu: float, t, x, y, kernel):
     keep = np.isfinite(t) & np.isfinite(x) & np.isfinite(y)
     t, x, y = t[keep], x[keep], y[keep]
     xy = x * y
-    with np.errstate(divide="ignore"):   # (xy)^-nu at xy = 0, read only where xy > 0
-        out[keep] = kernel(orders, t, (x, y, xy, x**2 + y**2, (x - y) ** 2, xy ** (-nu)))
+    out[keep] = kernel(orders, t, (x, y, xy, x**2 + y**2, (x - y) ** 2))
     return float(out[0]) if tb.shape == () else out.reshape(tb.shape)
 
 
@@ -280,7 +279,7 @@ def _heat(orders, s, points, dy: bool, keep=True) -> np.ndarray:
     forms its Gaussian factor first and evaluates I only where that factor
     is nonzero and `keep` (broadcast like s) holds, or everywhere if some s
     is at most s_safe; the kernel is exactly 0 at every other element."""
-    x, y, xy, sq, d2, xyn = points
+    x, y, xy, sq, d2 = points
     nu = orders[0].nu
     h = xy / (2.0 * s) <= _IVE_SWITCH
     out = np.zeros(h.shape)
@@ -296,7 +295,7 @@ def _heat(orders, s, points, dy: bool, keep=True) -> np.ndarray:
     for h_route in (True, False):
         idx = live[h[live] == h_route]
         ts, col = s[idx], idx % xy.size
-        g = ((2.0 * ts) ** (-1.0 - nu) if h_route else xyn[col] / (2.0 * ts)) * \
+        g = ((2.0 * ts) ** (-1.0 - nu) if h_route else xy[col] ** -nu / (2.0 * ts)) * \
             np.exp((sq if h_route else d2)[col] / (-4.0 * ts))
         nz = g != 0
         idx, ts, col, g = idx[nz], ts[nz], col[nz], g[nz]
@@ -362,7 +361,7 @@ _MS_BLOCK = 8192   # max (points x nodes) elements per block: under glibc's mmap
 
 
 def _muckenhoupt_stein(orders, t, points) -> np.ndarray:
-    _, _, xy, _, d2, _ = points
+    _, _, xy, _, d2 = points
     nu = orders[0].nu
     beta, p = nu - 0.5, nu + 0.5
     (s0, w0), (s1, w1), (s2, w2) = (_gauss_jacobi(40, 0.0, beta), _gauss_jacobi(16, 0.0, 0.0),

@@ -6,10 +6,10 @@ large-argument (Hankel-type) asymptotic expansion with phase
 x - (nu/2 + 1/4)*pi beyond it.  The switch point is max(12, 2|nu|) for J.
 For I the series has no cancellation, so the switch sits higher, at
 max(30, 2|nu|); there the subdominant term sin(nu pi) exp(-2x) of exp(-x) I_nu
-is below 2^-86 relative, and the asymptotic form leaves it out.  At nu = 1/2
-both expansions terminate: J is sqrt(2/(pi x)) sin x exactly (it skips the P
-and Q sums, P = 1 and Q = 0, and takes the cosine term alone), and exp(-x) I
-is 1/sqrt(2 pi x).
+is below 2^-86 relative, and the asymptotic form leaves it out.  The Hankel
+sums have K terms, and K = 0 at nu = 1/2 alone: there J / x^(1/2) is
+sqrt(2/pi) sin(x)/x exactly (DLMF 10.16.1), J's switch is 0 (the series
+serves x = 0 alone), and exp(-x) I is 1/sqrt(2 pi x).
 
 Every sum stops per element, so a value depends on its own argument alone.
 One ascending series serves J and I (q = -x^2/4 or x^2/4): an element stops
@@ -20,14 +20,16 @@ A handful of arguments (at most _SCALAR_MAX, as at each step of the zero
 finder's bisection) take the same float steps one element at a time: the cost
 is per numpy call, not per element.
 The asymptotic sums stop at an element's smallest term or its first term
-below 1e-18, read from one per-order table of the gaps between the sorted
-thresholds, one search per element; elements within 1e-12 of a threshold are
-compared term by term.  In each block of _CHUNK elements they are sorted by
+below 1e-18, and J's also before the terms rounding would absorb: one sorted
+table of edges per order and sum (its thresholds merged) holds the last term
+of each gap, one search per element; elements within 2e-12 of a threshold
+are computed term by term.  In each block of _CHUNK elements they are sorted by
 their last term (a stable sort of the 8-bit key top - last), so term k of a
-sum touches one contiguous prefix.  The public evaluators write into out=
-(x itself allowed) and run the asymptotic form on one block of _CHUNK = 8192
-elements of x at a time, whose temporaries stay under glibc's 128 KiB mmap
+sum touches one contiguous prefix.  The public evaluators check x, write into
+out= (x itself allowed) and run the asymptotic form on one block of _CHUNK =
+8192 elements of x at a time, whose temporaries stay under glibc's 128 KiB mmap
 threshold (larger ones are mapped fresh and fault on every page, each call).
+The zero finder calls J unchecked (_j) on the arrays it makes itself.
 """
 from __future__ import annotations
 
@@ -58,7 +60,7 @@ class Order:
 
     @property
     def j_switch(self) -> float:
-        return max(12.0, 2.0 * abs(self.nu))
+        return 0.0 if self.nu == 0.5 else max(12.0, 2.0 * abs(self.nu))   # K = 0 at 1/2 alone
 
     @property
     def i_switch(self) -> float:
@@ -120,18 +122,34 @@ def _series_blocks(nu: float, x: np.ndarray, sign: float, head: float) -> np.nda
 # large-argument expansions
 
 
+def _gap_table(exact, cuts):
+    """exact(x) (int8, 1 to 127, constant between the cuts, all >= 0) from its
+    value on each gap between bands of 2e-12 relative around the cuts, one
+    search per element; exact itself computes the elements in a band."""
+    c = np.sort(cuts)   # a band that overlaps the one before starts where it ends
+    edges = np.maximum.accumulate(np.column_stack([c * (1.0 - 2e-12), c * (1.0 + 2e-12)]).ravel())
+    value = np.zeros(edges.size + 1, dtype=np.int8)   # 0 in the bands: computed
+    with np.errstate(over="ignore"):   # x**j past 1e308 beyond the largest cut
+        value[0::2] = exact(np.append(edges[0::2], 2.0 * edges[-1]))
+
+    def last(x):
+        out = value[np.searchsorted(edges, x)]   # edges[i - 1] < x <= edges[i]
+        if (near := np.flatnonzero(out == 0)).size:
+            out[near] = exact(x[near])
+        return out
+    return last
+
+
 @lru_cache(maxsize=64)
 def _asymptotic_table(nu: float):
     """Coefficients a_1..a_K of the Hankel-type sums (K stops at _ASYMP_CAP
     or before the first vanishing a_k), the J and I term lists for
-    _power_sums, stops(x) and the absorb thresholds; t_k = a_k / x^k.
-    stops gives per element its last term, the earlier of the last before
-    |t_k| stops decreasing (x <= |a_k/a_{k-1}|) and the first below 1e-18
-    (x > (1e18 |a_k|)^(1/k)), read from its gap between thresholds, and
-    within 1e-12 of one from the loop's own comparisons.  absorb: past floor,
-    |t_2| <= 1/160 and 80 |t_3| <= |t_1| keep |P| > 3/4, |Q| > 3/4 |t_1|;
-    once x > absorb[k-1] the J terms after k are below 2^-56 min(1, |t_1|),
-    and a float S plus less than 2^-54 |S| rounds to S."""
+    _power_sums, and two _gap_tables of each element's last term (t_k = a_k
+    / x^k).  stops: the earlier of the last before |t_k| stops decreasing
+    (x <= |a_k/a_{k-1}|) and the first below 1e-18 (x > (1e18 |a_k|)^(1/k)).
+    j_last: that, or past floor the last before absorb: |t_2| <= 1/160 and
+    80 |t_3| <= |t_1| keep |P| > 3/4, |Q| > 3/4 |t_1|; once x > absorb[k-1] the J
+    terms after k are below 2^-56 min(1, |t_1|), and S + (< 2^-54 |S|) rounds to S."""
     mu4, c, a = 4.0 * nu * nu, 1.0, []
     for k in range(1, _ASYMP_CAP + 1):
         c *= (mu4 - (2 * k - 1) ** 2) / (8.0 * k)
@@ -139,34 +157,30 @@ def _asymptotic_table(nu: float):
             break
         a.append(c)
     K, k = len(a), np.arange(1, len(a) + 1)
-    A = np.abs(np.array(a + [0.0] * 3))
-    ak, b = A[:K], 2.0**56 * A[1:K]
-    r, s = ak[1:] / ak[:-1], (1e18 * ak) ** (1.0 / k)
-    rise, tiny = np.maximum.accumulate(r), np.minimum.accumulate(s)
-    ties = np.sort(np.concatenate([[-np.inf, np.inf], r, s]))
-    # rise and tiny take their values from the ties, so the counts below are
-    # the same across each gap between neighbouring ties
-    last = np.minimum(np.searchsorted(rise, ties, side="right"),
-                      np.searchsorted(-tiny, -ties, side="left"))
-    stop_at = np.minimum(1 + last, K).astype(np.int8)
+    if not K:   # nu = 1/2
+        return K, (), (), None, None
 
-    def stops(x):
-        i = np.searchsorted(ties, x) - 1   # ties[i] < x <= ties[i + 1]
-        stop = stop_at[i]
-        near = np.flatnonzero(np.minimum(x - ties[i], ties[i + 1] - x) <= 1e-12 * x)
-        live, prev = np.ones(near.size, dtype=bool), np.inf
-        for j, cj in enumerate(a if near.size else (), start=1):
-            mag = np.abs(cj / x[near] ** j)
+    def scan(x):
+        stop, live, prev = np.ones(x.size, dtype=np.int8), np.ones(x.size, dtype=bool), np.inf
+        for j, cj in enumerate(a, start=1):
+            mag = np.abs(cj / x**j)
             live &= mag < prev
-            stop[near[live]], prev = j, mag
+            stop[live], prev = j, mag
             live &= mag >= 1e-18
         return stop
-    absorb = np.maximum(b ** (1.0 / k[1:]), (b / A[0]) ** (1.0 / k[:-1]))
+    A = np.abs(np.array(a + [0.0] * 3))
+    ak, b = A[:K], 2.0**56 * A[1:K]
+    ties = np.concatenate([ak[1:] / ak[:-1], (1e18 * ak) ** (1.0 / k)])
+    stops = _gap_table(scan, ties)
+    absorb = np.minimum.accumulate(np.maximum(b ** (1.0 / k[1:]), (b / A[0]) ** (1.0 / k[:-1])))
+    floor = math.sqrt(max(160.0 * A[1], 80.0 * A[2] / A[0]))
+    j_last = _gap_table(lambda x: np.minimum(stops(x), np.where(
+        x >= floor, 1 + np.searchsorted(-absorb, -x, side="right"), K)),
+        np.concatenate([ties, absorb, [floor]]))
     add, sub = np.add, np.subtract   # J: P takes even k, Q odd, sign (-1)^(k // 2)
     return (K, tuple((c, j % 2, (add, add, sub, sub)[j % 4]) for j, c in enumerate(a, 1)),
             tuple((c, 0, sub if j % 2 else add) for j, c in enumerate(a, 1)),
-            stops, np.minimum.accumulate(absorb),
-            math.sqrt(max(160.0 * A[1], 80.0 * A[2] / A[0])) if K else math.inf)
+            stops, j_last)
 
 
 def _power_sums(x: np.ndarray, last, init, terms) -> np.ndarray:
@@ -174,7 +188,7 @@ def _power_sums(x: np.ndarray, last, init, terms) -> np.ndarray:
     last(xs) giving them for each block xs of _CHUNK elements of x; terms[k-1]
     = (c, i, op) applies op(row i, c / x**k), op = np.add or np.subtract.  A
     block is sorted only if its last terms differ."""
-    out = np.repeat(np.asarray(init, dtype=float)[:, None], x.size, axis=1)
+    out = np.empty((len(init), x.size))
     for lo in range(0, x.size, _CHUNK):
         blk = last(x[lo:lo + _CHUNK])
         top = int(blk.max())
@@ -185,7 +199,7 @@ def _power_sums(x: np.ndarray, last, init, terms) -> np.ndarray:
             order = np.argsort(key, kind="stable")
             idx = lo + order
             live = np.searchsorted(key[order], np.arange(top - 1, -1, -1), side="right").tolist()
-        xs, acc = x[idx], out[:, idx]
+        xs, acc = x[idx], np.repeat(np.asarray(init, dtype=float)[:, None], blk.size, axis=1)
         for k, n in enumerate(live, start=1):
             c, i, op = terms[k - 1]
             t = xs[:n] ** k
@@ -199,23 +213,27 @@ def _hankel_pq(nu: float, x: np.ndarray):
     """Even/odd asymptotic sums P, Q, each element up to its smallest term
     (the usual optimal truncation of a divergent series) or its first term
     below 1e-18.  Terms that rounding would absorb into P and Q are skipped."""
-    K, terms, _, stops, absorb, floor = _asymptotic_table(nu)
-    return _power_sums(x, lambda xs: np.minimum(stops(xs), np.where(
-        xs >= floor, 1 + np.searchsorted(-absorb, -xs, side="right"), K)), (1.0, 0.0), terms)
+    _, terms, _, _, j_last = _asymptotic_table(nu)
+    return _power_sums(x, j_last, (1.0, 0.0), terms)
 
 
-def _j_asymptotic(nu: float, x: np.ndarray) -> np.ndarray:
+def _j_asymptotic(nu: float, x: np.ndarray, over: bool = False) -> np.ndarray:
+    """J_nu(x), or J_nu(x) / x^nu if over, past the switch.  At nu = 1/2 (K = 0)
+    J / x^(1/2) = sqrt(2/pi) sin(x) / x exactly (DLMF 10.16.1), on all of
+    (0, inf): sin(x) / x stays finite at subnormal x, where 2 / (pi x) overflows."""
+    if not _asymptotic_table(nu)[0]:
+        j = math.sqrt(2.0 / pi) * (np.sin(x) / x)
+        return j if over else j * np.sqrt(x)
     chi = x - (0.5 * nu + 0.25) * pi
-    if not _asymptotic_table(nu)[0]:   # nu = 1/2: a_1 = 0, P = 1 and Q = 0
-        return np.sqrt(2.0 / (pi * x)) * np.cos(chi)
     P, Q = _hankel_pq(nu, x)
-    return np.sqrt(2.0 / (pi * x)) * (np.cos(chi) * P - np.sin(chi) * Q)
+    j = np.sqrt(2.0 / (pi * x)) * (np.cos(chi) * P - np.sin(chi) * Q)
+    return j / x**nu if over else j
 
 
 def _ive_asymptotic(nu: float, x: np.ndarray) -> np.ndarray:
     """exp(-x) I_nu(x) for x > 30 from the sum of (-1)^k a_k / x^k; each
     element stops at its smallest term or at its first term below 1e-18."""
-    K, _, terms, stops, _, _ = _asymptotic_table(nu)
+    K, _, terms, stops, _ = _asymptotic_table(nu)
     E = 1.0   # nu = 1/2: a_1 = 0 and the sum is 1
     if K:
         E = _power_sums(x, stops, (1.0,), terms)[0]
@@ -234,15 +252,19 @@ def _check_domain(x: np.ndarray, op: str):
 
 
 def _evaluate(op: str, order: Order, x, switch: float, series, asymptotic, out=None):
-    """The range switch of the public evaluators: validate x, use the series on
-    [0, switch] and the asymptotic form beyond it, per _CHUNK block of x, into
-    out (x's shape) or a new array."""
+    """The public evaluators: check x and out (x's shape, or a new array), then _switch."""
     arr = np.asarray(x, dtype=np.float64)
     _check_domain(arr, op)
     res = np.empty(arr.shape) if out is None else out
     if res.shape != arr.shape or res.dtype != np.float64 or not res.flags.c_contiguous:
         raise ValueError(f"{op}: out must be a C-contiguous float64 array of shape {arr.shape}")
-    flat, dst = arr.reshape(-1), res.reshape(-1)
+    _switch(order, arr.reshape(-1), res.reshape(-1), switch, series, asymptotic)
+    return float(res) if arr.ndim == 0 and out is None else res
+
+
+def _switch(order: Order, flat, dst, switch: float, series, asymptotic):
+    """The range switch: the series on [0, switch] and the asymptotic form
+    beyond it, per _CHUNK block of flat, into dst."""
     small = flat <= switch
     with np.errstate(divide="ignore"):   # x**nu at x = 0 for nu < 0
         if (idx := np.flatnonzero(small)).size:
@@ -251,20 +273,28 @@ def _evaluate(op: str, order: Order, x, switch: float, series, asymptotic, out=N
             if (big := ~small[lo:lo + _CHUNK]).any():
                 big = slice(None) if big.all() else big
                 dst[lo:lo + _CHUNK][big] = asymptotic(order.nu, flat[lo:lo + _CHUNK][big])
-    return float(res) if arr.ndim == 0 and out is None else res
+    return dst
 
 
 def besselj_over_xnu(order: Order, x, out=None) -> np.ndarray | float:
     """J_nu(x) / x^nu, finite down to x = 0 for every admissible order."""
     return _evaluate("besselj_over_xnu", order, x, order.j_switch,
                      lambda nu, xs: _over_series(nu, xs, -1.0),
-                     lambda nu, xs: _j_asymptotic(nu, xs) / xs**nu, out)
+                     lambda nu, xs: _j_asymptotic(nu, xs, over=True), out)
+
+
+_J = (lambda nu, xs: _over_series(nu, xs, -1.0) * xs**nu, _j_asymptotic)
+
+
+def _j(order: Order, x: np.ndarray) -> np.ndarray:
+    """bessel_j without the domain check, at a 1-d array of finite x >= 0
+    made by the caller (the zero finder's scan grid, brackets and roots)."""
+    return _switch(order, x, np.empty(x.shape), order.j_switch, *_J)
 
 
 def bessel_j(order: Order, x, out=None) -> np.ndarray | float:
-    """Bessel J of the first kind, vectorized over x >= 0."""
-    return _evaluate("bessel_j", order, x, order.j_switch,
-                     lambda nu, xs: _over_series(nu, xs, -1.0) * xs**nu, _j_asymptotic, out)
+    """Bessel J of the first kind, vectorized over x >= 0: _j after the check."""
+    return _evaluate("bessel_j", order, x, order.j_switch, *_J, out)
 
 
 def bessel_i_scaled(order: Order, x, out=None) -> np.ndarray | float:
@@ -318,7 +348,7 @@ def bessel_zeros(order: Order, count: int, zero_tol: float = 1e-12) -> BesselZer
     x_hi = (count + 0.5 * nu + 1.0) * pi + 2 * pi
     while True:
         grid = np.arange(0.3, x_hi, step)
-        vals = np.asarray(bessel_j(order, grid))
+        vals = _j(order, grid)
         sgn = np.sign(vals)
         flips = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0][:count]
         if flips.size == count:
@@ -330,7 +360,7 @@ def bessel_zeros(order: Order, count: int, zero_tol: float = 1e-12) -> BesselZer
     lo, hi, flo = grid[flips], grid[flips + 1], vals[flips]
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        fmid = np.asarray(bessel_j(order, mid))
+        fmid = _j(order, mid)
         left = flo * fmid <= 0
         hi = np.where(left, mid, hi)
         lo = np.where(left, lo, mid)
@@ -341,16 +371,16 @@ def bessel_zeros(order: Order, count: int, zero_tol: float = 1e-12) -> BesselZer
             break
     roots = 0.5 * (lo + hi)
     for _ in range(8):
-        f = np.asarray(bessel_j(order, roots))
+        f = _j(order, roots)
         if np.max(np.abs(f)) < 0.1 * zero_tol:
             break
-        df = (nu / roots) * f - bessel_j(Order(nu + 1.0), roots)   # J_nu'(roots)
+        df = (nu / roots) * f - _j(Order(nu + 1.0), roots)   # J_nu'(roots)
         stepn = np.where(df != 0, f / np.where(df == 0, 1.0, df), 0.0)
         cand = roots - stepn
         ok = (cand > lo) & (cand < hi)
         roots = np.where(ok, cand, 0.5 * (lo + hi))
     else:   # the last step moved the roots
-        f = np.asarray(bessel_j(order, roots))
+        f = _j(order, roots)
     res = np.abs(f)
     if res[worst := int(np.argmax(res))] > zero_tol:
         raise NumericsError(

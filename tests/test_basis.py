@@ -144,6 +144,95 @@ def test_the_norm_check_grid_moves_no_other_bit_of_a_build(monkeypatch, nu, n_ze
     assert len(basis.norm_check_errors) == len(unsplit.norm_check_errors) == 64
 
 
+# ---------------------------------------------------------------------------
+# reference: the sup scan and the zero finder before their shortcuts, verbatim
+# apart from renaming (the finder called the checked bessel_j, and the sup
+# was scanned at every order)
+
+
+def ref_sup_sqrtz_j(order: Order) -> float:
+    z = np.linspace(1e-3, 260.0, 26000)
+    vals = np.sqrt(z) * np.abs(np.asarray(specfun.bessel_j(order, z)))
+    envelope = math.sqrt(2.0 / math.pi) * 1.01
+    return 1.02 * max(float(vals.max()), envelope)
+
+
+def ref_bessel_zeros(order: Order, count: int, zero_tol: float = 1e-12):
+    bessel_j, pi = specfun.bessel_j, math.pi
+    if count < 1:
+        raise ValueError("count must be positive")
+    nu = order.nu
+    step = pi / 4.0
+    x_hi = (count + 0.5 * nu + 1.0) * pi + 2 * pi
+    while True:
+        grid = np.arange(0.3, x_hi, step)
+        vals = np.asarray(bessel_j(order, grid))
+        sgn = np.sign(vals)
+        flips = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0][:count]
+        if flips.size == count:
+            break
+        x_hi += 16 * pi
+        if x_hi > (count + abs(nu)) * 40 * pi:
+            raise NumericsError("bessel_zeros", "sign scan failed to bracket zeros")
+
+    lo, hi, flo = grid[flips], grid[flips + 1], vals[flips]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        fmid = np.asarray(bessel_j(order, mid))
+        left = flo * fmid <= 0
+        hi = np.where(left, mid, hi)
+        lo = np.where(left, lo, mid)
+        flo = np.where(left, flo, fmid)
+        if np.max((hi - lo) / np.maximum(lo, 1.0)) < 4e-16:
+            break
+    roots = 0.5 * (lo + hi)
+    for _ in range(8):
+        f = np.asarray(bessel_j(order, roots))
+        if np.max(np.abs(f)) < 0.1 * zero_tol:
+            break
+        df = (nu / roots) * f - bessel_j(Order(nu + 1.0), roots)   # J_nu'(roots)
+        stepn = np.where(df != 0, f / np.where(df == 0, 1.0, df), 0.0)
+        cand = roots - stepn
+        ok = (cand > lo) & (cand < hi)
+        roots = np.where(ok, cand, 0.5 * (lo + hi))
+    else:   # the last step moved the roots
+        f = np.asarray(bessel_j(order, roots))
+    res = np.abs(f)
+    if res[worst := int(np.argmax(res))] > zero_tol:
+        raise NumericsError(
+            "bessel_zeros", f"residual above zero_tol = {zero_tol:.1e} at nu = {nu:g}, "
+            f"n_zeros = {count}: zero {worst + 1} has residual {res[worst]:.3e}")
+    return specfun.BesselZeroTable(order=order, zeros=roots, residuals=res)
+
+
+@pytest.mark.parametrize("nu, n_zeros", [(nu, n) for nu in (-0.3, 0.0, 0.25, 1.0, 2.5, 7.5)
+                                         for n in (80, 2400)])
+def test_a_build_without_checks_or_scans_keeps_every_bit(monkeypatch, nu, n_zeros):
+    """The finder's unchecked J and the sup taken from the theorem at
+    |nu| <= 1/2 leave the zeros, residuals, norm constants, tail constants
+    and norm-check errors of a build byte for byte as they were."""
+    basis = EigenBasis.build(Order(nu), n_zeros)
+    monkeypatch.setattr(specfun, "bessel_zeros", ref_bessel_zeros)
+    monkeypatch.setattr(basis_module, "_sup_sqrtz_j", ref_sup_sqrtz_j)
+    want = EigenBasis.build(Order(nu), n_zeros)
+    for get in (lambda b: b.table.zeros, lambda b: b.table.residuals,
+                lambda b: b.norm_constants, lambda b: b.c_margin, lambda b: b.s_nu,
+                lambda b: b.s_nu1, lambda b: b.norm_check_errors):
+        assert np.asarray(get(basis)).tobytes() == np.asarray(get(want)).tobytes()
+
+
+@pytest.mark.parametrize("nu", [-0.45, -0.3, 0.0, 0.25, 0.5])
+def test_the_sup_scan_gives_the_theorem_s_value(nu, monkeypatch):
+    """For |nu| <= 1/2, sqrt(z)|J_nu(z)| stays below sqrt(2/pi) (Watson
+    section 13.74), so the scan returns the envelope's value, which the build
+    now takes without evaluating J on the scan grid."""
+    calls, bessel_j = [], specfun.bessel_j
+    monkeypatch.setattr(specfun, "bessel_j", lambda *a, **kw: calls.append(a) or bessel_j(*a, **kw))
+    got = basis_module._sup_sqrtz_j(Order(nu))
+    assert not calls
+    assert got == ref_sup_sqrtz_j(Order(nu)) == 1.02 * (math.sqrt(2.0 / math.pi) * 1.01)
+
+
 def test_build_refuses_a_failed_norm_check(monkeypatch):
     monkeypatch.setattr(basis_module, "_NORM_TOL", 0.0)
     with pytest.raises(NumericsError, match="unit-norm quadrature check failed"):

@@ -8,17 +8,21 @@ written out, the argument-domain checks dropped (the library still makes
 them) and one change to the J sums: a per-element live mask replaces their
 whole-array stop, so each element stops after its own first term below
 1e-18 (of its sum in the series, absolute in P and Q). The J functions and
-the zero tables must come out bit for bit the same; the I functions may move
+the zero tables must come out bit for bit the same (at nu = 1/2, where J is
+the closed form, they are held to mpmath, as in `test_half_order_j`, and the
+series to the range it has at the other orders); the I functions may move
 by a few ulps (their references still stop for the whole array), the
 half-line heat kernels must give exactly 0 where the reference does and
 agree to rel 4e-15 elsewhere, and the semigroup comparison must agree to
 rel 1e-13.
 
 `ref_stops` is the asymptotic stop scan before its lookup tables, and must
-give the same indices; `ref_bessel_poisson` is the blocked subordination
-loop on `ref_bessel_heat`, and the subordination that uchiyama_kernel keeps
-(`kernels._subordinated_poisson`) is held to it by the heat kernels' rule.
-The terms it skips must sum to at most 2^-60 of each point's sum.
+give the same indices, as must `ref_j_last`, J's stop from the scan and a
+second search over the absorb thresholds; `ref_bessel_poisson` is the
+blocked subordination loop on `ref_bessel_heat`, and the subordination that
+uchiyama_kernel keeps (`kernels._subordinated_poisson`) is held to it by the
+heat kernels' rule. The terms it skips must sum to at most 2^-60 of each
+point's sum.
 `ref_compare_semigroups` still runs on `ref_bessel_poisson`, so the
 Muckenhoupt-Stein `bessel_poisson` must reproduce the comparison to rel
 1e-13.
@@ -34,7 +38,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fbhardy import kernels, maximal, specfun
@@ -51,6 +55,7 @@ from fbhardy.maximal import (CutoffRho, SpectralExpansion, _ramp, _s_panel_nodes
 from fbhardy.quadrature import (MEASURE_MU, SampledFunction, grid_on_interval,
                                 make_quadrature)
 from fbhardy.specfun import _ASYMP_CAP, _CHUNK, _SERIES_CAP, Order
+from test_half_order_j import assert_half_order_j, half_order_zeros_are_n_pi
 from test_poisson_oracle import poisson_oracle
 
 # ---------------------------------------------------------------------------
@@ -396,6 +401,12 @@ SLOW = settings(max_examples=40, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
 
 
+def _j_range(nu):
+    """J's series range at every order but 1/2: there the switch is 0 and
+    the J cases below meet the closed form, held to mpmath instead."""
+    return max(12.0, 2.0 * abs(nu))
+
+
 def _points(rng, size, switches, hi):
     """Points in [0, hi]: half log-spread, half within a few percent (and a
     few ulps) of one of the switch points, on both sides."""
@@ -424,11 +435,13 @@ def _assert_rel(got, ref, rtol):
 
 @SLOW
 @given(nu=ORDERS, size=SIZES, seed=st.integers(0, 2**32 - 1))
+@example(nu=0.5, size=_CHUNK + 1, seed=0)
 def test_j_is_bit_identical(nu, size, seed):
-    order = Order(nu)
-    x = _points(np.random.default_rng(seed), size,
-                [order.j_switch, 2.0 * order.j_switch, 3.0 * order.j_switch],
-                1e4)
+    order, sw = Order(nu), _j_range(nu)
+    x = _points(np.random.default_rng(seed), size, [sw, 2.0 * sw, 3.0 * sw], 1e4)
+    if nu == 0.5:
+        assert_half_order_j(x)
+        return
     assert np.array_equal(specfun.bessel_j(order, x), ref_bessel_j(order, x))
     assert np.array_equal(specfun.besselj_over_xnu(order, x),
                           ref_besselj_over_xnu(order, x))
@@ -439,7 +452,7 @@ def test_j_series_stop_is_bit_identical(nu):
     """Every element of the series stops where the reference's does when
     the largest argument is shared, when every argument is 0, at size 1 and
     at sizes next to a block."""
-    sw, rng = Order(nu).j_switch, np.random.default_rng(23)
+    sw, rng = _j_range(nu), np.random.default_rng(23)
     cases = [np.array([0.3 * sw, sw, 0.5, sw, sw]), np.full(4, 0.7 * sw),
              np.zeros(6), np.zeros(1), np.array([sw]), np.array([1e-3]),
              rng.uniform(0.0, sw, _CHUNK - 1), rng.uniform(0.0, sw, _CHUNK + 1)]
@@ -457,7 +470,7 @@ def test_a_handful_of_arguments_sums_as_the_blocks_do(nu, sign, size, seed):
     limit, which the block loop sums.  The arguments lie in [0, switch] (J's or
     I's) and hold 0 and the switch itself."""
     order = Order(nu)
-    switch = order.j_switch if sign < 0 else order.i_switch
+    switch = _j_range(nu) if sign < 0 else order.i_switch
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, switch, size)
     x[:2] = [0.0, switch][:size]
@@ -472,7 +485,15 @@ def test_a_basis_build_sums_no_handful_of_arguments_in_blocks(nu, monkeypatch):
     """A build's series calls on at most _SCALAR_MAX arguments (the zero
     finder's few zeros below the switch, at each bisection step) skip the block
     loop, and every zero table and residual is the one a build gets with every
-    call in blocks."""
+    call in blocks.  At nu = 1/2 the finder meets no series at all: it
+    takes the closed form, and its zeros are n pi."""
+    if nu == 0.5:
+        orders, series = [], specfun._over_series
+        monkeypatch.setattr(specfun, "_over_series",
+                            lambda *args: orders.append(args[0]) or series(*args))
+        half_order_zeros_are_n_pi(EigenBasis.build(Order(nu), 2400).table.zeros)
+        assert 0.5 not in orders
+        return
     sizes, blocks = [], specfun._series_blocks
 
     def spy(*args):
@@ -493,12 +514,16 @@ def test_a_basis_build_sums_no_handful_of_arguments_in_blocks(nu, monkeypatch):
 @SLOW
 @given(nu=ORDERS, size=SIZES, lo=st.floats(0.0, 2.5), width=st.floats(0.0, 1.0),
        seed=st.integers(0, 2**32 - 1))
+@example(nu=0.5, size=300, lo=0.0, width=1.0, seed=0)
 def test_j_is_bit_identical_on_bands(nu, size, lo, width, seed):
     """Bands of x past the switch: the stopping indices then sit below the
     cap, and elements differ in where their terms stop mattering."""
     order = Order(nu)
-    start = order.j_switch * 10.0 ** lo
+    start = _j_range(nu) * 10.0 ** lo
     x = start * (1.0 + width * np.random.default_rng(seed).random(size))
+    if nu == 0.5:
+        assert_half_order_j(x)
+        return
     assert np.array_equal(specfun.bessel_j(order, x), ref_bessel_j(order, x))
 
 
@@ -541,6 +566,7 @@ def test_scalar_and_empty_inputs_keep_their_shape():
 
 @settings(max_examples=15, deadline=None)
 @given(nu=ORDERS)
+@example(nu=0.5)
 def test_zero_tables_are_bit_identical(nu):
     def zeros():
         try:
@@ -550,7 +576,10 @@ def test_zero_tables_are_bit_identical(nu):
         return table.zeros, table.residuals
 
     got = zeros()
-    with mock.patch.object(specfun, "bessel_j", ref_bessel_j):
+    if nu == 0.5:
+        half_order_zeros_are_n_pi(got[0])
+        return
+    with mock.patch.object(specfun, "_j", ref_bessel_j):
         ref = zeros()
     if ref[1] is None:
         assert got == ref
@@ -615,6 +644,40 @@ def test_stop_lookup_matches_the_scan(nu):
                     allow_nan=False))
 def test_stop_lookup_matches_the_scan_at_any_order(nu):
     _check_stops(nu)
+
+
+def ref_j_last(nu):
+    """J's last term per element with the two lookups `_hankel_pq` made
+    before its one table: the stop scan's, and past floor one search over the
+    absorb thresholds; and every threshold of both."""
+    stops, ties = ref_stops(nu)
+    K, terms = specfun._asymptotic_table(nu)[:2]
+    k = np.arange(1, K + 1)
+    A = np.abs(np.array([c for c, _, _ in terms] + [0.0] * 3))
+    b = 2.0**56 * A[1:K]
+    absorb = np.minimum.accumulate(np.maximum(b ** (1.0 / k[1:]), (b / A[0]) ** (1.0 / k[:-1])))
+    floor = math.sqrt(max(160.0 * A[1], 80.0 * A[2] / A[0]))
+
+    def last(x):
+        return np.minimum(np.minimum(*stops(x)), np.where(
+            x >= floor, 1 + np.searchsorted(-absorb, -x, side="right"), K))
+    return last, np.concatenate([ties, absorb, [floor]])
+
+
+@pytest.mark.parametrize("nu", [-0.3, 0.0, 0.25, 0.45, 1.0, 1.5, 2.5, 7.5, 12.0, 30.0])
+def test_j_stop_table_matches_the_two_lookups(nu):
+    """The one table of J's last terms gives the two lookups' index on
+    log-spread points and on every threshold, a few ulps and 1e-12 to 3e-12
+    or 1e-9 relative to either side."""
+    ref, th = ref_j_last(nu)
+    x = [np.geomspace(12.0, 1e6, 20001), th]
+    for ulps in (1, 4):
+        x += [th + ulps * np.spacing(th), th - ulps * np.spacing(th)]
+    for rel in (1e-12, 2e-12, 3e-12, 1e-9):
+        x += [th * (1.0 + rel), th * (1.0 - rel)]
+    x = np.concatenate(x)
+    with np.errstate(over="ignore"):   # x**j past 1e308 at the largest thresholds
+        assert np.array_equal(specfun._asymptotic_table(nu)[4](x), ref(x))
 
 
 def _poisson_points(rng, size):

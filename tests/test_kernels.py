@@ -6,6 +6,7 @@ half-line Poisson kernel), adaptive quadrature for the subordination
 integral, and central finite differences for the derivative kernels.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -191,6 +192,16 @@ def test_bessel_poisson_small_time_off_diagonal():
     expect = (t / math.pi) / (x * y) * (
         1.0 / (t**2 + (x - y) ** 2) - 1.0 / (t**2 + (x + y) ** 2))
     assert bessel_poisson(0.5, t, x, y) == pytest.approx(expect, rel=1e-10)
+
+
+def test_bessel_poisson_computes_no_power_it_does_not_read():
+    """(xy)^-nu enters the heat kernels' scaled route alone, and is made
+    there: at a subnormal or tiny xy the Poisson kernel raises no warning
+    (at nu = 4, xy = 1e-200 the power overflowed)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bessel_poisson(0.5, 1.0, 5e-324, 5e-324) > 0
+        assert bessel_poisson(4.0, 1.0, 1e-100, 1e-100) > 0
 
 
 def test_subordination_against_adaptive_quadrature():

@@ -4,15 +4,13 @@ The reference functions below are the earlier implementations, kept verbatim
 apart from renaming and the psi tail count of `dy_poisson_lebesgue`, which
 takes the kernel's current pointwise bound (xy = 1): `_pointwise`, the
 pointwise branch of `UnitIntervalKernels._eval` and of
-`dy_poisson_lebesgue`, which build basis rows at every raveled point, the
-J asymptotic form that sums P and Q at every order (P = 1 and Q = 0 at
-nu = 1/2, where the Hankel table is empty), and `check_uchiyama_conditions`,
-which evaluates each radius's kernel table a second time for the Lipschitz
-loop. The current code builds rows once per distinct point, reuses the table
-and skips the P and Q sums at nu = 1/2; every value must come out bit for
-bit the same.
+`dy_poisson_lebesgue`, which build basis rows at every raveled point, and
+`check_uchiyama_conditions`, which evaluates each radius's kernel table a
+second time for the Lipschitz loop. The current code builds rows once per
+distinct point and reuses the table; every value must come out bit for bit
+the same.  J at nu = 1/2 is the closed form, held to mpmath by
+`test_half_order_j`.
 """
-import contextlib
 import math
 from functools import lru_cache, partial
 from math import pi
@@ -30,6 +28,7 @@ from fbhardy.errors import NumericsError
 from fbhardy.kernels import UnitIntervalKernels, _broadcast
 from fbhardy.quadrature import MEASURE_LEBESGUE
 from fbhardy.specfun import Order
+from test_half_order_j import assert_half_order_j, half_order_zeros_are_n_pi
 
 # ---------------------------------------------------------------------------
 # reference: rows at every raveled point, P and Q at every order
@@ -71,18 +70,6 @@ class RefKernels(UnitIntervalKernels):
         d = ref_pointwise(w, psi_x, self._chi_matrix(yb.ravel(), n))
         out = (self.nu + 0.5) * p / yb.ravel() - d
         return float(out[0]) if shape == () else out.reshape(shape)
-
-
-def ref_hankel_pq(nu, x):
-    if not specfun._asymptotic_table(nu)[0]:   # nu = 1/2: a_1 = 0
-        return np.ones_like(x), np.zeros_like(x)
-    return specfun._hankel_pq(nu, x)
-
-
-def ref_j_asymptotic(nu, x):
-    P, Q = ref_hankel_pq(nu, x)
-    chi = x - (0.5 * nu + 0.25) * pi
-    return np.sqrt(2.0 / (pi * x)) * (np.cos(chi) * P - np.sin(chi) * Q)
 
 
 def ref_check_uchiyama_conditions(kernel_fn, space, r_values, label, n_space=12):
@@ -134,12 +121,6 @@ def ref_check_uchiyama_conditions(kernel_fn, space, r_values, label, n_space=12)
                                   a_ball=a_ball, a_lower=a_lower, a_size=a_size,
                                   a_lipschitz=a_lip, n_samples=n_samples,
                                   min_kernel=min_kernel)
-
-
-@contextlib.contextmanager
-def reference_j():
-    with mock.patch.object(specfun, "_j_asymptotic", ref_j_asymptotic):
-        yield
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +176,7 @@ def test_pointwise_kernels_bit_identical(nu, xy, t, t_heat):
     new, ref = _pair(nu)
     x, y = xy
     for name, call in _kernel_calls(t, t_heat).items():
-        got = call(new, x, y)
-        with reference_j():
-            want = call(ref, x, y)
+        got, want = call(new, x, y), call(ref, x, y)
         assert type(got) is type(want), name
         assert np.shape(got) == np.shape(want), name
         assert np.array_equal(got, want), name
@@ -219,8 +198,7 @@ SMALL = dict(unit_js=(1, 2, 3, 4), flat_js=(-4, -3, -2, -1, 1, 2, 3, 4),
 
 def test_uchiyama_families_equal_reference(basis_half_600):
     got = maximal.uchiyama_families(UnitIntervalKernels(basis_half_600), **SMALL)
-    with reference_j(), mock.patch.object(maximal, "check_uchiyama_conditions",
-                                          ref_check_uchiyama_conditions):
+    with mock.patch.object(maximal, "check_uchiyama_conditions", ref_check_uchiyama_conditions):
         want = maximal.uchiyama_families(RefKernels(basis_half_600), **SMALL)
     labels = [r.label for r in got]
     assert labels == [r.label for r in want]
@@ -250,7 +228,7 @@ def test_uchiyama_checker_six_kernel_calls_per_radius():
 
 
 # ---------------------------------------------------------------------------
-# J at nu = 1/2
+# J at nu = 1/2: the closed form, against mpmath
 
 
 HALF = Order(0.5)
@@ -259,30 +237,15 @@ HALF = Order(0.5)
 @pytest.mark.parametrize("size", [0, 1, 2, 2**14 + 1])
 def test_half_order_j_without_q_sum(size):
     x = np.geomspace(np.nextafter(12.0, 13.0), 1e5, size)
-    np.testing.assert_array_equal(specfun._j_asymptotic(0.5, x),
-                                  ref_j_asymptotic(0.5, x))
-    got = (specfun.bessel_j(HALF, x), specfun.besselj_over_xnu(HALF, x))
-    with reference_j():
-        want = (specfun.bessel_j(HALF, x), specfun.besselj_over_xnu(HALF, x))
-    for g, w in zip(got, want):
-        assert g.shape == w.shape == (size,)
-        assert np.array_equal(g, w)
+    assert_half_order_j(x)
+    assert specfun.bessel_j(HALF, x).shape == specfun.besselj_over_xnu(HALF, x).shape == (size,)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(12.0, 1e5, exclude_min=True), min_size=1, max_size=40))
 def test_half_order_j_on_drawn_points(xs):
-    x = np.array(xs)
-    got = (specfun.bessel_j(HALF, x), specfun.besselj_over_xnu(HALF, x))
-    with reference_j():
-        want = (specfun.bessel_j(HALF, x), specfun.besselj_over_xnu(HALF, x))
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
+    assert_half_order_j(np.array(xs))
 
 
 def test_half_order_zero_table_unchanged():
-    got = specfun.bessel_zeros(HALF, 2400)
-    with reference_j():
-        want = specfun.bessel_zeros(HALF, 2400)
-    assert np.array_equal(got.zeros, want.zeros)
-    assert np.array_equal(got.residuals, want.residuals)
+    half_order_zeros_are_n_pi(specfun.bessel_zeros(HALF, 2400).zeros)

@@ -149,6 +149,18 @@ def test_derivative_recurrence(nu, x):
     assert abs(lhs - rhs) < 5e-11 * max(1.0, abs(rhs))
 
 
+@pytest.mark.parametrize("nu", [0.5, 1.0])
+def test_the_zero_finder_checks_none_of_its_own_arguments(nu, monkeypatch):
+    """The scan grid, brackets and roots are the finder's own finite,
+    positive arrays: it calls J unchecked, the public evaluators still check."""
+    ops, check = [], specfun._check_domain
+    monkeypatch.setattr(specfun, "_check_domain", lambda x, op: ops.append(op) or check(x, op))
+    bessel_zeros(Order(nu), 2400)
+    assert not ops
+    bessel_j(Order(nu), np.array([1.0, 20.0]))
+    assert ops == ["bessel_j"]
+
+
 @pytest.mark.parametrize("nu, zero_tol", [(0.0, 1e-12), (0.5, 1e-12), (1.0, 1e-12),
                                            (1.0, 1e-14), (0.65, 1e-13), (3.5, 1e-13)])
 def test_residuals_are_j_at_the_returned_zeros(nu, zero_tol):
@@ -258,7 +270,8 @@ def test_series_bits_do_not_depend_on_the_order_of_the_points(nu, sign, size, se
     permutation of the points permutes the values, bit for bit.  The points
     hold the series' switch (J's or I's), J's zeros and their neighbours."""
     order = Order(nu)
-    switch = order.j_switch if sign < 0 else order.i_switch
+    # J's series range at the orders with Hankel terms (at nu = 1/2 it serves x = 0 alone)
+    switch = max(12.0, 2.0 * abs(nu)) if sign < 0 else order.i_switch
     zeros = bessel_zeros(order, 8).zeros
     zeros = zeros[zeros < switch]
     special = np.concatenate([[0.0, switch, np.nextafter(switch, 0.0)], zeros,
