@@ -147,9 +147,13 @@ class EigenBasis:
         g = 2.0**self.nu * math.gamma(self.nu + 1.0)
         return (self.c_margin**2) * math.pi / g**2
 
-    def _first_coeff(self, lam: np.ndarray, xy: float | None) -> np.ndarray:
+    @functools.cached_property
+    def _point_free_coeff(self) -> np.ndarray:
+        return self._global_coeff() * self.table.zeros ** (2 * self.nu + 1)
+
+    def _first_coeff(self, xy: float | None) -> np.ndarray:
         """Bound on |phi_n(x) phi_n(y)| at x y >= xy; point-free if xy is None."""
-        coeff = self._global_coeff() * lam ** (2 * self.nu + 1)
+        coeff = self._point_free_coeff
         if xy is not None and xy > 0:
             with np.errstate(over="ignore"):   # inf at tiny xy: point-free there
                 local = self.c_margin**2 * math.pi * self.s_nu**2 \
@@ -179,7 +183,7 @@ class EigenBasis:
         pt = math.pi * self._THETA
         p = 2 * self.nu + 1
         return self._first_below(
-            self._first_coeff(lam, xy) * np.exp(-t * lam),
+            self._first_coeff(xy) * np.exp(-t * lam),
             -t * pt + p * pt / lam, tol, "poisson_kernel",
             f"tail not certified at t={t:.3e} with table of {len(lam)} zeros; "
             "enlarge the zero table or raise t")
@@ -191,7 +195,7 @@ class EigenBasis:
         pt = math.pi * self._THETA
         p = 2 * self.nu + 1
         return self._first_below(
-            self._first_coeff(lam, xy) * np.exp(-t * lam**2),
+            self._first_coeff(xy) * np.exp(-t * lam**2),
             -2.0 * t * lam * pt + p * pt / lam, tol, "heat_kernel",
             f"tail not certified at t={t:.3e} with table of {len(lam)} zeros")
 

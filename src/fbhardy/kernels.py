@@ -43,7 +43,8 @@ against the closed-form comparand of each estimate on a deterministic
 (t, x, y) box and reports min/max ratios together with their drift under a
 twofold grid refinement.  The refined grid is a superset of the base grid, so
 the extremes can only widen; an estimate passes when the ratios are finite and
-widen by less than ten percent.  Each estimate is one row of `_LEMMAS`.
+widen by less than ten percent.  Each estimate is one row of `_LEMMAS`; each
+grid is scanned as one (t, x, y) cube, the refined one first.
 """
 from __future__ import annotations
 
@@ -106,6 +107,7 @@ class UnitIntervalKernels:
         self.basis = basis
         self.series_tol = float(series_tol)
         self._tables = {}   # (tag, shape, bytes of x) -> raw rows, LRU first
+        self._floors = {}   # (floor, its arguments) -> smallest certified time
 
     @property
     def nu(self) -> float:
@@ -121,13 +123,19 @@ class UnitIntervalKernels:
         n = terms_needed(t, self.series_tol if tol is None else tol)
         return min(len(self.basis), max(n, 1) + 8)
 
+    def _floor(self, key, bisect) -> float:
+        """bisect(), a 60-step bisection over the zero table, once per key."""
+        if key not in self._floors:
+            self._floors[key] = bisect()
+        return self._floors[key]
+
     def poisson_floor(self) -> float:
         """Smallest time the zero table certifies for Poisson-type series at
         series_tol."""
-        return self.basis.min_poisson_time(self.series_tol)
+        return self._floor(("poisson",), lambda: self.basis.min_poisson_time(self.series_tol))
 
     def heat_floor(self) -> float:
-        return self.basis.min_heat_time(self.series_tol)
+        return self._floor(("heat",), lambda: self.basis.min_heat_time(self.series_tol))
 
     def derivative_floor(self, x_min: float, y_min: float) -> float:
         """Smallest time certified for both derivative series when the
@@ -142,7 +150,7 @@ class UnitIntervalKernels:
             self.basis.delta_terms_needed(t, tol_dx)
             return self.basis.poisson_terms_needed(t, tol_dy)
 
-        t = self.basis._min_time(both, tol, 1e-8)
+        t = self._floor(("derivative", x_min, y_min), lambda: self.basis._min_time(both, tol, 1e-8))
         return t if t == 1e-8 else 1.02 * t
 
     # -- evaluation cores ----------------------------------------------------
@@ -161,10 +169,21 @@ class UnitIntervalKernels:
         last two tables (LRU) kept by tag and exact points, rebuilt at n if
         shorter, in the memory of the table it replaces or evicts if that is
         large enough and no view of it is held outside (getrefcount(store) is
-        2).  Every Bessel sum stops per element, so a prefix equals a fresh
+        2).  Some of a kept table's points, its ends among them (a base grid
+        in its refinement), get its columns, read-only and not kept.  Every
+        Bessel sum stops per element, so a prefix or a column equals a fresh
         build at n bit for bit."""
         key = (tag, x.shape, x.tobytes())
         table = self._tables.pop(key, None)
+        for (kept_tag, _, raw), kept in self._tables.items() if table is None else ():
+            pts = np.frombuffer(raw)   # the length and the ends first: most requests stop there
+            if kept_tag == tag and len(kept) >= n and x.size < pts.size and \
+                    x.flat[0] == pts[0] and x.flat[-1] == pts[-1]:
+                idx = np.searchsorted(pts, x.ravel()).clip(max=pts.size - 1)
+                if pts[idx].tobytes() == key[2]:
+                    table = kept[:n].take(idx, axis=1)
+                    table.setflags(write=False)
+                    return table
         if table is None or len(table) < n:
             if table is None and len(self._tables) == 2:
                 table = self._tables.pop(next(iter(self._tables)))
@@ -258,31 +277,34 @@ _ROUTE_I = {True: lambda order, u: specfun._over_series(order.nu, u, 1.0),
 
 def _halfline(op: str, nu: float, t, x, y, kernel):
     """kernel((Order(nu), Order(nu + 1)), t, (x, y, xy, x^2 + y^2, (x - y)^2))
-    at checked t, x, y (NaN fails) in their broadcast shape; an infinite t, x
-    or y gets the kernels' limit there, 0."""
+    at checked t, x, y (NaN fails) in their broadcast shape, after the leading
+    axis of a kernel that returns rows; an infinite t, x or y gets the
+    kernels' limit there, 0."""
     orders = Order(nu), Order(nu + 1.0)
     tb, xb, yb = _broadcast(t, x, y)
     t, x, y = (np.ravel(a) for a in (tb, xb, yb))
     if not (np.all(t > 0) and np.all(x >= 0) and np.all(y >= 0)):
         raise ValueError(f"{op} needs t > 0 and x, y >= 0, none of them NaN")
-    out = np.zeros(t.shape)
     keep = np.isfinite(t) & np.isfinite(x) & np.isfinite(y)
     t, x, y = t[keep], x[keep], y[keep]
     xy = x * y
-    out[keep] = kernel(orders, t, (x, y, xy, x**2 + y**2, (x - y) ** 2))
-    return float(out[0]) if tb.shape == () else out.reshape(tb.shape)
+    val = kernel(orders, t, (x, y, xy, x**2 + y**2, (x - y) ** 2))
+    out = np.zeros(val.shape[:-1] + tb.shape)
+    out.reshape(val.shape[:-1] + keep.shape)[..., keep] = val   # a view of out
+    return float(out) if out.ndim == 0 else out
 
 
-def _heat(orders, s, points, dy: bool, keep=True) -> np.ndarray:
+def _heat(orders, s, points, dy: bool | tuple, keep=True) -> np.ndarray:
     """Heat kernel, or with dy its y-derivative, at heat times s (one per
-    point, or a row per subordination node) over the points.  Each route
-    forms its Gaussian factor first and evaluates I only where that factor
-    is nonzero and `keep` (broadcast like s) holds, or everywhere if some s
-    is at most s_safe; the kernel is exactly 0 at every other element."""
+    point, or a row per subordination node) over the points; with dy a tuple
+    of flags, a row for each, from one Gaussian factor and one I_nu.  Each
+    route forms its Gaussian factor first and evaluates I only where that
+    factor is nonzero and `keep` (broadcast like s) holds, or everywhere if
+    some s is at most s_safe; the kernel is exactly 0 at every other element."""
     x, y, xy, sq, d2 = points
     nu = orders[0].nu
     h = xy / (2.0 * s) <= _IVE_SWITCH
-    out = np.zeros(h.shape)
+    out = np.zeros((np.size(dy),) + h.shape)
     # exp underflows to 0 below -746, which zeroes every finite prefactor; both
     # stay below 1e300 above s_safe (as xy > 60 s on the scaled route), and
     # below it every element is tried, so an overflowed one times 0 is NaN.
@@ -301,12 +323,14 @@ def _heat(orders, s, points, dy: bool, keep=True) -> np.ndarray:
         idx, ts, col, g = idx[nz], ts[nz], col[nz], g[nz]
         if idx.size:
             us = xy[col] / (2.0 * ts)
-            val = _ROUTE_I[h_route](orders[0], us)
-            if dy:   # on the h_nu route I_{nu+1} enters as u h_{nu+1}(u)
-                val = (x[col] / (2.0 * ts)) * (us if h_route else 1.0) * \
-                    _ROUTE_I[h_route](orders[1], us) - (y[col] / (2.0 * ts)) * val
-            out.flat[idx] = g * val
-    return out
+            i_nu = _ROUTE_I[h_route](orders[0], us)
+            for row, d in zip(out, np.atleast_1d(dy)):
+                val = i_nu
+                if d:   # on the h_nu route I_{nu+1} enters as u h_{nu+1}(u)
+                    val = (x[col] / (2.0 * ts)) * (us if h_route else 1.0) * \
+                        _ROUTE_I[h_route](orders[1], us) - (y[col] / (2.0 * ts)) * i_nu
+                row.flat[idx] = g * val
+    return out if np.ndim(dy) else out[0]
 
 
 def bessel_heat(nu: float, t, x, y):
@@ -319,6 +343,12 @@ def bessel_heat(nu: float, t, x, y):
 def dy_bessel_heat(nu: float, t, x, y):
     """Derivative of the half-line heat kernel in its second argument."""
     return _halfline("dy_bessel_heat", nu, t, x, y, partial(_heat, dy=True))
+
+
+def _heat_and_dy(nu: float, t, x, y) -> np.ndarray:
+    """bessel_heat and dy_bessel_heat as rows 0 and 1, bit for bit, from one
+    Gaussian factor and one I_nu per element."""
+    return _halfline("bessel_heat", nu, t, x, y, partial(_heat, dy=(False, True)))
 
 
 _SUB_V, _SUB_W = _gl_on_panels(np.array([0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 12.0]),
@@ -501,48 +531,9 @@ def _refine_geometric(a: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate([a, mid]))
 
 
-class _RatioScan:
-    """Tracks extreme kernel/comparand ratios with their witnesses.
-
-    Pairs whose comparand sits below a floor are skipped and counted: there
-    the bound is numerically vacuous (both sides are under the accuracy of
-    the kernel evaluation, or underflow outright)."""
-
-    def __init__(self):
-        self.rmin = math.inf
-        self.rmax = -math.inf
-        self.wmin = {}
-        self.wmax = {}
-        self.count = 0
-        self.masked = 0
-
-    def update(self, t, xg, yg, kernel, comparand, floor):
-        valid = comparand > floor
-        self.masked += int(np.sum(~valid))
-        if not np.any(valid):
-            return
-        ratio = np.where(valid, kernel / np.where(valid, comparand, 1.0), np.nan)
-        self.count += int(np.sum(valid))
-        if not np.all(np.isfinite(ratio[valid])):
-            bad = np.argwhere(valid & ~np.isfinite(ratio))[0]
-            raise NumericsError(
-                "sharp_estimate",
-                f"non-finite ratio at t={t}, x={xg[bad[0]]}, y={yg[bad[1]]}")
-        def witness(i, j):
-            return {"t": float(t), "x": float(xg[i]), "y": float(yg[j]),
-                    "kernel": float(kernel[i, j]),
-                    "comparand": float(comparand[i, j]), "ratio": float(ratio[i, j])}
-        i, j = np.unravel_index(np.nanargmin(ratio), ratio.shape)
-        if ratio[i, j] < self.rmin:
-            self.rmin, self.wmin = float(ratio[i, j]), witness(i, j)
-        i, j = np.unravel_index(np.nanargmax(ratio), ratio.shape)
-        if ratio[i, j] > self.rmax:
-            self.rmax, self.wmax = float(ratio[i, j]), witness(i, j)
-
-
 def _poisson_tol(kernels, t: float):
     """Beyond t = 1 the kernel decays like exp(-t lam_1): scale tol with it."""
-    return None if t <= 1.0 else kernels.series_tol * math.exp(-t * kernels.lam1)
+    return kernels.series_tol * (1.0 if t <= 1.0 else math.exp(-t * kernels.lam1))
 
 
 def _poisson_times(kernels, x_grid, n_t: int) -> np.ndarray:
@@ -561,7 +552,7 @@ class _Lemma(NamedTuple):
     times: Callable        # (kernels, x_grid, n_t) -> base time grid
     kernel: Callable       # (kernels, nu, t, x, y, tol) -> kernel table
     comparand: Callable    # (kernels, nu, t, x[:, None], y[None, :])
-    tol: Callable = lambda kernels, t: None   # series tol at t; None: the default
+    tol: Callable = lambda kernels, t: kernels.series_tol   # series tol at t
 
 
 # estimate id -> row; the callables name module functions and kernel methods,
@@ -607,19 +598,44 @@ _LEMMAS = {
 LEMMA_IDS = tuple(_LEMMAS)
 
 
+_Scan = NamedTuple("_Scan", [("rmin", float), ("rmax", float), ("wmin", dict),
+                             ("wmax", dict), ("count", int), ("masked", int)])
+
+
 def _scan_lemma(row: _Lemma, kernels: UnitIntervalKernels | None, nu: float,
-                t_grid: np.ndarray, x_grid: np.ndarray, y_grid: np.ndarray) -> _RatioScan:
-    scan = _RatioScan()
-    for t in t_grid:
-        t = float(t)
-        tol = row.tol(kernels, t)
-        k = row.kernel(kernels, nu, t, x_grid, y_grid, tol)
-        comp = row.comparand(kernels, nu, t, x_grid[:, None], y_grid[None, :])
-        # closed-form kernels only need a guard against underflow
-        floor = 1e-280 if row.halfline else \
-            1e3 * (kernels.series_tol if tol is None else tol)
-        scan.update(t, x_grid, y_grid, np.asarray(k, dtype=float), comp, floor)
-    return scan
+                t_grid: np.ndarray, x_grid: np.ndarray, y_grid: np.ndarray) -> _Scan:
+    """Extreme kernel/comparand ratios over the (t, x, y) cube with their
+    witnesses, the first in C order (t first) on a tie.  Pairs whose
+    comparand sits below a floor are skipped and counted: there the bound is
+    numerically vacuous (both sides are under the accuracy of the kernel
+    evaluation, or underflow outright; closed-form kernels only need a guard
+    against underflow)."""
+    t = t_grid[:, None, None]
+    if row.halfline:
+        k, floor = row.kernel(kernels, nu, t, x_grid, y_grid, None), 1e-280
+    else:
+        tols = np.array([row.tol(kernels, float(s)) for s in t_grid])
+        k = np.array([row.kernel(kernels, nu, float(s), x_grid, y_grid, float(tol))
+                      for s, tol in zip(t_grid, tols)])
+        floor = 1e3 * tols[:, None, None]
+    comp = row.comparand(kernels, nu, t, x_grid[:, None], y_grid[None, :])
+    valid = comp > floor
+    count = int(np.count_nonzero(valid))
+    if not count:
+        return _Scan(math.inf, -math.inf, {}, {}, 0, valid.size)
+    ratio = np.where(valid, k / np.where(valid, comp, 1.0), np.nan)
+    if not np.all(np.isfinite(ratio[valid])):
+        i, j, l = np.argwhere(valid & ~np.isfinite(ratio))[0]
+        raise NumericsError("sharp_estimate", f"non-finite ratio at t={float(t_grid[i])}, "
+                            f"x={x_grid[j]}, y={y_grid[l]}")
+
+    def witness(at):
+        i, j, l = np.unravel_index(at, ratio.shape)
+        return {"t": float(t_grid[i]), "x": float(x_grid[j]), "y": float(y_grid[l]),
+                "kernel": float(k[i, j, l]), "comparand": float(comp[i, j, l]),
+                "ratio": float(ratio[i, j, l])}
+    wmin, wmax = witness(np.nanargmin(ratio)), witness(np.nanargmax(ratio))
+    return _Scan(wmin["ratio"], wmax["ratio"], wmin, wmax, count, valid.size - count)
 
 
 def check_sharp_estimate(lemma: str, kernels: UnitIntervalKernels | None = None,
@@ -630,7 +646,10 @@ def check_sharp_estimate(lemma: str, kernels: UnitIntervalKernels | None = None,
     Unit-interval estimates need `kernels`; half-line ones only need `nu`.
     Two-sided estimates must have both ratio extremes finite and stable under
     refinement; one-sided (upper) estimates only constrain the maximum, but
-    the minimum is still reported for the record.
+    the minimum is still reported for the record.  Each grid is scanned as
+    one (t, x, y) cube, the refined one first: a closed-form kernel in one
+    call, a series kernel in one matrix product per time at that time's tol,
+    with the base grid's rows read off the refined grid's row tables.
     """
     if lemma not in _LEMMAS:
         raise ValueError(f"unknown estimate id {lemma!r}; choose from {LEMMA_IDS}")
@@ -648,9 +667,10 @@ def check_sharp_estimate(lemma: str, kernels: UnitIntervalKernels | None = None,
     t_grid = row.times(kernels, x_grid, n_t)
     y_grid = x_grid.copy()
 
-    base = _scan_lemma(row, kernels, nu, t_grid, x_grid, y_grid)
+    # the refined grid first: the base grid's rows are columns of its tables
     fine = _scan_lemma(row, kernels, nu, _refine_geometric(t_grid),
                        _refine_linear(x_grid), _refine_linear(y_grid))
+    base = _scan_lemma(row, kernels, nu, t_grid, x_grid, y_grid)
 
     # the refined grid is a superset, so extremes only widen
     drift_max = fine.rmax / base.rmax - 1.0 if base.rmax > 0 else math.inf

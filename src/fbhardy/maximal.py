@@ -34,7 +34,7 @@ from .basis import EigenBasis, coefficients
 from .covers import DyadicCover, Interval, FAMILY_ONE_END, FAMILY_TWO_END
 from .errors import NumericsError
 from .kernels import (_SUB_BLOCK, HALFLINE_KERNELS, SEMIGROUPS, UnitIntervalKernels,
-                      _subordinated_poisson, bessel_heat, bessel_poisson, dy_bessel_heat)
+                      _heat_and_dy, _subordinated_poisson, bessel_heat, bessel_poisson)
 from .quadrature import (Measure, SampledFunction, grid_on_interval,
                          MEASURE_LEBESGUE, MEASURE_MU)
 
@@ -438,16 +438,16 @@ def _ramp(rho: CutoffRho, nu: float) -> tuple:
 def _duhamel_sums(nu: float, t: float, x, ramp: tuple, inner, pair) -> tuple:
     """R1, R2, R3: sums over the s nodes of pair(c w_s, K, zw f, g), g from
     inner(s nodes), K = T_{t-s}(x, z) with f = rho'' (R1) or (2nu+1)/z rho'
-    (R3), or dy T with c = 2 and f = rho' (R2); c = 1 otherwise.  bessel_heat
-    and dy_bessel_heat take the heat times t - s as rows, in slices of at most
-    _SUB_BLOCK values, each value as a call at its own s gives it."""
+    (R3), or dy T with c = 2 and f = rho' (R2); c = 1 otherwise.  T and dy T
+    come from one _heat_and_dy call per slice of at most _SUB_BLOCK values
+    (the heat times t - s as rows), each as a call at its own s gives it."""
     x, (znodes, zw, rp, rpp, drift) = np.atleast_1d(np.asarray(x, dtype=float)), ramp
     s_nodes, s_weights = _s_panel_nodes(t)
     step = max(1, _SUB_BLOCK // max(x.size * znodes.size, 1))
     r, inners = [0.0] * 3, iter(inner(s_nodes))
     for i in range(0, len(s_nodes), step):
         ts = (t - s_nodes[i:i + step])[:, None, None]
-        big, dbig = (k(nu, ts, x[:, None], znodes[None, :]) for k in (bessel_heat, dy_bessel_heat))
+        big, dbig = _heat_and_dy(nu, ts, x[:, None], znodes[None, :])
         for j, (w, g) in enumerate(zip(s_weights[i:i + step], inners)):
             r = [rn + pair(c * w, k[j], zw * f, g) for rn, (c, k, f) in
                  zip(r, ((1.0, big, rpp), (2.0, dbig, rp), (1.0, big, drift)))]

@@ -34,7 +34,7 @@ The zero finder calls J unchecked (_j) on the arrays it makes itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import lgamma, pi
 import math
 
@@ -157,8 +157,9 @@ def _asymptotic_table(nu: float):
             break
         a.append(c)
     K, k = len(a), np.arange(1, len(a) + 1)
-    if not K:   # nu = 1/2
-        return K, (), (), None, None
+    if not K:   # nu = 1/2: every element sums no term
+        none = partial(np.zeros_like, dtype=np.int8)
+        return K, (), (), none, none
 
     def scan(x):
         stop, live, prev = np.ones(x.size, dtype=np.int8), np.ones(x.size, dtype=bool), np.inf

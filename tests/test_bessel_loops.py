@@ -642,6 +642,7 @@ def test_stop_lookup_matches_the_scan(nu):
 @settings(max_examples=25, deadline=None)
 @given(nu=st.floats(min_value=-0.5, max_value=30.0, exclude_min=True,
                     allow_nan=False))
+@example(nu=0.5)
 def test_stop_lookup_matches_the_scan_at_any_order(nu):
     _check_stops(nu)
 
@@ -863,21 +864,18 @@ def _duhamel_case(nu):
 
 def _sliced_heat(fn, *args):
     """fn(*args) and the 3-d (sliced) values of bessel_heat and
-    dy_bessel_heat it asked maximal for, stacked along the s nodes."""
-    seen = {"bessel_heat": [], "dy_bessel_heat": []}
+    dy_bessel_heat it asked maximal for, stacked along the s nodes: rows 0
+    and 1 of each fused `_heat_and_dy` call."""
+    seen = []
 
-    def spy(real):
-        def call(nu, t, x, y):
-            out = real(nu, t, x, y)
-            if np.ndim(out) == 3:
-                seen[real.__name__].append(out)
-            return out
-        return call
+    def spy(nu, t, x, y):
+        out = kernels._heat_and_dy(nu, t, x, y)
+        seen.append(out)
+        return out
 
-    with mock.patch.object(maximal, "bessel_heat", spy(bessel_heat)), \
-            mock.patch.object(maximal, "dy_bessel_heat", spy(dy_bessel_heat)):
+    with mock.patch.object(maximal, "_heat_and_dy", spy):
         got = fn(*args)
-    return got, [np.concatenate(seen[k]) for k in ("bessel_heat", "dy_bessel_heat")]
+    return got, [np.concatenate([rows[i] for rows in seen]) for i in (0, 1)]
 
 
 @pytest.mark.parametrize("nu", [-0.3, 0.5, 1.0, 2.5])

@@ -1,8 +1,9 @@
 """The kernel and estimate tables against the branch chains they replaced.
 
 `ref_scan_lemma` and `ref_check_sharp_estimate` are the earlier if/elif
-implementations, kept verbatim apart from renaming and module prefixes.
-Every report must come out equal, float for float, from the `_LEMMAS` rows.
+implementations, kept verbatim apart from renaming and module prefixes, and
+`RefRatioScan` the per-time extreme tracker they fed.  Every report must come
+out equal, float for float, from the `_LEMMAS` rows.
 """
 import inspect
 import math
@@ -12,6 +13,7 @@ import pytest
 
 from fbhardy import cli, kernels
 from fbhardy.basis import EigenBasis
+from fbhardy.errors import NumericsError
 from fbhardy.kernels import (HALFLINE_KERNELS, LEMMA_IDS, SERIES_KERNELS,
                              UnitIntervalKernels, check_sharp_estimate)
 from fbhardy.maximal import apply_halfline
@@ -36,8 +38,47 @@ def ref_halfline_space_grid(n: int = 16) -> np.ndarray:
     return np.geomspace(0.03, 7.5, n)
 
 
+class RefRatioScan:
+    """Tracks extreme kernel/comparand ratios with their witnesses.
+
+    Pairs whose comparand sits below a floor are skipped and counted: there
+    the bound is numerically vacuous (both sides are under the accuracy of
+    the kernel evaluation, or underflow outright)."""
+
+    def __init__(self):
+        self.rmin = math.inf
+        self.rmax = -math.inf
+        self.wmin = {}
+        self.wmax = {}
+        self.count = 0
+        self.masked = 0
+
+    def update(self, t, xg, yg, kernel, comparand, floor):
+        valid = comparand > floor
+        self.masked += int(np.sum(~valid))
+        if not np.any(valid):
+            return
+        ratio = np.where(valid, kernel / np.where(valid, comparand, 1.0), np.nan)
+        self.count += int(np.sum(valid))
+        if not np.all(np.isfinite(ratio[valid])):
+            bad = np.argwhere(valid & ~np.isfinite(ratio))[0]
+            raise NumericsError(
+                "sharp_estimate",
+                f"non-finite ratio at t={t}, x={xg[bad[0]]}, y={yg[bad[1]]}")
+        def witness(i, j):
+            return {"t": float(t), "x": float(xg[i]), "y": float(yg[j]),
+                    "kernel": float(kernel[i, j]),
+                    "comparand": float(comparand[i, j]), "ratio": float(ratio[i, j])}
+        i, j = np.unravel_index(np.nanargmin(ratio), ratio.shape)
+        if ratio[i, j] < self.rmin:
+            self.rmin, self.wmin = float(ratio[i, j]), witness(i, j)
+        i, j = np.unravel_index(np.nanargmax(ratio), ratio.shape)
+        if ratio[i, j] > self.rmax:
+            self.rmax, self.wmax = float(ratio[i, j]), witness(i, j)
+
+
 def ref_scan_lemma(lemma, kernels_, nu, t_grid, x_grid, y_grid):
-    scan = kernels._RatioScan()
+    scan = RefRatioScan()
     for t in t_grid:
         t = float(t)
         floor = 1e-280   # closed-form kernels only need a guard against underflow
