@@ -10,15 +10,17 @@ c_n is forced by the classical norm identity
 int_0^1 J_nu(lam_n x)^2 x dx = J_{nu+1}(lam_n)^2 / 2 and is verified here by
 quadrature at construction time.
 
-The basis also owns the numerical constants used to certify series tails for
-the kernel evaluators: a margin M with c_n <= M sqrt(pi lam_n) checked on the
-whole table, and s_rho = sup_z sqrt(z) |J_rho(z)| for rho = nu, nu + 1.
+The basis also certifies every series tail the kernel evaluators truncate
+(`terms_needed`), from the multipliers in SEMIGROUPS, a margin M with
+c_n <= M sqrt(pi lam_n) checked on the whole table, and
+s_rho = sup_z sqrt(z) |J_rho(z)| for rho = nu, nu + 1.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,6 +33,22 @@ _NORM_CHECK_MODES = 64   # quadrature norm check capped here; higher modes rely
                          # on the classical identity, which tests probe directly
 _NORM_CHECK_NODES = 1024   # least node count of the norm-check grid
 _NORM_TOL = 1e-8           # largest |norm - 1| the build accepts
+
+
+class Semigroup(NamedTuple):
+    weight: Callable      # (lam_n, t) -> multiplier of the n-th term
+    log_ratio: Callable   # (lam, t, d) -> bound on log weight(lam + e) / weight(lam), e >= d
+    t_lo: float           # where the bisection for the smallest certified time starts
+    advice: str = ""      # ends the message of a refused tail count
+
+
+# semigroup -> its multiplier and decay, for the series and their tail counts
+SEMIGROUPS = {
+    "poisson": Semigroup(lambda lam, t: np.exp(-t * lam), lambda lam, t, d: -t * d, 1e-8,
+                         "; enlarge the zero table or raise t"),
+    "heat": Semigroup(lambda lam, t: np.exp(-t * lam**2),
+                      lambda lam, t, d: -2.0 * t * lam * d, 1e-10),
+}
 
 
 def _sup_sqrtz_j(order: Order) -> float:
@@ -65,6 +83,8 @@ class EigenBasis:
     @classmethod
     def build(cls, order: Order, n_zeros: int, zero_tol: float = 1e-12) -> "EigenBasis":
         table = specfun.bessel_zeros(order, n_zeros, zero_tol=zero_tol)
+        if np.any(np.diff(table.zeros) < math.pi * cls._THETA):   # the tail bounds' premise
+            raise NumericsError("eigenbasis", "zeros closer than pi theta: tails not certifiable")
         jnext = np.abs(specfun._j(Order(order.nu + 1.0), table.zeros))
         if np.any(jnext == 0.0):
             raise NumericsError("eigenbasis", "J_{nu+1} vanishes at a computed zero")
@@ -135,11 +155,13 @@ class EigenBasis:
     #     M^2 pi lam_n^(2nu+1) / (2^nu Gamma(nu+1))^2;
     #   pointwise, |J_nu(z)| <= s_nu z^(-1/2), at x y >= xy:
     #     M^2 pi s_nu^2 xy^(-nu-1/2),
-    # and psi_n = x^(nu+1/2) phi_n makes the pointwise one M^2 pi s_nu^2 (xy = 1).
-    # The tail past index n is bounded by a geometric series whose first term
-    # (the smaller bound) and ratio q_n (the point-free one's, which the
-    # pointwise one's does not exceed) are computed for every n at once.  The
-    # truncation index is the first n whose bound falls below tol.
+    # and psi_n = x^(nu+1/2) phi_n makes the pointwise one M^2 pi s_nu^2 (xy = 1);
+    # |chi_n(x) psi_n(y)| <= K lam_n, K = M^2 pi s_nu s_{nu+1}.  Times the
+    # semigroup's weight, the tail past index n is bounded by a geometric series
+    # whose first term (the smaller bound) and ratio q_n (exp of the weight's
+    # log_ratio over one spacing plus p pi theta / lam_n, p = 2nu + 1 or 1 for
+    # chi) are computed for every n at once.  The truncation index is the first
+    # n whose bound falls below tol.
 
     _THETA = 0.9
 
@@ -161,56 +183,29 @@ class EigenBasis:
             coeff = np.minimum(coeff, local)
         return coeff
 
-    @staticmethod
-    def _first_below(first, log_q, tol, operation, message) -> int:
-        """First index n with first[n] / (1 - q_n) < tol and q_n < 1, where
-        q_n = exp(log_q[n]); raises NumericsError when no index qualifies."""
-        q = np.exp(log_q)
+    def terms_needed(self, semigroup: str, t: float, tol: float,
+                     xy: float | None = None, rows: str = "phi") -> int:
+        """Smallest N so the tail past N of sum weight(lam_n, t) |chi_n psi_n|
+        (rows "chi") or |phi_n(x) phi_n(y)| at x y >= xy (anywhere if None)
+        is below tol; a NumericsError if the table cannot certify it."""
+        if t <= 0:
+            raise ValueError("t must be positive")
+        lam, sg = self.table.zeros, SEMIGROUPS[semigroup]
+        pt = math.pi * self._THETA
+        if rows == "chi":
+            coeff, p = self.c_margin**2 * math.pi * self.s_nu * self.s_nu1 * lam, 1
+            operation, advice = "gradient_kernel", ""
+        else:
+            coeff, p = self._first_coeff(xy), 2 * self.nu + 1
+            operation, advice = f"{semigroup}_kernel", sg.advice
+        q = np.exp(sg.log_ratio(lam, t, pt) + p * pt / lam)
         with np.errstate(divide="ignore", invalid="ignore"):
-            ok = (q < 1.0) & (first / (1.0 - q) < tol)
+            ok = (q < 1.0) & (coeff * sg.weight(lam, t) / (1.0 - q) < tol)
         n = int(ok.argmax())
         if not ok[n]:
-            raise NumericsError(operation, message)
+            raise NumericsError(operation, f"tail not certified at t={t:.3e} with "
+                                f"table of {len(lam)} zeros{advice}")
         return n
-
-    def poisson_terms_needed(self, t: float, tol: float, xy: float | None = None) -> int:
-        """Smallest N so the tail of sum exp(-t lam_n) |phi phi| past N is
-        below tol at x y >= xy (anywhere if None), or a NumericsError if the
-        table cannot certify it."""
-        if t <= 0:
-            raise ValueError("t must be positive")
-        lam = self.table.zeros
-        pt = math.pi * self._THETA
-        p = 2 * self.nu + 1
-        return self._first_below(
-            self._first_coeff(xy) * np.exp(-t * lam),
-            -t * pt + p * pt / lam, tol, "poisson_kernel",
-            f"tail not certified at t={t:.3e} with table of {len(lam)} zeros; "
-            "enlarge the zero table or raise t")
-
-    def heat_terms_needed(self, t: float, tol: float, xy: float | None = None) -> int:
-        if t <= 0:
-            raise ValueError("t must be positive")
-        lam = self.table.zeros
-        pt = math.pi * self._THETA
-        p = 2 * self.nu + 1
-        return self._first_below(
-            self._first_coeff(xy) * np.exp(-t * lam**2),
-            -2.0 * t * lam * pt + p * pt / lam, tol, "heat_kernel",
-            f"tail not certified at t={t:.3e} with table of {len(lam)} zeros")
-
-    def delta_terms_needed(self, t: float, tol: float) -> int:
-        """Truncation index for the gradient-type series with terms bounded by
-        K lam_n exp(-t lam_n), K = c_margin^2 pi s_nu s_{nu+1}."""
-        if t <= 0:
-            raise ValueError("t must be positive")
-        lam = self.table.zeros
-        pt = math.pi * self._THETA
-        coeff = (self.c_margin**2) * math.pi * self.s_nu * self.s_nu1
-        return self._first_below(
-            coeff * lam * np.exp(-t * lam), -t * pt + pt / lam, tol,
-            "gradient_kernel",
-            f"tail not certified at t={t:.3e} with table of {len(lam)} zeros")
 
     def _min_time(self, terms_needed, tol: float, lo: float) -> float:
         """Smallest t in [lo, 10] at which terms_needed(t, tol) certifies,
@@ -231,14 +226,6 @@ class EigenBasis:
             else:
                 lo = mid
         return hi
-
-    def min_poisson_time(self, tol: float) -> float:
-        """Smallest t the full table certifies for the weighted Poisson kernel
-        (used as a floor for t-grids in supremum sweeps)."""
-        return self._min_time(self.poisson_terms_needed, tol, 1e-8)
-
-    def min_heat_time(self, tol: float) -> float:
-        return self._min_time(self.heat_terms_needed, tol, 1e-10)
 
 
 def scale_rows(rows: np.ndarray, row_scale, col_scale) -> np.ndarray:

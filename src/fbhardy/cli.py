@@ -167,7 +167,7 @@ def cmd_zeros(session: _Session, args) -> int:
 # --which choice -> kernel: the series kernels of one system (poisson-mu ->
 # poisson_mu; delta_poisson mixes two) and the half-line ones (bessel-heat)
 _SERIES_CHOICES = {name.replace("_", "-"): name
-                   for name, (_, _, x_rows, y_rows) in SERIES_KERNELS.items()
+                   for name, (_, x_rows, y_rows) in SERIES_KERNELS.items()
                    if x_rows == y_rows}
 _HALFLINE_CHOICES = {f"bessel-{kind}": kind for kind in HALFLINE_KERNELS}
 _KERNEL_CHOICES = tuple(_SERIES_CHOICES) + tuple(_HALFLINE_CHOICES)

@@ -32,11 +32,11 @@ pi^(-1/2) int_0^inf exp(-u) u^(-1/2) T_{t^2/4u} du, skipping each term whose
 bound from I_nu(u) <= (u/2)^nu e^u / Gamma(nu + 1) (DLMF 10.32.2) is below
 2^-60/352 of the term at the node nearest its peak (so below 2^-60 of P in all).
 
-Series kernels are truncated with certified geometric tail bounds owned by the
-basis object, taken at the smallest x y of each call (phi rows) or anywhere
-(psi and chi rows), so every value carries an absolute-accuracy guarantee;
-when a requested time is too small for the available zero table a
-NumericsError is raised rather than returning an uncertified number.
+Series kernels take their multipliers from `basis.SEMIGROUPS` and their
+truncation from the basis's tail certificate `terms_needed`, at the smallest
+x y of each call (phi rows) or anywhere (psi, chi), so every value carries an
+absolute-accuracy guarantee; below the table's `floor` a NumericsError is
+raised rather than returning an uncertified number.
 
 `check_sharp_estimate` measures two-sided comparability (or a one-sided bound)
 against the closed-form comparand of each estimate on a deterministic
@@ -56,7 +56,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .basis import EigenBasis, scale_rows
+from .basis import SEMIGROUPS, EigenBasis, scale_rows
 from .errors import NumericsError
 from .quadrature import Measure, MEASURE_MU, _gauss_jacobi, _gl_on_panels
 from . import specfun
@@ -74,19 +74,13 @@ def _broadcast(*arrays):
 # series kernels on (0, 1)
 
 
-# semigroup -> multiplier of the n-th term, (lam_n, t) -> weight
-SEMIGROUPS = {
-    "poisson": lambda lam, t: np.exp(-t * lam),
-    "heat": lambda lam, t: np.exp(-t * lam**2),
-}
-
-# kernel name -> (semigroup, basis tail count, x rows, y rows); each is a method
+# kernel name -> (semigroup of basis.SEMIGROUPS, x rows, y rows); each is a method
 SERIES_KERNELS = {
-    "poisson_mu": ("poisson", "poisson_terms_needed", "phi", "phi"),
-    "poisson_lebesgue": ("poisson", "poisson_terms_needed", "psi", "psi"),
-    "heat_mu": ("heat", "heat_terms_needed", "phi", "phi"),
-    "heat_lebesgue": ("heat", "heat_terms_needed", "psi", "psi"),
-    "delta_poisson": ("poisson", "delta_terms_needed", "chi", "psi"),
+    "poisson_mu": ("poisson", "phi", "phi"),
+    "poisson_lebesgue": ("poisson", "psi", "psi"),
+    "heat_mu": ("heat", "phi", "phi"),
+    "heat_lebesgue": ("heat", "psi", "psi"),
+    "delta_poisson": ("poisson", "chi", "psi"),
 }
 
 # row builders, looked up at call time so that wrapped basis methods are seen
@@ -119,38 +113,34 @@ class UnitIntervalKernels:
 
     # -- truncation ----------------------------------------------------------
 
-    def _n(self, terms_needed, t: float, tol: float | None = None) -> int:
-        n = terms_needed(t, self.series_tol if tol is None else tol)
+    def _n(self, semigroup: str, t: float, tol=None, **kw) -> int:
+        n = self.basis.terms_needed(semigroup, t, self.series_tol if tol is None else tol, **kw)
         return min(len(self.basis), max(n, 1) + 8)
 
-    def _floor(self, key, bisect) -> float:
-        """bisect(), a 60-step bisection over the zero table, once per key."""
+    def _floor(self, key, terms_needed, lo: float) -> float:
+        """The basis's bisection for terms_needed at series_tol from lo, once per key."""
         if key not in self._floors:
-            self._floors[key] = bisect()
+            self._floors[key] = self.basis._min_time(terms_needed, self.series_tol, lo)
         return self._floors[key]
 
-    def poisson_floor(self) -> float:
-        """Smallest time the zero table certifies for Poisson-type series at
-        series_tol."""
-        return self._floor(("poisson",), lambda: self.basis.min_poisson_time(self.series_tol))
-
-    def heat_floor(self) -> float:
-        return self._floor(("heat",), lambda: self.basis.min_heat_time(self.series_tol))
+    def floor(self, semigroup: str) -> float:
+        """Smallest time the zero table certifies for a semigroup's point-free series."""
+        return self._floor((semigroup,), partial(self.basis.terms_needed, semigroup),
+                           SEMIGROUPS[semigroup].t_lo)
 
     def derivative_floor(self, x_min: float, y_min: float) -> float:
         """Smallest time certified for both derivative series when the
         evaluation grid stays inside [x_min, 1) x [y_min, 1).  The derivative
         kernels tighten series_tol by grid-dependent factors, so their floor
         sits above the plain Poisson one."""
-        tol = self.series_tol
-        tol_dx = tol * min(1.0, (x_min * y_min) ** (self.nu + 0.5))
-        tol_dy = tol * min(1.0, y_min / (self.nu + 0.5))
+        tol_dx = self.series_tol * min(1.0, (x_min * y_min) ** (self.nu + 0.5))
+        tol_dy = self.series_tol * min(1.0, y_min / (self.nu + 0.5))
 
         def both(t: float, _tol):
-            self.basis.delta_terms_needed(t, tol_dx)
-            return self.basis.poisson_terms_needed(t, tol_dy)
+            self.basis.terms_needed("poisson", t, tol_dx, rows="chi")
+            return self.basis.terms_needed("poisson", t, tol_dy)
 
-        t = self._floor(("derivative", x_min, y_min), lambda: self.basis._min_time(both, tol, 1e-8))
+        t = self._floor(("derivative", x_min, y_min), both, 1e-8)
         return t if t == 1e-8 else 1.02 * t
 
     # -- evaluation cores ----------------------------------------------------
@@ -227,9 +217,9 @@ class UnitIntervalKernels:
         tol = self.series_tol if tol is None else tol
         ya = np.atleast_1d(np.asarray(y, dtype=float))
         scale = min(1.0, float(np.min(ya)) / (self.nu + 0.5))
-        n = max(self._n(self.basis.delta_terms_needed, t, tol),
-                self._n(partial(self.basis.poisson_terms_needed, xy=1.0), t, tol * scale))
-        p, d = (self._eval(lambda lam: SEMIGROUPS["poisson"](lam, t),
+        n = max(self._n("poisson", t, tol, rows="chi"),
+                self._n("poisson", t, tol * scale, xy=1.0))
+        p, d = (self._eval(lambda lam: SEMIGROUPS["poisson"].weight(lam, t),
                            partial(self._rows, "psi"), partial(self._rows, y_rows),
                            n, x, y, matrix) for y_rows in ("psi", "chi"))
         out = (self.nu + 0.5) * p / (ya[None, :] if matrix else _broadcast(x, y)[1]) - d
@@ -244,14 +234,13 @@ def _min_xy(x, y, matrix: bool) -> float:
 
 
 def _series_method(name: str):
-    semigroup, terms, x_rows, y_rows = SERIES_KERNELS[name]
+    semigroup, x_rows, y_rows = SERIES_KERNELS[name]
 
     def kernel(self, t: float, x, y, matrix: bool = False, tol=None):
-        count = getattr(self.basis, terms)
-        if x_rows != "chi":   # phi rows are bounded at the call's points, psi rows anywhere
-            count = partial(count, xy=1.0 if x_rows == "psi" else _min_xy(x, y, matrix))
-        n = self._n(count, t, tol)
-        return self._eval(lambda lam: SEMIGROUPS[semigroup](lam, t),
+        # phi rows are bounded at the call's points, psi rows anywhere; chi rows take no xy
+        xy = _min_xy(x, y, matrix) if x_rows == "phi" else 1.0
+        n = self._n(semigroup, t, tol, xy=xy, rows=x_rows)
+        return self._eval(lambda lam: SEMIGROUPS[semigroup].weight(lam, t),
                           partial(self._rows, x_rows), partial(self._rows, y_rows),
                           n, x, y, matrix)
     kernel.__name__ = name
@@ -394,9 +383,10 @@ def _muckenhoupt_stein(orders, t, points) -> np.ndarray:
     _, _, xy, _, d2 = points
     nu = orders[0].nu
     beta, p = nu - 0.5, nu + 0.5
-    (s0, w0), (s1, w1), (s2, w2) = (_gauss_jacobi(40, 0.0, beta), _gauss_jacobi(16, 0.0, 0.0),
-                                    _gauss_jacobi(20, beta, 0.0))
+    (s0, w0), (s1, w1), (s2, w2) = (_gauss_jacobi(40, 1.0, p), _gauss_jacobi(16, 1.0, 1.0),
+                                    _gauss_jacobi(20, p, 1.0))
     c2 = 0.75 + 0.25 * s2   # [1/2, 1], with c^(nu - 1/2) 4^(-nu - 1/2) in its weights
+    u0 = np.maximum(1.0 + s0, 2.0**-100)   # w > 0 at a node s = -1 (nu next to -1/2)
     w2 = w2 * c2**beta * 4.0**-p
     a, b = t * t + d2, 4.0 * xy
     out = np.empty(t.shape)   # the integral times a/t (t/a = 1/(t + d2/t) if t^2 underflows)
@@ -410,7 +400,7 @@ def _muckenhoupt_stein(orders, t, points) -> np.ndarray:
             span = np.minimum(np.log1p(0.5 * bk / ak), _MS_SPAN)
             head = np.minimum(span, _MS_HEAD)
             eps = ak / bk
-            w = 0.5 * head * (1.0 + s0)
+            w = 0.5 * head * u0
             lower = ((-np.expm1(-w) / w * (1.0 - eps * np.expm1(w))) ** beta * np.exp(-w)) @ w0
             w = head + 0.5 * (span - head) * (1.0 + s1)   # of width 0 where span <= 10
             f = (-np.expm1(-w) * (1.0 - eps * np.expm1(w))) ** beta * np.exp(-w)
@@ -537,7 +527,7 @@ def _poisson_tol(kernels, t: float):
 
 
 def _poisson_times(kernels, x_grid, n_t: int) -> np.ndarray:
-    small = np.geomspace(max(kernels.poisson_floor(), 1e-4), 1.0, n_t)
+    small = np.geomspace(max(kernels.floor("poisson"), 1e-4), 1.0, n_t)
     return np.concatenate([small, np.geomspace(1.25, 3.0, max(n_t // 2, 4))])
 
 
@@ -577,7 +567,7 @@ _LEMMAS = {
         lambda k, nu, t, x, y, tol: np.abs(k.dy_poisson_lebesgue(t, x, y, matrix=True)),
         lambda k, nu, t, x, y: comparand_gradient(t, x, y)),
     "heat-gauss": _Lemma(
-        False, False, lambda k, x, n_t: np.geomspace(max(k.heat_floor(), 1e-6), 1.0, n_t),
+        False, False, lambda k, x, n_t: np.geomspace(max(k.floor("heat"), 1e-6), 1.0, n_t),
         lambda k, nu, t, x, y, tol: k.heat_mu(t, x, y, matrix=True),
         lambda k, nu, t, x, y: comparand_heat_gauss(nu, t, x, y)),
     "heat-large-t": _Lemma(

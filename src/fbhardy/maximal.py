@@ -3,7 +3,7 @@
 The semigroup action on a sampled function goes through its expansion in the
 eigenbasis: the coefficients are computed once by quadrature (truncated at the
 grid's resolvable frequency), and each time slice is a synthesis weighted by
-the semigroup's multiplier from `kernels.SEMIGROUPS`. This route stays
+the semigroup's multiplier from `basis.SEMIGROUPS`. This route stays
 accurate for every t > 0, unlike pointwise kernel series which need
 small-time certification. On the half line the semigroups act by quadrature
 against `kernels.HALFLINE_KERNELS`.
@@ -30,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import EigenBasis, coefficients
+from .basis import SEMIGROUPS, EigenBasis, coefficients
 from .covers import DyadicCover, Interval, FAMILY_ONE_END, FAMILY_TWO_END
 from .errors import NumericsError
-from .kernels import (_SUB_BLOCK, HALFLINE_KERNELS, SEMIGROUPS, UnitIntervalKernels,
+from .kernels import (_SUB_BLOCK, HALFLINE_KERNELS, UnitIntervalKernels,
                       _heat_and_dy, _subordinated_poisson, bessel_heat, bessel_poisson)
 from .quadrature import (Measure, SampledFunction, grid_on_interval,
                          MEASURE_LEBESGUE, MEASURE_MU)
@@ -100,7 +100,7 @@ class SpectralExpansion:
             raise ValueError(f"unknown semigroup {kind!r}")
         if not np.all(np.asarray(t_values, dtype=float) > 0):
             raise ValueError("time must be positive")
-        wfun = SEMIGROUPS[kind]
+        wfun = SEMIGROUPS[kind].weight
         lam = self.basis.table.zeros[:self.n_active]
         mat = self.rows(np.atleast_1d(np.asarray(x, dtype=float)), self.n_active)
         for t in t_values:
@@ -334,7 +334,7 @@ def uchiyama_families(kernels: UnitIntervalKernels, zeta: float = 0.02,
     nu = kernels.nu
     reports = []
     one_end = DyadicCover(FAMILY_ONE_END, zeta=zeta)
-    floor_p = kernels.poisson_floor()
+    floor_p = kernels.floor("poisson")
     # (cover, pieces, measure, series kernel, label prefix)
     unit_families = ((one_end, unit_js, MEASURE_MU, "poisson_mu", "unit-mu"),
                      (DyadicCover(FAMILY_TWO_END, zeta=zeta), flat_js,
@@ -504,7 +504,7 @@ def duhamel_residual_kernels(basis: EigenBasis,
     those times for arguments left of the ramp.  The outer half-line kernels
     come in slices of s nodes, as in duhamel_residuals."""
     nu, y = basis.nu, np.atleast_1d(np.asarray(y, dtype=float))
-    ramp, floor = _ramp(rho, nu), kernels.heat_floor()
+    ramp, floor = _ramp(rho, nu), kernels.floor("heat")
     z = ramp[0]
     return _duhamel_sums(nu, t, x, ramp, lambda s_nodes: (
         kernels.heat_mu(s, z, y, matrix=True) if s > 1.05 * floor

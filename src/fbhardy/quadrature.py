@@ -115,18 +115,21 @@ def _gl_on_panels(edges: np.ndarray, counts):
 
 
 @lru_cache(maxsize=16)
-def _gauss_jacobi(n: int, alpha: float, beta: float):
-    """n-point Gauss rule for (1 - s)^alpha (1 + s)^beta on [-1, 1] (alpha, beta,
-    alpha + beta > -1) by Golub-Welsch, built once: read-only nodes and weights."""
+def _gauss_jacobi(n: int, a1: float, b1: float):
+    """n-point Gauss rule for (1 - s)^(a1 - 1) (1 + s)^(b1 - 1) on [-1, 1] (a1, b1 > 0)
+    by Golub-Welsch, built once: read-only nodes and weights.  The factors that vanish
+    as an exponent nears -1 come from a1, b1 exactly when either is 1, so no bit is lost."""
+    alpha, beta = a1 - 1.0, b1 - 1.0
+    c = min(a1, b1) + (max(a1, b1) - 1.0)   # alpha + beta + 1
     k = np.arange(1.0, n)
-    s = 2.0 * k + alpha + beta
-    diag = np.concatenate([[(beta - alpha) / (alpha + beta + 2.0)],
+    s = 2.0 * k - 1.0 + c
+    diag = np.concatenate([[(beta - alpha) / (c + 1.0)],
                            (beta * beta - alpha * alpha) / (s * (s + 2.0))])
-    off = np.sqrt(4.0 * k * (k + alpha) * (k + beta) * (k + alpha + beta)
-                  / (s * s * (s + 1.0) * (s - 1.0)))
+    off = np.sqrt(4.0 * k * (k - 1.0 + a1) * (k - 1.0 + b1) * (k - 1.0 + c)
+                  / (s * s * (s + 1.0) * (2.0 * k - 2.0 + c)))
     nodes, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, -1))
-    mass = math.exp((alpha + beta + 1.0) * math.log(2.0) + math.lgamma(alpha + 1.0)
-                    + math.lgamma(beta + 1.0) - math.lgamma(alpha + beta + 2.0))
+    mass = math.exp(c * math.log(2.0) + math.lgamma(a1) + math.lgamma(b1)
+                    - math.lgamma(c + 1.0))
     weights = mass * vectors[0] ** 2
     nodes.setflags(write=False)
     weights.setflags(write=False)

@@ -7,6 +7,7 @@ import scipy.special as sps
 from fbhardy import basis as basis_module, specfun
 from fbhardy.basis import EigenBasis, coefficients
 from fbhardy.errors import NumericsError
+from fbhardy.kernels import UnitIntervalKernels
 from fbhardy.quadrature import (SampledFunction, make_quadrature, MEASURE_MU,
                                 MEASURE_LEBESGUE)
 from fbhardy.specfun import Order
@@ -233,6 +234,18 @@ def test_the_sup_scan_gives_the_theorem_s_value(nu, monkeypatch):
     assert got == ref_sup_sqrtz_j(Order(nu)) == 1.02 * (math.sqrt(2.0 / math.pi) * 1.01)
 
 
+def test_build_refuses_zeros_closer_than_the_tail_bounds_assume(monkeypatch):
+    """The tail certificate takes lam_{n+1} - lam_n >= 0.9 pi (2400-zero
+    tables from nu = -0.4999999 to 7.9 keep gaps of at least 0.99 pi); a
+    table that breaks it is refused, not certified."""
+    zeros = specfun.bessel_zeros(Order(0.5), 16)
+    narrow = np.concatenate([zeros.zeros[:8], zeros.zeros[8:] - 0.4])
+    monkeypatch.setattr(specfun, "bessel_zeros", lambda *a, **kw: specfun.BesselZeroTable(
+        order=zeros.order, zeros=narrow, residuals=zeros.residuals))
+    with pytest.raises(NumericsError, match="zeros closer than pi theta"):
+        EigenBasis.build(Order(0.5), 16)
+
+
 def test_build_refuses_a_failed_norm_check(monkeypatch):
     monkeypatch.setattr(basis_module, "_NORM_TOL", 0.0)
     with pytest.raises(NumericsError, match="unit-norm quadrature check failed"):
@@ -248,17 +261,17 @@ def test_norm_check_refusal_names_the_order_the_zeros_and_the_worst_mode():
 
 
 def test_series_counters_monotone(basis_half):
-    n_small = basis_half.poisson_terms_needed(0.5, 1e-10)
-    n_large = basis_half.poisson_terms_needed(0.05, 1e-10)
+    n_small = basis_half.terms_needed("poisson", 0.5, 1e-10)
+    n_large = basis_half.terms_needed("poisson", 0.05, 1e-10)
     assert n_large > n_small
-    assert basis_half.heat_terms_needed(0.01, 1e-10) > \
-        basis_half.heat_terms_needed(0.1, 1e-10)
+    assert basis_half.terms_needed("heat", 0.01, 1e-10) > \
+        basis_half.terms_needed("heat", 0.1, 1e-10)
 
 
 def test_counter_certifies_tail(basis_half):
     """Terms beyond the counter change the Poisson series by less than tol."""
     t, tol = 0.05, 1e-10
-    n = basis_half.poisson_terms_needed(t, tol)
+    n = basis_half.terms_needed("poisson", t, tol)
     lam = basis_half.table.zeros
     x = np.array([0.3])
     rows = basis_half.phi_matrix(x, len(basis_half))
@@ -268,10 +281,10 @@ def test_counter_certifies_tail(basis_half):
 
 
 def test_counters_raise_below_floor(basis_half):
-    floor = basis_half.min_poisson_time(1e-10)
-    assert basis_half.poisson_terms_needed(1.01 * floor, 1e-10) > 0
+    floor = UnitIntervalKernels(basis_half, series_tol=1e-10).floor("poisson")
+    assert basis_half.terms_needed("poisson", 1.01 * floor, 1e-10) > 0
     with pytest.raises(NumericsError):
-        basis_half.poisson_terms_needed(0.25 * floor, 1e-10)
+        basis_half.terms_needed("poisson", 0.25 * floor, 1e-10)
 
 
 def _hankel(f, xi):

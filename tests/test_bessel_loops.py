@@ -370,7 +370,7 @@ def ref_duhamel_residual_kernels(basis, kernels, rho, t, x, y):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     znodes, zw, rp, rpp, drift = _ramp(rho, nu)
-    floor = kernels.heat_floor()
+    floor = kernels.floor("heat")
 
     s_nodes, s_weights = _s_panel_nodes(t)
     r1 = np.zeros((len(x), len(y)))

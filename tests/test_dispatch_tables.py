@@ -136,14 +136,14 @@ def ref_check_sharp_estimate(lemma, kernels_=None, nu=None, n_t=14, n_space=18,
         nu = kernels_.nu
         x_grid = ref_unit_space_grid(n_space)
         if lemma in ("sharp-P", "sharp-Pmu"):
-            floor = kernels_.poisson_floor()
+            floor = kernels_.floor("poisson")
             t_grid = np.concatenate([np.geomspace(max(floor, 1e-4), 1.0, n_t),
                                      np.geomspace(1.25, 3.0, max(n_t // 2, 4))])
         elif lemma in ("grad-P", "dy-P"):
             floor = kernels_.derivative_floor(x_grid[0], x_grid[0])
             t_grid = np.geomspace(max(floor, 1e-4), 1.0, n_t)
         elif lemma == "heat-gauss":
-            floor = kernels_.heat_floor()
+            floor = kernels_.floor("heat")
             t_grid = np.geomspace(max(floor, 1e-6), 1.0, n_t)
         else:  # heat-large-t
             t_grid = np.geomspace(1.0, 6.0, n_t)
@@ -194,7 +194,7 @@ def test_unknown_lemma_is_rejected():
 
 
 def test_kernel_choices_are_the_table_keys():
-    series = {name.replace("_", "-") for name, (_, _, xr, yr)
+    series = {name.replace("_", "-") for name, (_, xr, yr)
               in SERIES_KERNELS.items() if xr == yr}
     halfline = {f"bessel-{kind}" for kind in HALFLINE_KERNELS}
     assert set(cli._KERNEL_CHOICES) == series | halfline

@@ -208,14 +208,14 @@ def test_sub_grid_rows_are_read_only_columns_of_a_kept_table(monkeypatch, nu):
 def test_each_floor_is_bisected_once_per_kernels_object(monkeypatch):
     bisections = _counting(monkeypatch, EigenBasis, "_min_time")
     k = UnitIntervalKernels(_basis(0.5))
-    floors = (k.poisson_floor(), k.heat_floor(), k.derivative_floor(0.008, 0.008))
+    floors = (k.floor("poisson"), k.floor("heat"), k.derivative_floor(0.008, 0.008))
     assert len(bisections) == 3
-    assert (k.poisson_floor(), k.heat_floor(), k.derivative_floor(0.008, 0.008)) == floors
+    assert (k.floor("poisson"), k.floor("heat"), k.derivative_floor(0.008, 0.008)) == floors
     assert len(bisections) == 3
     k.derivative_floor(0.03, 0.03)             # another grid: its own floor
     assert len(bisections) == 4
     other = UnitIntervalKernels(k.basis)
-    assert other.poisson_floor() == floors[0]  # another object bisects again
+    assert other.floor("poisson") == floors[0]  # another object bisects again
     assert len(bisections) == 5
 
 

@@ -78,7 +78,7 @@ def test_matrix_agrees_with_pointwise(kernels_half):
 
 
 def test_poisson_raises_below_certified_floor(kernels_half):
-    floor = kernels_half.poisson_floor()
+    floor = kernels_half.floor("poisson")
     with pytest.raises(NumericsError):
         kernels_half.poisson_mu(0.2 * floor, np.array([0.5]),
                                 np.array([0.5]))

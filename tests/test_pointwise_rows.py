@@ -1,10 +1,11 @@
 """Pointwise series kernels and the Uchiyama checker against the ravelled code.
 
 The reference functions below are the earlier implementations, kept verbatim
-apart from renaming and the psi tail count of `dy_poisson_lebesgue`, which
-takes the kernel's current pointwise bound (xy = 1): `_pointwise`, the
-pointwise branch of `UnitIntervalKernels._eval` and of
-`dy_poisson_lebesgue`, which build basis rows at every raveled point, and
+apart from renaming and the tail counts of `dy_poisson_lebesgue`, which
+take the kernel's current pointwise bound (xy = 1) for psi and go through
+the kernels' one `_n`: `_pointwise`, the pointwise branch of
+`UnitIntervalKernels._eval` and of `dy_poisson_lebesgue`, which build basis
+rows at every raveled point, and
 `check_uchiyama_conditions`, which evaluates each radius's kernel table a
 second time for the Lipschitz loop. The current code builds rows once per
 distinct point and reuses the table; every value must come out bit for bit
@@ -12,7 +13,7 @@ the same.  J at nu = 1/2 is the closed form, held to mpmath by
 `test_half_order_j`.
 """
 import math
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import pi
 from unittest import mock
 
@@ -54,8 +55,8 @@ class RefKernels(UnitIntervalKernels):
         tol = self.series_tol if tol is None else tol
         ya = np.atleast_1d(np.asarray(y, dtype=float))
         scale = min(1.0, float(np.min(ya)) / (self.nu + 0.5))
-        n = max(self._n(self.basis.delta_terms_needed, t, tol),
-                self._n(partial(self.basis.poisson_terms_needed, xy=1.0), t, tol * scale))
+        n = max(self._n("poisson", t, tol, rows="chi"),
+                self._n("poisson", t, tol * scale, xy=1.0))
         w = np.exp(-t * self.basis.table.zeros[:n])
         if matrix:
             xa = np.atleast_1d(np.asarray(x, dtype=float))

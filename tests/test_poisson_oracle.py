@@ -19,7 +19,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fbhardy.kernels import bessel_poisson
@@ -72,8 +72,17 @@ def _points(draw):
     return nu, t, x, y
 
 
+# nu = -1/2 + k ulps (2^-54) for k = 1, 2, 3, where nu - 1/2 rounds to -1, to
+# the float of k = 3 and to itself, and at an odd k with nu + 1/2 ~ 1e-9
+_NEAR_MINUS_HALF = tuple(-0.5 + k * 2.0**-54 for k in (1, 2, 3, 18014399))
+
+
 @settings(max_examples=20, deadline=None)
 @given(_points())
+@example((_NEAR_MINUS_HALF[0], 1.0, 1.0, 1.0))
+@example((_NEAR_MINUS_HALF[1], 1.0, 1.0, 1.0))
+@example((_NEAR_MINUS_HALF[2], 1.0, 1.0, 1.0))
+@example((_NEAR_MINUS_HALF[3], 1.0, 1.0, 1.0))
 def test_bessel_poisson_matches_the_oracle(point):
     got = bessel_poisson(*point)
     assert got >= 0.0
@@ -88,6 +97,19 @@ def test_bessel_poisson_matches_the_oracle_on_the_edges_of_the_sweep():
     cases = [(nu, *p) for nu in (0.5, 1.0, 8.0) for p in corners]
     for nu, t, x, y in cases + [(-0.45, *corners[1]), (-0.45, *corners[3])]:
         assert _rel(bessel_poisson(nu, t, x, y), poisson_oracle(nu, t, x, y)) <= RTOL
+
+
+def test_bessel_poisson_next_to_minus_half():
+    """At nu = -1/2 + k ulps (k = 1 .. 5) and at both parities of the last
+    bit of nu near -1/2 + 1e-4, 1e-9 and 1e-12: the Gauss-Jacobi rules are
+    built from nu + 1/2, which keeps every bit of nu where nu - 1/2 drops
+    the last one, and the first Jacobi node can sit at w = 0."""
+    ks = [1, 2, 3, 4, 5] + [m + odd for e in (-4, -9, -12)
+                            for m in (2 * round(10.0**e * 2.0**53),) for odd in (0, 1)]
+    for nu in (-0.5 + k * 2.0**-54 for k in ks):
+        for t, x, y in ((1.0, 1.0, 1.0), (0.02, 2.0, 2.05), (1e-7, 0.1, 8.0)):
+            got = bessel_poisson(nu, t, x, y)
+            assert _rel(got, poisson_oracle(nu, t, x, y)) <= RTOL, (nu, t, x, y)
 
 
 def test_bessel_poisson_at_y_zero_is_the_closed_limit():

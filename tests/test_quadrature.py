@@ -21,9 +21,9 @@ def test_gauss_jacobi_matches_scipy(nu, n):
     (1 + s)^(nu - 1/2): nodes to 2e-15, weights to 1e-11 of their sum, as
     roots_jacobi's own rule is off by up to 1e-12 relative in integrals at
     nu = -0.45 (test_gauss_jacobi_integrates_a_smooth_function)."""
-    for alpha, beta in ((nu - 0.5, 0.0), (0.0, nu - 0.5)):
-        nodes, weights = _gauss_jacobi(n, alpha, beta)
-        want_nodes, want_weights = sps.roots_jacobi(n, alpha, beta)
+    for a1, b1 in ((nu + 0.5, 1.0), (1.0, nu + 0.5)):   # the exponents plus one
+        nodes, weights = _gauss_jacobi(n, a1, b1)
+        want_nodes, want_weights = sps.roots_jacobi(n, a1 - 1.0, b1 - 1.0)
         assert np.max(np.abs(nodes - want_nodes)) <= 2e-15
         assert np.max(np.abs(weights - want_weights)) <= 1e-11 * want_weights.sum()
         assert np.all(weights > 0)
@@ -31,16 +31,16 @@ def test_gauss_jacobi_matches_scipy(nu, n):
 
 @pytest.mark.parametrize("nu", _JACOBI_ORDERS)
 def test_gauss_jacobi_integrates_a_smooth_function(nu):
-    """int (1 + s)^b e^s / (2 + s) ds to 1e-14 against mpmath, which takes
-    it in v = (1 + s)^(b + 1), where the integrand is smooth."""
+    """int (1 + s)^b e^s / (2 + s) ds, b = nu - 1/2, to 1e-14 against
+    mpmath, which takes it in v = (1 + s)^(b + 1), where the integrand is
+    smooth."""
     mpmath = pytest.importorskip("mpmath")
-    b = nu - 0.5
     with mpmath.workdps(30):
-        e = mpmath.mpf(b) + 1
+        e = mpmath.mpf(nu) + mpmath.mpf(1) / 2   # b + 1
         want = mpmath.quad(lambda v: (lambda s: mpmath.exp(s) / (2 + s))(v ** (1 / e) - 1),
                            [0, 2**e]) / e
     for n in (20, 40):
-        nodes, weights = _gauss_jacobi(n, 0.0, b)
+        nodes, weights = _gauss_jacobi(n, 1.0, nu + 0.5)
         got = weights @ (np.exp(nodes) / (2.0 + nodes))
         assert abs(got - float(want)) <= 1e-14 * float(want)
 

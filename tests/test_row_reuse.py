@@ -14,6 +14,7 @@ and any prefix of any table, to fresh builds at their n, and J at each
 argument of a table to J at that argument alone; and count the row builds
 of one Uchiyama check and of the Duhamel residual kernels.
 """
+import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -120,7 +121,26 @@ def test_kept_tables_are_read_only_and_evicted_least_recent_first(monkeypatch):
 
 
 def _stores(k):
-    return {id(t.base) for t in k._tables.values()}
+    """Weak references to the memory of the kept tables: a strong one would
+    keep `_rows` from recycling it, and an id can come back on new memory."""
+    return [weakref.ref(t.base) for t in k._tables.values()]
+
+
+def _kept_in(k, stores) -> bool:
+    """Whether every kept table of k lives in one of the stores."""
+    return all(any(t.base is store() for store in stores) for t in k._tables.values())
+
+
+class _Requests(FreshRows):
+    """Fresh rows, the n of every request logged."""
+
+    def __init__(self, basis):
+        super().__init__(basis)
+        self.ns = []
+
+    def _rows(self, tag, x, n):
+        self.ns.append(n)
+        return super()._rows(tag, x, n)
 
 
 @pytest.mark.parametrize("nu", ORDERS)
@@ -129,12 +149,14 @@ def test_recycled_storage_gives_the_values_of_fresh_rows(nu):
     the memory of the one it evicts: a pointwise call, a matrix call whose y
     side evicts the table the pointwise x side read, and the calls that
     follow (every system, both modes) equal fresh rows bit for bit, with no
-    new memory."""
-    kept, fresh = UnitIntervalKernels(_basis(nu)), FreshRows(_basis(nu))
+    new memory.  The first call, at half the others' time, asks for the
+    largest n, which each call checks."""
+    kept, fresh = UnitIntervalKernels(_basis(nu)), _Requests(_basis(nu))
     rng = np.random.default_rng(11)
     a, b, c, d = (np.sort(rng.uniform(0.05, 0.95, 8)) for _ in range(4))
-    kept.dy_poisson_lebesgue(TIMES["poisson"][0], a, b)   # the largest n of the calls
-    stores = _stores(kept)
+    for k in (kept, fresh):
+        k.poisson_mu(TIMES["poisson"][0] / 2, a, b)
+    largest, stores = max(fresh.ns), _stores(kept)
     assert len(stores) == 2
     calls = [("poisson_mu", a, b, False), ("poisson_mu", b, c, True),
              ("poisson_mu", d, a, False), ("heat_mu", c, d, True),
@@ -142,9 +164,11 @@ def test_recycled_storage_gives_the_values_of_fresh_rows(nu):
              ("dy_poisson_lebesgue", b, d, False), ("dy_poisson_lebesgue", a, c, True),
              ("poisson_mu", c, a[3], False)]
     for name, x, y, matrix in calls:
+        fresh.ns.clear()
         got, want = (_call(k, name, 0, x, y, matrix) for k in (kept, fresh))
+        assert max(fresh.ns) <= largest, (name, matrix)
         assert np.array_equal(got, want), (name, matrix)
-        assert _stores(kept) == stores, (name, matrix)
+        assert len(kept._tables) == 2 and _kept_in(kept, stores), (name, matrix)
 
 
 def test_a_held_prefix_keeps_its_values_when_its_table_is_evicted():
@@ -159,9 +183,9 @@ def test_a_held_prefix_keeps_its_values_when_its_table_is_evicted():
     assert not any(t.base is held.base for t in k._tables.values())
     assert np.array_equal(held, want)
     del held
-    store = id(k._tables[next(iter(k._tables))].base)
+    store = _stores(k)[0]
     k._rows("psi", a, 6)                        # evicts b's table, held by no one
-    assert store in _stores(k)
+    assert any(t.base is store() for t in k._tables.values())
 
 
 @pytest.mark.parametrize("n_r", [1, 4, 7])
