@@ -235,10 +235,7 @@ class EigenBasis:
         hi = 10.0
         for _ in range(60):
             mid = math.sqrt(lo * hi)
-            if ok(mid):
-                hi = mid
-            else:
-                lo = mid
+            lo, hi = (lo, mid) if ok(mid) else (mid, hi)
         return hi
 
 

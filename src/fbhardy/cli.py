@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import tempfile
+from functools import cached_property
 
 import numpy as np
 
@@ -61,18 +62,8 @@ def _fmt(v) -> str:
     return "%.17g" % float(v)
 
 
-def _csv_xv(x, values) -> str:
-    lines = ["x,value"]
-    for xi, vi in zip(x, values):
-        lines.append(f"{_fmt(xi)},{_fmt(vi)}")
-    return "\n".join(lines) + "\n"
-
-
-def _csv_txy(rows) -> str:
-    lines = ["t,x,y,value"]
-    for t, x, y, v in rows:
-        lines.append(f"{_fmt(t)},{_fmt(x)},{_fmt(y)},{_fmt(v)}")
-    return "\n".join(lines) + "\n"
+def _csv(header: str, rows) -> str:
+    return "\n".join([header] + [",".join(map(_fmt, row)) for row in rows]) + "\n"
 
 
 def _py(obj):
@@ -101,23 +92,15 @@ def _write_json(path: str, payload) -> None:
 class _Session:
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
-        self._basis = None
-        self._kernels = None
 
-    @property
+    @cached_property
     def basis(self) -> EigenBasis:
-        if self._basis is None:
-            self._basis = EigenBasis.build(Order(self.cfg.nu),
-                                           self.cfg.n_zeros,
-                                           zero_tol=self.cfg.zero_tol)
-        return self._basis
+        return EigenBasis.build(Order(self.cfg.nu), self.cfg.n_zeros,
+                                zero_tol=self.cfg.zero_tol)
 
-    @property
+    @cached_property
     def kernels(self) -> UnitIntervalKernels:
-        if self._kernels is None:
-            self._kernels = UnitIntervalKernels(self.basis,
-                                                series_tol=self.cfg.series_tol)
-        return self._kernels
+        return UnitIntervalKernels(self.basis, series_tol=self.cfg.series_tol)
 
     def unit_grid(self, measure: str):
         return make_quadrature("unit_interval", self.cfg.quad_nodes_per_unit,
@@ -158,7 +141,7 @@ def cmd_zeros(session: _Session, args) -> int:
     table = bessel_zeros(Order(session.cfg.nu), session.cfg.n_zeros,
                          zero_tol=session.cfg.zero_tol)
     idx = np.arange(1, len(table.zeros) + 1, dtype=float)
-    _write_atomic(session.out("zeros.csv"), _csv_xv(idx, table.zeros))
+    _write_atomic(session.out("zeros.csv"), _csv("x,value", zip(idx, table.zeros)))
     print(f"zeros: wrote {len(table.zeros)} zeros for nu={session.cfg.nu} "
           f"-> {session.out('zeros.csv')}")
     return 0
@@ -185,14 +168,10 @@ def cmd_kernel(session: _Session, args) -> int:
         x = np.linspace(0.5 / (n + 1), 1.0 - 0.5 / (n + 1), n)
         method = getattr(session.kernels, _SERIES_CHOICES[which])
         kernel = lambda t: method(t, x, x, matrix=True)
-    rows = []
-    for t in args.t:
-        mat = kernel(t)
-        for i, xi in enumerate(x):
-            for k, yk in enumerate(x):
-                rows.append((t, xi, yk, mat[i, k]))
+    rows = [(t, xi, yk, v) for t in args.t
+            for xi, row in zip(x, kernel(t)) for yk, v in zip(x, row)]
     path = session.out(f"kernel_{which}.csv")
-    _write_atomic(path, _csv_txy(rows))
+    _write_atomic(path, _csv("t,x,y,value", rows))
     print(f"kernel: {which} at t={list(args.t)} on {n} points -> {path}")
     return 0
 
@@ -218,7 +197,7 @@ def cmd_estimates(session: _Session, args) -> int:
 def cmd_maximal(session: _Session, args) -> int:
     f = _sampled(session, _bump_profile(), MEASURE_MU)
     res = maximal_function(session.basis, f, session.time_grid())
-    _write_atomic(session.out("maximal.csv"), _csv_xv(res.x, res.values))
+    _write_atomic(session.out("maximal.csv"), _csv("x,value", zip(res.x, res.values)))
     summary = {
         "l1_norm": float(f.grid.weights @ res.values),
         "sup": float(np.max(res.values)),
@@ -252,7 +231,7 @@ def cmd_duhamel(session: _Session, args) -> int:
     }
     _write_json(session.out("duhamel.json"), summary)
     _write_atomic(session.out("duhamel.csv"),
-                  _csv_xv(x, closure["lhs"] - closure["rhs"]))
+                  _csv("x,value", zip(x, closure["lhs"] - closure["rhs"])))
     print(f"duhamel: closure error {closure['max_error']:.3e} at t={args.t} "
           f"-> {session.out('duhamel.json')}")
     return 0
@@ -306,7 +285,7 @@ def cmd_atoms(session: _Session, args) -> int:
         _write_json(path, summary)
         rec = dec.reconstruct(f.nodes)
         _write_atomic(session.out(f"reconstruction_{tag}.csv"),
-                      _csv_xv(f.nodes, rec))
+                      _csv("x,value", zip(f.nodes, rec)))
         print(f"atoms decompose[{tag}]: residual {summary['residual_rel']:.3e} "
               f"with {summary['n_details']} details -> {path}")
         return 0
@@ -357,7 +336,7 @@ def cmd_dirichlet(session: _Session, args) -> int:
     manifest = []
     for k, (t, values) in enumerate(zip(times, traces)):
         name = f"dirichlet_{k:02d}.csv"
-        _write_atomic(session.out(name), _csv_xv(x, values))
+        _write_atomic(session.out(name), _csv("x,value", zip(x, values)))
         manifest.append({"t": float(t), "file": name})
     _write_json(session.out("dirichlet.json"), {"traces": manifest})
     print(f"dirichlet: {len(times)} traces on {args.grid} points "

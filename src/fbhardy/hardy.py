@@ -371,9 +371,7 @@ def build_partition(cover: DyadicCover) -> list:
     order = cover.indices()
     ramps = []
     for a, b in zip(order[:-1], order[1:]):
-        star_a = cover.starred(a, 1)
-        star_b = cover.starred(b, 1)
-        lo, hi = star_b.a, star_a.b
+        lo, hi = cover.starred(b, 1).a, cover.starred(a, 1).b
         if hi <= lo:
             raise NumericsError("partition",
                                 f"starred intervals {a} and {b} do not overlap")
@@ -896,18 +894,19 @@ def atomic_decompose(f, nu: float, measure: str | None = None,
     if measure is None:
         raise ValueError("measure tag required for raw piecewise input")
     family = _FAMILY_OF_MEASURE[measure]
-    supp = fn.support
-    if cover is None:
-        j_need = [abs(DyadicCover(family, zeta=zeta, j_max=60).index_of(e))
-                  for e in (supp.a, supp.b) if 0.0 < e < 1.0]
-        j_max = max(8, max(j_need, default=8) + 2)
-        cover = DyadicCover(family, zeta=zeta, j_max=j_max)
+    supp = fn.support   # j_max = 2 past the cells of its ends covers it
+    j_max = max([8] + [abs(DyadicCover(family, j_max=60).index_of(e)) + 2
+                       for e in (supp.a, supp.b) if 0.0 < e < 1.0])
+    cover = cover or DyadicCover(family, zeta=zeta, j_max=j_max)
     members = build_partition(cover)
     coverage = partition_coverage(members)
     if supp.a < coverage.a or supp.b > coverage.b:
+        end = supp.a < coverage.a and supp.a <= 0.0 or supp.b >= 1.0
         raise ValueError(
-            f"support ({supp.a:.3g}, {supp.b:.3g}) leaves the partition "
-            f"coverage ({coverage.a:.3g}, {coverage.b:.3g}); enlarge j_max")
+            f"support ({supp.a:.6g}, {supp.b:.6g}) leaves the partition coverage "
+            f"({coverage.a:.6g}, {coverage.b:.6g}) of a cover with j_max = {cover.j_max}; "
+            + ("inputs that reach an end of (0, 1) are not decomposed yet" if end
+               else f"pass a cover with j_max = {j_max}"))
 
     points = np.unique(np.concatenate(
         [fn.breaks] + [m.eta.breaks for m in members]))

@@ -35,7 +35,7 @@ from .covers import DyadicCover, Interval, FAMILY_ONE_END, FAMILY_TWO_END
 from .errors import NumericsError
 from .kernels import (_SUB_BLOCK, HALFLINE_KERNELS, UnitIntervalKernels,
                       _heat_and_dy, _subordinated_poisson, bessel_heat, bessel_poisson)
-from .quadrature import (Measure, SampledFunction, grid_on_interval,
+from .quadrature import (Measure, SampledFunction, _gauss_legendre, grid_on_interval,
                          MEASURE_LEBESGUE, MEASURE_MU)
 
 
@@ -415,7 +415,7 @@ def _s_panel_nodes(t: float):
     may have boundary layers there): s = v^2 on [0, 0.01 t] and t - s = v^2
     on [0.99 t, t]."""
     breaks = [0.01 * t, 0.1 * t, 0.5 * t, 0.9 * t, 0.99 * t]
-    z, w = np.polynomial.legendre.leggauss(24)
+    z, w = _gauss_legendre(24)
     ends = []
     for vmax in (math.sqrt(breaks[0]), math.sqrt(t - breaks[-1])):
         v = 0.5 * vmax * (z + 1.0)

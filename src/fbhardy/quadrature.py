@@ -104,14 +104,21 @@ class Grid:
         return float(np.min(2.0 * (counts[good] - 2) / widths[good]))
 
 
+@lru_cache(maxsize=64)
+def _gauss_legendre(n: int):
+    """numpy's n-point Gauss-Legendre rule, built once: read-only nodes and weights."""
+    rule = np.polynomial.legendre.leggauss(n)
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
+
+
 def _gl_on_panels(edges: np.ndarray, counts):
-    """Gauss-Legendre nodes and weights, counts[i] of them on panel i; each
-    distinct count's rule is computed once."""
-    counts = [int(p) for p in counts]
-    rules = {p: np.polynomial.legendre.leggauss(p) for p in set(counts)}
+    """Gauss-Legendre nodes and weights, counts[i] of them on panel i."""
+    rules = [_gauss_legendre(int(p)) for p in counts]
     half, mid = 0.5 * np.diff(edges), 0.5 * (edges[:-1] + edges[1:])
-    return (np.concatenate([m + h * rules[p][0] for m, h, p in zip(mid, half, counts)]),
-            np.concatenate([h * rules[p][1] for h, p in zip(half, counts)]))
+    return (np.concatenate([m + h * z for m, h, (z, _) in zip(mid, half, rules)]),
+            np.concatenate([h * w for h, (_, w) in zip(half, rules)]))
 
 
 @lru_cache(maxsize=16)

@@ -32,7 +32,8 @@ evaluators check x, write into out= (x itself allowed) and run the asymptotic
 form on one block of _CHUNK = 8192 elements of x at a time, whose temporaries
 stay under glibc's 128 KiB mmap threshold (larger ones are mapped fresh and
 fault on every page, each call).
-The zero finder calls J unchecked (_j) on the arrays it makes itself.
+The zero finder calls J unchecked (_j) on the arrays it makes itself, and in
+its bisection only where a McMahon interval does not fix J's sign (_sure_sides).
 """
 from __future__ import annotations
 
@@ -50,6 +51,7 @@ _ASYMP_CAP = 40
 _CHUNK = 1 << 13       # elements per block: 64 KiB of float64, under the mmap threshold
 _SCALAR_MAX = 16       # summed one at a time up to here: ~3.5 us each, a block loop ~100 us
 _TAIL = 64             # live elements whose remaining Hankel terms are summed as one array
+_SURE = 1e-13          # |J| whose computed sign is certain past _sure_sides' start
 
 
 @dataclass(frozen=True)
@@ -339,6 +341,33 @@ class BesselZeroTable:
         return len(self.zeros)
 
 
+def _sure_sides(order: Order, lo, hi, flo, fhi):
+    """(r - d, r + d) per bracket, r McMahon's four-term guess for zero k (DLMF
+    10.21.19) and d = 16 |its last term| + 2 _SURE sqrt(pi r / 2), where start =
+    max(2 j_switch, nu^2, |nu|) < lo < r - d < r + d < hi < 8000 and J at lo, r - d,
+    r + d, hi has the sign of J(lo), J(lo), J(hi), J(hi) and |J| > _SURE; else
+    (-inf, inf).  On (start, 8000) J's error is at most 5.2e-15 (against scipy's jv,
+    nu in (-1/2, 12]), a tenth of _SURE / 2 (past 8000 it grows with x's ulp: 4e-14
+    on [1e5, 1e6] against mpmath), so these signs are true and the bracket's one
+    zero lies in (r - d, r + d).  For x > |nu|, J'' J = -(1 - nu^2 / x^2) J^2 < 0
+    where J' = 0 (DLMF 10.2.1): |J| has no interior minimum on [lo, r - d] or
+    [r + d, hi], so it stays above _SURE / 2 there and J's computed sign at each
+    midpoint in them is J(lo)'s, J(hi)'s."""
+    nu = order.nu
+    mu, a = 4.0 * nu * nu, (np.arange(1, lo.size + 1) + 0.5 * nu - 0.25) * pi
+    e, m1 = 1.0 / (8.0 * a), mu - 1.0
+    last = 32.0 * m1 * ((83.0 * mu - 982.0) * mu + 3779.0) / 15.0 * e**5
+    r = a - m1 * e - 4.0 * m1 * (7.0 * mu - 31.0) / 3.0 * e**3 - last
+    d = 16.0 * np.abs(last) + 2.0 * _SURE * np.sqrt(0.5 * pi * r)
+    start, ends = max(2.0 * order.j_switch, nu * nu, abs(nu)), np.sign([flo, fhi])
+    i = np.flatnonzero((start < lo) & (lo < r - d) & (r + d < hi) & (hi < 8000.0)
+                       & (np.minimum(np.abs(flo), np.abs(fhi)) > _SURE))
+    ok = np.zeros(lo.size, dtype=bool)
+    ok[i] = np.all(ends[:, i] * _j(order, np.append(r[i] - d[i], r[i] + d[i])).reshape(2, -1)
+                   > _SURE, axis=0)
+    return np.where(ok, r - d, -np.inf), np.where(ok, r + d, np.inf)
+
+
 def bessel_zeros(order: Order, count: int, zero_tol: float = 1e-12) -> BesselZeroTable:
     """Locate the first `count` positive zeros of J_nu.
 
@@ -347,9 +376,12 @@ def bessel_zeros(order: Order, count: int, zero_tol: float = 1e-12) -> BesselZer
     (k + nu/2 - 1/4) pi; bisection shrinks the bracket and a couple of
     safeguarded Newton steps polish it.  Residuals are checked against
     zero_tol and kept in the returned table.  No J_nu value is asked for
-    twice: J at the lower brackets is read from the scan, Newton's derivative
-    (nu/x) J_nu - J_{nu+1} reuses the step's J_nu, and the residuals are the
-    polish's last J_nu unless its last step moved the roots.
+    twice or where its sign is certain, so the brackets are bit for bit the
+    plain bisection's: J at the lower brackets is read from the scan, a
+    midpoint that is one of its bracket's ends or lies outside _sure_sides'
+    (r - d, r + d) takes the side J would give it, Newton's derivative
+    (nu/x) J_nu - J_{nu+1} reuses the step's J_nu, and the residuals are
+    the polish's last J_nu unless its last step moved the roots.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -368,13 +400,14 @@ def bessel_zeros(order: Order, count: int, zero_tol: float = 1e-12) -> BesselZer
             raise NumericsError("bessel_zeros", "sign scan failed to bracket zeros")
 
     lo, hi, flo = grid[flips], grid[flips + 1], vals[flips]
+    below, above = _sure_sides(order, lo, hi, flo, vals[flips + 1])
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        fmid = _j(order, mid)
-        left = flo * fmid <= 0
+        left = (mid > above) | (mid == hi)   # mid < below or mid == lo: right
+        ask = np.flatnonzero(~left & (mid >= below) & (mid != lo))
+        left[ask] = flo[ask] * _j(order, mid[ask]) <= 0   # J(lo) keeps flo's sign
         hi = np.where(left, mid, hi)
         lo = np.where(left, lo, mid)
-        flo = np.where(left, flo, fmid)
         # stop at the floating-point width floor so the fallback midpoint is
         # fully converged even when the Newton polish below rejects its step
         if np.max((hi - lo) / np.maximum(lo, 1.0)) < 4e-16:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
-from fbhardy import basis as basis_module, specfun
+from fbhardy import basis as basis_module, quadrature, specfun
 from fbhardy.basis import EigenBasis, coefficients
 from fbhardy.errors import NumericsError
 from fbhardy.kernels import UnitIntervalKernels
@@ -123,6 +123,7 @@ def test_a_build_computes_no_gauss_legendre_rule_above_64_nodes(monkeypatch, nu,
     sizes, leggauss = [], np.polynomial.legendre.leggauss
     monkeypatch.setattr(np.polynomial.legendre, "leggauss",
                         lambda p: sizes.append(p) or leggauss(p))
+    quadrature._gauss_legendre.cache_clear()   # each rule is built once a process
     basis = EigenBasis.build(Order(nu), n_zeros)
     assert sizes and max(sizes) <= 64
     lam = basis.table.zeros[:64]
@@ -221,6 +222,123 @@ def test_a_build_without_checks_or_scans_keeps_every_bit(monkeypatch, nu, n_zero
                 lambda b: b.norm_constants, lambda b: b.c_margin, lambda b: b.s_nu,
                 lambda b: b.s_nu1, lambda b: b.norm_check_errors):
         assert np.asarray(get(basis)).tobytes() == np.asarray(get(want)).tobytes()
+
+
+def _table_or_refusal(finder, nu, count):
+    try:
+        table = finder(Order(nu), count)
+    except NumericsError as exc:
+        return str(exc)
+    return table.zeros.tobytes() + table.residuals.tobytes()
+
+
+@pytest.mark.parametrize("nu", [-0.45, -0.3, 0.0, 0.25, 0.5, 0.7, 1.0, 1.5, 2.0, 2.5, 4.2, 7.5])
+@pytest.mark.parametrize("count", [80, 2400, 2600])
+def test_the_zero_finder_equals_the_plain_bisection(nu, count):
+    """Midpoints whose side a McMahon interval or a one-ulp bracket fixes
+    take it without J: the zeros and residuals are the plain finder's bytes
+    (2600 zeros reach past x = 8000, where no bracket is certified)."""
+    assert _table_or_refusal(specfun.bessel_zeros, nu, count) == \
+        _table_or_refusal(ref_bessel_zeros, nu, count)
+
+
+@pytest.mark.parametrize("nu", [7.95, 8.5, 9.0, 10.0, 12.0])
+def test_the_zero_finder_refuses_or_serves_as_the_plain_bisection(nu):
+    """Past nu = 7.5, where J is wrong near x = 2 nu, the same table or the
+    same residual refusal."""
+    assert _table_or_refusal(specfun.bessel_zeros, nu, 200) == \
+        _table_or_refusal(ref_bessel_zeros, nu, 200)
+
+
+def _sure_sides_of(monkeypatch, nu, count):
+    """The zero finder's brackets (lo, hi, J(lo), J(hi)) and its _sure_sides
+    intervals (below, above), as bessel_zeros made them, and its zeros."""
+    seen, sure_sides = [], specfun._sure_sides
+    monkeypatch.setattr(specfun, "_sure_sides", lambda order, *brackets: seen.append(
+        (*brackets, *sure_sides(order, *brackets))) or seen[-1][4:])
+    try:
+        zeros = specfun.bessel_zeros(Order(nu), count).zeros
+    except NumericsError:   # nu = 12: refused, as J is wrong near x = 2 nu; brackets made
+        zeros = None
+    return zeros, seen[0]
+
+
+def _sure_start(nu):
+    return max(2.0 * Order(nu).j_switch, nu * nu, abs(nu))
+
+
+@pytest.mark.parametrize("nu, count", [(-0.45, 2400), (0.0, 600), (0.5, 2400), (1.0, 2400),
+                                       (1.0, 2600), (2.5, 600), (7.5, 2400), (12.0, 200)])
+def test_sure_sides_certify_only_on_the_measured_range_and_never_near_zero(monkeypatch, nu,
+                                                                           count):
+    """No bracket outside max(2 j_switch, nu^2, |nu|) < lo, hi < 8000, or with
+    |J| <= _SURE at an end or at r -+ d, is certified; most brackets inside
+    are; a certified bracket holds its interval and its table zero inside."""
+    zeros, (lo, hi, flo, fhi, below, above) = _sure_sides_of(monkeypatch, nu, count)
+    sure, inside = np.isfinite(below), (lo > _sure_start(nu)) & (hi < 8000.0)
+    assert np.array_equal(sure, np.isfinite(above))
+    assert not np.any(sure & ~inside) and (np.any(~inside) or nu == 0.5)   # 1/2: start 1/2
+    assert np.all(np.minimum(np.abs(flo[sure]), np.abs(fhi[sure])) > specfun._SURE)
+    assert np.count_nonzero(sure) >= 0.95 * np.count_nonzero(inside)
+    assert np.all((lo[sure] < below[sure]) & (above[sure] < hi[sure]))
+    if zeros is not None:
+        assert np.all((below[sure] < zeros[sure]) & (zeros[sure] < above[sure]))
+    # a bracket whose end value is within _SURE of zero is left to the bisection
+    k = int(np.flatnonzero(sure)[-1])
+    for end in (flo, fhi):
+        keep, end[k] = end[k], math.copysign(0.5 * specfun._SURE, end[k])
+        assert specfun._sure_sides(Order(nu), lo, hi, flo, fhi)[0][k] == -np.inf
+        end[k] = keep
+    assert specfun._sure_sides(Order(nu), lo, hi, flo, fhi)[0][k] == below[k]
+    # and so is every bracket where |J(r -+ d)| is below _SURE
+    j = specfun._j
+    monkeypatch.setattr(specfun, "_j", lambda order, x: np.clip(j(order, x), -0.9 * specfun._SURE,
+                                                                0.9 * specfun._SURE))
+    assert np.all(specfun._sure_sides(Order(nu), lo, hi, flo, fhi)[0] == -np.inf)
+
+
+def test_the_sure_error_premise_holds_against_scipy():
+    """_sure_sides takes J's computed error below _SURE / 2 from its start to
+    x = 8000: against scipy's jv it stays below _SURE / 10 there, at orders
+    drawn over (-1/2, 12]."""
+    rng = np.random.default_rng(3817)
+    orders = np.concatenate([[-0.45, 0.0, 0.5, 1.0, 7.5, 12.0], -0.5 + 12.5 * rng.random(10)])
+    for nu in orders[orders > -0.5]:
+        x = np.concatenate([np.linspace(_sure_start(nu), _sure_start(nu) + 20.0, 4001)[1:],
+                            _sure_start(nu) + (8000.0 - _sure_start(nu)) * rng.random(20000)])
+        err = np.max(np.abs(specfun.bessel_j(Order(nu), x) - sps.jv(nu, x)))
+        assert err < 0.1 * specfun._SURE, (nu, err)
+
+
+@pytest.mark.parametrize("nu, count", [(-0.45, 2400), (0.0, 600), (0.5, 2400), (1.0, 2400),
+                                       (7.5, 2400), (12.0, 200)])
+def test_sure_sides_hold_the_true_zero(monkeypatch, nu, count):
+    """Every sampled certified (r - d, r + d) holds mpmath's zero of J_nu,
+    the first five included where they are certified (nu = 1/2)."""
+    mpmath = pytest.importorskip("mpmath")
+    zeros, (lo, hi, flo, fhi, below, above) = _sure_sides_of(monkeypatch, nu, count)
+    sure = np.flatnonzero(np.isfinite(below))
+    picks = sorted({*sure[:5].tolist(), *sure[-3:].tolist(),
+                    *np.random.default_rng(8803).choice(sure, 8).tolist()})
+    if nu == 0.5:
+        assert picks[:5] == [0, 1, 2, 3, 4]
+    with mpmath.workdps(40):
+        for k in picks:
+            z = (mpmath.besseljzero(nu, k + 1) if nu >= 0 else   # besseljzero takes nu >= 0
+                 mpmath.findroot(lambda x: mpmath.besselj(nu, x), mpmath.mpf(zeros[k])))
+            assert mpmath.mpf(below[k]) < z < mpmath.mpf(above[k]), (nu, k + 1)
+
+
+def test_the_bisection_asks_j_for_at_most_30000_points_at_nu_1(monkeypatch):
+    """Between the scan and the Newton polish (one call at nu = 1), J sees
+    the _sure_sides points and the midpoints left open: ~22 000 at 2400
+    zeros, where every midpoint of 49 steps was 117 600."""
+    calls, j = [], specfun._j
+    monkeypatch.setattr(specfun, "_j", lambda order, x: calls.append((order.nu, x.size))
+                        or j(order, x))
+    specfun.bessel_zeros(Order(1.0), 2400)
+    assert calls[-1] == (1.0, 2400) and {nu for nu, _ in calls} == {1.0}
+    assert sum(size for _, size in calls[1:-1]) <= 30000
 
 
 @pytest.mark.parametrize("nu", [-0.45, -0.3, 0.0, 0.25, 0.5])

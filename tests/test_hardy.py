@@ -453,6 +453,36 @@ def test_atomic_decompose_flat_family():
         assert validate_atom(atom)["valid"]
 
 
+@pytest.mark.parametrize("measure", [MEASURE_MU, MEASURE_LEBESGUE])
+def test_a_support_reaching_an_end_is_refused_as_not_decomposed_yet(measure):
+    """No cover's j_max reaches x = 1 (nor x = 0 in the Lebesgue system):
+    the refusal names no knob."""
+    for fn in (PiecewiseLinear.constant(0.0, 1.0, 1.0), PiecewiseLinear.tent(0.6, 1.0, 1.0)):
+        with pytest.raises(ValueError, match=r"reach an end of \(0, 1\) are not decomposed "
+                           r"yet$") as info:
+            atomic_decompose(fn, nu=0.5, measure=measure)
+        assert "pass a cover" not in str(info.value)
+
+
+@pytest.mark.parametrize("family, measure, fn", [
+    (FAMILY_ONE_END, MEASURE_MU, PiecewiseLinear.tent(0.95, 0.99, 1.0)),
+    (FAMILY_ONE_END, MEASURE_MU, PiecewiseLinear.constant(0.0, 0.9999, 1.0)),
+    (FAMILY_TWO_END, MEASURE_LEBESGUE, PiecewiseLinear.tent(1e-4, 0.6, 1.0))])
+def test_a_cover_too_short_for_the_support_names_the_j_max_that_serves(family, measure, fn):
+    """A caller's cover that stops short of an interior support is refused
+    with the j_max that covers it, and a cover with that j_max decomposes
+    it as the default cover does."""
+    with pytest.raises(ValueError, match=r"of a cover with j_max = 3; "
+                       r"pass a cover with j_max = (\d+)$") as info:
+        atomic_decompose(fn, nu=0.5, measure=measure, cover=DyadicCover(family, j_max=3))
+    j_max = int(str(info.value).rsplit("= ", 1)[1])
+    got = atomic_decompose(fn, nu=0.5, measure=measure, cover=DyadicCover(family, j_max=j_max))
+    want = atomic_decompose(fn, nu=0.5, measure=measure)
+    x = np.linspace(0.0, 1.0, 4097)[1:-1]
+    assert got.coeff_l1() == want.coeff_l1()
+    assert np.array_equal(got.reconstruct(x), want.reconstruct(x))
+
+
 def test_atomic_decompose_input_contracts(grid_mu):
     fn = _bump_pl()
     with pytest.raises(ValueError):

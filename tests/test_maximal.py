@@ -22,7 +22,7 @@ from fbhardy.maximal import (CutoffRho, HomogeneousSpace, MaximalResult,
                              compare_semigroups, duhamel_closure,
                              duhamel_residual_kernels, duhamel_residuals,
                              maximal_function, uchiyama_families, uchiyama_kernel,
-                             uchiyama_time)
+                             uchiyama_time, _s_panel_nodes)
 from fbhardy.quadrature import (MEASURE_LEBESGUE, MEASURE_MU, Measure,
                                 SampledFunction, make_quadrature)
 from fbhardy.specfun import Order
@@ -410,6 +410,27 @@ def test_duhamel_closure_expands_its_input_once(basis_half, grid_mu, monkeypatch
     assert len(made) == 1
     for got, want in zip((out["r1"], out["r2"], out["r3"]), alone):
         assert got.tobytes() == want.tobytes()
+
+
+def ref_s_panel_nodes(t: float):
+    """_s_panel_nodes when it built its 24-node rule on every call."""
+    breaks = [0.01 * t, 0.1 * t, 0.5 * t, 0.9 * t, 0.99 * t]
+    z, w = np.polynomial.legendre.leggauss(24)
+    ends = []
+    for vmax in (math.sqrt(breaks[0]), math.sqrt(t - breaks[-1])):
+        v = 0.5 * vmax * (z + 1.0)
+        ends.append((v**2, 0.5 * vmax * w * 2.0 * v))
+    mids = [(0.5 * (b - a) * z + 0.5 * (a + b), 0.5 * (b - a) * w)
+            for a, b in zip(breaks[:-1], breaks[1:])]
+    nodes, weights = zip(ends[0], *mids, (t - ends[1][0], ends[1][1]))
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.05, 0.3, 1.0, 2.7])
+def test_duhamel_s_nodes_from_the_kept_rule_keep_every_bit(t):
+    for _ in range(2):   # the rule's first build and its cached copy
+        for got, want in zip(_s_panel_nodes(t), ref_s_panel_nodes(t)):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_duhamel_input_guards(basis_half, grid_mu, grid_leb):

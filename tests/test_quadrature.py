@@ -6,9 +6,12 @@ import scipy.special as sps
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fbhardy import quadrature
+from fbhardy.basis import EigenBasis
 from fbhardy.quadrature import (Grid, Measure, SampledFunction, _gauss_jacobi,
-                                _gl_on_panels, grid_on_interval, make_quadrature,
-                                MEASURE_LEBESGUE, MEASURE_MU)
+                                _gauss_legendre, _gl_on_panels, grid_on_interval,
+                                make_quadrature, MEASURE_LEBESGUE, MEASURE_MU)
+from fbhardy.specfun import Order
 
 
 _JACOBI_ORDERS = (-0.45, 0.0, 0.5, 1.0, 12.0)
@@ -115,6 +118,33 @@ def test_subordination_nodes_equal_the_per_panel_loop():
     edges, counts = np.array([0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 12.0]), (64,) * 5 + (32,)
     for got, want in zip(_gl_on_panels(edges, counts), ref_gl_on_panels(edges, counts)):
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 24, 64, 100])
+def test_gauss_legendre_rules_are_numpys_built_once_and_read_only(n):
+    nodes, weights = _gauss_legendre(n)
+    want_nodes, want_weights = np.polynomial.legendre.leggauss(n)
+    assert nodes.tobytes() == want_nodes.tobytes() and weights.tobytes() == want_weights.tobytes()
+    assert _gauss_legendre(n)[0] is nodes
+    for arr in (nodes, weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_a_second_build_computes_no_gauss_legendre_rule(monkeypatch):
+    EigenBasis.build(Order(1.0), 80)
+    sizes, leggauss = [], np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda p: sizes.append(p) or leggauss(p))
+    EigenBasis.build(Order(1.0), 80)
+    assert not sizes
+
+
+@pytest.mark.parametrize("nu", [-0.3, 0.5, 1.0, 7.5])
+def test_norm_check_errors_equal_those_of_per_panel_rules(monkeypatch, nu):
+    got = EigenBasis.build(Order(nu), 2400).norm_check_errors
+    monkeypatch.setattr(quadrature, "_gl_on_panels", ref_gl_on_panels)
+    assert got.tobytes() == EigenBasis.build(Order(nu), 2400).norm_check_errors.tobytes()
 
 
 def test_grid_on_interval_restricts():
