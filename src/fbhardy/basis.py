@@ -10,6 +10,14 @@ c_n is forced by the classical norm identity
 int_0^1 J_nu(lam_n x)^2 x dx = J_{nu+1}(lam_n)^2 / 2 and is verified here by
 quadrature at construction time.
 
+At nu = 1/2 the zeros are n pi to one ulp and J_{1/2}(z) = sqrt(2 / (pi z)) sin z
+(DLMF 10.16.1): psi_n = a_n sin(n pi x), a_n = c_n sqrt(2 / (pi lam_n)), and phi_n
+= psi_n / x, with sin(n pi x) = S_m C_k + C_m S_k at n = m B + k from the sines S
+and cosines C of m B pi x and k pi x, k = 1..B (_sine_rows): no Bessel call, and
+within 1e-15 of c_n sqrt(x) J_{1/2}(n pi x), as it takes n pi, the exact
+eigenvalue, not the rounded lam_n, and reduces j x mod 2 exactly.  B = _SINE_BLOCK is fixed, not chosen
+from n, so row n has the same bits at every truncation and point set.
+
 The basis also certifies every series tail the kernel evaluators truncate
 (`terms_needed`), from the multipliers in SEMIGROUPS, a margin M with
 c_n <= M sqrt(pi lam_n) checked on the whole table, and
@@ -33,6 +41,7 @@ _NORM_CHECK_MODES = 64   # quadrature norm check capped here; higher modes rely
                          # on the classical identity, which tests probe directly
 _NORM_CHECK_NODES = 1024   # least node count of the norm-check grid
 _NORM_TOL = 1e-8           # largest |norm - 1| the build accepts
+_SINE_BLOCK = 16           # B of the nu = 1/2 sine table (_sine_rows); never chosen from n
 
 
 class Semigroup(NamedTuple):
@@ -141,9 +150,12 @@ class EigenBasis:
         return len(self.table.zeros)
 
     def phi_matrix(self, x, n: int | None = None, out=None) -> np.ndarray:
-        """Rows phi_1 .. phi_n sampled at x (shape (n, len(x))), built in out if given."""
+        """Rows phi_1 .. phi_n sampled at x (shape (n, len(x))), built in out if
+        given; at nu = 1/2, a_n sin(n pi x) / x from the sine table (module docstring)."""
         n = len(self) if n is None else n
         x = np.ravel(np.asarray(x, dtype=float))
+        if self.nu == 0.5:
+            return self._sine_rows(x, n, out, over_x=True)
         lam = self.table.zeros[:n]
         rows = np.multiply.outer(lam, x, out=out)
         specfun.besselj_over_xnu(self.order, rows, out=rows)
@@ -152,13 +164,49 @@ class EigenBasis:
 
     def psi_matrix(self, x, n: int | None = None, out=None) -> np.ndarray:
         """Rows of the conjugated (Lebesgue-orthonormal) system
-        psi_n(x) = c_n sqrt(x) J_nu(lam_n x), built in out if given."""
+        psi_n(x) = c_n sqrt(x) J_nu(lam_n x), built in out if given; at
+        nu = 1/2, a_n sin(n pi x) from the sine table (module docstring)."""
         n = len(self) if n is None else n
         x = np.ravel(np.asarray(x, dtype=float))
+        if self.nu == 0.5:
+            return self._sine_rows(x, n, out)
         lam = self.table.zeros[:n]
         rows = np.multiply.outer(lam, x, out=out)
         specfun.bessel_j(self.order, rows, out=rows)
         return scale_rows(rows, self.norm_constants[:n], np.sqrt(x))
+
+    def _sine_rows(self, x, n: int, out, over_x: bool = False) -> np.ndarray:
+        """psi_n = a_n (S_m C_k + C_m S_k), or phi_n = a_n (S_m C_k / x + C_m S_k / x)
+        if over_x, x checked as the J evaluator of those rows checks it; each
+        temporary (S and C on a block of columns, or its rows' factors on g groups
+        of B rows) holds at most _CHUNK elements."""
+        specfun._check_domain(x, "besselj_over_xnu" if over_x else "bessel_j")
+        if over_x:   # 1 / x overflows at subnormal x; phi_n(1e-300) is its limit n pi a_n to 2 ulps
+            x = np.maximum(x, 1e-300)
+        B = _SINE_BLOCK
+        j = np.append(np.arange(1.0, B + 1), B * np.arange(float(-(-n // B))))
+        a = self.norm_constants[:n] * np.sqrt(2.0 / (math.pi * self.table.zeros[:n]))
+        rows = np.empty((n, x.size)) if out is None else out
+        w = max(1, specfun._CHUNK // j.size)   # columns a block
+        g = specfun._CHUNK // (B * w)          # groups of B rows a block
+        for cols in (slice(c0, c0 + w) for c0 in range(0, x.size, w)):
+            u = x[cols] - 2.0 * np.round(0.5 * x[cols])   # exact: sin(j pi u) = sin(j pi x)
+            hi = u * 134217729.0
+            hi -= hi - u                                  # Veltkamp: u = hi + (u - hi), 26 bits each
+            t = np.multiply.outer(j, hi)
+            t -= 2.0 * np.round(0.5 * t)                  # exact, |t| <= 1
+            t += np.multiply.outer(j, u - hi)             # both products exact: one rounding
+            t *= math.pi
+            s, c = np.sin(t), np.cos(t)
+            if over_x:
+                s[:B], c[:B] = s[:B] / x[cols], c[:B] / x[cols]
+            ck, sk = np.tile(c[:B], (g, 1)), np.tile(s[:B], (g, 1))
+            for r0 in range(0, n, g * B):   # rows n = m B + k from m = r0 / B on
+                v, m = rows[r0:r0 + g * B, cols], slice(B + r0 // B, B + r0 // B + g)
+                np.multiply(np.repeat(s[m], B, axis=0)[:len(v)], ck[:len(v)], out=v)
+                v += np.repeat(c[m], B, axis=0)[:len(v)] * sk[:len(v)]
+                v *= a[r0:r0 + g * B, None]
+        return rows
 
     # -- certified series tails ----------------------------------------------
     #

@@ -13,6 +13,8 @@ from fbhardy.quadrature import (SampledFunction, make_quadrature, MEASURE_MU,
                                 MEASURE_LEBESGUE)
 from fbhardy.specfun import Order
 
+from test_half_order_j import sine_table_rows
+
 # <x, phi_1>_mu at nu = 1/2, worked out from phi_1 = sqrt(2) sin(pi x)/x
 X_PHI1_HALF = math.sqrt(2.0) * (math.pi**2 - 4.0) / math.pi**3
 
@@ -98,13 +100,17 @@ def test_norm_check_errors_small(basis_half):
 @pytest.mark.parametrize("nu", [-0.3, 0.0, 0.5, 1.0, 2.5])
 def test_norm_check_rows_match_their_own_formula(nu):
     # the check once wrote the phi formula out itself; it now reads
-    # phi_matrix, and must give the same bits
+    # phi_matrix, and must give the same bits: at nu = 1/2 those of the
+    # sine table, written out unblocked
     basis = EigenBasis.build(Order(nu), 80)
     lam = basis.table.zeros[:64]
     g = make_quadrature("unit_interval", max(1024, int(10 * lam[-1] / math.pi) + 64),
                         MEASURE_MU, nu, split_points=np.arange(1, 16) / 16)
-    jov = specfun.besselj_over_xnu(basis.order, np.outer(lam, g.nodes))
-    phi = (basis.norm_constants[:64] * lam**nu)[:, None] * jov
+    if nu == 0.5:
+        phi = sine_table_rows(basis, g.nodes, 64, over_x=True)
+    else:
+        jov = specfun.besselj_over_xnu(basis.order, np.outer(lam, g.nodes))
+        phi = (basis.norm_constants[:64] * lam**nu)[:, None] * jov
     want = np.abs((phi * phi) @ g.weights - 1.0)
     assert np.array_equal(basis.norm_check_errors, want)
 
