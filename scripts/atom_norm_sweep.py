@@ -28,7 +28,7 @@ def sweep(basis, measure, count, scale_max, seed, n_nodes):
     atoms = random_atoms(rng, measure, basis.nu, count, scale_max=scale_max)
     batch = SampledFunction(grid=grid, values=atoms.evaluate(grid.nodes))
     norms = maximal_function(basis, batch, tg).l1_norm(grid.weights)
-    labels = [a.label for _, a in atoms]
+    labels = [atoms.label(i) for i in range(len(atoms))]
     js = [abs(int(re.search(r"-j(-?\d+)-", label).group(1))) for label in labels]
     return [(j, label, float(norm)) for j, label, norm in zip(js, labels, norms)]
 

@@ -7,10 +7,10 @@ from .basis import EigenBasis, coefficients
 from .config import RunConfig, load_config
 from .covers import DyadicCover, Interval, FAMILY_ONE_END, FAMILY_TWO_END
 from .errors import ConfigError, NumericsError
-from .hardy import (Atom, PiecewiseLinear, atomic_decompose, build_partition,
-                    cascade_decompose, chord_product, h1_norm_report,
-                    haar_atom, random_atoms, special_atom, two_atom_split,
-                    validate_atom)
+from .hardy import (AtomTable, PiecewiseLinear, atomic_decompose,
+                    build_partition, cascade_decompose, chord_product,
+                    h1_norm_report, haar_atom, random_atoms, special_atom,
+                    two_atom_split)
 from .kernels import (UnitIntervalKernels, bessel_heat, bessel_poisson,
                       check_sharp_estimate)
 from .maximal import (CutoffRho, SpectralExpansion, TimeGrid, apply_halfline,
@@ -23,7 +23,7 @@ from .specfun import Order, bessel_zeros
 __version__ = "0.1.0"
 
 __all__ = [
-    "Atom", "ConfigError", "CutoffRho", "DyadicCover", "EigenBasis",
+    "AtomTable", "ConfigError", "CutoffRho", "DyadicCover", "EigenBasis",
     "FAMILY_ONE_END", "FAMILY_TWO_END", "Grid", "Interval",
     "MEASURE_LEBESGUE", "MEASURE_MU", "Measure", "NumericsError", "Order",
     "PiecewiseLinear", "RunConfig", "SampledFunction", "SpectralExpansion",
@@ -35,5 +35,4 @@ __all__ = [
     "grid_on_interval", "h1_norm_report", "haar_atom", "load_config",
     "make_quadrature", "maximal_function", "random_atoms",
     "special_atom", "two_atom_split", "uchiyama_families", "uchiyama_kernel",
-    "validate_atom",
 ]

@@ -56,8 +56,8 @@ class RunConfig:
             raise ConfigError("zeta must lie in (0, 1/4]")
         if self.cascade_depth_cap < 2 or self.cascade_depth_cap > 26:
             raise ConfigError("cascade_depth_cap out of range [2, 26]")
-        if self.atom_scale_max < 0:
-            raise ConfigError("atom_scale_max must be nonnegative")
+        if self.atom_scale_max < 1:
+            raise ConfigError(f"atom_scale_max must be at least 1, got {self.atom_scale_max}")
         for key in ("cancel_tol", "reconstruct_tol"):
             if getattr(self, key) <= 0:
                 raise ConfigError(f"{key} must be positive")

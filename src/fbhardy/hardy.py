@@ -1,11 +1,13 @@
 """Atoms for the two atomic Hardy spaces on (0, 1), and the decomposition
 pipeline that produces them.
 
-Atoms are represented exactly as piecewise-linear functions, so sup norms,
-integrals, and cancellation defects are computed in closed form rather than
-by quadrature. There are two families, tagged by the measure: the weighted
-family uses the measure x^(2 nu + 1) dx and the dyadic cover accumulating at
-the endpoint 1; the flat family uses Lebesgue measure and the two-end cover.
+An atom is a row of an AtomTable: a coefficient and an exact piecewise-linear
+function, so sup norms, integrals, and cancellation defects are computed in
+closed form rather than by quadrature. The constructors return one-row
+tables, and tables are joined by column. There are two families, tagged by
+the measure: the weighted family uses the measure x^(2 nu + 1) dx and the
+dyadic cover accumulating at the endpoint 1; the flat family uses Lebesgue
+measure and the two-end cover.
 
 A cancellative atom is supported in an interval I inside (0, 1), has sup norm
 at most sigma(I)^(-1), and integrates to zero; a special atom is the
@@ -25,10 +27,8 @@ finite expansion reproduces the input to rounding.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,8 +56,8 @@ _FAMILY_OF_MEASURE = {MEASURE_MU: FAMILY_ONE_END,
 class PiecewiseLinear:
     """slope * x + intercept on [breaks[i], breaks[i+1]), zero outside,
     held as read-only float64 arrays (a float64 input is not copied). The
-    functions of materialized atoms are views of one table that
-    _check_table checked once, as the constructor checks one row.
+    rows of an AtomTable are read as views of its arrays (AtomTable.row),
+    which _check_table checked once, as the constructor checks one row.
     Equality and hashing are by identity."""
 
     breaks: np.ndarray
@@ -72,18 +72,6 @@ class PiecewiseLinear:
             object.__setattr__(self, name, arr)
 
     # -- constructors
-
-    @classmethod
-    def _row(cls, table, i: int) -> "PiecewiseLinear":
-        """Row i of a ragged table that _check_table passed, as views: the
-        pieces start[i]:start[i+1] of its slopes and intercepts and their
-        breaks from breaks[start[i] + i]. No check, no copy."""
-        lo, hi = table.start.item(i), table.start.item(i + 1)
-        fn = object.__new__(cls)
-        object.__setattr__(fn, "breaks", table.breaks[lo + i:hi + i + 1])
-        object.__setattr__(fn, "slopes", table.slopes[lo:hi])
-        object.__setattr__(fn, "intercepts", table.intercepts[lo:hi])
-        return fn
 
     @classmethod
     def constant(cls, a: float, b: float, value: float) -> "PiecewiseLinear":
@@ -176,8 +164,8 @@ class PiecewiseLinear:
 
 def _check_table(start, breaks, slopes, intercepts) -> None:
     """PiecewiseLinear's checks on every row of a ragged table at once; the
-    table is then read-only, so PiecewiseLinear._row can hand out its rows
-    as views."""
+    table is then read-only, so AtomTable.row can hand out its rows as
+    views."""
     n = len(start) - 1
     if breaks.ndim != 1 or len(breaks) != start[-1] + n \
             or (start[1:] - start[:-1] < 1).any() \
@@ -222,59 +210,13 @@ def chord_product(f: PiecewiseLinear, g: PiecewiseLinear,
 # atoms
 
 
-class Atom:
-    """An atom: row _row of an AtomTable, with the table's measure and order
-    nu and the row's kind and label. The constructor builds a one-row table
-    (coefficient 1) around fn; an atom read from a larger table builds its
-    function, a read-only view of its row, and its label the first time they
-    are read. The fields are read-only, and equality is by identity."""
-
-    __slots__ = ("_table", "_row", "_fn", "_label")
-
-    def __init__(self, fn: PiecewiseLinear, measure: str, nu: float,
-                 kind: str, label: str = ""):
-        # fn passed _check_table, alone or as a row of a checked table
-        z = np.zeros(1, dtype=np.int64)
-        self._table = AtomTable._unchecked(
-            measure=measure, nu=nu, tags={0: (kind, label)}, coef=np.ones(1),
-            closer=z.astype(bool), depth=z, cell=z, start=np.array([0, len(fn.slopes)]),
-            breaks=fn.breaks, slopes=fn.slopes, intercepts=fn.intercepts)
-        self._row, self._fn, self._label = 0, fn, label
-
-    @classmethod
-    def _of_row(cls, table: "AtomTable", i: int) -> "Atom":
-        atom = object.__new__(cls)
-        atom._table, atom._row, atom._fn, atom._label = table, i, None, None
-        return atom
-
-    measure = property(lambda self: self._table.measure)
-    nu = property(lambda self: self._table.nu)
-    kind = property(lambda self: self._table.tags.get(
-        self._row, (KIND_CANCELLATIVE,))[0])
-
-    @property
-    def fn(self) -> PiecewiseLinear:
-        if self._fn is None:
-            self._fn = PiecewiseLinear._row(self._table, self._row)
-        return self._fn
-
-    @property
-    def label(self) -> str:
-        if self._label is None:
-            self._label = self._table._label(self._row)
-        return self._label
-
-    def __repr__(self) -> str:
-        return f"Atom({self.label!r}, {self.kind}, {self.measure}, nu={self.nu})"
-
-
 def special_atom(cover: DyadicCover, j: int, nu: float, measure: str,
-                 label: str = "") -> Atom:
+                 label: str = "") -> "AtomTable":
+    """The normalized indicator of cover cell j, as a one-row table."""
     cell = cover.interval(j)
     s = Measure.of(measure, nu).interval(cell.a, cell.b)
     fn = PiecewiseLinear.constant(cell.a, cell.b, 1.0 / s)
-    return Atom(fn=fn, measure=measure, nu=nu, kind=KIND_SPECIAL,
-                label=label or f"special[{j}]")
+    return AtomTable.of(fn, measure, nu, KIND_SPECIAL, label or f"special[{j}]")
 
 
 def _haar_levels(a, m, b, measure: str, nu: float) -> tuple:
@@ -291,22 +233,12 @@ def _haar_levels(a, m, b, measure: str, nu: float) -> tuple:
 
 
 def haar_atom(a: float, m: float, b: float, nu: float, measure: str,
-              label: str = "") -> Atom:
-    """Two-bar cancellative atom on [a, m) and [m, b) (see _haar_levels)."""
+              label: str = "") -> "AtomTable":
+    """Two-bar cancellative atom on [a, m) and [m, b) (see _haar_levels), as
+    a one-row table."""
     fn = PiecewiseLinear.from_breaks_levels(
         [a, m, b], np.concatenate(_haar_levels(a, m, b, measure, nu)))
-    return Atom(fn=fn, measure=measure, nu=nu, kind=KIND_CANCELLATIVE,
-                label=label or "haar")
-
-
-def validate_atom(atom: Atom, cover: DyadicCover | None = None,
-                  cancel_tol: float = 1e-10) -> dict:
-    """Defect report for one atom: the one row of its own table's check (see
-    AtomTable.check and AtomTable.reports); 'valid' aggregates the checks.
-    A row of a cascade's closers table is an unnormalized remainder, not an
-    atom: validate the atoms that materialize writes."""
-    table = Atom(atom.fn, atom.measure, atom.nu, atom.kind, atom.label)._table
-    return table.reports(cover, cancel_tol)[0]
+    return AtomTable.of(fn, measure, nu, KIND_CANCELLATIVE, label or "haar")
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +252,7 @@ def two_atom_split(cover: DyadicCover, j: int, nu: float, measure: str) -> dict:
     indicator of the doubly enlarged cell is cancellative; dividing by lam1
     (its sup norm times the enlarged measure) makes it a valid atom. Read
     backwards, this writes the local special atom of the enlarged piece as a
-    combination of two valid global atoms."""
+    combination of two valid global atoms. The atoms are one-row tables."""
     cell = cover.interval(j)
     big = cover.starred(j, 2)
     s_cell, s_big = (float(Measure.of(measure, nu).interval(iv.a, iv.b))
@@ -330,10 +262,10 @@ def two_atom_split(cover: DyadicCover, j: int, nu: float, measure: str) -> dict:
               - 1.0 / s_big for lo, hi in zip(pts[:-1], pts[1:])]
     diff = PiecewiseLinear.from_breaks_levels(pts, levels)
     lam1 = s_big * diff.sup_norm()
-    a1 = Atom(fn=diff.scaled(1.0 / lam1), measure=measure, nu=nu,
-              kind=KIND_CANCELLATIVE, label=f"two-atom-corrector[{j}]")
-    local_special = Atom(PiecewiseLinear.constant(big.a, big.b, 1.0 / s_big), measure,
-                         nu, KIND_SPECIAL, label=f"local-special[{j}]")
+    a1 = AtomTable.of(diff.scaled(1.0 / lam1), measure, nu, KIND_CANCELLATIVE,
+                      f"two-atom-corrector[{j}]")
+    local_special = AtomTable.of(PiecewiseLinear.constant(big.a, big.b, 1.0 / s_big),
+                                 measure, nu, KIND_SPECIAL, f"local-special[{j}]")
     return {"lam1": lam1, "cancellative": a1,
             "cell_special": special_atom(cover, j, nu, measure),
             "local_special": local_special}
@@ -345,7 +277,7 @@ def globalize_special(cover: DyadicCover, j: int, nu: float, measure: str,
     of two global atoms: the rows (coef, cell special atom) and
     (-coef * lam1, corrector) of one AtomTable."""
     split = two_atom_split(cover, j, nu, measure)
-    pair = AtomTable._concat([split["cell_special"]._table, split["cancellative"]._table])
+    pair = AtomTable._concat(measure, nu, [split["cell_special"], split["cancellative"]])
     return AtomTable._unchecked(**vars(pair) | {"coef": np.array([coef, -coef * split["lam1"]])})
 
 
@@ -414,17 +346,18 @@ class CascadeLevel:
 
 
 @dataclass(frozen=True, eq=False)
-class AtomTable(Sequence):
+class AtomTable:
     """Piecewise-linear rows of one measure and order nu as flat arrays: every
-    atom, and a cascade's closers. Row i has coefficient coef[i], the pieces
-    start[i]:start[i+1] of slopes and intercepts, and their breaks from
-    breaks[start[i] + i]. A row in tags carries its own (kind, label); every
-    other row is a cancellative cascade row of cell[i] at depth[i]: a Haar
-    detail's two-bar atom, or a closer (closer[i] set), which a cascade holds
-    as its remainder and writes as an atom scaled by 1/coef[i]. A table is
-    checked once, when built (_concat writes checked rows), and read-only;
-    indexing and iteration yield (coef, atom) pairs whose atoms build their
-    views and labels when first read."""
+    atom is a row of one, and so are a cascade's closers. Row i has
+    coefficient coef[i], the pieces start[i]:start[i+1] of slopes and
+    intercepts, and their breaks from breaks[start[i] + i]. A row in tags
+    carries its own (kind, label); every other row is a cancellative cascade
+    row of cell[i] at depth[i]: a Haar detail's two-bar atom, or a closer
+    (closer[i] set), which a cascade holds as its remainder and writes as an
+    atom scaled by 1/coef[i]. A table is checked once, when built (_concat
+    writes checked rows), and read-only. Iteration yields (coef, row number)
+    pairs; row(i), kind(i) and label(i) read a row's function, kind and
+    label."""
     measure: str
     nu: float
     coef: np.ndarray
@@ -454,10 +387,22 @@ class AtomTable(Sequence):
         return table
 
     @classmethod
-    def _concat(cls, parts) -> "AtomTable":
-        """The rows of the parts (tables or cascades of one measure and order
-        nu) in order as one table, sized once, each part writing its rows."""
-        shapes = np.array([t._shape() for t in parts], dtype=np.int64)
+    def of(cls, fn: PiecewiseLinear, measure: str, nu: float, kind: str,
+           label: str = "") -> "AtomTable":
+        """The one-row table (coefficient 1) of the atom fn, of the given kind
+        and label; fn passed _check_table, so it is not checked again."""
+        z = np.zeros(1, dtype=np.int64)
+        return cls._unchecked(
+            measure=measure, nu=nu, tags={0: (kind, label)}, coef=np.ones(1),
+            closer=z.astype(bool), depth=z, cell=z, start=np.array([0, len(fn.slopes)]),
+            breaks=fn.breaks, slopes=fn.slopes, intercepts=fn.intercepts)
+
+    @classmethod
+    def _concat(cls, measure: str, nu: float, parts) -> "AtomTable":
+        """The rows of the parts (tables or cascades of this measure and order
+        nu) in order as one table, sized once, each part writing its rows;
+        empty when there is no part."""
+        shapes = np.array([t._shape() for t in parts], dtype=np.int64).reshape(-1, 2)
         rows, pieces = shapes.sum(axis=0).tolist()
         cols = dict(coef=np.empty(rows), closer=np.empty(rows, bool), tags={},
                     depth=np.empty(rows, np.int64), cell=np.empty(rows, np.int64),
@@ -465,7 +410,7 @@ class AtomTable(Sequence):
                     slopes=np.zeros(pieces), intercepts=np.empty(pieces))
         for t, (row, piece) in zip(parts, (np.cumsum(shapes, axis=0) - shapes).tolist()):
             t._write(cols, row, piece)
-        return cls._unchecked(measure=parts[0].measure, nu=parts[0].nu, **cols)
+        return cls._unchecked(measure=measure, nu=nu, **cols)
 
     def _shape(self) -> tuple:
         return len(self), self.start.item(-1)
@@ -500,19 +445,25 @@ class AtomTable(Sequence):
     def __len__(self) -> int:
         return len(self.start) - 1
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
-        i = range(len(self))[i]
-        return self.coef.item(i), Atom._of_row(self, i)
-
     def __iter__(self):
         # the coefficients become Python floats 4096 at a time, not all at once
         coef = itertools.chain.from_iterable(self.coef[lo:lo + 4096].tolist()
                                              for lo in range(0, len(self), 4096))
-        return zip(coef, map(functools.partial(Atom._of_row, self), range(len(self))))
+        return zip(coef, range(len(self)))
 
-    def _label(self, i: int) -> str:
+    def row(self, i: int) -> PiecewiseLinear:
+        """Row i's function as views of the table's arrays: no check, no copy."""
+        lo, hi = self.start.item(i), self.start.item(i + 1)
+        fn = object.__new__(PiecewiseLinear)
+        object.__setattr__(fn, "breaks", self.breaks[lo + i:hi + i + 1])
+        object.__setattr__(fn, "slopes", self.slopes[lo:hi])
+        object.__setattr__(fn, "intercepts", self.intercepts[lo:hi])
+        return fn
+
+    def kind(self, i: int) -> str:
+        return self.tags.get(i, (KIND_CANCELLATIVE,))[0]
+
+    def label(self, i: int) -> str:
         if i in self.tags:
             return self.tags[i][1]
         return (f"{'closer' if self.closer.item(i) else 'haar'}"
@@ -520,7 +471,7 @@ class AtomTable(Sequence):
 
     def check(self, cover: DyadicCover | None = None, cancel_tol: float = 1e-10) -> dict:
         """The atom conditions (Coifman-Weiss) of every row, in one array
-        pass, as columns named as in validate_atom's report:
+        pass, as columns named as in the reports:
         - support, a (rows, 2) array of each row's first and last break, and
           support_ok, the support lies in [0, 1];
         - sigma, the support's measure, sup_norm, size_limit = 1/sigma, and
@@ -570,15 +521,16 @@ class AtomTable(Sequence):
         return cols
 
     def reports(self, cover: DyadicCover | None = None, cancel_tol: float = 1e-10) -> list:
-        """validate_atom's report for every row, read from one check: a
-        cancellative row's report has no constant_ok or cell_match_ok, and a
-        special row's has no cancellation or cancellation_ok."""
+        """The defect report of every row, read from one check: its kind,
+        measure and label, then the columns of check; a cancellative row's
+        report has no constant_ok or cell_match_ok, and a special row's has
+        no cancellation or cancellation_ok."""
         cols = {k: v.tolist() for k, v in self.check(cover, cancel_tol).items()}
         cols["support"] = list(map(tuple, cols["support"]))
         out = []
         for i, values in enumerate(zip(*cols.values())):
-            kind = self.tags.get(i, (KIND_CANCELLATIVE,))[0]
-            out.append({"kind": kind, "measure": self.measure, "label": self._label(i)})
+            kind = self.kind(i)
+            out.append({"kind": kind, "measure": self.measure, "label": self.label(i)})
             out[-1].update((k, v) for k, v in zip(cols, values) if k not in _NOT_CHECKED[kind])
         return out
 
@@ -742,8 +694,8 @@ class LocalCascade:
         slopes[on], intercepts[on] = t.slopes[at] * scale, t.intercepts[at] * scale
 
     def materialize(self) -> AtomTable:
-        """The atoms, written once by _write, as the (coef, atom) rows of a table."""
-        return AtomTable._concat([self])
+        """The atoms, written once by _write, as the rows of a table."""
+        return AtomTable._concat(self.measure, self.nu, [self])
 
 
 def cascade_decompose(fn: PiecewiseLinear, space: Interval, measure: str,
@@ -827,7 +779,7 @@ def cascade_decompose(fn: PiecewiseLinear, space: Interval, measure: str,
 class Decomposition:
     measure: str
     nu: float
-    pieces: list          # (cascade, special rows: an AtomTable or ())
+    pieces: list          # (cascade, its special rows: an AtomTable)
 
     def reconstruct(self, x):
         x = np.asarray(x, dtype=float)
@@ -836,14 +788,12 @@ class Decomposition:
             out = out + cascade.evaluate(x)
         return out
 
-    def atoms(self) -> "AtomTable | tuple":
-        """(coefficient, atom) rows, piece by piece: the cascade's atoms, as
-        materialize writes them, then its globalized special rows, written
-        once into one read-only AtomTable sized up front (an empty tuple when
-        no row is left). len is O(1); no atom exists until its row is read."""
-        parts = [t for piece in self.pieces for t in piece if not isinstance(t, tuple)]
-        table = AtomTable._concat(parts) if parts else ()
-        return table if len(table) else ()
+    def atoms(self) -> AtomTable:
+        """The atoms, piece by piece: the cascade's atoms, as materialize
+        writes them, then its globalized special rows, written once into one
+        read-only AtomTable sized up front (empty when no row is left)."""
+        return AtomTable._concat(self.measure, self.nu,
+                                 [t for piece in self.pieces for t in piece])
 
     def coeff_l1(self) -> float:
         total = 0.0
@@ -926,8 +876,8 @@ def atomic_decompose(f, nu: float, measure: str | None = None,
             continue
         cascade = cascade_decompose(piece, m.star2, measure, nu,
                                     depth_cap=depth_cap, detail_cut=cut)
-        special = () if cascade.mean_coef == 0.0 else globalize_special(
-            cover, m.j, nu, measure, cascade.mean_coef)
+        special = AtomTable._concat(measure, nu, []) if cascade.mean_coef == 0.0 \
+            else globalize_special(cover, m.j, nu, measure, cascade.mean_coef)
         pieces.append((cascade, special))
     return Decomposition(measure=measure, nu=nu, pieces=pieces)
 
@@ -976,9 +926,9 @@ def random_atoms(rng, measure: str, nu: float, count: int,
             mean = tent.integral(measure, nu) / s_ab
             centered = tent.plus_constant(-mean)
             scale = 1.0 / (centered.sup_norm() * s_ab)
-            out.append(Atom(fn=centered.scaled(scale), measure=measure, nu=nu,
-                            kind=KIND_CANCELLATIVE, label=label))
-    return AtomTable._concat([atom._table for atom in out])
+            out.append(AtomTable.of(centered.scaled(scale), measure, nu,
+                                    KIND_CANCELLATIVE, label))
+    return AtomTable._concat(measure, nu, out)
 
 
 def h1_norm_report(f: SampledFunction, basis, time_grid, nu: float,

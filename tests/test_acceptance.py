@@ -228,8 +228,8 @@ def test_criterion_09_uniform_atom_bound(basis_half):
         atoms = random_atoms(rng, measure, 0.5, 104, scale_max=8)
         batch = SampledFunction(grid=grid, values=atoms.evaluate(grid.nodes))
         norms = maximal_function(basis_half, batch, tg).l1_norm(grid.weights)
-        js = np.array([abs(int(re.search(r"-j(-?\d+)-", atom.label).group(1)))
-                       for _, atom in atoms])
+        js = np.array([abs(int(re.search(r"-j(-?\d+)-", atoms.label(i)).group(1)))
+                       for _, i in atoms])
         means = np.array([np.mean(norms[js == j]) if np.any(js == j)
                           else np.nan for j in range(9)])
         use = np.isfinite(means) & (means > 0)

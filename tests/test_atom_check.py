@@ -1,12 +1,15 @@
 """The column check of an AtomTable against the per-atom check it replaces.
 
 `AtomTable.check` computes every atom condition for every row of a table in
-one array pass; `validate_atom` and `AtomTable.reports` read it. The
-reference `ref_validate_atom` below is the per-atom check as it was before,
-verbatim apart from its name, `size_slack` kept at its one value, and the
-`Atom` methods it called (`interval`, `sigma`, `sup_norm`, `cancellation`)
-written out as the `atom.fn` calls they made. Every report must equal the
-reference byte for byte: floats by their bytes, so a -0.0 for a 0.0 is a
+one array pass; `AtomTable.reports` reads it. The reference
+`ref_validate_atom` below is the per-atom check as it was before, verbatim
+apart from its name, `size_slack` kept at its one value, the atom methods it
+called (`interval`, `sigma`, `sup_norm`, `cancellation`) written out as the
+calls they made on the atom's function, and the atom read as row i of a
+table: its function `table.row(i)`, its kind and label `table.kind(i)` and
+`table.label(i)`, its measure and order the table's. Every report must equal
+the reference byte for byte, and so must the report of the row alone, as a
+one-row table: floats by their bytes, so a -0.0 for a 0.0 is a
 mismatch, and booleans, strings and keys exactly. The rows come from seeded
 `random_atoms` tables at both measures and three orders, from the four
 decompositions of acceptance criterion 10, and from `globalize_special`
@@ -22,24 +25,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbhardy.covers import FAMILY_ONE_END, FAMILY_TWO_END, DyadicCover
-from fbhardy.hardy import (KIND_CANCELLATIVE, KIND_SPECIAL, Atom, AtomTable,
+from fbhardy.hardy import (KIND_CANCELLATIVE, KIND_SPECIAL, AtomTable,
                            PiecewiseLinear, atomic_decompose, globalize_special,
-                           random_atoms, validate_atom)
+                           random_atoms)
 from fbhardy.quadrature import MEASURE_LEBESGUE, MEASURE_MU, Measure
 
 from test_cascade_arrays import _gate10_cases
 
 
-def ref_validate_atom(atom: Atom, cover: DyadicCover | None = None,
+def ref_validate_atom(table: AtomTable, i: int, cover: DyadicCover | None = None,
                       cancel_tol: float = 1e-10, size_slack: float = 1e-9) -> dict:
-    """Defect report for one atom; 'valid' aggregates the individual checks."""
-    iv = atom.fn.support
-    sigma = float(Measure.of(atom.measure, atom.nu).interval(iv.a, iv.b))
-    sup = atom.fn.sup_norm()
+    """Defect report for the atom of row i; 'valid' aggregates the individual checks."""
+    fn, kind = table.row(i), table.kind(i)
+    iv = fn.support
+    sigma = float(Measure.of(table.measure, table.nu).interval(iv.a, iv.b))
+    sup = fn.sup_norm()
     report = {
-        "kind": atom.kind,
-        "measure": atom.measure,
-        "label": atom.label,
+        "kind": kind,
+        "measure": table.measure,
+        "label": table.label(i),
         "support": (iv.a, iv.b),
         "support_ok": bool(0.0 <= iv.a < iv.b <= 1.0),
         "sigma": sigma,
@@ -47,15 +51,15 @@ def ref_validate_atom(atom: Atom, cover: DyadicCover | None = None,
         "size_limit": 1.0 / sigma,
         "size_ok": bool(sup <= (1.0 + size_slack) / sigma),
     }
-    if atom.kind == KIND_CANCELLATIVE:
-        defect = atom.fn.integral(atom.measure, atom.nu)
+    if kind == KIND_CANCELLATIVE:
+        defect = fn.integral(table.measure, table.nu)
         report["cancellation"] = defect
         report["cancellation_ok"] = bool(abs(defect) <= cancel_tol)
     else:
         # a special atom is the exact normalized indicator of a cover cell
-        flat = bool(np.all(atom.fn.slopes == 0.0)
-                    and np.ptp(atom.fn.intercepts) == 0.0)
-        value_ok = flat and abs(atom.fn.intercepts[0] * sigma - 1.0) < 1e-12
+        flat = bool(np.all(fn.slopes == 0.0)
+                    and np.ptp(fn.intercepts) == 0.0)
+        value_ok = flat and abs(fn.intercepts[0] * sigma - 1.0) < 1e-12
         report["constant_ok"] = value_ok
         if cover is not None:
             report["cell_match_ok"] = any(
@@ -79,6 +83,12 @@ def assert_same_report(got: dict, want: dict) -> None:
     assert {k: _bytes(v) for k, v in got.items()} == {k: _bytes(v) for k, v in want.items()}
 
 
+def report_alone(table: AtomTable, i: int, cover: DyadicCover | None = None) -> dict:
+    """The report of row i rebuilt alone, as a one-row table."""
+    alone = AtomTable.of(table.row(i), table.measure, table.nu, table.kind(i), table.label(i))
+    return alone.reports(cover)[0]
+
+
 _FAMILY = {MEASURE_MU: FAMILY_ONE_END, MEASURE_LEBESGUE: FAMILY_TWO_END}
 
 
@@ -98,8 +108,8 @@ def _decomposition(case):
 def _globalized(measure, nu):
     cover = _cover(measure)
     js = (0, 3, 7) if measure == MEASURE_MU else (-5, -1, 2, 6)
-    return AtomTable._concat([globalize_special(cover, j, nu, measure, 0.7 - 0.3 * j)
-                              for j in js])
+    return AtomTable._concat(measure, nu, [globalize_special(cover, j, nu, measure, 0.7 - 0.3 * j)
+                                           for j in js])
 
 
 _SOURCES = ([(_random, (m, nu)) for m in (MEASURE_MU, MEASURE_LEBESGUE)
@@ -129,10 +139,9 @@ def test_check_equals_the_per_atom_reference(i, with_cover, draws):
     cover = _cover(table.measure) if with_cover else None
     got = _reports(i, with_cover)
     for r in sorted({d % len(table) for d in draws}):
-        _, atom = table[r]
-        want = ref_validate_atom(atom, cover)
+        want = ref_validate_atom(table, r, cover)
         assert_same_report(got[r], want)
-        assert_same_report(validate_atom(atom, cover), want)
+        assert_same_report(report_alone(table, r, cover), want)
 
 
 @pytest.mark.parametrize("i", [i for i, (build, args) in enumerate(_SOURCES)
@@ -144,8 +153,8 @@ def test_check_equals_the_reference_on_every_row(i):
     for cover in (None, _cover(table.measure)):
         got = table.reports(cover)
         assert len(got) == len(table)
-        for (_, atom), report in zip(table, got):
-            assert_same_report(report, ref_validate_atom(atom, cover))
+        for (_, i), report in zip(table, got):
+            assert_same_report(report, ref_validate_atom(table, i, cover))
 
 
 def test_check_columns():
@@ -168,15 +177,15 @@ def test_check_keeps_the_sign_of_a_zero_cancellation():
     """Rows whose pieces all integrate to -0.0: PiecewiseLinear.integral
     adds a one-piece row's piece to 0.0, reading 0.0, and sums a longer row
     from its first piece, reading -0.0. The check gives the same bytes."""
-    atoms = [Atom(PiecewiseLinear(breaks, np.full(len(breaks) - 1, -0.0),
-                                  np.full(len(breaks) - 1, -0.0)),
-                  MEASURE_LEBESGUE, 0.5, KIND_CANCELLATIVE)
+    atoms = [AtomTable.of(PiecewiseLinear(breaks, np.full(len(breaks) - 1, -0.0),
+                                          np.full(len(breaks) - 1, -0.0)),
+                          MEASURE_LEBESGUE, 0.5, KIND_CANCELLATIVE)
              for breaks in ([0.2, 0.6], [0.2, 0.4, 0.6], [0.1, 0.2, 0.4, 0.6])]
-    table = AtomTable._concat([atom._table for atom in atoms])
+    table = AtomTable._concat(MEASURE_LEBESGUE, 0.5, atoms)
     assert [_bytes(v) for v in table.check()["cancellation"]] == [
         _bytes(v) for v in (0.0, -0.0, -0.0)]
-    for (_, atom), report in zip(table, table.reports()):
-        assert_same_report(report, ref_validate_atom(atom))
+    for (_, i), report in zip(table, table.reports()):
+        assert_same_report(report, ref_validate_atom(table, i))
 
 
 def test_check_flags_each_defect_as_the_reference_does():
@@ -189,15 +198,16 @@ def test_check_flags_each_defect_as_the_reference_does():
     level, half = (1.0 / float(Measure.of(MEASURE_MU, 0.5).interval(lo, hi))
                    for lo, hi in ((cell.a, cell.b), (cell.a, mid)))
     cases = [
-        ("support_ok", Atom(PiecewiseLinear.from_breaks_levels([-0.1, 0.0, 0.1], [1.0, -1.0]),
-                            MEASURE_LEBESGUE, 0.5, KIND_CANCELLATIVE)),
-        ("constant_ok", Atom(PiecewiseLinear.from_breaks_levels([cell.a, mid, cell.b],
-                                                                [level, 2.0 * level]),
-                             MEASURE_MU, 0.5, KIND_SPECIAL)),
-        ("cell_match_ok", Atom(PiecewiseLinear.constant(cell.a, mid, half),
-                               MEASURE_MU, 0.5, KIND_SPECIAL)),
+        ("support_ok", AtomTable.of(
+            PiecewiseLinear.from_breaks_levels([-0.1, 0.0, 0.1], [1.0, -1.0]),
+            MEASURE_LEBESGUE, 0.5, KIND_CANCELLATIVE)),
+        ("constant_ok", AtomTable.of(
+            PiecewiseLinear.from_breaks_levels([cell.a, mid, cell.b], [level, 2.0 * level]),
+            MEASURE_MU, 0.5, KIND_SPECIAL)),
+        ("cell_match_ok", AtomTable.of(PiecewiseLinear.constant(cell.a, mid, half),
+                                       MEASURE_MU, 0.5, KIND_SPECIAL)),
     ]
     for flag, atom in cases:
-        want = ref_validate_atom(atom, cover)
+        want = ref_validate_atom(atom, 0, cover)
         assert not want[flag] and not want["valid"], flag
-        assert_same_report(validate_atom(atom, cover), want)
+        assert_same_report(atom.reports(cover)[0], want)

@@ -1,21 +1,22 @@
 """The one checked table behind closers and atoms.
 
-An `AtomTable` is the one representation of an atom: a ragged table checked
-once with PiecewiseLinear's conditions and read as a sequence of
-(coefficient, atom) rows. An atom holds only its table and row index; its
-function, a read-only view of the row, and its label are built when first
-read and then kept. The public `Atom` constructor builds a one-row table,
-`random_atoms` joins its atoms into one table, and a cascade keeps its
-closers, unnormalized, as the closer rows of an `AtomTable` read by column.
+An atom is a row of an `AtomTable`: a ragged table checked once with
+PiecewiseLinear's conditions and iterated as (coefficient, row number)
+pairs. `row(i)` reads row i's function as read-only views of the table,
+and `kind(i)` and `label(i)` its kind and label. `AtomTable.of` and the
+constructors build one-row tables, `random_atoms` joins them into one table,
+and a cascade keeps its closers, unnormalized, as the closer rows of an
+`AtomTable` read by column.
 One writer, `LocalCascade._write`, puts a cascade's detail and closer rows
 straight into the columns of a table: `LocalCascade.materialize` sizes a
 table of its own for it, and `Decomposition.atoms()` sizes one table for
 every piece and writes each piece's special rows after its cascade's.
 These tests pin the table check to the constructor's messages, the views
-and columns to read-only memory, the rows to building nothing until read,
-the atoms to what the public constructor builds from the same numbers, the
-joined table to the list of pairs it replaces, and `AtomTable.evaluate` to
-each row's atom, bit for bit.
+and columns to read-only memory, iteration to building no row function, the
+rows to what `AtomTable.of` builds from the same numbers, the joined table
+to the list of rows it replaces, and `AtomTable.evaluate` to each row's
+function, bit for bit. A list of rows is written as (coefficient, table,
+row number) triples.
 
 `ref_details`, `ref_concat`, `ref_take`, `ref_materialize_table` and
 `ref_atoms_table` are the path the writer replaced: a checked detail table,
@@ -33,15 +34,14 @@ from hypothesis import strategies as st
 
 from fbhardy.errors import NumericsError
 from fbhardy.covers import FAMILY_ONE_END, FAMILY_TWO_END, DyadicCover, Interval
-from fbhardy.hardy import (KIND_CANCELLATIVE, KIND_SPECIAL, Atom, AtomTable,
+from fbhardy.hardy import (KIND_CANCELLATIVE, KIND_SPECIAL, AtomTable,
                            CascadeLevel, Decomposition, PiecewiseLinear,
                            _haar_levels, atomic_decompose, cascade_decompose,
                            globalize_special, haar_atom, random_atoms,
-                           special_atom, two_atom_split, validate_atom)
+                           special_atom, two_atom_split)
 from fbhardy.quadrature import MEASURE_LEBESGUE, MEASURE_MU, Measure
 
-from test_cascade_arrays import (_gate10_cases, ref_cascade_decompose,
-                                 ref_haar_atom, ref_materialize)
+from test_cascade_arrays import _gate10_cases, ref_haar_atom
 
 
 def _table(rows, n_slopes=None):
@@ -83,7 +83,7 @@ def test_table_rejects_a_missing_slope_as_the_constructor_does():
 def test_table_rows_may_decrease_across_rows():
     """Only the breaks inside a row must increase: rows come in any order."""
     t = _table([[0.5, 0.6], [0.1, 0.2, 0.3], [0.05, 0.4]])
-    assert [list(PiecewiseLinear._row(t, i).breaks) for i in range(len(t))] \
+    assert [list(t.row(i).breaks) for i in range(len(t))] \
         == [[0.5, 0.6], [0.1, 0.2, 0.3], [0.05, 0.4]]
 
 
@@ -127,11 +127,12 @@ def _cascade(build=cascade_decompose):
 
 @pytest.mark.parametrize("max_atoms", [None, 7])
 def test_materialized_arrays_are_read_only_views(max_atoms):
-    pairs = _cascade().materialize()[:max_atoms]
-    assert len(pairs) == max_atoms or {a.label[:4] for _, a in pairs} \
+    table = _cascade().materialize()
+    rows = range(len(table))[:max_atoms]
+    assert len(rows) == max_atoms or {table.label(i)[:4] for i in rows} \
         == {"haar", "clos"}
-    arrays = [arr for _, a in pairs
-              for arr in (a.fn.breaks, a.fn.slopes, a.fn.intercepts)]
+    arrays = [arr for i in rows
+              for arr in (table.row(i).breaks, table.row(i).slopes, table.row(i).intercepts)]
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -171,32 +172,37 @@ def test_every_table_column_is_read_only():
 
 
 def test_atoms_and_functions_have_no_instance_dict():
-    _, atom = _cascade().materialize()[0]
-    assert not hasattr(atom, "__dict__") and not hasattr(atom.fn, "__dict__")
+    """A row's function is slotted and frozen, as the constructor's are."""
+    fn = _cascade().materialize().row(0)
+    assert not hasattr(fn, "__dict__")
     with pytest.raises(dataclasses.FrozenInstanceError):
-        atom.fn.breaks = np.zeros(2)
+        fn.breaks = np.zeros(2)
 
 
-def _fields(atom):
-    return (atom.measure, atom.nu, atom.kind, atom.label)
+def _fields(table, i):
+    return (table.measure, table.nu, table.kind(i), table.label(i))
+
+
+def _triples(table):
+    return [(c, table, i) for c, i in table]
 
 
 def test_gate10_atoms_equal_their_public_rebuild():
-    """Each atom of the four gate-10 decompositions, rebuilt by the public
-    constructor from copies of its arrays, passes the constructor's check
-    and equals it: the same fields, and float64 arrays equal bit for bit."""
+    """Each row of the four gate-10 decompositions, rebuilt by AtomTable.of
+    from a function built of copies of its arrays, passes the constructor's
+    check and equals it: the same fields, and float64 arrays equal bit for
+    bit."""
     for measure, fn in _gate10_cases():
-        pairs = atomic_decompose(fn, nu=0.5, measure=measure).atoms()
-        rebuilt = [Atom(fn=PiecewiseLinear(a.fn.breaks.copy(),
-                                           a.fn.slopes.copy(),
-                                           a.fn.intercepts.copy()),
-                        measure=a.measure, nu=a.nu, kind=a.kind, label=a.label)
-                   for _, a in pairs]
-        atoms = [a for _, a in pairs]
-        assert [_fields(a) for a in atoms] == [_fields(b) for b in rebuilt]
+        table = atomic_decompose(fn, nu=0.5, measure=measure).atoms()
+        rows = [table.row(i) for _, i in table]
+        rebuilt = [AtomTable.of(PiecewiseLinear(f.breaks.copy(), f.slopes.copy(),
+                                                f.intercepts.copy()), *_fields(table, i))
+                   for i, f in enumerate(rows)]
+        assert [_fields(table, i) for i in range(len(table))] \
+            == [_fields(b, 0) for b in rebuilt]
         for name in ("breaks", "slopes", "intercepts"):
-            got = [getattr(a.fn, name) for a in atoms]
-            want = [getattr(b.fn, name) for b in rebuilt]
+            got = [getattr(f, name) for f in rows]
+            want = [getattr(b.row(0), name) for b in rebuilt]
             assert [len(g) for g in got] == [len(w) for w in want]
             assert {g.dtype for g in got} == {w.dtype for w in want} \
                 == {np.dtype(np.float64)}
@@ -217,18 +223,23 @@ def _counting(monkeypatch, owner, name):
 
 def test_counting_gate10_atoms_builds_no_function(monkeypatch):
     """len() and the coefficient sum of the gate-10 atoms read the table's
-    coefficients only: no row function and no label is built."""
+    coefficients only: iteration yields (float, int) pairs, coef.tolist()
+    with range(len), and no row function and no label is built."""
     decs = [atomic_decompose(fn, nu=0.5, measure=measure)
             for measure, fn in _gate10_cases()]
-    built = [_counting(monkeypatch, PiecewiseLinear, "_row"),
+    built = [_counting(monkeypatch, AtomTable, "row"),
              _counting(monkeypatch, PiecewiseLinear, "__post_init__"),
-             _counting(monkeypatch, AtomTable, "_label")]
+             _counting(monkeypatch, AtomTable, "label")]
     count = 0
     for dec in decs:
         pairs = dec.atoms()
         count += len(pairs)
         total = sum(abs(c) for c, _ in pairs)
         assert total == pytest.approx(dec.coeff_l1(), rel=1e-12)
+        listed = list(pairs)
+        assert {(type(c), type(i)) for c, i in listed} == {(float, int)}
+        assert [c for c, _ in listed] == pairs.coef.tolist()
+        assert [i for _, i in listed] == list(range(len(pairs)))
     assert count > 100_000
     assert built == [[], [], []]
 
@@ -246,74 +257,29 @@ def test_coeff_l1_reads_the_special_rows_by_column(monkeypatch):
             total += sum(abs(c) for c, _ in special)
         want.append(total)
     assert sum(len(special) for dec in decs for _, special in dec.pieces) > 0
-    rows = _counting(monkeypatch, Atom, "_of_row")
+    rows = _counting(monkeypatch, AtomTable, "row")
     got = [dec.coeff_l1() for dec in decs]
     assert np.array(got).tobytes() == np.array(want).tobytes()
     assert all(type(v) is float for v in got) and rows == []
-
-
-def test_row_atom_builds_its_function_once(monkeypatch):
-    rows = _counting(monkeypatch, PiecewiseLinear, "_row")
-    pairs = _cascade().materialize()
-    atoms = [a for _, a in pairs]
-    assert rows == []
-    for atom in atoms:
-        assert atom.fn is atom.fn
-        assert validate_atom(atom)["support"] == (atom.fn.support.a, atom.fn.support.b)
-    assert len(rows) == len(atoms)
-
-
-def test_row_atom_builds_its_label_on_first_read(monkeypatch):
-    """Labels are built when read, once, and equal the labels of the eager
-    per-entry reference."""
-    cascade = _cascade()
-    want = [a.label for _, a in ref_materialize(_cascade(ref_cascade_decompose))]
-    labels = _counting(monkeypatch, AtomTable, "_label")
-    atoms = [a for _, a in cascade.materialize()]
-    assert labels == []
-    got = [a.label for a in atoms]
-    assert [a.label for a in atoms] == got == want
-    assert len(labels) == len(atoms)
-
-
-def _atom_key(pair):
-    c, a = pair
-    return c, a.label, a.fn.breaks.tobytes(), a.fn.slopes.tobytes()
-
-
-@pytest.mark.parametrize("table, key", [(lambda c: c.materialize(), _atom_key)])
-def test_tables_index_and_slice_as_a_list(table, key):
-    rows_of = table(_cascade())
-    rows = list(rows_of)
-    assert len(rows) == len(rows_of) > 10
-    for i in (0, 3, -1, -len(rows)):
-        assert key(rows_of[i]) == key(rows[i])
-    for sl in (slice(2, 9), slice(None, None, -3), slice(len(rows) + 5, None)):
-        got = rows_of[sl]
-        assert isinstance(got, list)
-        assert [key(r) for r in got] == [key(r) for r in rows[sl]]
-    for i in (len(rows), -len(rows) - 1):
-        with pytest.raises(IndexError):
-            rows_of[i]
 
 
 def test_atom_table_coefficients_are_floats():
     pairs = _cascade().materialize()
     assert isinstance(pairs, AtomTable)
     assert all(type(c) is float for c, _ in pairs)
-    assert type(pairs[0][0]) is float
 
 
 def test_atom_fields_are_read_only():
+    """A one-row table and a materialized table take no new value for a
+    field, nor a new attribute."""
     built = haar_atom(0.2, 0.3, 0.4, 0.5, MEASURE_LEBESGUE)
-    _, row = _cascade().materialize()[0]
-    for atom in (built, row):
-        for name, value in (("fn", built.fn), ("label", "x"), ("kind", "x"),
+    for table in (built, _cascade().materialize()):
+        for name, value in (("coef", built.coef), ("breaks", built.breaks), ("tags", {}),
                             ("measure", MEASURE_MU), ("nu", 1.0)):
             with pytest.raises(AttributeError):
-                setattr(atom, name, value)
+                setattr(table, name, value)
         with pytest.raises(AttributeError):
-            atom.extra = 1
+            table.extra = 1
 
 
 # ---------------------------------------------------------------------------
@@ -321,46 +287,42 @@ def test_atom_fields_are_read_only():
 
 
 def ref_atoms(self):
-    """`Decomposition.atoms` as a list of pairs, verbatim."""
-    return [pair for cascade, special_pairs in self.pieces
-            for pair in (*cascade.materialize(), *special_pairs)]
+    """`Decomposition.atoms` as a list of rows, verbatim."""
+    return [(c, t, i) for cascade, special in self.pieces
+            for t in (cascade.materialize(), special) for c, i in t]
 
 
 def ref_globalize_special(cover, j, nu, measure, coef):
-    """`globalize_special` as a list of pairs, verbatim."""
+    """`globalize_special` as a list of rows, verbatim."""
     split = two_atom_split(cover, j, nu, measure)
-    return [(coef, split["cell_special"]),
-            (-coef * split["lam1"], split["cancellative"])]
+    return [(coef, split["cell_special"], 0),
+            (-coef * split["lam1"], split["cancellative"], 0)]
 
 
 def _same_pairs(got, want):
-    """Two lists of (coef, atom) pairs hold the same float coefficients, the
-    same fields and the same float64 arrays, bit for bit."""
+    """Two lists of (coef, table, row) triples hold the same float
+    coefficients, the same fields and the same float64 arrays, bit for bit."""
     assert len(got) == len(want)
-    assert all(type(c) is float for c, _ in got)
-    assert np.array([c for c, _ in got]).tobytes() \
-        == np.array([c for c, _ in want]).tobytes()
-    assert [_fields(a) for _, a in got] == [_fields(a) for _, a in want]
+    assert all(type(c) is float for c, _, _ in got)
+    assert np.array([c for c, _, _ in got]).tobytes() \
+        == np.array([c for c, _, _ in want]).tobytes()
+    assert [_fields(t, i) for _, t, i in got] == [_fields(t, i) for _, t, i in want]
     for name in ("breaks", "slopes", "intercepts"):
-        g = [getattr(a.fn, name) for _, a in got]
-        w = [getattr(a.fn, name) for _, a in want]
+        g = [getattr(t.row(i), name) for _, t, i in got]
+        w = [getattr(t.row(i), name) for _, t, i in want]
         assert [len(x) for x in g] == [len(x) for x in w]
         assert np.concatenate(g).tobytes() == np.concatenate(w).tobytes()
 
 
 def test_gate10_atoms_are_the_rows_of_the_pair_list():
-    """On the four gate-10 cases the joined table gives, by len, index,
-    negative index, slice and iteration, the pairs of the list it replaced."""
+    """On the four gate-10 cases the joined table gives, by len and
+    iteration, the rows of the list it replaced."""
     for measure, fn in _gate10_cases():
         dec = atomic_decompose(fn, nu=0.5, measure=measure)
         rows, want = dec.atoms(), ref_atoms(dec)
         assert isinstance(rows, AtomTable) and len(rows) == len(want)
-        for i in (0, 1, len(want) // 2, -1, -len(want)):
-            _same_pairs([rows[i]], [want[i]])
-        for sl in (slice(None, 40), slice(None, None, 7)):
-            _same_pairs(rows[sl], want[sl])
-        _same_pairs(list(rows), want)
-        assert [a.kind for _, a in want].count(KIND_SPECIAL) \
+        _same_pairs(_triples(rows), want)
+        assert [t.kind(i) for _, t, i in want].count(KIND_SPECIAL) \
             == len(dec.pieces) == sum(len(sp) for _, sp in dec.pieces) // 2
 
 
@@ -372,34 +334,36 @@ def test_globalized_special_rows_equal_the_pair_list(measure, family, js):
     for j in js:
         got = globalize_special(cover, j, 0.5, measure, 0.7)
         assert isinstance(got, AtomTable)
-        _same_pairs(list(got), ref_globalize_special(cover, j, 0.5, measure, 0.7))
-        assert [(a.kind, a.label) for _, a in got] == [
+        _same_pairs(_triples(got), ref_globalize_special(cover, j, 0.5, measure, 0.7))
+        assert [(got.kind(i), got.label(i)) for _, i in got] == [
             (KIND_SPECIAL, f"special[{j}]"),
             (KIND_CANCELLATIVE, f"two-atom-corrector[{j}]")]
 
 
 def test_constructor_atom_is_the_one_row_of_its_table():
+    """AtomTable.of makes fn the one row (coefficient 1) of a table, reading
+    fn's arrays without a copy, with the given kind and label."""
     fn = PiecewiseLinear.tent(0.2, 0.6)
-    atom = Atom(fn=fn, measure=MEASURE_MU, nu=0.5, kind=KIND_SPECIAL, label="t")
-    table = atom._table
-    assert isinstance(table, AtomTable) and len(table) == 1 and atom._row == 0
-    assert atom.fn is fn and _fields(atom) == (MEASURE_MU, 0.5, KIND_SPECIAL, "t")
-    (coef, row), = table
-    assert coef == 1.0 and row is not atom
-    _same_pairs([(coef, row)], [(1.0, atom)])
+    table = AtomTable.of(fn, MEASURE_MU, 0.5, KIND_SPECIAL, "t")
+    assert len(table) == 1 and _triples(table) == [(1.0, table, 0)]
+    assert _fields(table, 0) == (MEASURE_MU, 0.5, KIND_SPECIAL, "t")
+    row = table.row(0)
+    for name in ("breaks", "slopes", "intercepts"):
+        got, want = getattr(row, name), getattr(fn, name)
+        assert np.shares_memory(got, want) and got.tobytes() == want.tobytes()
 
 
 def _special_ref(iv, nu, measure, label):
     s = Measure.of(measure, nu).interval(iv.a, iv.b)
-    return Atom(fn=PiecewiseLinear.constant(iv.a, iv.b, 1.0 / s), measure=measure,
-                nu=nu, kind=KIND_SPECIAL, label=label)
+    return AtomTable.of(PiecewiseLinear.constant(iv.a, iv.b, 1.0 / s), measure, nu,
+                        KIND_SPECIAL, label)
 
 
 @pytest.mark.parametrize("measure, family, j", [(MEASURE_MU, FAMILY_ONE_END, 3),
                                                 (MEASURE_LEBESGUE, FAMILY_TWO_END, -2)])
 def test_built_atoms_keep_their_fields_and_arrays(measure, family, j):
     """haar_atom, special_atom and two_atom_split give the fields and arrays
-    of their references, and each atom is the one row of its own table."""
+    of their references, and each is a one-row table of coefficient 1."""
     cover = DyadicCover(family, zeta=0.02)
     split = two_atom_split(cover, j, 0.5, measure)
     cell, big = cover.interval(j), cover.starred(j, 2)
@@ -408,8 +372,8 @@ def test_built_atoms_keep_their_fields_and_arrays(measure, family, j):
     diff = PiecewiseLinear.from_breaks_levels(pts, [
         (1.0 / s_cell if cell.a <= lo and hi <= cell.b else 0.0) - 1.0 / s_big
         for lo, hi in zip(pts[:-1], pts[1:])])
-    corrector = Atom(fn=diff.scaled(1.0 / split["lam1"]), measure=measure,
-                     nu=0.5, kind=KIND_CANCELLATIVE, label=f"two-atom-corrector[{j}]")
+    corrector = AtomTable.of(diff.scaled(1.0 / split["lam1"]), measure, 0.5,
+                             KIND_CANCELLATIVE, f"two-atom-corrector[{j}]")
     assert split["lam1"] == s_big * diff.sup_norm()
     pairs = [(haar_atom(0.2, 0.3, 0.45, 0.5, measure, label="h"),
               ref_haar_atom(0.2, 0.3, 0.45, 0.5, measure, label="h")),
@@ -422,9 +386,8 @@ def test_built_atoms_keep_their_fields_and_arrays(measure, family, j):
               _special_ref(big, 0.5, measure, f"local-special[{j}]")),
              (split["cancellative"], corrector)]
     for got, want in pairs:
-        _same_pairs([(1.0, got)], [(1.0, want)])
-        assert len(got._table) == 1
-        _same_pairs(list(got._table), [(1.0, got)])
+        _same_pairs([(1.0, got, 0)], [(1.0, want, 0)])
+        assert _triples(got) == [(1.0, got, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +465,8 @@ def _same_table(got, want):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), f.name
             assert not g.flags.writeable, f.name
     assert got.tags == want.tags
-    assert [(a.label, a.kind) for _, a in got] == [(a.label, a.kind) for _, a in want]
+    assert [(got.label(i), got.kind(i)) for _, i in got] \
+        == [(want.label(i), want.kind(i)) for _, i in want]
 
 
 @st.composite
@@ -525,7 +489,8 @@ def test_written_tables_equal_the_joined_and_taken_path(inputs):
     dec = atomic_decompose(fn, nu=nu, measure=measure, reconstruct_tol=tol,
                            depth_cap=depth_cap)
     got, want = dec.atoms(), ref_atoms_table(dec)
-    assert (got == ()) == (want == ())
+    assert isinstance(got, AtomTable) and (got.measure, got.nu) == (measure, nu)
+    assert (len(got) == 0) == (want == ())
     if want != ():
         _same_table(got, want)
     for cascade, _ in dec.pieces:
@@ -554,20 +519,20 @@ def test_coefficient_ties_order_by_depth_then_cell():
     tied = dataclasses.replace(cascade, levels=[tie])
     got = tied.materialize()
     _same_table(got, ref_materialize_table(tied))
-    labels = [a.label for _, a in got]
+    labels = [got.label(i) for _, i in got]
     i = labels.index(f"closer[d{d},k{k}]")
     assert labels[i:i + 3] == [f"closer[d{d},k{k}]", f"haar[d{d},k{k + 1}]", f"haar[d{d},k{k + 3}]"]
 
 
 def _same_as_the_coefficient_list(table):
     """Iterating the table gives coef.tolist() (same floats, same type) with
-    the atom of each row in order."""
+    the number of each row in order."""
     pairs = list(table)
     assert [type(c) for c, _ in pairs] == [float] * len(table)
     assert [c for c, _ in pairs] == table.coef.tolist()
     assert np.array([c for c, _ in pairs], dtype=float).tobytes() == table.coef.tobytes()
-    assert all(a._table is table for _, a in pairs)
-    assert [a._row for _, a in pairs] == list(range(len(table)))
+    assert [type(i) for _, i in pairs] == [int] * len(table)
+    assert [i for _, i in pairs] == list(range(len(table)))
 
 
 def test_iterating_streams_the_coefficient_list():
@@ -588,14 +553,38 @@ def test_iterating_a_random_batch_streams_the_coefficient_list(seed, count):
         random_atoms(np.random.default_rng(seed), MEASURE_LEBESGUE, 0.5, count))
 
 
+def _empty(table, measure, nu):
+    """table is an empty AtomTable of the measure and nu that every reader
+    serves."""
+    assert isinstance(table, AtomTable)
+    assert (table.measure, table.nu, len(table), list(table)) == (measure, nu, 0, [])
+    assert table.reports() == [] and table.evaluate([0.1, 0.3]).shape == (0, 2)
+    assert all(len(v) == 0 for v in table.check().values())
+
+
 def test_an_empty_cascade_writes_no_rows():
     """A cascade capped at depth 0 holds no detail and no closer: its table
     is empty, and a decomposition of such pieces has no atoms."""
     fn = PiecewiseLinear.tent(0.25, 0.45, 1.0)
     cascade = cascade_decompose(fn, Interval(0.2, 0.5), MEASURE_MU, 0.5, depth_cap=0)
     _same_table(cascade.materialize(), ref_materialize_table(cascade))
-    assert len(cascade.materialize()) == 0
-    assert Decomposition(MEASURE_MU, 0.5, [(cascade, ())] * 2).atoms() == ()
+    _empty(cascade.materialize(), MEASURE_MU, 0.5)
+    empty = AtomTable._concat(MEASURE_MU, 0.5, [])
+    _empty(empty, MEASURE_MU, 0.5)
+    _empty(Decomposition(MEASURE_MU, 0.5, [(cascade, empty)] * 2).atoms(), MEASURE_MU, 0.5)
+
+
+@pytest.mark.parametrize("measure", [MEASURE_MU, MEASURE_LEBESGUE])
+@pytest.mark.parametrize("nu", [-0.3, 0.5])
+def test_no_atoms_give_an_empty_table_of_the_measure(measure, nu):
+    """A batch of count 0 and a decomposition with no piece (the zero
+    function) or no row left are empty tables of their measure and nu."""
+    _empty(random_atoms(np.random.default_rng(1), measure, nu, 0), measure, nu)
+    zero = PiecewiseLinear.constant(0.3, 0.5, 0.0)
+    dec = atomic_decompose(zero, nu=nu, measure=measure)
+    assert dec.pieces == [] and dec.coeff_l1() == 0.0
+    _empty(dec.atoms(), measure, nu)
+    _empty(Decomposition(measure, nu, []).atoms(), measure, nu)
 
 
 def _taken_tables():
@@ -610,7 +599,7 @@ def _taken_tables():
 
 def test_taken_rows_equal_their_source_rows():
     """ref_take, the reference that the written tables are compared
-    against, takes rows as indexing reads them."""
+    against, takes rows as the source table reads them by number."""
     rng = np.random.default_rng(17)
     for table in _taken_tables():
         n = len(table)
@@ -618,7 +607,8 @@ def test_taken_rows_equal_their_source_rows():
         for order in (rng.permutation(n), np.arange(n)[::-1], rng.integers(0, n, 25)):
             taken = ref_take(table, order)
             assert isinstance(taken, AtomTable) and len(taken) == len(order)
-            _same_pairs(list(taken), [table[i] for i in order.tolist()])
+            _same_pairs(_triples(taken), [(table.coef.item(i), table, i)
+                                          for i in order.tolist()])
             for name in ("closer", "depth", "cell"):
                 assert getattr(taken, name).tobytes() == getattr(table, name)[order].tobytes()
             assert not taken.breaks.flags.writeable and not taken.coef.flags.writeable
@@ -659,6 +649,6 @@ def tables_and_points(draw):
 def test_table_evaluate_equals_each_rows_atom(case):
     table, x = case
     got = table.evaluate(x)
-    want = np.array([a.fn.evaluate(x) for _, a in table])
+    want = np.array([table.row(i).evaluate(x) for _, i in table])
     assert got.shape == (len(table), len(x)) and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()

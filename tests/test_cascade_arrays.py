@@ -4,11 +4,13 @@ The reference functions below are the original one-cell-at-a-time routines:
 `cascade_decompose` with its per-cell `close()`, the per-closer loop of
 `LocalCascade.evaluate` and the per-entry `materialize` with its scalar
 `haar_atom`, and the `PiecewiseLinear.restricted` and `.extended` that
-`close()` calls. They are kept verbatim apart from five edits: the methods
+`close()` calls. They are kept verbatim apart from six edits: the methods
 take the cascade as an argument, the reference cascade keeps its closers
 in a plain list of `RefCloser` records, interval measures come from
 `Measure.interval`, comments inside the loops are dropped, and `restricted`
-and `extended` are module functions of the piecewise-linear `self`. The array
+and `extended` are module functions of the piecewise-linear `self`, and
+each atom is built as the one-row table `AtomTable.of` makes and listed as
+(coefficient, table, row 0). The array
 routines must find the same cells, coefficients and remainders, evaluate
 to the same values and materialize the same atoms in the same order; the
 closer table is compared by column.
@@ -50,7 +52,7 @@ from hypothesis import strategies as st
 
 from fbhardy import hardy
 from fbhardy.covers import Interval
-from fbhardy.hardy import (KIND_CANCELLATIVE, Atom, AtomTable, CascadeLevel,
+from fbhardy.hardy import (KIND_CANCELLATIVE, AtomTable, CascadeLevel,
                            LocalCascade, PiecewiseLinear, _haar_levels,
                            atomic_decompose, cascade_decompose)
 from fbhardy.quadrature import MEASURE_LEBESGUE, MEASURE_MU, Measure
@@ -99,8 +101,7 @@ def ref_haar_atom(a, m, b, nu, measure, label=""):
     scale = 1.0 / max(1.0, h2 * s)   # an off-median split peaks on the right
     fn = PiecewiseLinear.from_breaks_levels([a, m, b],
                                             [scale * h1, -scale * h2])
-    return Atom(fn=fn, measure=measure, nu=nu, kind=KIND_CANCELLATIVE,
-                label=label or "haar")
+    return AtomTable.of(fn, measure, nu, KIND_CANCELLATIVE, label or "haar")
 
 
 def ref_cascade_decompose(fn, space, measure, nu, depth_cap=26,
@@ -210,10 +211,9 @@ def ref_materialize(self, max_atoms=None):
                                  self.nu, self.measure,
                                  label=f"haar[d{depth},k{k}]")
         else:
-            atom = Atom(fn=cp.fn.scaled(1.0 / cp.lam), measure=self.measure,
-                        nu=self.nu, kind=KIND_CANCELLATIVE,
-                        label=f"closer[d{depth},k{k}]")
-        out.append((lam, atom))
+            atom = AtomTable.of(cp.fn.scaled(1.0 / cp.lam), self.measure,
+                                self.nu, KIND_CANCELLATIVE, f"closer[d{depth},k{k}]")
+        out.append((lam, atom, 0))
     return out
 
 
@@ -317,13 +317,14 @@ def _check(new, ref, rng):
     assert np.ndim(new.evaluate(float(x[0]))) == 0
 
     table = new.materialize()
+    rows = [(c, table, i) for c, i in table]
     for max_atoms in (None, 1, 10):
-        got, want = table[:max_atoms], ref_materialize(ref, max_atoms)
-        assert [(a.label, a.kind) for _, a in got] \
-            == [(a.label, a.kind) for _, a in want]
-        _same_pieces(_columns([(c, a.fn) for c, a in got]),
-                     _columns([(c, a.fn) for c, a in want]),
-                     [one_piece or a.label.startswith("haar") for _, a in want])
+        got, want = rows[:max_atoms], ref_materialize(ref, max_atoms)
+        assert [(t.label(i), t.kind(i)) for _, t, i in got] \
+            == [(t.label(i), t.kind(i)) for _, t, i in want]
+        _same_pieces(_columns([(c, t.row(i)) for c, t, i in got]),
+                     _columns([(c, t.row(i)) for c, t, i in want]),
+                     [one_piece or t.label(i).startswith("haar") for _, t, i in want])
 
 
 @settings(max_examples=25, deadline=None,

@@ -254,15 +254,16 @@ def test_atoms_reports_equal_the_per_atom_reference(tmp_path, small_cfg, family,
                          scale_max=cfg.atom_scale_max, zeta=cfg.zeta)
     cover = DyadicCover(FAMILY_ONE_END if measure == MEASURE_MU else FAMILY_TWO_END,
                         zeta=cfg.zeta, j_max=max(cfg.atom_scale_max, 8))
-    want = [ref_validate_atom(a, cover, cfg.cancel_tol) for _, a in atoms]
+    want = [ref_validate_atom(atoms, i, cover, cfg.cancel_tol) for _, i in atoms]
     payload = {"count": 30, "n_valid": sum(r["valid"] for r in want), "reports": want}
     assert (out / f"atoms_validate_{family}.json").read_text() == \
         json.dumps(fbhardy.cli._py(payload), sort_keys=True, indent=1) + "\n"
     with open(out / f"atoms_batch_{family}.json") as fh:
         rows = json.load(fh)["rows"]
     assert [(r["label"], r["kind"], r["valid"]) for r in rows] == [
-        (a.label, a.kind, ref_validate_atom(a, cancel_tol=cfg.cancel_tol)["valid"])
-        for _, a in atoms]
+        (atoms.label(i), atoms.kind(i),
+         ref_validate_atom(atoms, i, cancel_tol=cfg.cancel_tol)["valid"])
+        for _, i in atoms]
 
 
 def test_h1_report_decomposes_with_the_config(tmp_path):
@@ -393,6 +394,25 @@ def test_invalid_config_value_exits_two(tmp_path, capsys):
     rc = run(["zeros"], cfg=str(bad), out=tmp_path / "out")
     assert rc == 2
     assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
+@pytest.mark.parametrize("family", ["mu", "lebesgue"])
+@pytest.mark.parametrize("action", ["validate", "batch"])
+def test_atom_scale_max_below_one_exits_two_naming_it(tmp_path, small_cfg, capsys,
+                                                      family, action):
+    """The Lebesgue family draws its cover scales from 1 to atom_scale_max,
+    so 0 is refused in both families, and 1 is served by both."""
+    for scale_max, rc in ((0, 2), (1, 0)):
+        path = tmp_path / f"scale{scale_max}.cfg"
+        path.write_text(SMALL_CFG + f"atom_scale_max = {scale_max}\n")
+        out = tmp_path / f"out{scale_max}"
+        assert run(["atoms", action, "--family", family, "--count", "8"],
+                   cfg=str(path), out=out) == rc
+        if rc:
+            report = json.loads(capsys.readouterr().err)
+            assert report["error"] == "config"
+            assert report["detail"] == "atom_scale_max must be at least 1, got 0"
+            assert not out.exists()
 
 
 @pytest.mark.parametrize("args, flag, value", [

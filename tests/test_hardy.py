@@ -13,20 +13,20 @@ from hypothesis import given, settings, strategies as st
 
 from fbhardy.errors import NumericsError
 from fbhardy.covers import DyadicCover, FAMILY_ONE_END, FAMILY_TWO_END, Interval
-from fbhardy.hardy import (Atom, Decomposition, KIND_CANCELLATIVE,
+from fbhardy.hardy import (AtomTable, Decomposition, KIND_CANCELLATIVE,
                            KIND_SPECIAL, PiecewiseLinear, atomic_decompose,
                            build_partition, cascade_decompose, chord_product,
                            globalize_special, h1_norm_report, haar_atom,
                            partition_coverage, random_atoms, special_atom,
-                           two_atom_split, validate_atom)
+                           two_atom_split)
 from fbhardy.maximal import TimeGrid
 from fbhardy.quadrature import (MEASURE_LEBESGUE, MEASURE_MU, Measure,
                                 SampledFunction, make_quadrature)
 
 
 def _sigma(atom):
-    """The measure of the atom's support."""
-    return float(Measure.of(atom.measure, atom.nu).interval(*atom.fn.breaks[[0, -1]]))
+    """The measure of the support of a one-row table's atom."""
+    return float(Measure.of(atom.measure, atom.nu).interval(*atom.row(0).breaks[[0, -1]]))
 
 
 def _bump_pl(a=0.08, b=0.40, n=33):
@@ -178,9 +178,9 @@ def test_partition_chords_sum_back_to_input():
 def test_special_atom_is_normalized_indicator():
     cover = DyadicCover(FAMILY_ONE_END, zeta=0.02)
     atom = special_atom(cover, 3, 0.5, MEASURE_MU)
-    assert atom.kind == KIND_SPECIAL
-    assert atom.fn.integral(atom.measure, atom.nu) == pytest.approx(1.0, rel=1e-12)
-    rep = validate_atom(atom, cover)
+    assert len(atom) == 1 and atom.kind(0) == KIND_SPECIAL
+    assert atom.row(0).integral(atom.measure, atom.nu) == pytest.approx(1.0, rel=1e-12)
+    rep, = atom.reports(cover)
     assert rep["valid"] and rep["cell_match_ok"]
 
 
@@ -190,27 +190,27 @@ def test_haar_atom_median_split_saturates_size():
     p = 2 * nu + 2
     m = ((a**p + b**p) / 2) ** (1 / p)
     atom = haar_atom(a, m, b, nu, MEASURE_MU)
-    assert atom.fn.integral(atom.measure, atom.nu) == pytest.approx(0.0, abs=1e-15)
-    assert atom.fn.sup_norm() == pytest.approx(1.0 / _sigma(atom), rel=1e-12)
-    assert validate_atom(atom)["valid"]
+    assert atom.row(0).integral(atom.measure, atom.nu) == pytest.approx(0.0, abs=1e-15)
+    assert atom.row(0).sup_norm() == pytest.approx(1.0 / _sigma(atom), rel=1e-12)
+    assert atom.reports()[0]["valid"]
 
 
 def test_haar_atom_off_median_stays_valid():
     atom = haar_atom(0.2, 0.25, 0.6, 0.5, MEASURE_LEBESGUE)
-    rep = validate_atom(atom)
+    rep, = atom.reports()
     assert rep["valid"]
     assert rep["cancellation"] == pytest.approx(0.0, abs=1e-15)
-    assert atom.fn.sup_norm() <= (1 + 1e-12) / _sigma(atom)
+    assert atom.row(0).sup_norm() <= (1 + 1e-12) / _sigma(atom)
 
 
 def test_validate_atom_flags_defects():
     good = haar_atom(0.2, 0.4, 0.6, 0.5, MEASURE_LEBESGUE)
-    oversized = Atom(fn=good.fn.scaled(2.0), measure=good.measure, nu=good.nu,
-                     kind=KIND_CANCELLATIVE)
-    assert not validate_atom(oversized)["size_ok"]
-    lopsided = Atom(fn=PiecewiseLinear.constant(0.2, 0.6, 1.0),
-                    measure=MEASURE_LEBESGUE, nu=0.5, kind=KIND_CANCELLATIVE)
-    assert not validate_atom(lopsided)["cancellation_ok"]
+    oversized = AtomTable.of(good.row(0).scaled(2.0), good.measure, good.nu,
+                             KIND_CANCELLATIVE)
+    assert not oversized.reports()[0]["size_ok"]
+    lopsided = AtomTable.of(PiecewiseLinear.constant(0.2, 0.6, 1.0),
+                            MEASURE_LEBESGUE, 0.5, KIND_CANCELLATIVE)
+    assert not lopsided.reports()[0]["cancellation_ok"]
 
 
 def test_unknown_measure_tag_is_rejected():
@@ -225,7 +225,7 @@ def test_functions_and_atoms_compare_by_identity():
     f = PiecewiseLinear.tent(0.2, 0.6)
     g = PiecewiseLinear.tent(0.2, 0.6)
     a = haar_atom(0.2, 0.4, 0.6, 0.5, MEASURE_LEBESGUE)
-    b = Atom(fn=a.fn, measure=a.measure, nu=a.nu, kind=a.kind, label=a.label)
+    b = AtomTable.of(a.row(0), a.measure, a.nu, a.kind(0), a.label(0))
     assert f == f and not f == g and f != g
     assert a == a and a != b
     assert len({f, g, f}) == 2 and len({a, b, a}) == 2
@@ -239,7 +239,7 @@ def test_haar_atoms_always_validate(a, width, frac, measure):
     b = a + width
     m = a + frac * width
     atom = haar_atom(a, m, b, 0.9, measure)
-    rep = validate_atom(atom)
+    rep, = atom.reports()
     assert rep["valid"], rep
 
 
@@ -254,12 +254,12 @@ def test_two_atom_split_identity(measure, family):
     j = 2 if family == FAMILY_ONE_END else -2
     split = two_atom_split(cover, j, 0.5, measure)
     assert split["lam1"] > 0
-    assert validate_atom(split["cancellative"])["valid"]
+    assert split["cancellative"].reports()[0]["valid"]
     big = cover.starred(j, 2)
     x = np.linspace(big.a + 1e-6, big.b - 1e-6, 211)
-    lhs = split["cell_special"].fn.evaluate(x)
-    rhs = (split["lam1"] * split["cancellative"].fn.evaluate(x)
-           + split["local_special"].fn.evaluate(x))
+    lhs = split["cell_special"].row(0).evaluate(x)
+    rhs = (split["lam1"] * split["cancellative"].row(0).evaluate(x)
+           + split["local_special"].row(0).evaluate(x))
     assert np.allclose(lhs, rhs, atol=1e-10)
 
 
@@ -271,8 +271,8 @@ def test_globalize_special_reproduces_local_atom():
     split = two_atom_split(cover, 3, 0.5, MEASURE_MU)
     big = cover.starred(3, 2)
     x = np.linspace(big.a + 1e-6, big.b - 1e-6, 101)
-    got = sum(c * atom.fn.evaluate(x) for c, atom in pairs)
-    want = coef * split["local_special"].fn.evaluate(x)
+    got = sum(c * pairs.row(i).evaluate(x) for c, i in pairs)
+    want = coef * split["local_special"].row(0).evaluate(x)
     assert np.allclose(got, want, atol=1e-10)
 
 
@@ -360,12 +360,14 @@ def test_cascade_materialize_orders_and_validates():
     space = Interval(0.2, 0.5)
     cascade = cascade_decompose(fn, space, MEASURE_LEBESGUE, 0.5,
                                 detail_cut=1e-6)
-    pairs = cascade.materialize()[:10]
+    table = cascade.materialize()
+    pairs = list(table)[:10]
     assert 0 < len(pairs) <= 10
     mags = [abs(c) for c, _ in pairs]
     assert mags == sorted(mags, reverse=True)
-    for c, atom in pairs:
-        assert validate_atom(atom)["valid"]
+    reports = table.reports()
+    for c, i in pairs:
+        assert reports[i]["valid"]
     assert cascade.coeff_l1() >= sum(mags) - 1e-15
 
 
@@ -408,9 +410,9 @@ def test_atoms_refuse_closer_as_materialize_does(measure):
                                  Interval(0.2, 0.5), measure, 0.5)
         sound = cascade_decompose(PiecewiseLinear.tent(0.25, 0.45, 1.0),
                                   Interval(0.2, 0.5), measure, 0.5)
-        errors = []
+        errors, empty = [], AtomTable._concat(measure, 0.5, [])
         for call in (tiny.materialize,
-                     Decomposition(measure, 0.5, [(sound, ()), (tiny, ())]).atoms):
+                     Decomposition(measure, 0.5, [(sound, empty), (tiny, empty)]).atoms):
             with pytest.raises(NumericsError) as info:
                 call()
             errors.append((info.value.operation, info.value.detail))
@@ -449,8 +451,7 @@ def test_atomic_decompose_flat_family():
     gap = np.abs(dec.reconstruct(x) - fn.evaluate(x))
     assert np.trapezoid(gap, x) / norm < 1e-6
     assert np.max(gap) < 1e-7
-    for c, atom in dec.atoms()[:40]:
-        assert validate_atom(atom)["valid"]
+    assert dec.atoms().check()["valid"][:40].all()
 
 
 @pytest.mark.parametrize("measure", [MEASURE_MU, MEASURE_LEBESGUE])
@@ -505,13 +506,12 @@ def test_random_atoms_are_valid_and_deterministic():
         atoms = random_atoms(np.random.default_rng(20240), measure, 0.5,
                              count=60)
         assert len(atoms) == 60
-        for _, atom in atoms:
-            assert validate_atom(atom)["valid"], atom.label
+        for report in atoms.reports():
+            assert report["valid"], report["label"]
         again = random_atoms(np.random.default_rng(20240), measure, 0.5,
                              count=60)
-        atoms, again = [a for _, a in atoms], [b for _, b in again]
-        assert [a.label for a in atoms] == [b.label for b in again]
-        assert all(a.fn.breaks[0] == b.fn.breaks[0] for a, b in zip(atoms, again))
+        assert [atoms.label(i) for _, i in atoms] == [again.label(i) for _, i in again]
+        assert all(atoms.row(i).breaks[0] == again.row(i).breaks[0] for i in range(60))
 
 
 def test_h1_norm_report_fields(basis_half):

@@ -238,7 +238,7 @@ def test_maximal_mass_of_every_atom_reaches_its_l1_norm(basis_half):
         grid = make_quadrature("unit_interval", 1024, measure=measure, nu=0.5)
         atoms, batch = _atom_batch(grid, 104)
         mass = maximal_function(basis_half, batch, tg).l1_norm(grid.weights)
-        l1 = np.array([a.fn.l1_norm(a.measure, a.nu) for _, a in atoms])
+        l1 = np.array([atoms.row(i).l1_norm(atoms.measure, atoms.nu) for _, i in atoms])
         assert np.all(mass >= 0.9 * l1), measure
 
 
